@@ -4,8 +4,9 @@ The package simulates thermal transport on a supply/return pipe graph
 with fixed mass flows (sparse backward Euler, first-order upwinding)
 and optimizes the plant supply-temperature trajectories against static
 or time-varying energy prices under consumer temperature constraints,
-using quadratic-penalty continuation and projected L-BFGS driven by
-exact discrete-adjoint gradients.
+using quadratic-penalty continuation and projected L-BFGS. Objective
+values and exact gradients run on a condensed control-to-output map
+(free plus impulse response, FFT convolution) built once per scenario.
 """
 
 from .errors import DhnError, ParseError, SolverError, ValidationError
@@ -26,9 +27,9 @@ from .scenario import (DemandSet, LoadSeries, PriceSeries, Scenario,
                        read_load_series, read_price_series, resample_to_grid,
                        synthesize_variations, write_demand_set,
                        write_load_series, write_price_series)
-from .thermal import (BoundarySpec, PhysicalConstants, StateTrajectory,
-                      SystemMatrices, TimeGrid, assemble, demand_to_delta,
-                      energy_balance, simulate, solve_steady, step,
-                      stored_energy)
+from .thermal import (BoundarySpec, CondensedMap, PhysicalConstants,
+                      StateTrajectory, SystemMatrices, TimeGrid, assemble,
+                      condense, demand_to_delta, energy_balance, simulate,
+                      solve_steady, step, stored_energy)
 
 __version__ = "0.1.0"

@@ -1,7 +1,8 @@
 """Command-line driver: simulate, optimize, synth-demand, verify, report.
 
 One JSON config file describes a run; flags override the output
-directory, seed, thread count and verbosity. Scalar results land in
+directory, seed and verbosity (``--threads`` has no effect once numpy
+is loaded, see :func:`_set_threads`). Scalar results land in
 ``report.json`` (deterministic bytes for a fixed config and seed; wall
 times go to ``timing.json``), time series in flat CSV files with one
 row per solved step.
@@ -381,12 +382,11 @@ def cmd_simulate(cfg):
     graph, flow = _load_network(cfg)
     scenario = _scenario(cfg, graph, flow)
     u = _control(cfg, scenario)
-    # the initial steady state follows the supplied trajectory's start
-    scenario.u_init[:] = u[:, 0]
     system = scenario.system
     t0 = time.perf_counter()
+    # the initial steady state follows the supplied trajectory's start
     traj = simulate_system(system, scenario.grid, u, scenario.deltas,
-                           scenario.ambient, scenario.u_init)
+                           scenario.ambient, u[:, 0])
     wall = time.perf_counter() - t0
 
     balance = energy_balance(system, traj, scenario.deltas, scenario.ambient)
@@ -552,6 +552,8 @@ def cmd_optimize(cfg):
             "max_violation_c": r.max_violation_c,
             "grad_norm": r.grad_norm,
             "converged": r.converged,
+            "n_evals": r.n_evals,
+            "n_gradients": r.n_gradients,
         } for r in opt_report.rounds],
         "seed": cfg.seed,
         "config": cfg.data,
@@ -729,6 +731,7 @@ def cmd_report(args):
 # ---------------------------------------------------------------------------
 
 def _set_threads(n):
+    """Export the thread variables; numpy has read them already."""
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):
         os.environ[var] = str(int(n))
@@ -743,7 +746,9 @@ def _build_parser():
     common.add_argument("--config", help="path to the JSON run config")
     common.add_argument("--out-dir", help="output directory (overrides config)")
     common.add_argument("--seed", type=int, help="master seed (overrides config)")
-    common.add_argument("--threads", type=int, help="thread count hint")
+    common.add_argument("--threads", type=int,
+                        help="no effect: numpy reads the BLAS/OpenMP thread "
+                             "variables before this flag is parsed")
     common.add_argument("--quiet", action="store_true", help="suppress progress output")
     sub = parser.add_subparsers(dest="command", required=True)
 

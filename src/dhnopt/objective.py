@@ -153,6 +153,23 @@ class ObjectiveConfig:
             raise ValidationError("penalty weight must be > 0")
 
 
+def injection_cost_rates(traj, graph, flow, price, cp_j_per_kg_c=DEFAULT_CP,
+                         working=False):
+    """``(rates, lift)`` per plant and step: loss is ``sum(rates * lift)``.
+
+    ``rates = cp * dt * mdot_p * w_k`` (units of :func:`_loss_weights`)
+    is also the loss derivative by plant supply temperature, and
+    ``lift = y_supply - y_return``.
+    """
+    bc = BoundarySpec.from_graph(graph)
+    grid = traj.grid
+    supply = traj.rows(bc.plant_nodes)
+    ret = traj.rows(bc.plant_return_nodes)
+    mdot = np.abs(flow.massflow_kg_s[bc.producer_edges])
+    w = _loss_weights(price, grid.times()[1:], supply, ret, working)
+    return cp_j_per_kg_c * grid.dt_s * mdot[:, None] * w, supply - ret
+
+
 def loss_energy_steps(traj, graph, flow, price, cp_j_per_kg_c=DEFAULT_CP):
     """Per-step contributions to the operating cost, shape ``(n_steps,)``.
 
@@ -160,15 +177,8 @@ def loss_energy_steps(traj, graph, flow, price, cp_j_per_kg_c=DEFAULT_CP):
     y_return) * w_k`` with the weight from the price model; joules for a
     static model, euros for a dynamic one.
     """
-    bc = BoundarySpec.from_graph(graph)
-    y = traj.values_c
-    grid = traj.grid
-    mdot = np.abs(flow.massflow_kg_s[bc.producer_edges])
-    supply = y[bc.plant_nodes, 1:]
-    ret = y[bc.plant_return_nodes, 1:]
-    w = _loss_weights(price, grid.times()[1:], supply, ret)
-    terms = cp_j_per_kg_c * grid.dt_s * mdot[:, None] * (supply - ret) * w
-    return terms.sum(axis=0)
+    rates, lift = injection_cost_rates(traj, graph, flow, price, cp_j_per_kg_c)
+    return (rates * lift).sum(axis=0)
 
 
 def loss_energy(traj, graph, flow, price, cp_j_per_kg_c=DEFAULT_CP):
@@ -214,9 +224,8 @@ def constraint_violations(traj, graph, constraints):
     ``(2 * n_consumers, n_steps)``.
     """
     bc = BoundarySpec.from_graph(graph)
-    y = traj.values_c
-    c_supply = constraints.consumer_supply_min_c - y[bc.consumer_supply_nodes, 1:]
-    c_return = constraints.consumer_return_min_c - y[bc.consumer_return_nodes, 1:]
+    c_supply = constraints.consumer_supply_min_c - traj.rows(bc.consumer_supply_nodes)
+    c_return = constraints.consumer_return_min_c - traj.rows(bc.consumer_return_nodes)
     return np.vstack([c_supply, c_return])
 
 

@@ -1,15 +1,14 @@
-"""Exact gradients via the discrete adjoint and projected L-BFGS.
+"""Penalized objective on the condensed control map, and projected L-BFGS.
 
-The gradient of the total objective with respect to the plant controls
-is computed by one backward sweep with the transposed system matrix:
-
-    A^T lam_k = dJ/dy_k + B^T lam_{k+1},    k = n_steps .. 1,
-
-where ``B`` is the (diagonal) previous-state operator with zeroed
-boundary rows. The control enters only through the Dirichlet entries of
-the right-hand side, so ``dJ/du_k = lam_k[plant rows]`` plus the
-explicit regularizer derivative. Forward and backward sweeps share one
-LU factorization.
+For fixed flows and step size the temperatures the objective reads
+(plant supply and return, consumer supply and return) are affine in
+the control, ``y = y_free + H * u`` with ``*`` a causal convolution in
+time ("condensing", Bock & Plitt 1984). The scenario builds this map
+once (:func:`dhnopt.thermal.condense`); a value is then one FFT
+convolution with ``H``, and the exact gradient its transpose, one FFT
+correlation of ``H`` with ``dJ/dy``. The per-step sweep
+:func:`~dhnopt.thermal.simulate_system` remains the oracle for these
+outputs and the full-state path of the CLI.
 
 Minimization is a gradient-projection flavoured L-BFGS: trial points
 are clamped into the control box, and the curvature memory is reset
@@ -26,10 +25,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SolverError, ValidationError
-from .objective import (constraint_violations, loss_energy, max_violation,
-                        objective_loss, penalty, project_control, tikhonov,
-                        tikhonov_gradient, _loss_weights)
-from .thermal import simulate_system
+from .objective import (constraint_violations, injection_cost_rates,
+                        loss_energy, max_violation, objective_loss, penalty,
+                        project_control, tikhonov, tikhonov_gradient)
+# not called here; perfbench's tracer wraps it under every module name
+from .thermal import simulate_system  # noqa: F401
 
 _ARMIJO_C1 = 1e-4
 _MAX_BACKTRACKS = 40
@@ -61,11 +61,14 @@ class OptimizerConfig:
 
 
 class ObjectiveEvaluator:
-    """Value and adjoint gradient of the penalized objective.
+    """Value and gradient of the penalized objective at a control.
 
-    Caches the forward simulation keyed on the control bytes, so a line
-    search evaluating the value at a trial point pays no extra forward
-    solve when the gradient is requested at the accepted point.
+    Both run on the scenario's condensed map (see the module docstring),
+    built on the first request: a value is one FFT convolution, a
+    gradient one FFT correlation with the impulse response. The outputs
+    are cached keyed on the control bytes, so a line search evaluating
+    the value at a trial point pays nothing again when the gradient is
+    requested at the accepted point.
     """
 
     def __init__(self, scenario, lambda_p):
@@ -73,7 +76,7 @@ class ObjectiveEvaluator:
             raise ValidationError("penalty weight must be > 0")
         self.scenario = scenario
         self.lambda_p = float(lambda_p)
-        self.system = scenario.system
+        self.bc = scenario.system.bc
         self.n_evals = 0
         self.n_gradients = 0
         self._cache_key = None
@@ -82,21 +85,23 @@ class ObjectiveEvaluator:
     # -- forward ---------------------------------------------------------
 
     def _forward(self, u):
+        s = self.scenario
+        shape = (self.bc.n_plants, s.grid.n_steps)
+        if u.shape != shape:
+            raise ValidationError(f"control must have shape {shape}, got {u.shape}")
         key = u.tobytes()
         if key == self._cache_key:
             return self._cache
-        s = self.scenario
-        traj = simulate_system(self.system, s.grid, u, s.deltas, s.ambient,
-                               s.u_init)
-        loss = loss_energy(traj, s.graph, s.flow, s.price,
+        outputs = s.condensed.apply(u)
+        loss = loss_energy(outputs, s.graph, s.flow, s.price,
                            s.constants.cp_j_per_kg_c)
-        loss_working = objective_loss(traj, s)
+        loss_working = objective_loss(outputs, s)
         reg = tikhonov(u, s.grid)
-        c = constraint_violations(traj, s.graph, s.constraints)
+        c = constraint_violations(outputs, s.graph, s.constraints)
         pen = penalty(c, self.lambda_p)
         value = loss_working + s.tikhonov_weight * reg + pen
         self._cache_key = key
-        self._cache = {"traj": traj, "loss": loss, "tikhonov": reg,
+        self._cache = {"outputs": outputs, "loss": loss, "tikhonov": reg,
                        "penalty": pen, "violations": c, "value": value}
         self.n_evals += 1
         return self._cache
@@ -106,56 +111,37 @@ class ObjectiveEvaluator:
         return self._forward(u)["value"]
 
     def parts(self, u):
-        """Dict with loss, regularizer, penalty, violations and value."""
+        """Dict with outputs, loss, regularizer, penalty, violations, value."""
         u = np.ascontiguousarray(u, dtype=float)
         return dict(self._forward(u))
 
-    # -- backward --------------------------------------------------------
+    # -- gradient --------------------------------------------------------
 
     def value_and_gradient(self, u):
         u = np.ascontiguousarray(u, dtype=float)
         fwd = self._forward(u)
-        traj = fwd["traj"]
         s = self.scenario
-        sysm = self.system
-        bc = sysm.bc
-        grid = s.grid
-        cp = s.constants.cp_j_per_kg_c
-        y = traj.values_c
-        n_c = bc.n_consumers
+        outputs = fwd["outputs"]
 
-        supply = y[bc.plant_nodes, 1:]
-        ret = y[bc.plant_return_nodes, 1:]
-        w = _loss_weights(s.price, grid.times()[1:], supply, ret, working=True)
-        dloss = cp * grid.dt_s * sysm.plant_massflow[:, None] * w
+        rates, _ = injection_cost_rates(outputs, s.graph, s.flow, s.price,
+                                        s.constants.cp_j_per_kg_c,
+                                        working=True)
+        # d/dy of lambda/2 * max(0, bound - y)^2 is -lambda * hinge; rows
+        # follow the map's order: plant supply, plant return, consumer
+        # supply, consumer return (the order of the violation rows)
+        hinge = self.lambda_p * np.maximum(0.0, fwd["violations"])
+        dj_dy = np.vstack([rates, -rates, -hinge])
 
-        c = fwd["violations"]
-        hinge = self.lambda_p * np.maximum(0.0, c)
-        hinge_supply = hinge[:n_c, :]
-        hinge_return = hinge[n_c:, :]
-
-        grad = np.zeros_like(u)
-        lam_next = np.zeros(sysm.graph.n_nodes)
-        for k in range(grid.n_steps, 0, -1):
-            g = sysm.B_diag * lam_next
-            np.add.at(g, bc.plant_nodes, dloss[:, k - 1])
-            np.add.at(g, bc.plant_return_nodes, -dloss[:, k - 1])
-            # d/dy of lambda/2 * max(0, bound - y)^2 is -lambda * hinge
-            np.add.at(g, bc.consumer_supply_nodes, -hinge_supply[:, k - 1])
-            np.add.at(g, bc.consumer_return_nodes, -hinge_return[:, k - 1])
-            lam = sysm.solve_adjoint(g)
-            grad[:, k - 1] = lam[bc.plant_nodes]
-            lam_next = lam
-
-        grad += s.tikhonov_weight * tikhonov_gradient(u, grid)
+        grad = s.condensed.apply_transpose(dj_dy)
+        grad += s.tikhonov_weight * tikhonov_gradient(u, s.grid)
         if not np.all(np.isfinite(grad)):
-            raise SolverError("adjoint sweep produced a non-finite gradient")
+            raise SolverError("condensed map produced a non-finite gradient")
         self.n_gradients += 1
         return fwd["value"], grad
 
 
 def gradient(scenario, u, lambda_p=10.0):
-    """Adjoint gradient of the total objective at ``u``."""
+    """Gradient of the total objective at ``u``."""
     return ObjectiveEvaluator(scenario, lambda_p).value_and_gradient(u)[1]
 
 
@@ -328,6 +314,8 @@ class RoundStats:
     max_violation_c: float
     grad_norm: float
     converged: bool
+    n_evals: int
+    n_gradients: int
 
 
 @dataclass
@@ -383,6 +371,8 @@ def optimize(scenario, u0=None, config=None):
             max_violation_c=viol,
             grad_norm=float(np.max(np.abs(res.g))),
             converged=res.converged,
+            n_evals=ev.n_evals,
+            n_gradients=ev.n_gradients,
         ))
         if prev is not None:
             loss_up = parts["loss"] > prev.true_loss * (1 + 1e-12) + 1e-9

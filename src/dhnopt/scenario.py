@@ -21,7 +21,7 @@ from .errors import ParseError, ValidationError
 from .network import control_volumes
 from .objective import ConstraintSet, PriceModel
 from .thermal import (BoundarySpec, PhysicalConstants, TimeGrid, assemble,
-                      demand_to_delta)
+                      condense, demand_to_delta)
 
 #: Default cutoff of the demand low-pass: one cycle per ~4 h.
 DEFAULT_CUTOFF_HZ = 69.4e-6
@@ -220,14 +220,16 @@ def resample_to_grid(series, grid):
 # scenario assembly
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """Complete immutable optimization scenario.
 
     Bundles the network, flows, time grid, boundary data (consumer
     temperature drops, ambient), price model, constraint set and the
     control's initial value. ``system`` lazily assembles and caches the
-    sparse operators; treat instances as frozen after construction.
+    sparse operators, ``condensed`` the control-to-output map built from
+    them. :func:`build_scenario` stores ``deltas``, ``ambient`` and
+    ``u_init`` as read-only copies, so the cached map cannot go stale.
     """
 
     graph: object
@@ -248,6 +250,12 @@ class Scenario:
     def system(self):
         return assemble(self.graph, self.flow, self.volumes, self.constants,
                         self.grid.dt_s)
+
+    @cached_property
+    def condensed(self):
+        """:class:`~dhnopt.thermal.CondensedMap` of the plant and consumer nodes."""
+        return condense(self.system, self.grid, self.deltas, self.ambient,
+                        self.u_init)
 
     @property
     def n_plants(self):
@@ -313,14 +321,21 @@ def build_scenario(graph, flow, demands, prices, constraints, grid, constants,
         constants=constants,
         grid=grid,
         demands_w=demands_w,
-        deltas=deltas,
-        ambient=constants.ambient_series(grid.n_steps),
+        deltas=_read_only(deltas),
+        ambient=_read_only(constants.ambient_series(grid.n_steps)),
         price=price,
         constraints=constraints,
         tikhonov_weight=float(tikhonov_weight),
-        u_init=u_init,
+        u_init=_read_only(u_init),
         seed=seed,
     )
+
+
+def _read_only(values):
+    """Private float copy that raises on any later write."""
+    out = np.array(values, dtype=float)
+    out.setflags(write=False)
+    return out
 
 
 # ---------------------------------------------------------------------------

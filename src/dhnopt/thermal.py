@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft as sfft
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -388,6 +389,32 @@ class StateTrajectory:
         if not np.all(np.isfinite(self.values_c)):
             raise SolverError("trajectory contains non-finite temperatures")
 
+    def rows(self, nodes):
+        """Temperatures of ``nodes`` at the solved steps ``1 .. n_steps``."""
+        return self.values_c[nodes, 1:]
+
+
+@dataclass
+class ObservedTrajectory:
+    """Temperatures of ``nodes`` at the solved steps, ``(len(nodes), n_steps)``."""
+
+    nodes: np.ndarray
+    values_c: np.ndarray
+    grid: TimeGrid
+
+    def __post_init__(self):
+        if not np.all(np.isfinite(self.values_c)):
+            raise SolverError("condensed map produced non-finite temperatures")
+
+    def rows(self, nodes):
+        """:meth:`StateTrajectory.rows` for observed nodes."""
+        order = np.argsort(self.nodes, kind="stable")
+        idx = order.take(np.searchsorted(self.nodes, nodes, sorter=order),
+                         mode="clip")
+        if not np.array_equal(self.nodes[idx], nodes):
+            raise ValidationError("temperature requested at an unobserved node")
+        return self.values_c[idx]
+
 
 def simulate_system(system, grid, u, deltas, ambient, u_init=None):
     """Run the solution operator: control trajectory -> state trajectory.
@@ -436,6 +463,79 @@ def simulate_system(system, grid, u, deltas, ambient, u_init=None):
                                             deltas[:, k], ambient[k])
         y[:, k] = lu.solve(b)
     return StateTrajectory(values_c=y, grid=grid)
+
+
+class CondensedMap:
+    """Affine control-to-output map ``y = y_free + H * u`` (see :func:`condense`).
+
+    For fixed flows and step size the backward-Euler recursion is linear
+    and time-invariant, so the observed temperatures are the free
+    response ``y_free`` ``(n_obs, n_steps)`` plus the causal convolution
+    of the impulse response ``impulse`` ``(n_obs, n_plants, n_steps)``
+    with the control. Products are FFTs zero-padded past
+    ``2 * n_steps - 1``, so nothing wraps around. The ``n_obs``-row
+    spectra reuse one buffer: a fresh megabyte-sized array per call
+    costs about as much as the transforms.
+    """
+
+    def __init__(self, nodes, y_free, impulse, grid):
+        self.nodes = nodes
+        self.y_free = y_free
+        self.impulse = impulse
+        self.grid = grid
+        self._n_fft = n_fft = sfft.next_fast_len(2 * grid.n_steps - 1, real=True)
+        self._impulse_f = np.fft.rfft(impulse, n_fft)
+        self._spectrum = np.empty((nodes.size, n_fft // 2 + 1), dtype=complex)
+
+    def apply(self, u):
+        """Observed temperatures under the control ``u``."""
+        np.einsum("opf,pf->of", self._impulse_f, np.fft.rfft(u, self._n_fft),
+                  out=self._spectrum)
+        y = np.fft.irfft(self._spectrum, self._n_fft)[:, :self.grid.n_steps]
+        return ObservedTrajectory(self.nodes, self.y_free + y, self.grid)
+
+    def apply_transpose(self, g):
+        """``H^T g``: the control gradient of ``sum(g * y)``."""
+        g_f = np.fft.rfft(g, self._n_fft, out=self._spectrum)
+        # correlation: sum_o conj(H_f) g_f = conj(sum_o H_f conj(g_f)), so
+        # g_f is conjugated in place instead of copying conj(H_f)
+        u_f = np.einsum("opf,of->pf", self._impulse_f, np.conj(g_f, out=g_f))
+        return np.fft.irfft(np.conj(u_f), self._n_fft)[:, :self.grid.n_steps]
+
+
+def condense(system, grid, deltas, ambient, u_init):
+    """Build the :class:`CondensedMap` of the plant and consumer nodes.
+
+    The observed rows are the plant supply, plant return, consumer
+    supply and consumer return nodes, each block in boundary-spec order.
+    One backward-Euler sweep with ``1 + n_plants`` right-hand sides and
+    the transient factorization gives the map: column 0 is the free
+    response from the steady state under ``u_init``, column ``1 + p``
+    the response to a unit pulse of plant ``p`` at step 1 from zero
+    state with zero consumer drops and zero ambient.
+    """
+    bc = system.bc
+    nodes = np.concatenate([bc.plant_nodes, bc.plant_return_nodes,
+                            bc.consumer_supply_nodes, bc.consumer_return_nodes])
+    n_p, n = bc.n_plants, grid.n_steps
+    lu = system.lu_transient
+    x = np.zeros((system.graph.n_nodes, 1 + n_p))
+    x[:, 0] = solve_steady(system, u_init, deltas[:, 0], ambient[0])
+    y_free = np.empty((nodes.size, n))
+    impulse = np.empty((nodes.size, n_p, n))
+    no_control = np.zeros(n_p)
+    for k in range(1, n + 1):
+        b = system.B_diag[:, None] * x
+        b[:, 0] += system._rhs_steady_unchecked(no_control, deltas[:, k],
+                                                ambient[k])
+        if k == 1:
+            b[bc.plant_nodes, 1 + np.arange(n_p)] = 1.0
+        x = lu.solve(b)
+        y_free[:, k - 1] = x[nodes, 0]
+        impulse[:, :, k - 1] = x[nodes, 1:]
+    if not (np.all(np.isfinite(y_free)) and np.all(np.isfinite(impulse))):
+        raise SolverError("condensing sweep produced non-finite temperatures")
+    return CondensedMap(nodes, y_free, impulse, grid)
 
 
 def simulate(graph, flow, scenario, u):

@@ -147,6 +147,8 @@ class TestOptimize:
                      "quantiles_baseline.csv", "quantiles_optimized.csv"):
             assert len(_read_lines(out / name)) == 1 + n, name
         assert len(_read_lines(out / "trace.csv")) == 1 + len(report["rounds"])
+        for r in report["rounds"]:
+            assert r["n_evals"] >= r["n_gradients"] >= r["inner_iterations"]
 
         # savings must be recomputable from the emitted series
         steps = np.loadtxt(out / "plant_power.csv", delimiter=",",

@@ -1,0 +1,218 @@
+"""The condensed control-to-output map against the per-step sweep.
+
+``Scenario.condensed`` replaces the forward and adjoint sweeps inside
+``ObjectiveEvaluator``; ``simulate_system`` stays the oracle it must
+reproduce at every observed node.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+import dhnopt.scenario
+from conftest import make_loop_scenario
+from dhnopt.errors import ValidationError
+from dhnopt.fixtures import desk_scenario, two_level_price
+from dhnopt.network import FlowField, NetworkGraph
+from dhnopt.objective import ConstraintSet
+from dhnopt.optimizer import ObjectiveEvaluator, OptimizerConfig, optimize
+from dhnopt.scenario import DemandSet, LoadSeries, build_scenario
+from dhnopt.thermal import PhysicalConstants, TimeGrid, simulate_system
+
+_SCENARIOS = {
+    "loop": lambda: make_loop_scenario(n_steps=96, swing=0.3),
+    "desk-static": lambda: desk_scenario(),
+    "desk-dynamic": lambda: desk_scenario(static=False),
+}
+
+
+def _sweep_outputs(scenario, u):
+    """Observed temperatures from the per-step sweep."""
+    traj = simulate_system(scenario.system, scenario.grid, u,
+                           scenario.deltas, scenario.ambient,
+                           scenario.u_init)
+    return traj.values_c[scenario.condensed.nodes, 1:]
+
+
+@pytest.fixture(scope="module", params=sorted(_SCENARIOS))
+def scenario(request):
+    return _SCENARIOS[request.param]()
+
+
+def _controls(scenario):
+    lo, hi = scenario.constraints.control_bounds
+    return arrays(np.float64, (scenario.n_plants, scenario.grid.n_steps),
+                  elements=st.floats(lo, hi))
+
+
+class TestAgainstSweep:
+    def test_outputs_equal_sweep_at_every_observed_node(self, scenario):
+        @settings(max_examples=20, deadline=None)
+        @given(u=_controls(scenario))
+        def check(u):
+            y = scenario.condensed.apply(u).values_c
+            assert np.max(np.abs(y - _sweep_outputs(scenario, u))) <= 1e-9
+
+        check()
+
+    def test_observed_rows_are_the_boundary_nodes(self, scenario):
+        bc = scenario.system.bc
+        np.testing.assert_array_equal(scenario.condensed.nodes, np.concatenate([
+            bc.plant_nodes, bc.plant_return_nodes,
+            bc.consumer_supply_nodes, bc.consumer_return_nodes]))
+
+
+class TestLifecycle:
+    def test_built_once_per_scenario_across_rounds(self, monkeypatch):
+        calls = []
+        real = dhnopt.scenario.condense
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(dhnopt.scenario, "condense", counting)
+        scenario = make_loop_scenario(n_steps=24, swing=0.3)
+        ev = ObjectiveEvaluator(scenario, 10.0)
+        assert calls == []  # neither build_scenario nor the evaluator builds it
+        _, report = optimize(scenario, np.full((1, 24), 110.0),
+                             OptimizerConfig(max_inner_iterations=20))
+        assert len(report.rounds) >= 3
+        assert len(calls) == 1
+        ev.value(np.full((1, 24), 100.0))
+        assert len(calls) == 1
+
+    def test_round_counts_match_the_evaluators(self):
+        scenario = make_loop_scenario(n_steps=24, swing=0.3)
+        _, report = optimize(scenario, np.full((1, 24), 110.0),
+                             OptimizerConfig(max_inner_iterations=20))
+        for r in report.rounds:
+            # one gradient at the start point, one per accepted iterate
+            assert r.n_gradients >= r.inner_iterations
+            assert r.n_evals >= r.n_gradients
+
+    @pytest.mark.parametrize("shape", [(1, 23), (1, 25), (2, 24), (24,)])
+    def test_wrong_control_shape_raises(self, shape):
+        ev = ObjectiveEvaluator(make_loop_scenario(n_steps=24), 10.0)
+        ev.value(np.full((1, 24), 100.0))
+        with pytest.raises(ValidationError):
+            ev.value(np.full(shape, 100.0))
+        with pytest.raises(ValidationError):
+            ev.value_and_gradient(np.full(shape, 100.0))
+
+    @pytest.mark.parametrize("name", ["u_init", "deltas", "ambient"])
+    def test_map_inputs_are_read_only(self, name):
+        scenario = make_loop_scenario(n_steps=24)
+        with pytest.raises(ValueError):
+            getattr(scenario, name)[0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(scenario, name, np.zeros(1))
+
+    def test_build_scenario_copies_the_initial_control(self):
+        graph, flow = two_plant_network()
+        u_init = np.array([105.0, 100.0])
+        scenario = _two_plant_scenario(graph, flow, 8, u_init=u_init)
+        u_init[0] = 0.0
+        assert scenario.u_init[0] == 105.0
+
+
+# ---------------------------------------------------------------------------
+# two plants
+# ---------------------------------------------------------------------------
+
+def two_plant_network():
+    """Two plants feeding one supply junction that serves two consumers."""
+    nodes = [("SP1", "supply"), ("SP2", "supply"), ("SJ", "supply"),
+             ("SC1", "supply"), ("SC2", "supply"),
+             ("RC1", "return"), ("RC2", "return"), ("RJ", "return"),
+             ("RP1", "return"), ("RP2", "return")]
+    m1, m2, mc1, mc2 = 0.3, 0.5, 0.35, 0.45
+    # id, tail, head, kind, length_m, htc, mass flow
+    edges = [("producer1", "RP1", "SP1", "producer", 5.0, 0.0, m1),
+             ("producer2", "RP2", "SP2", "producer", 5.0, 0.0, m2),
+             ("sup1", "SP1", "SJ", "supply", 300.0, 0.4, m1),
+             ("sup2", "SP2", "SJ", "supply", 150.0, 0.4, m2),
+             ("sup3", "SJ", "SC1", "supply", 200.0, 0.4, mc1),
+             ("sup4", "SJ", "SC2", "supply", 400.0, 0.4, mc2),
+             ("consumer1", "SC1", "RC1", "consumer", 5.0, 0.0, mc1),
+             ("consumer2", "SC2", "RC2", "consumer", 5.0, 0.0, mc2),
+             ("ret1", "RC1", "RJ", "return", 200.0, 0.4, mc1),
+             ("ret2", "RC2", "RJ", "return", 400.0, 0.4, mc2),
+             ("ret3", "RJ", "RP1", "return", 300.0, 0.4, m1),
+             ("ret4", "RJ", "RP2", "return", 150.0, 0.4, m2)]
+    index = {n[0]: i for i, n in enumerate(nodes)}
+    diameter = 0.05
+    graph = NetworkGraph(
+        node_ids=[n[0] for n in nodes],
+        node_side=[n[1] for n in nodes],
+        node_xy=np.full((len(nodes), 2), np.nan),
+        edge_ids=[e[0] for e in edges],
+        edge_kind=[e[3] for e in edges],
+        edge_tail=[index[e[1]] for e in edges],
+        edge_head=[index[e[2]] for e in edges],
+        length_m=[e[4] for e in edges],
+        diameter_m=[diameter] * len(edges),
+        area_m2=[math.pi * diameter**2 / 4.0] * len(edges),
+        htc_w_per_m_c=[e[5] for e in edges],
+    )
+    flow = FlowField([e[6] for e in edges]).validate_against(graph)
+    return graph, flow
+
+
+def _two_plant_scenario(graph, flow, n_steps, prices=None,
+                        u_init=(105.0, 100.0)):
+    grid = TimeGrid(dt_s=900.0, n_steps=n_steps)
+    t = grid.times()
+    demands = DemandSet(("consumer1", "consumer2"), (
+        LoadSeries(values_w=30e3 * (1.0 + 0.3 * np.sin(2 * np.pi * t / 86400.0)),
+                   dt_s=900.0),
+        LoadSeries(values_w=np.full(t.size, 45e3), dt_s=900.0)))
+    return build_scenario(graph, flow, demands, prices, ConstraintSet(), grid,
+                          PhysicalConstants(), initial_control_c=u_init)
+
+
+@pytest.fixture(scope="module", params=["static", "dynamic"])
+def two_plant(request):
+    graph, flow = two_plant_network()
+    prices = two_level_price(n_days=1) if request.param == "dynamic" else None
+    return _two_plant_scenario(graph, flow, 48, prices)
+
+
+class TestTwoPlants:
+    def test_outputs_equal_sweep(self, two_plant):
+        assert two_plant.n_plants == 2
+        rng = np.random.default_rng(5)
+        u = rng.uniform(80.0, 110.0, (2, 48))
+        y = two_plant.condensed.apply(u).values_c
+        assert np.max(np.abs(y - _sweep_outputs(two_plant, u))) <= 1e-9
+
+    def test_each_plant_has_its_own_impulse_response(self, two_plant):
+        h = two_plant.condensed.impulse
+        assert h.shape == (two_plant.condensed.nodes.size, 2, 48)
+        # each plant's supply row responds to its own pulse only
+        np.testing.assert_allclose(h[0, :, 0], [1.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(h[1, :, 0], [0.0, 1.0], atol=1e-12)
+        assert not np.allclose(h[2:, 0], h[2:, 1])
+
+    def test_gradient_matches_central_differences(self, two_plant):
+        rng = np.random.default_rng(7)
+        # low enough that some consumer constraints are active
+        u = rng.uniform(70.0, 95.0, (2, 48))
+        ev = ObjectiveEvaluator(two_plant, 100.0)
+        _, grad = ev.value_and_gradient(u)
+        assert ev.parts(u)["violations"].max() > 0.0
+        for plant in (0, 1):
+            worst = 0.0
+            for j in rng.choice(48, size=8, replace=False):
+                up, um = u.copy(), u.copy()
+                up[plant, j] += 1e-3
+                um[plant, j] -= 1e-3
+                fd = (ev.value(up) - ev.value(um)) / 2e-3
+                g = grad[plant, j]
+                worst = max(worst, abs(g - fd) / max(abs(fd), abs(g), 1e-12))
+            assert worst < 1e-5, f"plant {plant}: relative error {worst:.2e}"
