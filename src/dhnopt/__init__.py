@@ -10,26 +10,22 @@ values and exact gradients run on a condensed control-to-output map
 """
 
 from .errors import DhnError, ParseError, SolverError, ValidationError
-from .network import (ControlVolumes, FlowField, NetworkGraph, PipeParams,
+from .network import (BoundarySpec, ControlVolumes, FlowField, NetworkGraph,
                       control_volumes, load_flow_field, parse_network,
-                      subdivide_pipes, velocity, write_flow_field,
-                      write_network)
-from .objective import (ConstraintSet, ObjectiveConfig, PriceModel,
-                        constraint_violations, loss_energy, loss_energy_steps,
-                        max_violation,
-                        penalty, price_weight, project_control, tikhonov,
-                        total_objective)
+                      subdivide_pipes, write_flow_field, write_network)
+from .objective import (ConstraintSet, PriceModel, constraint_violations,
+                        loss_energy, loss_energy_steps, max_violation,
+                        penalty, project_control, tikhonov)
 from .optimizer import (LbfgsResult, ObjectiveEvaluator, OptimizationReport,
-                        OptimizerConfig, RoundStats, gradient, lbfgs_minimize,
-                        optimize)
+                        OptimizerConfig, RoundStats, lbfgs_minimize, optimize)
 from .scenario import (DemandSet, LoadSeries, PriceSeries, Scenario,
                        build_scenario, lowpass, read_demand_set,
                        read_load_series, read_price_series, resample_to_grid,
                        synthesize_variations, write_demand_set,
                        write_load_series, write_price_series)
-from .thermal import (BoundarySpec, CondensedMap, PhysicalConstants,
-                      StateTrajectory, SystemMatrices, TimeGrid, assemble,
-                      condense, demand_to_delta, energy_balance, simulate,
-                      solve_steady, step, stored_energy)
+from .thermal import (CondensedMap, PhysicalConstants, StateTrajectory,
+                      SystemMatrices, TimeGrid, assemble, condense,
+                      demand_to_delta, energy_balance, simulate, solve_steady,
+                      stored_energy)
 
 __version__ = "0.1.0"

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -23,17 +24,17 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, SolverError, ValidationError
-from .network import load_flow_field, parse_network, subdivide_pipes
-from .objective import (ConstraintSet, constraint_violations, loss_energy,
-                        loss_energy_steps, max_violation)
+from .network import load_flow_field, parse_network, read_csv, subdivide_pipes
+from .objective import (J_PER_MWH, ConstraintSet, constraint_violations,
+                        loss_energy, loss_energy_steps, max_violation)
 from .optimizer import OptimizerConfig, optimize
 from .scenario import (DEFAULT_CUTOFF_HZ, DEFAULT_NOISE_BAND_HZ,
                        DEFAULT_TIKHONOV_WEIGHT, DemandSet, build_scenario,
                        lowpass, read_demand_set, read_load_series,
                        read_price_series, synthesize_variations,
                        write_demand_set)
-from .thermal import (BoundarySpec, PhysicalConstants, TimeGrid, assemble,
-                      energy_balance, simulate_system, solve_steady,
+from .thermal import (PhysicalConstants, TimeGrid, energy_balance,
+                      plant_injection_w, simulate_system, solve_steady,
                       stored_energy)
 
 EXIT_OK = 0
@@ -92,7 +93,7 @@ _DEFAULTS = {
     "quantile_levels": [1, 10, 50, 90, 99],
     "seed": 0,
     "out_dir": "out",
-    "threads": None,
+    "threads": None,  # accepted and ignored, like the --threads flag
 }
 
 
@@ -113,12 +114,11 @@ def _merge(defaults, given):
 class RunConfig:
     """Parsed config file plus flag overrides."""
 
-    def __init__(self, data, base_dir, out_dir, seed, threads, quiet):
+    def __init__(self, data, base_dir, out_dir, seed, quiet):
         self.data = data
         self.base_dir = Path(base_dir)
         self.out_dir = Path(out_dir)
         self.seed = int(seed)
-        self.threads = threads
         self.quiet = quiet
 
     @classmethod
@@ -133,7 +133,6 @@ class RunConfig:
                 raise ParseError(f"{path}: invalid JSON: {exc}") from None
         data = _merge(_DEFAULTS, raw)
         seed = args.seed if args.seed is not None else data["seed"]
-        threads = args.threads if args.threads is not None else data["threads"]
         base = path.parent
         # a flag resolves against the working directory, the config
         # value against the config file's own directory
@@ -143,19 +142,20 @@ class RunConfig:
             out = Path(data["out_dir"])
             if not out.is_absolute():
                 out = base / out
-        return cls(data, base, out, seed, threads, args.quiet)
+        return cls(data, base, out, seed, args.quiet)
 
     def path(self, key, *, required=True, section=None):
         value = (self.data[section] if section else self.data).get(key)
-        if value is None:
+        name = f"{section}.{key}" if section else key
+        if not value:
             if required:
-                raise ValidationError(f"config is missing {key!r}")
+                raise ValidationError(f"config is missing {name!r}")
             return None
         p = Path(value)
         if not p.is_absolute():
             p = self.base_dir / p
         if not p.is_file():
-            raise ValidationError(f"{key}: file not found: {p}")
+            raise ValidationError(f"{name}: file not found: {p}")
         return p
 
     def log(self, msg):
@@ -168,20 +168,10 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 def _load_network(cfg):
-    net = cfg.data["network"]
-    for key in ("nodes", "edges", "flows"):
-        if not net.get(key):
-            raise ValidationError(f"config is missing network.{key}")
-    paths = {}
-    for key in ("nodes", "edges", "flows"):
-        p = Path(net[key])
-        if not p.is_absolute():
-            p = cfg.base_dir / p
-        if not p.is_file():
-            raise ValidationError(f"network.{key}: file not found: {p}")
-        paths[key] = p
-    graph = parse_network(paths["nodes"], paths["edges"])
-    flow = load_flow_field(paths["flows"], graph)
+    nodes, edges, flows = (cfg.path(key, section="network")
+                           for key in ("nodes", "edges", "flows"))
+    graph = parse_network(nodes, edges)
+    flow = load_flow_field(flows, graph)
     max_cell = cfg.data["scenario"]["max_cell_length_m"]
     return subdivide_pipes(graph, flow, max_cell)
 
@@ -202,11 +192,8 @@ def _time_grid(cfg):
     return TimeGrid(dt_s=dt, n_steps=int(round(n)))
 
 
-def _constraints(cfg):
-    return ConstraintSet(**cfg.data["scenario"]["constraints"])
-
-
-def _scenario(cfg, graph, flow):
+def _scenario(cfg):
+    graph, flow = _load_network(cfg)
     sc = cfg.data["scenario"]
     grid = _time_grid(cfg)
     demands = read_demand_set(cfg.path("demand_file"))
@@ -226,7 +213,8 @@ def _scenario(cfg, graph, flow):
         ambient_c=sc["ambient_c"],
     )
     return build_scenario(
-        graph, flow, demands, prices, _constraints(cfg), grid, constants,
+        graph, flow, demands, prices, ConstraintSet(**sc["constraints"]),
+        grid, constants,
         alpha=float(sc["alpha"]), beta=float(sc["beta"]),
         tikhonov_weight=float(sc["tikhonov_weight"]),
         initial_control_c=float(sc["initial_control_c"]),
@@ -239,13 +227,9 @@ def _control(cfg, scenario):
     bc = scenario.system.bc
     ctl = cfg.data["control"]
     grid = scenario.grid
-    if ctl.get("file"):
-        p = Path(ctl["file"])
-        if not p.is_absolute():
-            p = cfg.base_dir / p
-        if not p.is_file():
-            raise ValidationError(f"control.file: file not found: {p}")
-        return _read_control_file(p, scenario.graph, bc, grid)
+    path = cfg.path("file", required=False, section="control")
+    if path is not None:
+        return _read_control_file(path, scenario.graph, grid)
     const = ctl.get("constant_c")
     if const is None:
         const = cfg.data["scenario"]["initial_control_c"]
@@ -253,27 +237,19 @@ def _control(cfg, scenario):
 
 
 _CONTROL_HEADER = ["time_s", "plant_edge_id", "supply_temp_c"]
+_STEADY_HEADER = ["node_id", "temperature_c"]
+_PLANT_POWER_HEADER = ["time_s", "baseline_injection_w", "optimized_injection_w",
+                       "baseline_loss_step", "optimized_loss_step"]
 
 
-def _read_control_file(path, graph, bc, grid):
-    plant_ids = [graph.edge_ids[e] for e in bc.producer_edges]
+def _read_control_file(path, graph, grid):
+    plant_ids = [graph.edge_ids[e] for e in graph.boundary.producer_edges]
     by_id = {pid: {} for pid in plant_ids}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != _CONTROL_HEADER:
-            raise ParseError(f"{path}:1: expected header "
-                             f"{','.join(_CONTROL_HEADER)!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            t, pid, temp = (c.strip() for c in row)
-            if pid not in by_id:
-                raise ValidationError(f"{path}:{lineno}: unknown plant {pid!r}")
-            try:
-                by_id[pid][float(t)] = float(temp)
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: bad numeric value") from None
+    for lineno, (t, pid, temp) in read_csv(path, _CONTROL_HEADER,
+                                           ("time_s", "supply_temp_c")):
+        if pid not in by_id:
+            raise ValidationError(f"{path}:{lineno}: unknown plant {pid!r}")
+        by_id[pid][t] = temp
     u = np.empty((len(plant_ids), grid.n_steps))
     for i, pid in enumerate(plant_ids):
         if not by_id[pid]:
@@ -289,8 +265,7 @@ def _read_control_file(path, graph, bc, grid):
     return u
 
 
-def _write_control_file(path, graph, bc, grid, u):
-    plant_ids = [graph.edge_ids[e] for e in bc.producer_edges]
+def _write_control_file(path, plant_ids, grid, u):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(_CONTROL_HEADER)
@@ -309,26 +284,11 @@ def compute_quantiles(traj, graph, levels=(1, 10, 50, 90, 99)):
     Empirical quantiles with linear interpolation between order
     statistics, plus the per-step minimum and median.
     """
-    bc = BoundarySpec.from_graph(graph)
-    temps = traj.values_c[bc.consumer_supply_nodes, 1:]
+    temps = traj.values_c[graph.boundary.consumer_supply_nodes, 1:]
     out = {"min": temps.min(axis=0), "median": np.median(temps, axis=0)}
     for q in levels:
         out[f"p{q:g}"] = np.quantile(temps, q / 100.0, axis=0)
     return out
-
-
-def _plant_injection_w(system, traj):
-    bc = system.bc
-    cp = system.constants.cp_j_per_kg_c
-    y = traj.values_c
-    dT = y[bc.plant_nodes, 1:] - y[bc.plant_return_nodes, 1:]
-    return cp * (system.plant_massflow[:, None] * dT).sum(axis=0)
-
-
-def _loss_steps(scenario, traj):
-    """Per-step contribution to the loss (J static, EUR dynamic)."""
-    return loss_energy_steps(traj, scenario.graph, scenario.flow,
-                             scenario.price, scenario.constants.cp_j_per_kg_c)
 
 
 def _min_consumer_temps(traj, bc):
@@ -379,8 +339,8 @@ def _write_json(path, obj):
 
 def cmd_simulate(cfg):
     """Run the solution operator and write trajectory diagnostics."""
-    graph, flow = _load_network(cfg)
-    scenario = _scenario(cfg, graph, flow)
+    scenario = _scenario(cfg)
+    graph = scenario.graph
     u = _control(cfg, scenario)
     system = scenario.system
     t0 = time.perf_counter()
@@ -394,8 +354,7 @@ def cmd_simulate(cfg):
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
 
     _write_csv(cfg.out_dir / "steady_state.csv",
-               ["node_id", "temperature_c"],
-               [list(graph.node_ids), traj.values_c[:, 0]])
+               _STEADY_HEADER, [list(graph.node_ids), traj.values_c[:, 0]])
     min_supply, min_return = _min_consumer_temps(traj, system.bc)
     e_amb, e_init, e0 = _stored_series(scenario, traj)
     _write_csv(cfg.out_dir / "summary.csv",
@@ -405,7 +364,7 @@ def cmd_simulate(cfg):
                [times, traj.values_c[:, 1:].min(axis=0),
                 traj.values_c[:, 1:].mean(axis=0),
                 traj.values_c[:, 1:].max(axis=0),
-                min_supply, min_return, _plant_injection_w(system, traj)])
+                min_supply, min_return, plant_injection_w(system, traj)])
     _write_csv(cfg.out_dir / "energy_balance.csv",
                ["time_s", "injection_w", "extraction_w", "ambient_w",
                 "storage_w", "residual_w", "residual_rel"],
@@ -423,7 +382,7 @@ def cmd_simulate(cfg):
         "n_edges": graph.n_edges,
         "n_steps": scenario.grid.n_steps,
         "dt_s": scenario.grid.dt_s,
-        "loss": loss_energy(traj, graph, flow, scenario.price,
+        "loss": loss_energy(traj, graph, scenario.flow, scenario.price,
                             scenario.constants.cp_j_per_kg_c),
         "loss_unit": "J" if scenario.price.static else "EUR",
         "max_energy_balance_residual_rel": float(balance["residual_rel"].max()),
@@ -441,8 +400,8 @@ def cmd_simulate(cfg):
 
 def cmd_optimize(cfg):
     """Optimize the plant controls and report baseline vs optimized."""
-    graph, flow = _load_network(cfg)
-    scenario = _scenario(cfg, graph, flow)
+    scenario = _scenario(cfg)
+    graph, flow = scenario.graph, scenario.flow
     u0 = _control(cfg, scenario)
     opt_cfg = OptimizerConfig(**{k: (int(v) if k in ("memory", "max_inner_iterations")
                                      else float(v))
@@ -472,7 +431,7 @@ def cmd_optimize(cfg):
                + [f"optimized_{p}" for p in plant_ids],
                [times] + [u0[i] for i in range(len(plant_ids))]
                + [u_opt[i] for i in range(len(plant_ids))])
-    _write_control_file(cfg.out_dir / "optimized_control.csv", graph, bc,
+    _write_control_file(cfg.out_dir / "optimized_control.csv", plant_ids,
                         scenario.grid, u_opt)
 
     bs, br = _min_consumer_temps(baseline, bc)
@@ -493,14 +452,12 @@ def cmd_optimize(cfg):
     _write_csv(cfg.out_dir / "price.csv", ["time_s", "price_eur_mwh"],
                [times, price_curve])
 
-    inj_base = _plant_injection_w(system, baseline)
-    inj_opt = _plant_injection_w(system, optimized)
-    loss_steps_base = _loss_steps(scenario, baseline)
-    loss_steps_opt = _loss_steps(scenario, optimized)
-    _write_csv(cfg.out_dir / "plant_power.csv",
-               ["time_s", "baseline_injection_w", "optimized_injection_w",
-                "baseline_loss_step", "optimized_loss_step"],
-               [times, inj_base, inj_opt, loss_steps_base, loss_steps_opt])
+    inj_base = plant_injection_w(system, baseline)
+    inj_opt = plant_injection_w(system, optimized)
+    _write_csv(cfg.out_dir / "plant_power.csv", _PLANT_POWER_HEADER,
+               [times, inj_base, inj_opt,
+                loss_energy_steps(baseline, graph, flow, scenario.price, cp),
+                loss_energy_steps(optimized, graph, flow, scenario.price, cp)])
 
     levels = tuple(cfg.data["quantile_levels"])
     for name, traj in (("baseline", baseline), ("optimized", optimized)):
@@ -533,8 +490,8 @@ def cmd_optimize(cfg):
         "optimized_loss": loss_opt,
         "savings": savings,
         "loss_unit": "J" if scenario.price.static else "EUR",
-        "baseline_loss_mwh": loss_base / 3.6e9 if scenario.price.static else None,
-        "optimized_loss_mwh": loss_opt / 3.6e9 if scenario.price.static else None,
+        "baseline_loss_mwh": loss_base / J_PER_MWH if scenario.price.static else None,
+        "optimized_loss_mwh": loss_opt / J_PER_MWH if scenario.price.static else None,
         "final_max_violation_c": opt_report.final_max_violation_c,
         "binding_fraction": float(binding.mean()),
         "stored_energy_initial_j": eo0,
@@ -544,17 +501,7 @@ def cmd_optimize(cfg):
             if not scenario.price.static else None),
         "aborted": opt_report.aborted,
         "abort_reason": opt_report.abort_reason,
-        "rounds": [{
-            "lambda_p": r.lambda_p,
-            "inner_iterations": r.inner_iterations,
-            "objective": r.objective,
-            "true_loss": r.true_loss,
-            "max_violation_c": r.max_violation_c,
-            "grad_norm": r.grad_norm,
-            "converged": r.converged,
-            "n_evals": r.n_evals,
-            "n_gradients": r.n_gradients,
-        } for r in opt_report.rounds],
+        "rounds": [dataclasses.asdict(r) for r in opt_report.rounds],
         "seed": cfg.seed,
         "config": cfg.data,
     }
@@ -575,10 +522,10 @@ def cmd_optimize(cfg):
 
 def cmd_verify(cfg):
     """Steady solve cross-checked against a dense oracle and a reference."""
-    graph, flow = _load_network(cfg)
-    scenario = _scenario(cfg, graph, flow)
+    scenario = _scenario(cfg)
+    graph = scenario.graph
     u = _control(cfg, scenario)
-    system = assemble(graph, flow, scenario.volumes, scenario.constants)
+    system = scenario.system
     y = solve_steady(system, u[:, 0], scenario.deltas[:, 0],
                      scenario.ambient[0])
 
@@ -621,7 +568,7 @@ def cmd_verify(cfg):
             report["reference_ok"] = True
 
     _write_csv(cfg.out_dir / "steady_state.csv",
-               ["node_id", "temperature_c"], [list(graph.node_ids), y])
+               _STEADY_HEADER, [list(graph.node_ids), y])
     _write_json(cfg.out_dir / "verify_report.json", report)
     cfg.log(f"dense-oracle mismatch {dense_mismatch:.3e} °C on "
             f"{graph.n_nodes} nodes")
@@ -632,21 +579,8 @@ def cmd_verify(cfg):
 
 
 def _read_reference(path, graph):
-    values = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["node_id",
-                                                             "temperature_c"]:
-            raise ParseError(f"{path}:1: expected header 'node_id,temperature_c'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            nid, temp = row[0].strip(), row[1].strip()
-            try:
-                values[nid] = float(temp)
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: bad temperature") from None
+    values = dict(r for _, r in read_csv(path, _STEADY_HEADER,
+                                         ("temperature_c",)))
     missing = [nid for nid in graph.node_ids if nid not in values]
     if missing:
         raise ValidationError(f"{path}: missing node {missing[0]!r}")
@@ -707,14 +641,9 @@ def cmd_report(args):
 
     power_path = out_dir / "plant_power.csv"
     if report.get("command") == "optimize" and power_path.is_file():
-        with open(power_path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            base_steps, opt_steps = [], []
-            for row in reader:
-                base_steps.append(float(row["baseline_loss_step"]))
-                opt_steps.append(float(row["optimized_loss_step"]))
-        loss_base = float(np.sum(base_steps))
-        loss_opt = float(np.sum(opt_steps))
+        rows = read_csv(power_path, _PLANT_POWER_HEADER, _PLANT_POWER_HEADER)
+        loss_base = float(np.sum([r[3] for _, r in rows]))
+        loss_opt = float(np.sum([r[4] for _, r in rows]))
         recomputed = (loss_base - loss_opt) / loss_base
         if not np.isclose(recomputed, report["savings"],
                           rtol=_SAVINGS_RECOMPUTE_RTOL, atol=0.0):

@@ -35,9 +35,8 @@ def _graph(nodes, edges):
     lengths = [e[4] for e in edges]
     diams = [e[5] for e in edges]
     htcs = [e[6] for e in edges]
-    areas = [math.pi * d**2 / 4.0 for d in diams]
     return NetworkGraph(node_ids, sides, xy, edge_ids, kinds, tails, heads,
-                        lengths, diams, areas, htcs)
+                        lengths, diams, htcs)
 
 
 def minimal_loop(mdot_kg_s=0.5, length_m=80.0, diameter_m=0.05,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,56 +30,6 @@ PIPE_KINDS = ("supply", "return")
 
 #: Absolute tolerance on the per-node mass balance, kg/s.
 MASS_BALANCE_TOL = 1e-9
-
-_AREA_RTOL = 1e-12
-
-
-@dataclass(frozen=True)
-class PipeParams:
-    """Geometry and heat-loss parameters of one pipe segment.
-
-    Attributes
-    ----------
-    length_m : float
-        Segment length, > 0.
-    diameter_m : float
-        Inner diameter, > 0.
-    area_m2 : float
-        Cross section; must equal pi * d^2 / 4 within 1e-12 relative.
-    heat_transfer_w_per_m_c : float
-        Loss coefficient to ambient per metre of pipe, >= 0.
-    """
-
-    length_m: float
-    diameter_m: float
-    area_m2: float
-    heat_transfer_w_per_m_c: float
-
-    def __post_init__(self):
-        if not self.length_m > 0:
-            raise ValidationError(f"pipe length must be > 0, got {self.length_m}")
-        if not self.diameter_m > 0:
-            raise ValidationError(f"pipe diameter must be > 0, got {self.diameter_m}")
-        if not self.heat_transfer_w_per_m_c >= 0:
-            raise ValidationError(
-                f"heat transfer coefficient must be >= 0, got {self.heat_transfer_w_per_m_c}"
-            )
-        area = math.pi * self.diameter_m**2 / 4.0
-        if abs(self.area_m2 - area) > _AREA_RTOL * area:
-            raise ValidationError(
-                f"cross section {self.area_m2} inconsistent with diameter "
-                f"{self.diameter_m} (expected {area})"
-            )
-
-    @classmethod
-    def from_diameter(cls, length_m, diameter_m, heat_transfer_w_per_m_c):
-        """Build params with the cross section derived from the diameter."""
-        return cls(
-            length_m=float(length_m),
-            diameter_m=float(diameter_m),
-            area_m2=math.pi * float(diameter_m) ** 2 / 4.0,
-            heat_transfer_w_per_m_c=float(heat_transfer_w_per_m_c),
-        )
 
 
 class NetworkGraph:
@@ -97,13 +48,13 @@ class NetworkGraph:
         (shape ``(n, 2)``, NaN where absent).
     edge_ids, edge_kind, edge_tail, edge_head
         Edge identifiers, kind labels, and endpoint node indices.
-    length_m, diameter_m, area_m2, htc_w_per_m_c
-        Per-edge pipe parameters.
+    length_m, diameter_m, htc_w_per_m_c
+        Per-edge pipe parameters; the cross section ``area_m2`` is
+        derived from the diameter.
     """
 
     def __init__(self, node_ids, node_side, node_xy, edge_ids, edge_kind,
-                 edge_tail, edge_head, length_m, diameter_m, area_m2,
-                 htc_w_per_m_c):
+                 edge_tail, edge_head, length_m, diameter_m, htc_w_per_m_c):
         self.node_ids = list(node_ids)
         self.node_side = np.asarray(node_side, dtype=object)
         self.node_xy = np.asarray(node_xy, dtype=float)
@@ -113,7 +64,10 @@ class NetworkGraph:
         self.edge_head = np.asarray(edge_head, dtype=np.int64)
         self.length_m = np.asarray(length_m, dtype=float)
         self.diameter_m = np.asarray(diameter_m, dtype=float)
-        self.area_m2 = np.asarray(area_m2, dtype=float)
+        # per element in Python floats: numpy squares by multiplication,
+        # which differs from float pow in the last bit for some diameters
+        self.area_m2 = np.array([math.pi * d**2 / 4.0
+                                 for d in self.diameter_m.tolist()])
         self.htc_w_per_m_c = np.asarray(htc_w_per_m_c, dtype=float)
         self.node_index = {nid: i for i, nid in enumerate(self.node_ids)}
         self.edge_index = {eid: i for i, eid in enumerate(self.edge_ids)}
@@ -145,14 +99,10 @@ class NetworkGraph:
     def pipe_edges(self):
         return np.flatnonzero(np.isin(self.edge_kind, PIPE_KINDS))
 
-    def pipe(self, e):
-        """PipeParams of edge index ``e``."""
-        return PipeParams(
-            length_m=float(self.length_m[e]),
-            diameter_m=float(self.diameter_m[e]),
-            area_m2=float(self.area_m2[e]),
-            heat_transfer_w_per_m_c=float(self.htc_w_per_m_c[e]),
-        )
+    @cached_property
+    def boundary(self):
+        """The graph's :class:`BoundarySpec`, derived on first use."""
+        return BoundarySpec.from_graph(self)
 
     def incidence(self):
         """Sparse node-edge incidence matrix (-1 tail, +1 head)."""
@@ -199,16 +149,12 @@ class NetworkGraph:
                     f"edge {eid!r}: kind {kind!r} must connect "
                     f"{want[0]} -> {want[1]} nodes, got {ts} -> {hs}"
                 )
-            # zero-length/diameter rejected via PipeParams semantics
             if not self.length_m[e] > 0:
                 raise ValidationError(f"edge {eid!r}: length must be > 0")
             if not self.diameter_m[e] > 0:
                 raise ValidationError(f"edge {eid!r}: diameter must be > 0")
             if not self.htc_w_per_m_c[e] >= 0:
                 raise ValidationError(f"edge {eid!r}: heat transfer must be >= 0")
-            area = math.pi * self.diameter_m[e] ** 2 / 4.0
-            if abs(self.area_m2[e] - area) > _AREA_RTOL * area:
-                raise ValidationError(f"edge {eid!r}: inconsistent cross section")
 
         if not self._connected():
             raise ValidationError("graph is not connected")
@@ -233,13 +179,63 @@ class NetworkGraph:
 
 
 @dataclass(frozen=True)
+class BoundarySpec:
+    """Index bookkeeping for the boundary rows.
+
+    ``plant_nodes`` are the supply-side heads of the producer edges and
+    carry Dirichlet rows (the control). ``consumer_return_nodes`` are
+    the return-side heads of the consumer edges and carry the
+    temperature-drop rows. Edge orientation equals flow direction for
+    both kinds (enforced at flow validation).
+    """
+
+    producer_edges: np.ndarray
+    plant_nodes: np.ndarray
+    plant_return_nodes: np.ndarray
+    consumer_edges: np.ndarray
+    consumer_supply_nodes: np.ndarray
+    consumer_return_nodes: np.ndarray
+
+    @classmethod
+    def from_graph(cls, graph):
+        prod = graph.producer_edges
+        cons = graph.consumer_edges
+        if prod.size == 0:
+            raise ValidationError("network has no producer edge")
+        if cons.size == 0:
+            raise ValidationError("network has no consumer edge")
+        plant_nodes = graph.edge_head[prod]
+        if len(np.unique(plant_nodes)) != len(plant_nodes):
+            raise ValidationError("two producer edges share a plant supply node")
+        creturn = graph.edge_head[cons]
+        if len(np.unique(creturn)) != len(creturn):
+            raise ValidationError("two consumer edges share a return node")
+        overlap = np.intersect1d(plant_nodes, creturn)
+        if overlap.size:
+            raise ValidationError("plant node also a consumer return node")
+        return cls(
+            producer_edges=prod,
+            plant_nodes=plant_nodes,
+            plant_return_nodes=graph.edge_tail[prod],
+            consumer_edges=cons,
+            consumer_supply_nodes=graph.edge_tail[cons],
+            consumer_return_nodes=creturn,
+        )
+
+    @property
+    def n_plants(self):
+        return len(self.producer_edges)
+
+    @property
+    def n_consumers(self):
+        return len(self.consumer_edges)
+
+
+@dataclass(frozen=True)
 class ControlVolumes:
     """Water volume attributed to each node for thermal inertia."""
 
     volumes_m3: np.ndarray
-
-    def total(self):
-        return float(self.volumes_m3.sum())
 
 
 class FlowField:
@@ -284,19 +280,6 @@ class FlowField:
         return self
 
 
-def velocity(massflow_kg_s, pipe, rho_kg_m3):
-    """Fluid velocity in a pipe from its mass flow.
-
-    ``v = mdot / (pi * d^2 / 4 * rho)``; the sign of the flow carries
-    through to the velocity.
-    """
-    if not pipe.diameter_m > 0:
-        raise ValidationError("diameter must be > 0")
-    if not rho_kg_m3 > 0:
-        raise ValidationError("density must be > 0")
-    return massflow_kg_s / (math.pi * pipe.diameter_m**2 / 4.0 * rho_kg_m3)
-
-
 def control_volumes(graph):
     """Per-node control volumes: half of each incident pipe's volume.
 
@@ -325,28 +308,47 @@ _EDGE_HEADER = ["edge_id", "from_node", "to_node", "kind",
 _FLOW_HEADER = ["edge_id", "massflow_kg_s"]
 
 
-def _open_csv(path, expected_header):
-    fh = open(path, newline="", encoding="utf-8")
-    reader = csv.reader(fh)
-    try:
-        header = next(reader)
-    except StopIteration:
-        fh.close()
-        raise ParseError(f"{path}:1: empty file") from None
-    if [h.strip() for h in header] != expected_header:
-        fh.close()
-        raise ParseError(
-            f"{path}:1: expected header {','.join(expected_header)!r}, "
-            f"got {','.join(header)!r}"
-        )
-    return fh, reader
+def read_csv(path, header, floats=(), blank_nan=()):
+    """Data rows of a CSV file with a fixed header, as ``(lineno, fields)``.
 
+    Fields are stripped and blank lines skipped. Columns named in
+    ``floats`` are parsed as floats; those also in ``blank_nan`` read an
+    empty field as NaN.
 
-def _parse_float(path, lineno, field, text):
-    try:
-        return float(text)
-    except ValueError:
-        raise ParseError(f"{path}:{lineno}: bad {field} value {text!r}") from None
+    Raises
+    ------
+    ParseError
+        Empty file, wrong header, wrong field count or bad number; the
+        message names the file and line.
+    """
+    cols = [(header.index(name), name) for name in floats]
+    rows = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None:
+            raise ParseError(f"{path}:1: empty file")
+        if [h.strip() for h in first] != header:
+            raise ParseError(f"{path}:1: expected header {','.join(header)!r}, "
+                             f"got {','.join(first)!r}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ParseError(f"{path}:{lineno}: expected {len(header)} "
+                                 f"fields, got {len(row)}")
+            fields = [c.strip() for c in row]
+            for i, name in cols:
+                if not fields[i] and name in blank_nan:
+                    fields[i] = math.nan
+                    continue
+                try:
+                    fields[i] = float(fields[i])
+                except ValueError:
+                    raise ParseError(f"{path}:{lineno}: bad {name} value "
+                                     f"{fields[i]!r}") from None
+            rows.append((lineno, fields))
+    return rows
 
 
 def parse_network(node_file, edge_file):
@@ -359,49 +361,26 @@ def parse_network(node_file, edge_file):
     ValidationError
         Structural invariant violated; the message names the node/edge.
     """
-    node_ids, sides, xy = [], [], []
-    fh, reader = _open_csv(node_file, _NODE_HEADER)
-    with fh:
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ParseError(f"{node_file}:{lineno}: expected 4 fields, got {len(row)}")
-            nid, side, x, y = (c.strip() for c in row)
-            node_ids.append(nid)
-            sides.append(side)
-            xy.append([
-                _parse_float(node_file, lineno, "x", x) if x else math.nan,
-                _parse_float(node_file, lineno, "y", y) if y else math.nan,
-            ])
-
-    node_index = {nid: i for i, nid in enumerate(node_ids)}
-    edge_ids, kinds, tails, heads = [], [], [], []
-    lengths, diameters, htcs = [], [], []
-    fh, reader = _open_csv(edge_file, _EDGE_HEADER)
-    with fh:
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 7:
-                raise ParseError(f"{edge_file}:{lineno}: expected 7 fields, got {len(row)}")
-            eid, frm, to, kind, length, diam, htc = (c.strip() for c in row)
-            for nid in (frm, to):
-                if nid not in node_index:
-                    raise ValidationError(
-                        f"edge {eid!r} ({edge_file}:{lineno}) references unknown node {nid!r}"
-                    )
-            edge_ids.append(eid)
-            kinds.append(kind)
-            tails.append(node_index[frm])
-            heads.append(node_index[to])
-            lengths.append(_parse_float(edge_file, lineno, "length_m", length))
-            diameters.append(_parse_float(edge_file, lineno, "diameter_m", diam))
-            htcs.append(_parse_float(edge_file, lineno, "htc_w_per_m_c", htc))
-
-    areas = [math.pi * d**2 / 4.0 for d in diameters]
-    return NetworkGraph(node_ids, sides, xy, edge_ids, kinds, tails, heads,
-                        lengths, diameters, areas, htcs)
+    nodes = [r for _, r in read_csv(node_file, _NODE_HEADER, ("x", "y"),
+                                    blank_nan=("x", "y"))]
+    node_index = {r[0]: i for i, r in enumerate(nodes)}
+    edges = []
+    for lineno, row in read_csv(edge_file, _EDGE_HEADER,
+                                ("length_m", "diameter_m", "htc_w_per_m_c")):
+        eid, frm, to = row[:3]
+        for nid in (frm, to):
+            if nid not in node_index:
+                raise ValidationError(
+                    f"edge {eid!r} ({edge_file}:{lineno}) references unknown node {nid!r}"
+                )
+        edges.append(row)
+    return NetworkGraph([r[0] for r in nodes], [r[1] for r in nodes],
+                        [r[2:] for r in nodes], [r[0] for r in edges],
+                        [r[3] for r in edges],
+                        [node_index[r[1]] for r in edges],
+                        [node_index[r[2]] for r in edges],
+                        [r[4] for r in edges], [r[5] for r in edges],
+                        [r[6] for r in edges])
 
 
 def write_network(graph, node_file, edge_file):
@@ -433,23 +412,16 @@ def write_network(graph, node_file, edge_file):
 def load_flow_field(flow_file, graph):
     """Load mass flows and validate them against the graph."""
     values = {}
-    fh, reader = _open_csv(flow_file, _FLOW_HEADER)
-    with fh:
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ParseError(f"{flow_file}:{lineno}: expected 2 fields, got {len(row)}")
-            eid, val = (c.strip() for c in row)
-            if eid not in graph.edge_index:
-                raise ValidationError(
-                    f"flow file {flow_file}:{lineno}: unknown edge {eid!r}"
-                )
-            if eid in values:
-                raise ValidationError(
-                    f"flow file {flow_file}:{lineno}: duplicate edge {eid!r}"
-                )
-            values[eid] = _parse_float(flow_file, lineno, "massflow_kg_s", val)
+    for lineno, (eid, val) in read_csv(flow_file, _FLOW_HEADER, ("massflow_kg_s",)):
+        if eid not in graph.edge_index:
+            raise ValidationError(
+                f"flow file {flow_file}:{lineno}: unknown edge {eid!r}"
+            )
+        if eid in values:
+            raise ValidationError(
+                f"flow file {flow_file}:{lineno}: duplicate edge {eid!r}"
+            )
+        values[eid] = val
     missing = [eid for eid in graph.edge_ids if eid not in values]
     if missing:
         raise ValidationError(f"flow file {flow_file}: missing edge {missing[0]!r}")
@@ -519,9 +491,8 @@ def subdivide_pipes(graph, flow=None, max_cell_length_m=100.0):
             if flows is not None:
                 flows.append(float(flow.massflow_kg_s[e]))
 
-    areas = [math.pi * d**2 / 4.0 for d in diameters]
     refined = NetworkGraph(node_ids, sides, xy, edge_ids, kinds, tails, heads,
-                           lengths, diameters, areas, htcs)
+                           lengths, diameters, htcs)
     if flows is None:
         return refined, None
     return refined, FlowField(np.array(flows)).validate_against(refined)

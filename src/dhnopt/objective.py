@@ -6,10 +6,11 @@ quadratic hinge penalty on the consumer temperature constraints. All
 functions here are pure and operate on immutable inputs.
 
 Units: :func:`loss_energy` reports joules (static prices) or euros
-(dynamic prices). The composed objective converts the static loss to
-megawatt hours so that the °C-scale hinge penalty can dominate it
-within the default continuation schedule; a joule-scale loss would keep
-°C-sized violations stationary at any affordable penalty weight.
+(dynamic prices). The objective converts the static loss to megawatt
+hours (:func:`objective_loss`) so that the °C-scale hinge penalty can
+dominate it within the default continuation schedule; a joule-scale
+loss would keep °C-sized violations stationary at any affordable
+penalty weight.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .thermal import DEFAULT_CP, BoundarySpec
+from .thermal import DEFAULT_CP
 
 #: Joules per megawatt hour; converts energy to the price curve's unit.
 J_PER_MWH = 3.6e9
@@ -84,19 +85,6 @@ class PriceModel:
         return np.interp(t, self.times_s, self.prices_eur_mwh)
 
 
-def price_weight(t_s, y_supply, y_return, model):
-    """Loss weight of one plant at one time.
-
-    Static model: 1. Dynamic model: ``p(t) * alpha`` while the plant
-    supplies hotter water than it receives, else ``p(t) * beta``
-    (recovered heat), in EUR/MWh.
-    """
-    if model.static:
-        return 1.0
-    p = float(model.price_at(t_s))
-    return p * (model.alpha if y_supply >= y_return else model.beta)
-
-
 def _loss_weights(model, times_s, supply, ret, working=False):
     """Per-plant per-step loss weights including the unit conversion.
 
@@ -107,8 +95,7 @@ def _loss_weights(model, times_s, supply, ret, working=False):
     (the objective's working unit).
     """
     if model.static:
-        scale = 1.0 / J_PER_MWH if working else 1.0
-        return np.full_like(supply, scale)
+        return np.full_like(supply, objective_loss(1.0, model) if working else 1.0)
     p = model.price_at(times_s)[None, :]
     factor = np.where(supply >= ret, model.alpha, model.beta)
     return p * factor / J_PER_MWH
@@ -137,22 +124,6 @@ class ConstraintSet:
         return (self.plant_min_c, self.plant_max_c)
 
 
-@dataclass(frozen=True)
-class ObjectiveConfig:
-    """Weights and models combined into the total objective."""
-
-    tikhonov_weight: float
-    penalty_weight: float
-    price: PriceModel
-    constraints: ConstraintSet
-
-    def __post_init__(self):
-        if self.tikhonov_weight < 0:
-            raise ValidationError("tikhonov weight must be >= 0")
-        if not self.penalty_weight > 0:
-            raise ValidationError("penalty weight must be > 0")
-
-
 def injection_cost_rates(traj, graph, flow, price, cp_j_per_kg_c=DEFAULT_CP,
                          working=False):
     """``(rates, lift)`` per plant and step: loss is ``sum(rates * lift)``.
@@ -161,7 +132,7 @@ def injection_cost_rates(traj, graph, flow, price, cp_j_per_kg_c=DEFAULT_CP,
     is also the loss derivative by plant supply temperature, and
     ``lift = y_supply - y_return``.
     """
-    bc = BoundarySpec.from_graph(graph)
+    bc = graph.boundary
     grid = traj.grid
     supply = traj.rows(bc.plant_nodes)
     ret = traj.rows(bc.plant_return_nodes)
@@ -223,7 +194,7 @@ def constraint_violations(traj, graph, constraints):
     positive entries are violations in °C. Shape
     ``(2 * n_consumers, n_steps)``.
     """
-    bc = BoundarySpec.from_graph(graph)
+    bc = graph.boundary
     c_supply = constraints.consumer_supply_min_c - traj.rows(bc.consumer_supply_nodes)
     c_return = constraints.consumer_return_min_c - traj.rows(bc.consumer_return_nodes)
     return np.vstack([c_supply, c_return])
@@ -248,22 +219,10 @@ def project_control(u, bounds):
     return np.clip(np.asarray(u, dtype=float), lo, hi)
 
 
-def objective_loss(traj, scenario):
-    """Injection cost in the objective's working unit (MWh or EUR)."""
-    loss = loss_energy(traj, scenario.graph, scenario.flow, scenario.price,
-                       scenario.constants.cp_j_per_kg_c)
-    return loss / J_PER_MWH if scenario.price.static else loss
+def objective_loss(loss, price):
+    """A :func:`loss_energy` value in the objective's working unit.
 
-
-def total_objective(scenario, u, lambda_p=10.0):
-    """Loss + smoothness regularizer + constraint penalty.
-
-    The state trajectory is simulated once and shared by the loss and
-    the penalty terms. The loss enters in the working unit (MWh for a
-    static price model, EUR for a dynamic one).
+    MWh for a static price model (the loss is in joules), unchanged
+    euros for a dynamic one; works elementwise on arrays.
     """
-    from .thermal import simulate
-    traj = simulate(scenario.graph, scenario.flow, scenario, u)
-    reg = scenario.tikhonov_weight * tikhonov(u, scenario.grid)
-    c = constraint_violations(traj, scenario.graph, scenario.constraints)
-    return objective_loss(traj, scenario) + reg + penalty(c, lambda_p)
+    return loss / J_PER_MWH if price.static else loss

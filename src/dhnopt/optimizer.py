@@ -95,7 +95,7 @@ class ObjectiveEvaluator:
         outputs = s.condensed.apply(u)
         loss = loss_energy(outputs, s.graph, s.flow, s.price,
                            s.constants.cp_j_per_kg_c)
-        loss_working = objective_loss(outputs, s)
+        loss_working = objective_loss(loss, s.price)
         reg = tikhonov(u, s.grid)
         c = constraint_violations(outputs, s.graph, s.constraints)
         pen = penalty(c, self.lambda_p)
@@ -138,11 +138,6 @@ class ObjectiveEvaluator:
             raise SolverError("condensed map produced a non-finite gradient")
         self.n_gradients += 1
         return fwd["value"], grad
-
-
-def gradient(scenario, u, lambda_p=10.0):
-    """Gradient of the total objective at ``u``."""
-    return ObjectiveEvaluator(scenario, lambda_p).value_and_gradient(u)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,10 @@ import numpy as np
 from scipy.signal import butter, sosfiltfilt
 
 from .errors import ParseError, ValidationError
-from .network import control_volumes
+from .network import control_volumes, read_csv
 from .objective import ConstraintSet, PriceModel
-from .thermal import (BoundarySpec, PhysicalConstants, TimeGrid, assemble,
-                      condense, demand_to_delta)
+from .thermal import (PhysicalConstants, TimeGrid, assemble, condense,
+                      demand_to_delta)
 
 #: Default cutoff of the demand low-pass: one cycle per ~4 h.
 DEFAULT_CUTOFF_HZ = 69.4e-6
@@ -276,7 +276,7 @@ def build_scenario(graph, flow, demands, prices, constraints, grid, constants,
     (every step weighted 1). The initial control defines the steady
     state the horizon starts from.
     """
-    bc = BoundarySpec.from_graph(graph)
+    bc = graph.boundary
     if tikhonov_weight < 0:
         raise ValidationError("tikhonov weight must be >= 0")
 
@@ -347,41 +347,10 @@ _PRICE_HEADER = ["time_s", "price_eur_mwh"]
 _DEMAND_HEADER = ["time_s", "consumer_edge_id", "power_w"]
 
 
-def _read_rows(path, expected_header):
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}:1: empty file") from None
-        if [h.strip() for h in header] != expected_header:
-            raise ParseError(
-                f"{path}:1: expected header {','.join(expected_header)!r}"
-            )
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(expected_header):
-                raise ParseError(
-                    f"{path}:{lineno}: expected {len(expected_header)} fields"
-                )
-            rows.append((lineno, [c.strip() for c in row]))
-    return rows
-
-
-def _float(path, lineno, field, text):
-    try:
-        return float(text)
-    except ValueError:
-        raise ParseError(f"{path}:{lineno}: bad {field} value {text!r}") from None
-
-
 def read_load_series(path):
     """Read a base load CSV (`time_s,power_w`); spacing must be uniform."""
-    rows = _read_rows(path, _LOAD_HEADER)
-    times = np.array([_float(path, ln, "time_s", r[0]) for ln, r in rows])
-    powers = np.array([_float(path, ln, "power_w", r[1]) for ln, r in rows])
+    rows = read_csv(path, _LOAD_HEADER, _LOAD_HEADER)
+    times, powers = np.array([r for _, r in rows]).reshape(-1, 2).T
     if times.size < 2:
         raise ParseError(f"{path}: need at least two samples")
     steps = np.diff(times)
@@ -400,9 +369,8 @@ def write_load_series(series, path):
 
 
 def read_price_series(path):
-    rows = _read_rows(path, _PRICE_HEADER)
-    times = np.array([_float(path, ln, "time_s", r[0]) for ln, r in rows])
-    prices = np.array([_float(path, ln, "price_eur_mwh", r[1]) for ln, r in rows])
+    rows = read_csv(path, _PRICE_HEADER, _PRICE_HEADER)
+    times, prices = np.array([r for _, r in rows]).reshape(-1, 2).T
     return PriceSeries(times_s=times, prices_eur_mwh=prices)
 
 
@@ -416,12 +384,9 @@ def write_price_series(series, path):
 
 def read_demand_set(path):
     """Read a per-consumer demand CSV in long format."""
-    rows = _read_rows(path, _DEMAND_HEADER)
     by_id = {}
-    for ln, (t, cid, p) in rows:
-        by_id.setdefault(cid, []).append(
-            (_float(path, ln, "time_s", t), _float(path, ln, "power_w", p))
-        )
+    for _, (t, cid, p) in read_csv(path, _DEMAND_HEADER, ("time_s", "power_w")):
+        by_id.setdefault(cid, []).append((t, p))
     ids, series = [], []
     for cid, pairs in by_id.items():
         times = np.array([t for t, _ in pairs])

@@ -88,59 +88,6 @@ class TimeGrid:
         return np.arange(self.n_steps + 1) * self.dt_s
 
 
-@dataclass(frozen=True)
-class BoundarySpec:
-    """Index bookkeeping for the boundary rows.
-
-    ``plant_nodes`` are the supply-side heads of the producer edges and
-    carry Dirichlet rows (the control). ``consumer_return_nodes`` are
-    the return-side heads of the consumer edges and carry the
-    temperature-drop rows. Edge orientation equals flow direction for
-    both kinds (enforced at flow validation).
-    """
-
-    producer_edges: np.ndarray
-    plant_nodes: np.ndarray
-    plant_return_nodes: np.ndarray
-    consumer_edges: np.ndarray
-    consumer_supply_nodes: np.ndarray
-    consumer_return_nodes: np.ndarray
-
-    @classmethod
-    def from_graph(cls, graph):
-        prod = graph.producer_edges
-        cons = graph.consumer_edges
-        if prod.size == 0:
-            raise ValidationError("network has no producer edge")
-        if cons.size == 0:
-            raise ValidationError("network has no consumer edge")
-        plant_nodes = graph.edge_head[prod]
-        if len(np.unique(plant_nodes)) != len(plant_nodes):
-            raise ValidationError("two producer edges share a plant supply node")
-        creturn = graph.edge_head[cons]
-        if len(np.unique(creturn)) != len(creturn):
-            raise ValidationError("two consumer edges share a return node")
-        overlap = np.intersect1d(plant_nodes, creturn)
-        if overlap.size:
-            raise ValidationError("plant node also a consumer return node")
-        return cls(
-            producer_edges=prod,
-            plant_nodes=plant_nodes,
-            plant_return_nodes=graph.edge_tail[prod],
-            consumer_edges=cons,
-            consumer_supply_nodes=graph.edge_tail[cons],
-            consumer_return_nodes=creturn,
-        )
-
-    @property
-    def n_plants(self):
-        return len(self.producer_edges)
-
-    @property
-    def n_consumers(self):
-        return len(self.consumer_edges)
-
-
 def _advection_matrix(graph, flow):
     """Upwinded advection operator G (kg/s entries).
 
@@ -183,10 +130,10 @@ class SystemMatrices:
     transposed solves needed by adjoint computations.
     """
 
-    def __init__(self, graph, flow, volumes, constants, dt_s, bc):
+    def __init__(self, graph, flow, volumes, constants, dt_s):
         self.graph = graph
         self.flow = flow
-        self.bc = bc
+        self.bc = bc = graph.boundary
         self.constants = constants
         self.dt_s = float(dt_s) if dt_s is not None else None
         n = graph.n_nodes
@@ -333,11 +280,6 @@ class SystemMatrices:
         b += self.B_diag * y_prev  # B rows vanish where rows are replaced
         return b
 
-    def rhs_transient(self, y_prev, plant_temps, deltas, ambient_c):
-        plant_temps, deltas = self._check_bc(plant_temps, deltas)
-        return self._rhs_transient_unchecked(y_prev, plant_temps, deltas,
-                                             ambient_c)
-
     def _solve(self, lu, b):
         y = lu.solve(b)
         if not np.all(np.isfinite(y)):
@@ -349,30 +291,19 @@ class SystemMatrices:
         return self.lu_transient.solve(b, trans="T")
 
 
-def assemble(graph, flow, volumes, constants, dt_s=None, bc=None):
+def assemble(graph, flow, volumes, constants, dt_s=None):
     """Assemble the sparse system for a network with fixed flows.
 
-    ``dt_s=None`` builds a steady-only system. The boundary spec
-    defaults to the one implied by the graph's producer and consumer
-    edges.
+    ``dt_s=None`` builds a steady-only system. The boundary rows are the
+    graph's :attr:`~dhnopt.network.NetworkGraph.boundary`.
     """
-    if bc is None:
-        bc = BoundarySpec.from_graph(graph)
-    return SystemMatrices(graph, flow, volumes, constants, dt_s, bc)
+    return SystemMatrices(graph, flow, volumes, constants, dt_s)
 
 
 def solve_steady(system, plant_temps, deltas, ambient_c):
     """Steady temperatures under fixed boundary values."""
     b = system.rhs_steady(plant_temps, deltas, ambient_c)
     return system._solve(system.lu_steady, b)
-
-
-def step(system, y_prev, plant_temps, deltas, ambient_c):
-    """One backward-Euler step from ``y_prev``."""
-    if not np.all(np.isfinite(y_prev)):
-        raise SolverError("previous state contains non-finite values")
-    b = system.rhs_transient(y_prev, plant_temps, deltas, ambient_c)
-    return system._solve(system.lu_transient, b)
 
 
 @dataclass
@@ -539,19 +470,14 @@ def condense(system, grid, deltas, ambient, u_init):
 
 
 def simulate(graph, flow, scenario, u):
-    """Solution operator on a scenario's grid and boundary data.
+    """Solution operator on a scenario's grid, boundary data and system.
 
-    ``graph``/``flow`` may differ from the scenario's own (a fresh
-    system is assembled then); passing the scenario's instances reuses
-    its cached factorization.
+    ``graph`` and ``flow`` must be the scenario's own instances; the
+    scenario's cached factorization is reused.
     """
-    if graph is scenario.graph and flow is scenario.flow:
-        system = scenario.system
-    else:
-        from .network import control_volumes
-        system = assemble(graph, flow, control_volumes(graph),
-                          scenario.constants, scenario.grid.dt_s)
-    return simulate_system(system, scenario.grid, u, scenario.deltas,
+    if graph is not scenario.graph or flow is not scenario.flow:
+        raise ValidationError("simulate needs the scenario's own graph and flow")
+    return simulate_system(scenario.system, scenario.grid, u, scenario.deltas,
                            scenario.ambient, scenario.u_init)
 
 
@@ -582,6 +508,15 @@ def stored_energy(y, volumes, constants, reference_c=0.0):
     return weights @ (y - reference_c)
 
 
+def plant_injection_w(system, traj):
+    """Heat the plants inject per solved step, ``cp * mdot * (y_s - y_r)``, W."""
+    bc = system.bc
+    y = traj.values_c
+    lift = y[bc.plant_nodes, 1:] - y[bc.plant_return_nodes, 1:]
+    return (system.constants.cp_j_per_kg_c
+            * (system.plant_massflow[:, None] * lift).sum(axis=0))
+
+
 def energy_balance(system, traj, deltas, ambient):
     """Per-step energy audit of a simulated trajectory.
 
@@ -601,15 +536,12 @@ def energy_balance(system, traj, deltas, ambient):
     ``extraction_w``, ``ambient_w``, ``storage_w``, ``residual_w`` and
     ``residual_rel`` (relative to plant injection).
     """
-    bc = system.bc
     cp = system.constants.cp_j_per_kg_c
     rho = system.constants.rho_kg_m3
     y = traj.values_c
     dt = traj.grid.dt_s
 
-    supply = y[bc.plant_nodes, 1:]
-    ret = y[bc.plant_return_nodes, 1:]
-    injection = cp * (system.plant_massflow[:, None] * (supply - ret)).sum(axis=0)
+    injection = plant_injection_w(system, traj)
     extraction = cp * (system.consumer_massflow[:, None] * deltas[:, 1:]).sum(axis=0)
 
     interior = system.interior

@@ -6,7 +6,6 @@ reproduce at every observed node.
 """
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -157,7 +156,6 @@ def two_plant_network():
         edge_head=[index[e[2]] for e in edges],
         length_m=[e[4] for e in edges],
         diameter_m=[diameter] * len(edges),
-        area_m2=[math.pi * diameter**2 / 4.0] * len(edges),
         htc_w_per_m_c=[e[5] for e in edges],
     )
     flow = FlowField([e[6] for e in edges]).validate_against(graph)

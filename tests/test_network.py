@@ -5,10 +5,9 @@ import pytest
 
 from dhnopt.errors import ParseError, ValidationError
 from dhnopt.fixtures import desk_network, minimal_loop, pipe_chain
-from dhnopt.network import (FlowField, NetworkGraph, PipeParams,
-                            control_volumes, load_flow_field, parse_network,
-                            subdivide_pipes, velocity, write_flow_field,
-                            write_network)
+from dhnopt.network import (FlowField, NetworkGraph, control_volumes,
+                            load_flow_field, parse_network, subdivide_pipes,
+                            write_flow_field, write_network)
 
 
 def _two_node_pipe(length=100.0, diameter=0.1, htc=0.5, kind="supply"):
@@ -17,28 +16,31 @@ def _two_node_pipe(length=100.0, diameter=0.1, htc=0.5, kind="supply"):
         node_ids=["a", "b"], node_side=[side, side],
         node_xy=[[0.0, 0.0], [length, 0.0]],
         edge_ids=["p"], edge_kind=[kind], edge_tail=[0], edge_head=[1],
-        length_m=[length], diameter_m=[diameter],
-        area_m2=[math.pi * diameter**2 / 4.0], htc_w_per_m_c=[htc])
+        length_m=[length], diameter_m=[diameter], htc_w_per_m_c=[htc])
 
 
 class TestPipeParams:
+    """Per-edge pipe parameters of a NetworkGraph."""
+
     def test_area_consistency_enforced(self):
-        with pytest.raises(ValidationError):
-            PipeParams(length_m=10.0, diameter_m=0.1, area_m2=0.9,
-                       heat_transfer_w_per_m_c=0.5)
+        # the cross section is derived from the diameter, never given
+        graph, flow = desk_network(segment_length_m=230.0)
+        for g in (graph, subdivide_pipes(graph, flow, 100.0)[0]):
+            np.testing.assert_array_equal(
+                g.area_m2, [math.pi * d**2 / 4.0 for d in g.diameter_m.tolist()])
 
     def test_from_diameter(self):
-        p = PipeParams.from_diameter(10.0, 0.1, 0.5)
-        assert p.area_m2 == pytest.approx(math.pi * 0.0025, rel=1e-15)
+        graph = _two_node_pipe(length=10.0, diameter=0.1, htc=0.5)
+        assert graph.area_m2[0] == pytest.approx(math.pi * 0.0025, rel=1e-15)
 
     @pytest.mark.parametrize("kwargs", [
-        dict(length_m=0.0, diameter_m=0.1),
-        dict(length_m=-5.0, diameter_m=0.1),
-        dict(length_m=10.0, diameter_m=0.0),
+        dict(length=0.0, diameter=0.1),
+        dict(length=-5.0, diameter=0.1),
+        dict(length=10.0, diameter=0.0),
     ])
     def test_bad_geometry_rejected(self, kwargs):
-        with pytest.raises(ValidationError):
-            PipeParams.from_diameter(heat_transfer_w_per_m_c=0.5, **kwargs)
+        with pytest.raises(ValidationError, match="must be > 0"):
+            _two_node_pipe(htc=0.5, **kwargs)
 
 
 class TestGraphStructure:
@@ -73,8 +75,7 @@ class TestGraphStructure:
                 node_xy=[[0, 0], [1, 0]],
                 edge_ids=["c"], edge_kind=["consumer"],
                 edge_tail=[0], edge_head=[1],
-                length_m=[5.0], diameter_m=[0.05],
-                area_m2=[math.pi * 0.05**2 / 4], htc_w_per_m_c=[0.0])
+                length_m=[5.0], diameter_m=[0.05], htc_w_per_m_c=[0.0])
 
     def test_disconnected_graph_rejected(self):
         with pytest.raises(ValidationError, match="connected"):
@@ -85,7 +86,7 @@ class TestGraphStructure:
                 edge_ids=["p1", "p2"], edge_kind=["supply", "supply"],
                 edge_tail=[0, 2], edge_head=[1, 3],
                 length_m=[10.0, 10.0], diameter_m=[0.1, 0.1],
-                area_m2=[math.pi * 0.0025] * 2, htc_w_per_m_c=[0.5, 0.5])
+                htc_w_per_m_c=[0.5, 0.5])
 
 
 class TestParsing:
@@ -143,30 +144,16 @@ class TestControlVolumes:
             edge_ids=["p1", "p2"], edge_kind=["supply", "supply"],
             edge_tail=[0, 0], edge_head=[1, 1],
             length_m=[100.0, 100.0], diameter_m=[0.1, 0.1],
-            area_m2=[math.pi * 0.0025] * 2, htc_w_per_m_c=[0.5, 0.5])
+            htc_w_per_m_c=[0.5, 0.5])
         v1 = control_volumes(one).volumes_m3
         v2 = control_volumes(two).volumes_m3
         np.testing.assert_allclose(v2, 2.0 * v1, rtol=1e-14)
 
     def test_total_volume_counts_each_edge_once(self):
         graph, _ = desk_network()
-        total = control_volumes(graph).total()
+        total = control_volumes(graph).volumes_m3.sum()
         expected = float((graph.area_m2 * graph.length_m).sum())
         assert total == pytest.approx(expected, rel=1e-13)
-
-
-class TestVelocity:
-    def test_table_relation(self):
-        pipe = PipeParams.from_diameter(10.0, 0.1, 0.0)
-        v = velocity(1.0, pipe, 1000.0)
-        assert v == pytest.approx(1.0 / (math.pi * 0.0025 * 1000.0), rel=1e-14)
-        assert v == pytest.approx(0.1273, abs=5e-5)
-
-    def test_doubling_diameter_quarters_velocity(self):
-        thin = PipeParams.from_diameter(10.0, 0.1, 0.0)
-        wide = PipeParams.from_diameter(10.0, 0.2, 0.0)
-        assert velocity(1.0, thin, 1000.0) == pytest.approx(
-            4.0 * velocity(1.0, wide, 1000.0), rel=1e-14)
 
 
 def _y_network(flow_out1, flow_out2):
@@ -193,8 +180,7 @@ def _y_network(flow_out1, flow_out2):
         edge_kind=[e[3] for e in edges],
         edge_tail=[[n[0] for n in nodes].index(e[1]) for e in edges],
         edge_head=[[n[0] for n in nodes].index(e[2]) for e in edges],
-        length_m=[10.0] * 9, diameter_m=[0.05] * 9,
-        area_m2=[math.pi * 0.05**2 / 4] * 9, htc_w_per_m_c=[0.5] * 9)
+        length_m=[10.0] * 9, diameter_m=[0.05] * 9, htc_w_per_m_c=[0.5] * 9)
     flows = np.array([total, flow_out1, flow_out2, flow_out1, flow_out2,
                       flow_out1, flow_out2, total, total])
     return graph, flows
@@ -238,7 +224,7 @@ class TestFlowField:
         flipped = NetworkGraph(
             graph.node_ids, graph.node_side, graph.node_xy, graph.edge_ids,
             graph.edge_kind, tails, heads, graph.length_m, graph.diameter_m,
-            graph.area_m2, graph.htc_w_per_m_c)
+            graph.htc_w_per_m_c)
         m = flow.massflow_kg_s.copy()
         m[e] = -m[e]
         FlowField(m).validate_against(flipped)
@@ -278,8 +264,8 @@ class TestSubdivision:
         graph, flow = desk_network(segment_length_m=230.0)
         fine, fine_flow = subdivide_pipes(graph, flow, 100.0)
         assert fine.n_nodes > graph.n_nodes
-        assert control_volumes(fine).total() == pytest.approx(
-            control_volumes(graph).total(), rel=1e-12)
+        assert control_volumes(fine).volumes_m3.sum() == pytest.approx(
+            control_volumes(graph).volumes_m3.sum(), rel=1e-12)
         # every refined segment carries its parent's flow
         fine_flow.validate_against(fine)
 

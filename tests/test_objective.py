@@ -6,10 +6,11 @@ from dhnopt.errors import ValidationError
 from dhnopt.fixtures import minimal_loop
 from dhnopt.objective import (ConstraintSet, J_PER_MWH, PriceModel,
                               constraint_violations, loss_energy,
-                              max_violation, objective_loss, penalty,
-                              price_weight, project_control, tikhonov,
-                              tikhonov_gradient, total_objective)
-from dhnopt.thermal import StateTrajectory, TimeGrid
+                              loss_energy_steps, max_violation,
+                              objective_loss, penalty, project_control,
+                              tikhonov, tikhonov_gradient)
+from dhnopt.optimizer import ObjectiveEvaluator
+from dhnopt.thermal import StateTrajectory, TimeGrid, simulate
 
 CP = 4186.0
 
@@ -66,21 +67,36 @@ class TestLossEnergy:
 
 
 class TestPriceWeight:
+    """Per-step price weights, read off ``loss_energy_steps``.
+
+    On the hand-built loop trajectory (1 kg/s, 900 s steps) a weight ``w``
+    gives a step loss of ``cp * 900 * (y_supply - y_return) * w``; step
+    index 1 ends at t = 1800 s, where the curve below costs 15 EUR/MWh.
+    """
+
+    CURVE = ([0.0, 3600.0], [10.0, 20.0])
+
+    @staticmethod
+    def _weight_at_1800(plant_c, plant_return_c, model):
+        graph, flow, traj = _loop_traj(plant_c, plant_return_c)
+        steps = loss_energy_steps(traj, graph, flow, model)
+        return steps[1] / (CP * 900.0 * (plant_c - plant_return_c))
+
     def test_static_is_one(self):
         model = PriceModel.static_price(alpha=3.0)
-        assert price_weight(1234.0, 90.0, 50.0, model) == 1.0
+        assert self._weight_at_1800(90.0, 50.0, model) == 1.0
 
     def test_generation_case(self):
-        model = PriceModel.from_curve([0.0, 3600.0], [10.0, 20.0], alpha=2.0,
-                                      beta=0.5)
-        assert price_weight(1800.0, 90.0, 50.0, model) == pytest.approx(30.0)
+        model = PriceModel.from_curve(*self.CURVE, alpha=2.0, beta=0.5)
+        assert self._weight_at_1800(90.0, 50.0, model) * J_PER_MWH == \
+            pytest.approx(30.0)
 
     def test_recovery_case_and_free_recovery(self):
-        model = PriceModel.from_curve([0.0, 3600.0], [10.0, 20.0], alpha=2.0,
-                                      beta=0.5)
-        assert price_weight(1800.0, 50.0, 90.0, model) == pytest.approx(7.5)
-        free = PriceModel.from_curve([0.0, 3600.0], [10.0, 20.0], beta=0.0)
-        assert price_weight(1800.0, 50.0, 90.0, free) == 0.0
+        model = PriceModel.from_curve(*self.CURVE, alpha=2.0, beta=0.5)
+        assert self._weight_at_1800(50.0, 90.0, model) * J_PER_MWH == \
+            pytest.approx(7.5)
+        free = PriceModel.from_curve(*self.CURVE, beta=0.0)
+        assert self._weight_at_1800(50.0, 90.0, free) == 0.0
 
     def test_curve_must_cover_query(self):
         model = PriceModel.from_curve([0.0, 3600.0], [10.0, 20.0])
@@ -180,37 +196,36 @@ class TestProjection:
 
 
 class TestTotalObjective:
+    """Loss + regularizer + penalty, as ``ObjectiveEvaluator.parts``."""
+
     def test_feasible_static_reduces_to_loss_term(self):
         scenario = make_loop_scenario(n_steps=12, tikhonov_weight=0.0)
         u = np.full((1, 12), 105.0)
-        total = total_objective(scenario, u, lambda_p=100.0)
-        from dhnopt.thermal import simulate
+        parts = ObjectiveEvaluator(scenario, 100.0).parts(u)
+        assert parts["penalty"] == 0.0
         traj = simulate(scenario.graph, scenario.flow, scenario, u)
-        assert total == pytest.approx(objective_loss(traj, scenario), rel=1e-14)
         loss_j = loss_energy(traj, scenario.graph, scenario.flow,
                              scenario.price)
-        assert total == pytest.approx(loss_j / J_PER_MWH, rel=1e-14)
+        assert parts["value"] == pytest.approx(
+            objective_loss(loss_j, scenario.price), rel=1e-14)
+        assert parts["value"] == pytest.approx(loss_j / J_PER_MWH, rel=1e-14)
 
     def test_monotone_in_penalty_weight_when_infeasible(self):
         scenario = make_loop_scenario(n_steps=12)
         u = np.full((1, 12), 70.0)  # consumer supply forced below 80
-        values = [total_objective(scenario, u, lambda_p=lam)
+        values = [ObjectiveEvaluator(scenario, lam).parts(u)["value"]
                   for lam in (10.0, 1e3, 1e5)]
         assert values[0] < values[1] < values[2]
 
 
 class TestObjectiveConfig:
+    """The objective's weights: the scenario's and the evaluator's."""
+
     def test_bundles_validated_weights(self):
-        from dhnopt.objective import ObjectiveConfig
-        cfg = ObjectiveConfig(tikhonov_weight=300.0, penalty_weight=10.0,
-                              price=PriceModel.static_price(),
-                              constraints=ConstraintSet())
-        assert cfg.penalty_weight == 10.0
+        scenario = make_loop_scenario(n_steps=12, tikhonov_weight=300.0)
+        ev = ObjectiveEvaluator(scenario, 10.0)
+        assert (scenario.tikhonov_weight, ev.lambda_p) == (300.0, 10.0)
         with pytest.raises(ValidationError):
-            ObjectiveConfig(tikhonov_weight=-1.0, penalty_weight=10.0,
-                            price=PriceModel.static_price(),
-                            constraints=ConstraintSet())
+            make_loop_scenario(n_steps=12, tikhonov_weight=-1.0)
         with pytest.raises(ValidationError):
-            ObjectiveConfig(tikhonov_weight=0.0, penalty_weight=0.0,
-                            price=PriceModel.static_price(),
-                            constraints=ConstraintSet())
+            ObjectiveEvaluator(scenario, 0.0)

@@ -4,7 +4,8 @@ import pytest
 from conftest import make_loop_scenario
 from dhnopt.errors import ValidationError
 from dhnopt.objective import J_PER_MWH
-from dhnopt.optimizer import (ObjectiveEvaluator, OptimizerConfig, gradient,
+from dhnopt.network import BoundarySpec
+from dhnopt.optimizer import (ObjectiveEvaluator, OptimizerConfig,
                               lbfgs_minimize, optimize)
 
 CP = 4186.0
@@ -45,7 +46,7 @@ class TestGradient:
         scenario = make_loop_scenario(n_steps=96, swing=0.0,
                                       tikhonov_weight=0.0)
         u = np.full((1, 96), 105.0)  # equals the initial steady state
-        g = gradient(scenario, u, lambda_p=10.0)
+        g = ObjectiveEvaluator(scenario, 10.0).value_and_gradient(u)[1]
         interior = g[0, 5:-20]
         assert np.ptp(interior) <= 1e-6 * max(abs(interior).max(), 1e-12)
 
@@ -54,11 +55,30 @@ class TestGradient:
                                       htc_w_per_m_c=0.0,
                                       tikhonov_weight=0.0)
         u = np.full((1, 64), 105.0)
-        g = gradient(scenario, u, lambda_p=10.0)
+        g = ObjectiveEvaluator(scenario, 10.0).value_and_gradient(u)[1]
         # marginal heat is returned in full, so mid-horizon controls are
         # free; only coordinates near the horizon end keep a pull
         scale = CP * 0.5 * 900.0 / J_PER_MWH
         assert np.max(np.abs(g[0, :-10])) < 1e-3 * scale
+
+
+class TestEvaluatorCalls:
+    def test_no_boundary_derivation_after_the_first_call(self, monkeypatch):
+        scenario = make_loop_scenario(n_steps=24, swing=0.3)
+        ev = ObjectiveEvaluator(scenario, 100.0)
+        ev.value_and_gradient(np.full((1, 24), 100.0))
+        calls = []
+        derive = BoundarySpec.from_graph
+
+        def counting(graph):
+            calls.append(graph)
+            return derive(graph)
+        monkeypatch.setattr(BoundarySpec, "from_graph", staticmethod(counting))
+        for c in (101.0, 102.0, 103.0):
+            ev.value(np.full((1, 24), c))
+            ev.value_and_gradient(np.full((1, 24), c + 0.5))
+        ObjectiveEvaluator(scenario, 10.0).parts(np.full((1, 24), 99.0))
+        assert calls == []
 
 
 class TestLbfgs:

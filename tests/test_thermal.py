@@ -7,13 +7,26 @@ from conftest import make_loop_scenario
 from dhnopt.errors import SolverError, ValidationError
 from dhnopt.fixtures import desk_network, minimal_loop, pipe_chain
 from dhnopt.network import FlowField, control_volumes
-from dhnopt.thermal import (BoundarySpec, PhysicalConstants, TimeGrid,
-                            _advection_matrix, assemble, demand_to_delta,
-                            energy_balance, simulate, solve_steady, step,
+from dhnopt.thermal import (PhysicalConstants, TimeGrid, _advection_matrix,
+                            assemble, demand_to_delta, energy_balance,
+                            simulate, simulate_system, solve_steady,
                             stored_energy)
 
 CP = 4186.0
 RHO = 1000.0
+
+
+def _from_steady(system, u_init, u, deltas, ambient_c, n_steps=1):
+    """``simulate_system`` from the steady state under ``u_init``.
+
+    Constant control ``u``, consumer drops ``deltas`` and ambient
+    temperature; returns the initial and the final state.
+    """
+    grid = TimeGrid(dt_s=system.dt_s, n_steps=n_steps)
+    deltas = np.tile(np.asarray(deltas, dtype=float)[:, None], (1, n_steps + 1))
+    traj = simulate_system(system, grid, np.full((1, n_steps), u), deltas,
+                           np.full(n_steps + 1, ambient_c), u_init=[u_init])
+    return traj.values_c[:, 0], traj.values_c[:, -1]
 
 
 def _chain_system(n_cells, total_length, mdot, k, dt=None, diameter=0.05):
@@ -90,8 +103,9 @@ class TestTransient:
         system = assemble(graph, flow, control_volumes(graph),
                           PhysicalConstants(), dt_s=900.0)
         deltas = np.full(system.bc.n_consumers, 25.0)
-        y0 = solve_steady(system, [100.0], deltas, 10.0)
-        y1 = step(system, y0, [100.0], deltas, 10.0)
+        y0, y1 = _from_steady(system, 100.0, 100.0, deltas, 10.0)
+        np.testing.assert_array_equal(
+            y0, solve_steady(system, [100.0], deltas, 10.0))
         np.testing.assert_allclose(y1, y0, atol=1e-10)
 
     def test_huge_time_step_reproduces_steady(self):
@@ -101,7 +115,8 @@ class TestTransient:
         slow = assemble(graph, flow, vol, constants, dt_s=1e15)
         ref = assemble(graph, flow, vol, constants)
         deltas = np.full(slow.bc.n_consumers, 20.0)
-        y_inf = step(slow, np.full(graph.n_nodes, 60.0), [105.0], deltas, 10.0)
+        y0, y_inf = _from_steady(slow, 60.0, 105.0, deltas, 10.0)
+        assert np.max(np.abs(y0 - y_inf)) > 10.0
         y_ss = solve_steady(ref, [105.0], deltas, 10.0)
         np.testing.assert_allclose(y_inf, y_ss, atol=1e-6)
 
@@ -115,8 +130,7 @@ class TestTransient:
         constants = PhysicalConstants(ambient_c=0.0)
         vol = control_volumes(graph)
         system = assemble(graph, flow, vol, constants, dt_s=dt)
-        y0 = solve_steady(system, [80.0], [0.0], 0.0)
-        y1 = step(system, y0, [100.0], [0.0], 0.0)
+        y0, y1 = _from_steady(system, 80.0, 100.0, [0.0], 0.0)
         mid = graph.node_index["S1"]
         K = k * 100.0
         v_mid = vol.volumes_m3[mid]
@@ -131,12 +145,7 @@ class TestTransient:
         vol = control_volumes(graph)
         system = assemble(graph, flow, vol, constants, dt_s=900.0)
         deltas = np.full(system.bc.n_consumers, 25.0)
-        y = solve_steady(system, [120.0], deltas, 10.0)
-        prev = None
-        for _ in range(5000):
-            prev, y = y, step(system, y, [95.0], deltas, 10.0)
-            if np.max(np.abs(y - prev)) < 1e-9:
-                break
+        _, y = _from_steady(system, 120.0, 95.0, deltas, 10.0, n_steps=5000)
         ref = assemble(graph, flow, vol, constants)
         y_ss = solve_steady(ref, [95.0], deltas, 10.0)
         np.testing.assert_allclose(y, y_ss, atol=1e-6)
@@ -219,8 +228,8 @@ class TestDenseOracle:
         y_dense = np.linalg.solve(system.steady_matrix().toarray(), b)
         assert np.max(np.abs(y_sparse - y_dense)) < 1e-8
 
-        y1 = step(system, y_sparse, [90.0], deltas, 10.0)
-        bt = system.rhs_transient(y_sparse, [90.0], deltas, 10.0)
+        _, y1 = _from_steady(system, 100.0, 90.0, deltas, 10.0)
+        bt = system.rhs_steady([90.0], deltas, 10.0) + system.B_diag * y_sparse
         y1_dense = np.linalg.solve(system.transient_matrix().toarray(), bt)
         assert np.max(np.abs(y1 - y1_dense)) < 1e-8
 
@@ -259,8 +268,9 @@ class TestHelpers:
         assert stored_energy(y_ref, vol, constants, 55.0) == 0.0
         # +1 °C uniformly: rho*cp joules per m^3 of water
         e = stored_energy(y_ref + 1.0, vol, constants, 55.0)
-        assert e == pytest.approx(RHO * CP * vol.total(), rel=1e-12)
-        assert e / vol.total() == pytest.approx(4.186e6, rel=1e-12)
+        total = vol.volumes_m3.sum()
+        assert e == pytest.approx(RHO * CP * total, rel=1e-12)
+        assert e / total == pytest.approx(4.186e6, rel=1e-12)
 
     def test_boundary_spec_requires_dedicated_return(self):
         # consumer head also fed by the return trunk: rejected
@@ -279,9 +289,8 @@ class TestHelpers:
                 [e[0] for e in edges], [e[3] for e in edges],
                 [nodes.index(e[1]) for e in edges],
                 [nodes.index(e[2]) for e in edges],
-                [10.0] * 6, [0.05] * 6,
-                [math.pi * 0.05**2 / 4] * 6, [0.0] * 6)
-            BoundarySpec.from_graph(graph)
+                [10.0] * 6, [0.05] * 6, [0.0] * 6)
+            graph.boundary
 
     def test_time_grid_validation(self):
         with pytest.raises(ValidationError):
