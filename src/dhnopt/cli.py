@@ -245,8 +245,10 @@ _PLANT_POWER_HEADER = ["time_s", "baseline_injection_w", "optimized_injection_w"
 def _read_control_file(path, graph, grid):
     plant_ids = [graph.edge_ids[e] for e in graph.boundary.producer_edges]
     by_id = {pid: {} for pid in plant_ids}
-    for lineno, (t, pid, temp) in read_csv(path, _CONTROL_HEADER,
-                                           ("time_s", "supply_temp_c")):
+    lines, cols = read_csv(path, _CONTROL_HEADER, ("time_s", "supply_temp_c"))
+    for lineno, t, pid, temp in zip(lines, cols["time_s"].tolist(),
+                                    cols["plant_edge_id"],
+                                    cols["supply_temp_c"].tolist()):
         if pid not in by_id:
             raise ValidationError(f"{path}:{lineno}: unknown plant {pid!r}")
         by_id[pid][t] = temp
@@ -579,8 +581,8 @@ def cmd_verify(cfg):
 
 
 def _read_reference(path, graph):
-    values = dict(r for _, r in read_csv(path, _STEADY_HEADER,
-                                         ("temperature_c",)))
+    _, cols = read_csv(path, _STEADY_HEADER, ("temperature_c",))
+    values = dict(zip(cols["node_id"], cols["temperature_c"].tolist()))
     missing = [nid for nid in graph.node_ids if nid not in values]
     if missing:
         raise ValidationError(f"{path}: missing node {missing[0]!r}")
@@ -641,9 +643,10 @@ def cmd_report(args):
 
     power_path = out_dir / "plant_power.csv"
     if report.get("command") == "optimize" and power_path.is_file():
-        rows = read_csv(power_path, _PLANT_POWER_HEADER, _PLANT_POWER_HEADER)
-        loss_base = float(np.sum([r[3] for _, r in rows]))
-        loss_opt = float(np.sum([r[4] for _, r in rows]))
+        _, cols = read_csv(power_path, _PLANT_POWER_HEADER,
+                           _PLANT_POWER_HEADER)
+        loss_base = float(np.sum(cols["baseline_loss_step"]))
+        loss_opt = float(np.sum(cols["optimized_loss_step"]))
         recomputed = (loss_base - loss_opt) / loss_base
         if not np.isclose(recomputed, report["savings"],
                           rtol=_SAVINGS_RECOMPUTE_RTOL, atol=0.0):

@@ -18,15 +18,24 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import ParseError, ValidationError
 
 NODE_SIDES = ("supply", "return")
 EDGE_KINDS = ("supply", "return", "consumer", "producer")
 PIPE_KINDS = ("supply", "return")
+#: (tail side, head side) that each edge kind connects.
+_EDGE_SIDES = {
+    "supply": ("supply", "supply"),
+    "return": ("return", "return"),
+    "consumer": ("supply", "return"),
+    "producer": ("return", "supply"),
+}
 
 #: Absolute tolerance on the per-node mass balance, kg/s.
 MASS_BALANCE_TOL = 1e-9
@@ -130,52 +139,36 @@ class NetworkGraph:
             if side not in NODE_SIDES:
                 raise ValidationError(f"node {nid!r}: unknown side {side!r}")
 
-        for e, eid in enumerate(self.edge_ids):
-            kind = self.edge_kind[e]
+        sides = self.node_side.tolist()
+        for eid, kind, t, h, length, diameter, htc in zip(
+                self.edge_ids, self.edge_kind.tolist(), self.edge_tail.tolist(),
+                self.edge_head.tolist(), self.length_m.tolist(),
+                self.diameter_m.tolist(), self.htc_w_per_m_c.tolist(),
+                strict=True):
             if kind not in EDGE_KINDS:
                 raise ValidationError(f"edge {eid!r}: unknown kind {kind!r}")
-            if self.edge_tail[e] == self.edge_head[e]:
+            if t == h:
                 raise ValidationError(f"edge {eid!r}: self loop")
-            ts = self.node_side[self.edge_tail[e]]
-            hs = self.node_side[self.edge_head[e]]
-            want = {
-                "supply": ("supply", "supply"),
-                "return": ("return", "return"),
-                "consumer": ("supply", "return"),
-                "producer": ("return", "supply"),
-            }[kind]
+            ts, hs = sides[t], sides[h]
+            want = _EDGE_SIDES[kind]
             if (ts, hs) != want:
                 raise ValidationError(
                     f"edge {eid!r}: kind {kind!r} must connect "
                     f"{want[0]} -> {want[1]} nodes, got {ts} -> {hs}"
                 )
-            if not self.length_m[e] > 0:
+            if not length > 0:
                 raise ValidationError(f"edge {eid!r}: length must be > 0")
-            if not self.diameter_m[e] > 0:
+            if not diameter > 0:
                 raise ValidationError(f"edge {eid!r}: diameter must be > 0")
-            if not self.htc_w_per_m_c[e] >= 0:
+            if not htc >= 0:
                 raise ValidationError(f"edge {eid!r}: heat transfer must be >= 0")
 
-        if not self._connected():
-            raise ValidationError("graph is not connected")
-
-    def _connected(self):
-        if self.n_nodes <= 1:
-            return True
-        adj = [[] for _ in range(self.n_nodes)]
-        for t, h in zip(self.edge_tail, self.edge_head):
-            adj[t].append(h)
-            adj[h].append(t)
-        seen = np.zeros(self.n_nodes, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        return bool(seen.all())
+        if self.n_nodes > 1:
+            adjacency = sp.coo_matrix(
+                (np.ones(self.n_edges), (self.edge_tail, self.edge_head)),
+                shape=(self.n_nodes, self.n_nodes))
+            if connected_components(adjacency, directed=False)[0] != 1:
+                raise ValidationError("graph is not connected")
 
 
 @dataclass(frozen=True)
@@ -308,21 +301,34 @@ _EDGE_HEADER = ["edge_id", "from_node", "to_node", "kind",
 _FLOW_HEADER = ["edge_id", "massflow_kg_s"]
 
 
-def read_csv(path, header, floats=(), blank_nan=()):
-    """Data rows of a CSV file with a fixed header, as ``(lineno, fields)``.
+#: Records read and transposed into the columns at a time. A chunk's row
+#: lists are freed once the next chunk is read, so at most two chunks of
+#: them are alive: fewer than the 700 net container allocations that
+#: start a cyclic garbage collection in CPython by default. Keeping every
+#: row alive instead makes the collector re-walk them again and again.
+_CHUNK_ROWS = 256
 
-    Fields are stripped and blank lines skipped. Columns named in
-    ``floats`` are parsed as floats; those also in ``blank_nan`` read an
-    empty field as NaN.
+
+def read_csv(path, header, floats=(), blank_nan=()):
+    """Columns of a CSV file with a fixed header.
+
+    Returns ``(lines, columns)``: ``lines`` lists the record number of
+    every data row in file order (the header is record 1; blank records
+    are skipped but counted), and ``columns`` maps each header name to
+    its column. Columns named in ``floats`` are float arrays; those also
+    in ``blank_nan`` read an empty field as NaN. Every other column is a
+    list of strings. Fields are read with the :mod:`csv` dialect, so they
+    may be quoted, and surrounding whitespace is stripped.
 
     Raises
     ------
     ParseError
         Empty file, wrong header, wrong field count or bad number; the
-        message names the file and line.
+        message names the file and the first faulty record, and within
+        a record the first faulty column of ``floats``.
     """
-    cols = [(header.index(name), name) for name in floats]
-    rows = []
+    n = len(header)
+    lines, columns = [], {name: [] for name in header}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         first = next(reader, None)
@@ -331,24 +337,52 @@ def read_csv(path, header, floats=(), blank_nan=()):
         if [h.strip() for h in first] != header:
             raise ParseError(f"{path}:1: expected header {','.join(header)!r}, "
                              f"got {','.join(first)!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"{path}:{lineno}: expected {len(header)} "
-                                 f"fields, got {len(row)}")
-            fields = [c.strip() for c in row]
-            for i, name in cols:
-                if not fields[i] and name in blank_nan:
-                    fields[i] = math.nan
-                    continue
+        lineno = 2
+        while chunk := list(islice(reader, _CHUNK_ROWS)):
+            numbers = range(lineno, lineno + len(chunk))
+            lineno += len(chunk)
+            if not all(chunk):
+                numbers = [k for k, row in zip(numbers, chunk) if row]
+                chunk = [row for row in chunk if row]
+            if set(map(len, chunk)) - {n}:
+                j = next(j for j, row in enumerate(chunk) if len(row) != n)
+                _append_rows(lines, columns, numbers[:j], chunk[:j])
+                # a bad number in an earlier record is the first fault
+                _float_columns(path, lines, columns, floats, blank_nan)
+                raise ParseError(f"{path}:{numbers[j]}: expected {n} "
+                                 f"fields, got {len(chunk[j])}")
+            _append_rows(lines, columns, numbers, chunk)
+    columns.update(_float_columns(path, lines, columns, floats, blank_nan))
+    return lines, columns
+
+
+def _append_rows(lines, columns, numbers, rows):
+    lines.extend(numbers)
+    for column, fields in zip(columns.values(), zip(*rows)):
+        column.extend(map(str.strip, fields))
+
+
+def _float_or_nan(field):
+    return float(field) if field else math.nan
+
+
+def _float_columns(path, lines, columns, floats, blank_nan):
+    """Parse the ``floats`` columns; a bad number raises for its record."""
+    convert = {name: _float_or_nan if name in blank_nan else float
+               for name in floats}
+    try:
+        return {name: np.array(list(map(convert[name], columns[name])),
+                               dtype=float) for name in floats}
+    except ValueError:
+        for i, lineno in enumerate(lines):
+            for name in floats:
+                field = columns[name][i]
                 try:
-                    fields[i] = float(fields[i])
+                    convert[name](field)
                 except ValueError:
                     raise ParseError(f"{path}:{lineno}: bad {name} value "
-                                     f"{fields[i]!r}") from None
-            rows.append((lineno, fields))
-    return rows
+                                     f"{field!r}") from None
+        raise
 
 
 def parse_network(node_file, edge_file):
@@ -361,26 +395,25 @@ def parse_network(node_file, edge_file):
     ValidationError
         Structural invariant violated; the message names the node/edge.
     """
-    nodes = [r for _, r in read_csv(node_file, _NODE_HEADER, ("x", "y"),
-                                    blank_nan=("x", "y"))]
-    node_index = {r[0]: i for i, r in enumerate(nodes)}
-    edges = []
-    for lineno, row in read_csv(edge_file, _EDGE_HEADER,
-                                ("length_m", "diameter_m", "htc_w_per_m_c")):
-        eid, frm, to = row[:3]
+    _, nodes = read_csv(node_file, _NODE_HEADER, ("x", "y"),
+                        blank_nan=("x", "y"))
+    node_index = {nid: i for i, nid in enumerate(nodes["node_id"])}
+    lines, edges = read_csv(edge_file, _EDGE_HEADER,
+                            ("length_m", "diameter_m", "htc_w_per_m_c"))
+    for lineno, eid, frm, to in zip(lines, edges["edge_id"],
+                                    edges["from_node"], edges["to_node"]):
         for nid in (frm, to):
             if nid not in node_index:
                 raise ValidationError(
                     f"edge {eid!r} ({edge_file}:{lineno}) references unknown node {nid!r}"
                 )
-        edges.append(row)
-    return NetworkGraph([r[0] for r in nodes], [r[1] for r in nodes],
-                        [r[2:] for r in nodes], [r[0] for r in edges],
-                        [r[3] for r in edges],
-                        [node_index[r[1]] for r in edges],
-                        [node_index[r[2]] for r in edges],
-                        [r[4] for r in edges], [r[5] for r in edges],
-                        [r[6] for r in edges])
+    return NetworkGraph(nodes["node_id"], nodes["side"],
+                        np.column_stack([nodes["x"], nodes["y"]]),
+                        edges["edge_id"], edges["kind"],
+                        [node_index[nid] for nid in edges["from_node"]],
+                        [node_index[nid] for nid in edges["to_node"]],
+                        edges["length_m"], edges["diameter_m"],
+                        edges["htc_w_per_m_c"])
 
 
 def write_network(graph, node_file, edge_file):
@@ -411,8 +444,10 @@ def write_network(graph, node_file, edge_file):
 
 def load_flow_field(flow_file, graph):
     """Load mass flows and validate them against the graph."""
+    lines, cols = read_csv(flow_file, _FLOW_HEADER, ("massflow_kg_s",))
     values = {}
-    for lineno, (eid, val) in read_csv(flow_file, _FLOW_HEADER, ("massflow_kg_s",)):
+    for lineno, eid, val in zip(lines, cols["edge_id"],
+                                cols["massflow_kg_s"].tolist()):
         if eid not in graph.edge_index:
             raise ValidationError(
                 f"flow file {flow_file}:{lineno}: unknown edge {eid!r}"
@@ -457,42 +492,38 @@ def subdivide_pipes(graph, flow=None, max_cell_length_m=100.0):
     """
     if not max_cell_length_m > 0:
         raise ValidationError("max_cell_length_m must be > 0")
+    cells = [max(1, math.ceil(length / max_cell_length_m - 1e-12))
+             if kind in PIPE_KINDS else 1
+             for kind, length in zip(graph.edge_kind, graph.length_m.tolist())]
     node_ids = list(graph.node_ids)
     sides = list(graph.node_side)
-    xy = [list(p) for p in graph.node_xy]
-    edge_ids, kinds, tails, heads = [], [], [], []
-    lengths, diameters, htcs = [], [], []
-    flows = [] if flow is not None else None
+    xy = [graph.node_xy]
+    edge_ids, tails, heads = [], [], []
+    for eid, kind, n_cells, t, h in zip(
+            graph.edge_ids, graph.edge_kind, cells,
+            graph.edge_tail.tolist(), graph.edge_head.tolist()):
+        if n_cells == 1:
+            edge_ids.append(eid)
+            tails.append(t)
+            heads.append(h)
+            continue
+        first = len(node_ids)
+        chain = [t, *range(first, first + n_cells - 1), h]
+        node_ids.extend(f"{eid}#n{j}" for j in range(1, n_cells))
+        sides.extend([kind] * (n_cells - 1))
+        frac = np.arange(1, n_cells)[:, None] / n_cells
+        p0, p1 = graph.node_xy[t], graph.node_xy[h]
+        xy.append(p0 + frac * (p1 - p0))
+        edge_ids.extend(f"{eid}#s{j}" for j in range(n_cells))
+        tails.extend(chain[:-1])
+        heads.extend(chain[1:])
 
-    for e, eid in enumerate(graph.edge_ids):
-        kind = graph.edge_kind[e]
-        length = float(graph.length_m[e])
-        n_cells = 1
-        if kind in PIPE_KINDS:
-            n_cells = max(1, math.ceil(length / max_cell_length_m - 1e-12))
-        t, h = int(graph.edge_tail[e]), int(graph.edge_head[e])
-        chain = [t]
-        for j in range(1, n_cells):
-            node_ids.append(f"{eid}#n{j}")
-            sides.append(kind)
-            frac = j / n_cells
-            p0, p1 = graph.node_xy[t], graph.node_xy[h]
-            xy.append(list(p0 + frac * (p1 - p0)))
-            chain.append(len(node_ids) - 1)
-        chain.append(h)
-        for j in range(n_cells):
-            edge_ids.append(eid if n_cells == 1 else f"{eid}#s{j}")
-            kinds.append(kind)
-            tails.append(chain[j])
-            heads.append(chain[j + 1])
-            lengths.append(length / n_cells)
-            diameters.append(float(graph.diameter_m[e]))
-            htcs.append(float(graph.htc_w_per_m_c[e]))
-            if flows is not None:
-                flows.append(float(flow.massflow_kg_s[e]))
-
-    refined = NetworkGraph(node_ids, sides, xy, edge_ids, kinds, tails, heads,
-                           lengths, diameters, htcs)
-    if flows is None:
+    refined = NetworkGraph(node_ids, sides, np.vstack(xy), edge_ids,
+                           np.repeat(graph.edge_kind, cells), tails, heads,
+                           np.repeat(graph.length_m / cells, cells),
+                           np.repeat(graph.diameter_m, cells),
+                           np.repeat(graph.htc_w_per_m_c, cells))
+    if flow is None:
         return refined, None
-    return refined, FlowField(np.array(flows)).validate_against(refined)
+    return refined, FlowField(np.repeat(flow.massflow_kg_s, cells)
+                              ).validate_against(refined)

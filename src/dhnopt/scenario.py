@@ -349,8 +349,8 @@ _DEMAND_HEADER = ["time_s", "consumer_edge_id", "power_w"]
 
 def read_load_series(path):
     """Read a base load CSV (`time_s,power_w`); spacing must be uniform."""
-    rows = read_csv(path, _LOAD_HEADER, _LOAD_HEADER)
-    times, powers = np.array([r for _, r in rows]).reshape(-1, 2).T
+    _, cols = read_csv(path, _LOAD_HEADER, _LOAD_HEADER)
+    times, powers = cols["time_s"], cols["power_w"]
     if times.size < 2:
         raise ParseError(f"{path}: need at least two samples")
     steps = np.diff(times)
@@ -369,9 +369,9 @@ def write_load_series(series, path):
 
 
 def read_price_series(path):
-    rows = read_csv(path, _PRICE_HEADER, _PRICE_HEADER)
-    times, prices = np.array([r for _, r in rows]).reshape(-1, 2).T
-    return PriceSeries(times_s=times, prices_eur_mwh=prices)
+    _, cols = read_csv(path, _PRICE_HEADER, _PRICE_HEADER)
+    return PriceSeries(times_s=cols["time_s"],
+                       prices_eur_mwh=cols["price_eur_mwh"])
 
 
 def write_price_series(series, path):
@@ -383,23 +383,30 @@ def write_price_series(series, path):
 
 
 def read_demand_set(path):
-    """Read a per-consumer demand CSV in long format."""
-    by_id = {}
-    for _, (t, cid, p) in read_csv(path, _DEMAND_HEADER, ("time_s", "power_w")):
-        by_id.setdefault(cid, []).append((t, p))
-    ids, series = [], []
-    for cid, pairs in by_id.items():
-        times = np.array([t for t, _ in pairs])
-        powers = np.array([p for _, p in pairs])
-        order = np.argsort(times, kind="stable")
-        times, powers = times[order], powers[order]
+    """Read a per-consumer demand CSV in long format.
+
+    Rows may come in any order. Consumers keep the order in which they
+    first appear; each consumer's rows are sorted by time, stably.
+    """
+    _, cols = read_csv(path, _DEMAND_HEADER, ("time_s", "power_w"))
+    first_seen = {}
+    key = np.array([first_seen.setdefault(cid, len(first_seen))
+                    for cid in cols["consumer_edge_id"]], dtype=np.int64)
+    order = np.lexsort((cols["time_s"], key))
+    bounds = np.cumsum(np.bincount(key))[:-1]
+    series = []
+    for cid, times, powers in zip(first_seen,
+                                  np.split(cols["time_s"][order], bounds),
+                                  np.split(cols["power_w"][order], bounds)):
+        if times.size < 2:
+            raise ValidationError(
+                f"{path}: consumer {cid!r} needs at least two samples")
         steps = np.diff(times)
-        if steps.size == 0 or np.any(np.abs(steps - steps[0]) > 1e-6 * abs(steps[0])):
+        if np.any(np.abs(steps - steps[0]) > 1e-6 * abs(steps[0])):
             raise ValidationError(f"{path}: consumer {cid!r} spacing not uniform")
-        ids.append(cid)
         series.append(LoadSeries(values_w=powers, dt_s=float(steps[0]),
                                  start_s=float(times[0])))
-    return DemandSet(consumer_ids=tuple(ids), series=tuple(series))
+    return DemandSet(consumer_ids=tuple(first_seen), series=tuple(series))
 
 
 def write_demand_set(demands, path):

@@ -1,16 +1,29 @@
-"""Every CSV input rejects a bad header, field count or number by file:line.
+"""The CSV reader contract, checked through the public readers.
 
-Each case corrupts one file of a valid dynamic-price desk input set and
-runs the CLI command that reads it: the run must exit with the input
-error code and name the file and line in its message.
+Every CSV input rejects a bad header, field count or number by
+file:line: each case corrupts one file of a valid dynamic-price desk
+input set and runs the CLI command that reads it, and the run must exit
+with the input error code and name the file and line in its message.
+The first faulty record in file order is the one reported; fields may
+be quoted and are stripped; demand rows may come in any order.
 """
 
+import csv
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dhnopt.cli import EXIT_INPUT, EXIT_OK, main
+from dhnopt.errors import ParseError, ValidationError
 from dhnopt.fixtures import desk_network, write_desk_fixture
+from dhnopt.network import parse_network, write_network
+from dhnopt.scenario import (DemandSet, LoadSeries, read_demand_set,
+                             write_demand_set)
+
+_DEMAND_HEADER = "time_s,consumer_edge_id,power_w\n"
 
 #: file -> (command that reads it, index of a float column)
 READERS = {
@@ -78,3 +91,126 @@ def test_bad_row_names_file_and_line(inputs, name, fault, capsys):
     path.write_text("\n".join(lines) + "\n")
     assert _run(command, inputs) == EXIT_INPUT
     assert f"{name}:{line}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows, line, message", [
+    # a bad number before a short row
+    (["0,c,1", "900,c,oops", "1800,c,1", "2700,c"], 3, "bad power_w"),
+    # the earlier record wins over the first float column
+    (["0,c,1", "900,c,oops", "bad,c,1"], 3, "bad power_w"),
+    # within a record, the first float column wins
+    (["0,c,1", "bad,c,oops"], 3, "bad time_s"),
+    # a blank record is skipped but counted
+    (["0,c,1", "", "900,c,oops"], 4, "bad power_w"),
+    (["0,c,1", "", "900,c"], 4, "expected 3 fields, got 2"),
+])
+def test_first_faulty_record_is_reported(tmp_path, rows, line, message):
+    path = tmp_path / "demands.csv"
+    path.write_text(_DEMAND_HEADER + "\n".join(rows) + "\n")
+    with pytest.raises(ParseError, match=f"demands.csv:{line}: {message}"):
+        read_demand_set(path)
+
+
+def test_first_faulty_record_far_from_a_later_fault(tmp_path):
+    rows = [f"{900.0 * k},c{k % 7},1.0" for k in range(3000)]
+    rows[40] = "36000.0,c5,oops"
+    rows[2500] = "0.0,c1"
+    path = tmp_path / "demands.csv"
+    path.write_text(_DEMAND_HEADER + "\n".join(rows) + "\n")
+    with pytest.raises(ParseError, match="demands.csv:42: bad power_w"):
+        read_demand_set(path)
+
+
+def test_fields_are_stripped(tmp_path):
+    path = tmp_path / "demands.csv"
+    path.write_text(" time_s , consumer_edge_id ,power_w\n" + "".join(
+        f" {900.0 * k}\t,  c 1 , {k}.5 \n" for k in range(8)))
+    demands = read_demand_set(path)
+    assert demands.consumer_ids == ("c 1",)
+    series = demands.series[0]
+    assert (series.dt_s, series.start_s) == (900.0, 0.0)
+    np.testing.assert_array_equal(series.values_w, np.arange(8) + 0.5)
+
+
+def test_quoted_consumer_id_round_trips(tmp_path):
+    cid = 'sub "A", north'
+    values = np.linspace(1.0, 2.0, 8)
+    demands = DemandSet((cid,), (LoadSeries(values_w=values, dt_s=900.0),))
+    write_demand_set(demands, tmp_path / "demands.csv")
+    back = read_demand_set(tmp_path / "demands.csv")
+    assert back.consumer_ids == (cid,)
+    assert back.series[0].values_w.tobytes() == values.tobytes()
+
+
+def test_single_sample_consumer_is_named(tmp_path):
+    path = tmp_path / "demands.csv"
+    path.write_text(_DEMAND_HEADER + "".join(
+        f"{900.0 * k},a,1.0\n" for k in range(8)) + "0.0,lonely,1.0\n")
+    with pytest.raises(ValidationError,
+                       match="consumer 'lonely' needs at least two samples"):
+        read_demand_set(path)
+
+
+def test_blank_coordinates_read_as_nan(tmp_path):
+    graph, _ = desk_network(n_consumers=3)
+    nodes, edges = tmp_path / "nodes.csv", tmp_path / "edges.csv"
+    write_network(graph, nodes, edges)
+    lines = nodes.read_text().splitlines()
+    for i, blank in ((1, ","), (2, " ,  ")):
+        node_id, side = lines[i].split(",")[:2]
+        lines[i] = f"{node_id},{side},{blank}"
+    nodes.write_text("\n".join(lines) + "\n")
+    back = parse_network(nodes, edges)
+    assert np.isnan(back.node_xy[:2]).all()
+    np.testing.assert_array_equal(back.node_xy[2:], graph.node_xy[2:])
+
+
+def _oracle_demands(path):
+    """Group a long-format demand file with ``csv`` and ``float`` alone."""
+    groups = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        for t, cid, p in list(csv.reader(fh))[1:]:
+            groups.setdefault(cid.strip(), []).append((float(t), float(p)))
+    return {cid: sorted(rows, key=lambda row: row[0])
+            for cid, rows in groups.items()}
+
+
+# csv.writer quotes only the characters of its "\n" line terminator, so a
+# bare carriage return in an id would split the record on reading
+_IDS = st.text(st.characters(blacklist_categories=("Cs",),
+                             blacklist_characters="\x00\r"), max_size=6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ids=st.lists(_IDS, min_size=1, max_size=5, unique_by=str.strip),
+       data=st.data())
+def test_shuffled_rows_read_back_grouped(tmp_path_factory, ids, data):
+    rows = []
+    for cid in ids:
+        n = data.draw(st.integers(8, 20))
+        dt = data.draw(st.integers(1, 3600))
+        start = data.draw(st.integers(-86400, 86400))
+        powers = data.draw(st.lists(
+            st.floats(0.0, 1e9, allow_nan=False), min_size=n, max_size=n))
+        rows += [[repr(float(start + k * dt)), cid, repr(p)]
+                 for k, p in enumerate(powers)]
+    rows = data.draw(st.permutations(rows))
+    path = tmp_path_factory.mktemp("demands") / "demands.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(
+            [_DEMAND_HEADER.strip().split(",")] + rows)
+
+    expected = _oracle_demands(path)
+    demands = read_demand_set(path)
+    assert list(demands.consumer_ids) == list(expected)
+    for series, pairs in zip(demands.series, expected.values()):
+        times = [t for t, _ in pairs]
+        assert series.values_w.tobytes() == np.array(
+            [p for _, p in pairs]).tobytes()
+        assert series.start_s == times[0]
+        assert series.dt_s == times[1] - times[0]
+    write_demand_set(demands, path)
+    again = read_demand_set(path)
+    assert again.consumer_ids == demands.consumer_ids
+    assert [s.values_w.tobytes() for s in again.series] == [
+        s.values_w.tobytes() for s in demands.series]
