@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 numerical failure, 2 input error.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import os
@@ -24,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, SolverError, ValidationError
-from .network import load_flow_field, parse_network, read_csv, subdivide_pipes
+from .network import (csv_writer, load_flow_field, parse_network, read_csv,
+                      subdivide_pipes)
 from .objective import (J_PER_MWH, ConstraintSet, constraint_violations,
                         loss_energy, loss_energy_steps, max_violation)
 from .optimizer import OptimizerConfig, optimize
@@ -269,7 +269,7 @@ def _read_control_file(path, graph, grid):
 
 def _write_control_file(path, plant_ids, grid, u):
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
+        w = csv_writer(fh)
         w.writerow(_CONTROL_HEADER)
         for i, pid in enumerate(plant_ids):
             for t, temp in zip(grid.times()[1:], u[i]):
@@ -310,7 +310,7 @@ def _stored_series(scenario, traj):
 def _write_csv(path, header, columns):
     columns = [np.asarray(c) for c in columns]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
+        w = csv_writer(fh)
         w.writerow(header)
         for row in zip(*columns):
             w.writerow([x if isinstance(x, str) else repr(float(x))

@@ -309,6 +309,28 @@ _FLOW_HEADER = ["edge_id", "massflow_kg_s"]
 _CHUNK_ROWS = 256
 
 
+class _RecordFile:
+    r"""File for ``csv.writer``, which hands each record with its ``\r\n``
+    to one ``write`` call; the record is written ending in ``\n``."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, record):
+        return self._fh.write(record[:-2] + "\n")
+
+
+def csv_writer(fh):
+    r"""``csv.writer`` for the package's files: ``\n`` line ends.
+
+    csv quotes a field when it holds a character of the line terminator.
+    With a ``\n`` terminator a bare ``\r`` would go unquoted and split
+    the record on reading, so records are formatted with ``\r\n`` and
+    written with ``\n``; fields without ``\r`` come out as with ``\n``.
+    """
+    return csv.writer(_RecordFile(fh), lineterminator="\r\n")
+
+
 def read_csv(path, header, floats=(), blank_nan=()):
     """Columns of a CSV file with a fixed header.
 
@@ -422,7 +444,7 @@ def write_network(graph, node_file, edge_file):
     Floats are written with ``repr`` so a round trip is bit-exact.
     """
     with open(node_file, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
+        w = csv_writer(fh)
         w.writerow(_NODE_HEADER)
         for i, nid in enumerate(graph.node_ids):
             x, y = (float(v) for v in graph.node_xy[i])
@@ -430,7 +452,7 @@ def write_network(graph, node_file, edge_file):
                         "" if math.isnan(x) else repr(x),
                         "" if math.isnan(y) else repr(y)])
     with open(edge_file, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
+        w = csv_writer(fh)
         w.writerow(_EDGE_HEADER)
         for e, eid in enumerate(graph.edge_ids):
             w.writerow([eid,
@@ -467,7 +489,7 @@ def load_flow_field(flow_file, graph):
 def write_flow_field(flow, graph, flow_file):
     """Write a flow field to the CSV schema read by :func:`load_flow_field`."""
     with open(flow_file, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
+        w = csv_writer(fh)
         w.writerow(_FLOW_HEADER)
         for eid, val in zip(graph.edge_ids, flow.massflow_kg_s):
             w.writerow([eid, repr(float(val))])

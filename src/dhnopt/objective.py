@@ -186,18 +186,23 @@ def tikhonov_gradient(u, grid):
     return g
 
 
-def constraint_violations(traj, graph, constraints):
+def constraint_violations(traj, graph, constraints, out=None):
     """Signed constraint values for every consumer and solved step.
 
     Rows stack the supply-side constraints ``smin - y_supply`` over all
     consumers, then the return-side constraints ``rmin - y_return``;
     positive entries are violations in °C. Shape
-    ``(2 * n_consumers, n_steps)``.
+    ``(2 * n_consumers, n_steps)``; written into ``out`` when given.
     """
     bc = graph.boundary
-    c_supply = constraints.consumer_supply_min_c - traj.rows(bc.consumer_supply_nodes)
-    c_return = constraints.consumer_return_min_c - traj.rows(bc.consumer_return_nodes)
-    return np.vstack([c_supply, c_return])
+    n_c = bc.n_consumers
+    supply = traj.rows(bc.consumer_supply_nodes)
+    if out is None:
+        out = np.empty((2 * n_c, supply.shape[1]))
+    np.subtract(constraints.consumer_supply_min_c, supply, out=out[:n_c])
+    np.subtract(constraints.consumer_return_min_c,
+                traj.rows(bc.consumer_return_nodes), out=out[n_c:])
+    return out
 
 
 def max_violation(c_values):
@@ -209,8 +214,11 @@ def penalty(c_values, lambda_p):
     """Quadratic hinge penalty ``lambda/2 * sum max(0, c)^2``."""
     if not lambda_p > 0:
         raise ValidationError("penalty weight must be > 0")
-    h = np.maximum(0.0, np.asarray(c_values, dtype=float))
-    return float(0.5 * lambda_p * (h * h).sum())
+    c = np.asarray(c_values, dtype=float)
+    # only the violated (or NaN) entries: no array of the full shape
+    h = c[~(c <= 0.0)]
+    h *= h
+    return float(0.5 * lambda_p * h.sum())
 
 
 def project_control(u, bounds):

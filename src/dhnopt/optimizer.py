@@ -6,7 +6,11 @@ the control, ``y = y_free + H * u`` with ``*`` a causal convolution in
 time ("condensing", Bock & Plitt 1984). The scenario builds this map
 once (:func:`dhnopt.thermal.condense`); a value is then one FFT
 convolution with ``H``, and the exact gradient its transpose, one FFT
-correlation of ``H`` with ``dJ/dy``. The per-step sweep
+correlation of ``H`` with ``dJ/dy``. Both transform only the
+``n_plants + n_consumers`` plant return and consumer supply rows: the
+boundary rows of the system matrix hold a plant supply node at its
+control and a consumer return node at its supply temperature minus the
+drop, so those outputs need no transform. The per-step sweep
 :func:`~dhnopt.thermal.simulate_system` remains the oracle for these
 outputs and the full-state path of the CLI.
 
@@ -76,7 +80,11 @@ class ObjectiveEvaluator:
             raise ValidationError("penalty weight must be > 0")
         self.scenario = scenario
         self.lambda_p = float(lambda_p)
-        self.bc = scenario.system.bc
+        self.bc = bc = scenario.system.bc
+        # scratch for the violations and the output gradient; a second
+        # fresh array of this size per call costs page faults
+        self._dj_dy = np.empty((2 * (bc.n_plants + bc.n_consumers),
+                                scenario.grid.n_steps))
         self.n_evals = 0
         self.n_gradients = 0
         self._cache_key = None
@@ -97,12 +105,12 @@ class ObjectiveEvaluator:
                            s.constants.cp_j_per_kg_c)
         loss_working = objective_loss(loss, s.price)
         reg = tikhonov(u, s.grid)
-        c = constraint_violations(outputs, s.graph, s.constraints)
+        c = self._violations(outputs)
         pen = penalty(c, self.lambda_p)
         value = loss_working + s.tikhonov_weight * reg + pen
         self._cache_key = key
         self._cache = {"outputs": outputs, "loss": loss, "tikhonov": reg,
-                       "penalty": pen, "violations": c, "value": value}
+                       "penalty": pen, "value": value}
         self.n_evals += 1
         return self._cache
 
@@ -113,7 +121,16 @@ class ObjectiveEvaluator:
     def parts(self, u):
         """Dict with outputs, loss, regularizer, penalty, violations, value."""
         u = np.ascontiguousarray(u, dtype=float)
-        return dict(self._forward(u))
+        parts = dict(self._forward(u))
+        parts["violations"] = constraint_violations(
+            parts["outputs"], self.scenario.graph, self.scenario.constraints)
+        return parts
+
+    def _violations(self, outputs):
+        """Constraint values in the scratch rows below the plant rows."""
+        s = self.scenario
+        return constraint_violations(outputs, s.graph, s.constraints,
+                                     out=self._dj_dy[2 * self.bc.n_plants:])
 
     # -- gradient --------------------------------------------------------
 
@@ -129,8 +146,13 @@ class ObjectiveEvaluator:
         # d/dy of lambda/2 * max(0, bound - y)^2 is -lambda * hinge; rows
         # follow the map's order: plant supply, plant return, consumer
         # supply, consumer return (the order of the violation rows)
-        hinge = self.lambda_p * np.maximum(0.0, fwd["violations"])
-        dj_dy = np.vstack([rates, -rates, -hinge])
+        n_p = self.bc.n_plants
+        dj_dy = self._dj_dy
+        dj_dy[:n_p] = rates
+        np.negative(rates, out=dj_dy[n_p:2 * n_p])
+        hinge = self._violations(outputs)
+        np.maximum(0.0, hinge, out=hinge)
+        hinge *= -self.lambda_p
 
         grad = s.condensed.apply_transpose(dj_dy)
         grad += s.tikhonov_weight * tikhonov_gradient(u, s.grid)

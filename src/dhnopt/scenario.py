@@ -9,7 +9,6 @@ resampled onto the simulation grid.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
@@ -18,7 +17,7 @@ import numpy as np
 from scipy.signal import butter, sosfiltfilt
 
 from .errors import ParseError, ValidationError
-from .network import control_volumes, read_csv
+from .network import control_volumes, csv_writer, read_csv
 from .objective import ConstraintSet, PriceModel
 from .thermal import (PhysicalConstants, TimeGrid, assemble, condense,
                       demand_to_delta)
@@ -347,22 +346,38 @@ _PRICE_HEADER = ["time_s", "price_eur_mwh"]
 _DEMAND_HEADER = ["time_s", "consumer_edge_id", "power_w"]
 
 
+def _check_times_finite(path, lines, times, ids=None):
+    """Reject a NaN or infinite sample time.
+
+    A NaN would sort last and pass the uniform-spacing test.
+    """
+    bad = np.flatnonzero(~np.isfinite(times))
+    if bad.size:
+        i = bad[0]
+        who = "" if ids is None else f"consumer {ids[i]!r}: "
+        raise ValidationError(f"{path}:{lines[i]}: {who}time_s is not finite")
+
+
 def read_load_series(path):
     """Read a base load CSV (`time_s,power_w`); spacing must be uniform."""
-    _, cols = read_csv(path, _LOAD_HEADER, _LOAD_HEADER)
+    lines, cols = read_csv(path, _LOAD_HEADER, _LOAD_HEADER)
     times, powers = cols["time_s"], cols["power_w"]
+    _check_times_finite(path, lines, times)
     if times.size < 2:
         raise ParseError(f"{path}: need at least two samples")
     steps = np.diff(times)
     if np.any(np.abs(steps - steps[0]) > 1e-6 * abs(steps[0])):
         raise ValidationError(f"{path}: sample spacing is not uniform")
-    return LoadSeries(values_w=powers, dt_s=float(steps[0]),
-                      start_s=float(times[0]))
+    try:
+        return LoadSeries(values_w=powers, dt_s=float(steps[0]),
+                          start_s=float(times[0]))
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def write_load_series(series, path):
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
+        w = csv_writer(fh)
         w.writerow(_LOAD_HEADER)
         for t, p in zip(series.times(), series.values_w):
             w.writerow([repr(float(t)), repr(float(p))])
@@ -376,7 +391,7 @@ def read_price_series(path):
 
 def write_price_series(series, path):
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
+        w = csv_writer(fh)
         w.writerow(_PRICE_HEADER)
         for t, p in zip(series.times_s, series.prices_eur_mwh):
             w.writerow([repr(float(t)), repr(float(p))])
@@ -388,7 +403,8 @@ def read_demand_set(path):
     Rows may come in any order. Consumers keep the order in which they
     first appear; each consumer's rows are sorted by time, stably.
     """
-    _, cols = read_csv(path, _DEMAND_HEADER, ("time_s", "power_w"))
+    lines, cols = read_csv(path, _DEMAND_HEADER, ("time_s", "power_w"))
+    _check_times_finite(path, lines, cols["time_s"], cols["consumer_edge_id"])
     first_seen = {}
     key = np.array([first_seen.setdefault(cid, len(first_seen))
                     for cid in cols["consumer_edge_id"]], dtype=np.int64)
@@ -404,14 +420,17 @@ def read_demand_set(path):
         steps = np.diff(times)
         if np.any(np.abs(steps - steps[0]) > 1e-6 * abs(steps[0])):
             raise ValidationError(f"{path}: consumer {cid!r} spacing not uniform")
-        series.append(LoadSeries(values_w=powers, dt_s=float(steps[0]),
-                                 start_s=float(times[0])))
+        try:
+            series.append(LoadSeries(values_w=powers, dt_s=float(steps[0]),
+                                     start_s=float(times[0])))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: consumer {cid!r}: {exc}") from None
     return DemandSet(consumer_ids=tuple(first_seen), series=tuple(series))
 
 
 def write_demand_set(demands, path):
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
+        w = csv_writer(fh)
         w.writerow(_DEMAND_HEADER)
         for cid, series in zip(demands.consumer_ids, demands.series):
             for t, p in zip(series.times(), series.values_w):

@@ -327,24 +327,27 @@ class StateTrajectory:
 
 @dataclass
 class ObservedTrajectory:
-    """Temperatures of ``nodes`` at the solved steps, ``(len(nodes), n_steps)``."""
+    """Temperatures of ``nodes`` at the solved steps, ``(len(nodes), n_steps)``.
+
+    ``blocks`` pairs the node array of each observed block with the
+    slice of rows that holds it.
+    """
 
     nodes: np.ndarray
     values_c: np.ndarray
     grid: TimeGrid
+    blocks: tuple
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.values_c)):
             raise SolverError("condensed map produced non-finite temperatures")
 
     def rows(self, nodes):
-        """:meth:`StateTrajectory.rows` for observed nodes."""
-        order = np.argsort(self.nodes, kind="stable")
-        idx = order.take(np.searchsorted(self.nodes, nodes, sorter=order),
-                         mode="clip")
-        if not np.array_equal(self.nodes[idx], nodes):
-            raise ValidationError("temperature requested at an unobserved node")
-        return self.values_c[idx]
+        """:meth:`StateTrajectory.rows` for an observed block, as a view."""
+        for block, rows in self.blocks:
+            if nodes is block or np.array_equal(nodes, block):
+                return self.values_c[rows]
+        raise ValidationError("temperature requested outside the observed blocks")
 
 
 def simulate_system(system, grid, u, deltas, ambient, u_init=None):
@@ -404,34 +407,76 @@ class CondensedMap:
     response ``y_free`` ``(n_obs, n_steps)`` plus the causal convolution
     of the impulse response ``impulse`` ``(n_obs, n_plants, n_steps)``
     with the control. Products are FFTs zero-padded past
-    ``2 * n_steps - 1``, so nothing wraps around. The ``n_obs``-row
-    spectra reuse one buffer: a fresh megabyte-sized array per call
-    costs about as much as the transforms.
+    ``2 * n_steps - 1``, so nothing wraps around.
+
+    ``blocks`` holds the node arrays of the four row blocks: plant
+    supply, plant return, consumer supply and consumer return. Only the
+    ``n_plants + n_consumers`` rows of the middle two are convolved. The
+    boundary rows of the system matrix fix the others: a plant supply
+    node is held at the control, so its rows are ``u``, and a consumer
+    return node sits ``delta`` below its supply node, so its rows are
+    its free response plus the supply node's convolution. Each plant's
+    spectrum is multiplied in turn; the transforms reuse a spectrum, a
+    product and a signal buffer the map owns: a fresh megabyte-sized
+    array per call costs about as much as the transforms.
     """
 
-    def __init__(self, nodes, y_free, impulse, grid):
-        self.nodes = nodes
+    def __init__(self, blocks, y_free, impulse, grid):
+        self.nodes = np.concatenate(blocks)
         self.y_free = y_free
         self.impulse = impulse
         self.grid = grid
+        bounds = np.cumsum([0] + [b.size for b in blocks])
+        rows = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        self._blocks = tuple(zip(blocks, rows))
+        self._plants, self._returns = rows[0], rows[3]
+        # the convolved rows (plant return, consumer supply) and, in
+        # them, the consumer supply rows the consumer return rows repeat
+        self._convolved = slice(bounds[1], bounds[3])
+        self._supply = slice(bounds[2] - bounds[1], bounds[3] - bounds[1])
         self._n_fft = n_fft = sfft.next_fast_len(2 * grid.n_steps - 1, real=True)
-        self._impulse_f = np.fft.rfft(impulse, n_fft)
-        self._spectrum = np.empty((nodes.size, n_fft // 2 + 1), dtype=complex)
+        self._impulse_f = np.fft.rfft(impulse[self._convolved], n_fft)
+        n_conv = bounds[3] - bounds[1]
+        self._spectrum = np.empty((n_conv, n_fft // 2 + 1), dtype=complex)
+        self._product = np.empty_like(self._spectrum)
+        self._signal = np.empty((n_conv, n_fft))
 
     def apply(self, u):
         """Observed temperatures under the control ``u``."""
-        np.einsum("opf,pf->of", self._impulse_f, np.fft.rfft(u, self._n_fft),
-                  out=self._spectrum)
-        y = np.fft.irfft(self._spectrum, self._n_fft)[:, :self.grid.n_steps]
-        return ObservedTrajectory(self.nodes, self.y_free + y, self.grid)
+        n = self.grid.n_steps
+        u_f = np.fft.rfft(u, self._n_fft)
+        h_f, spectrum = self._impulse_f, self._spectrum
+        np.multiply(h_f[:, 0], u_f[0], out=spectrum)
+        for p in range(1, u_f.shape[0]):
+            spectrum += np.multiply(h_f[:, p], u_f[p], out=self._product)
+        h_u = np.fft.irfft(spectrum, self._n_fft, out=self._signal)[:, :n]
+        y = np.empty_like(self.y_free)
+        y[self._plants] = u
+        np.add(self.y_free[self._convolved], h_u, out=y[self._convolved])
+        np.add(self.y_free[self._returns], h_u[self._supply],
+               out=y[self._returns])
+        return ObservedTrajectory(self.nodes, y, self.grid, self._blocks)
 
     def apply_transpose(self, g):
         """``H^T g``: the control gradient of ``sum(g * y)``."""
-        g_f = np.fft.rfft(g, self._n_fft, out=self._spectrum)
+        n = self.grid.n_steps
+        folded = self._signal
+        folded[:, :n] = g[self._convolved]
+        folded[self._supply, :n] += g[self._returns]
+        folded[:, n:] = 0.0
+        g_f = np.fft.rfft(folded, out=self._spectrum)
         # correlation: sum_o conj(H_f) g_f = conj(sum_o H_f conj(g_f)), so
         # g_f is conjugated in place instead of copying conj(H_f)
-        u_f = np.einsum("opf,of->pf", self._impulse_f, np.conj(g_f, out=g_f))
-        return np.fft.irfft(np.conj(u_f), self._n_fft)[:, :self.grid.n_steps]
+        np.conj(g_f, out=g_f)
+        n_p = self._impulse_f.shape[1]
+        u_f = np.empty((n_p, g_f.shape[1]), dtype=complex)
+        for p in range(n_p):
+            # the last plant's product may overwrite g_f: no plant reads it after
+            product = g_f if p == n_p - 1 else self._product
+            np.multiply(g_f, self._impulse_f[:, p], out=product)
+            product.sum(axis=0, out=u_f[p])
+        u = np.fft.irfft(np.conj(u_f), self._n_fft)[:, :n]
+        return u + g[self._plants]
 
 
 def condense(system, grid, deltas, ambient, u_init):
@@ -443,11 +488,15 @@ def condense(system, grid, deltas, ambient, u_init):
     the transient factorization gives the map: column 0 is the free
     response from the steady state under ``u_init``, column ``1 + p``
     the response to a unit pulse of plant ``p`` at step 1 from zero
-    state with zero consumer drops and zero ambient.
+    state with zero consumer drops and zero ambient. ``impulse`` keeps
+    every observed row, but the map transforms only the
+    ``n_plants + n_consumers`` plant return and consumer supply rows;
+    the boundary rows of the system matrix fix the other two blocks.
     """
     bc = system.bc
-    nodes = np.concatenate([bc.plant_nodes, bc.plant_return_nodes,
-                            bc.consumer_supply_nodes, bc.consumer_return_nodes])
+    blocks = (bc.plant_nodes, bc.plant_return_nodes,
+              bc.consumer_supply_nodes, bc.consumer_return_nodes)
+    nodes = np.concatenate(blocks)
     n_p, n = bc.n_plants, grid.n_steps
     lu = system.lu_transient
     x = np.zeros((system.graph.n_nodes, 1 + n_p))
@@ -466,7 +515,7 @@ def condense(system, grid, deltas, ambient, u_init):
         impulse[:, :, k - 1] = x[nodes, 1:]
     if not (np.all(np.isfinite(y_free)) and np.all(np.isfinite(impulse))):
         raise SolverError("condensing sweep produced non-finite temperatures")
-    return CondensedMap(nodes, y_free, impulse, grid)
+    return CondensedMap(blocks, y_free, impulse, grid)
 
 
 def simulate(graph, flow, scenario, u):

@@ -1,9 +1,11 @@
-"""The benchmark's CSV ingest still runs on the package as it is.
+"""The benchmark's workloads still run on the package as it is.
 
-``perfbench/workloads.py`` calls the readers directly, so a reader
-change that broke the benchmark would pass every other test here. One
-short untraced run of the CSV workload must finish, pass its checks and
-fail no operation.
+``perfbench/workloads.py`` calls the readers and the evaluator directly,
+so a change that broke the benchmark would pass every other test here.
+One short untraced run of each workload must finish, pass its checks
+and fail no operation. The feeder sweep's checks compare the gradient
+with central differences and audit the energy balance on the 1432-node
+feeder.
 """
 
 import json
@@ -14,13 +16,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_feeder_simulate_cli_runs_clean():
+def _run_clean(workload):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload",
-         "feeder-simulate-cli", "--seed", "0", "--seconds", "1",
-         "--trace", "0"],
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", "0", "--seconds", "1", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, result
     assert result["failed"] == 0, result
+
+
+def test_feeder_simulate_cli_runs_clean():
+    _run_clean("feeder-simulate-cli")
+
+
+def test_feeder_sweep_runs_clean():
+    _run_clean("feeder-sweep")

@@ -214,3 +214,72 @@ class TestTwoPlants:
                 g = grad[plant, j]
                 worst = max(worst, abs(g - fd) / max(abs(fd), abs(g), 1e-12))
             assert worst < 1e-5, f"plant {plant}: relative error {worst:.2e}"
+
+
+# ---------------------------------------------------------------------------
+# the folded map: only plant return and consumer supply rows are convolved
+# ---------------------------------------------------------------------------
+
+_FOLDED = {
+    "loop": lambda: make_loop_scenario(n_steps=96, swing=0.3),
+    "desk": lambda: desk_scenario(),
+    "two-plant": lambda: _two_plant_scenario(*two_plant_network(), 48),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(_FOLDED))
+def folded(request):
+    scenario = _FOLDED[request.param]()
+    lo, hi = scenario.constraints.control_bounds
+    rng = np.random.default_rng(11)
+    u = rng.uniform(lo, hi, (scenario.n_plants, scenario.grid.n_steps))
+    return scenario, u, scenario.condensed.apply(u)
+
+
+def _block_rows(scenario):
+    bc = scenario.system.bc
+    bounds = np.cumsum([0, bc.n_plants, bc.n_plants, bc.n_consumers,
+                        bc.n_consumers])
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+class TestFoldedMap:
+    def test_transpose_is_the_adjoint(self, folded):
+        scenario, u, y = folded
+        m = scenario.condensed
+        rng = np.random.default_rng(13)
+        for _ in range(3):
+            g = rng.standard_normal(y.values_c.shape)
+            lhs = float(np.vdot(y.values_c - m.y_free, g))
+            rhs = float(np.vdot(u, m.apply_transpose(g)))
+            assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+
+    def test_plant_supply_rows_are_the_control(self, folded):
+        scenario, u, y = folded
+        plants = _block_rows(scenario)[0]
+        assert y.values_c[plants].tobytes() == u.tobytes()
+
+    def test_consumer_return_rows_are_supply_minus_drop(self, folded):
+        scenario, _, y = folded
+        _, _, supply, returns = _block_rows(scenario)
+        drop = y.values_c[supply] - y.values_c[returns]
+        assert np.max(np.abs(drop - scenario.deltas[:, 1:])) <= 1e-12
+
+    def test_block_rows_are_views(self, folded):
+        scenario, _, y = folded
+        bc = scenario.system.bc
+        for nodes, rows in zip((bc.plant_nodes, bc.plant_return_nodes,
+                                bc.consumer_supply_nodes,
+                                bc.consumer_return_nodes),
+                               _block_rows(scenario)):
+            block = y.rows(nodes)
+            assert np.shares_memory(block, y.values_c)
+            np.testing.assert_array_equal(block, y.values_c[rows])
+            # an equal array that is not the boundary spec's own
+            assert np.shares_memory(y.rows(nodes.copy()), y.values_c)
+
+    def test_rows_outside_the_blocks_raise(self, folded):
+        scenario, _, y = folded
+        bc = scenario.system.bc
+        with pytest.raises(ValidationError, match="outside the observed"):
+            y.rows(np.concatenate([bc.plant_nodes, bc.consumer_supply_nodes]))

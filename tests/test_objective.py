@@ -178,6 +178,17 @@ class TestPenalty:
         with pytest.raises(ValidationError):
             penalty(np.array([1.0]), 0.0)
 
+    def test_matches_the_hinge_formula(self):
+        rng = np.random.default_rng(2)
+        for shape in [(260, 288), (3, 5), (0, 4)]:
+            c = rng.normal(0.0, 2.0, shape)
+            h = np.maximum(0.0, c)
+            assert penalty(c, 7.0) == pytest.approx(
+                0.5 * 7.0 * (h * h).sum(), rel=1e-13, abs=0.0)
+
+    def test_nan_propagates(self):
+        assert np.isnan(penalty(np.array([[-1.0, np.nan], [2.0, 0.0]]), 1.0))
+
 
 class TestProjection:
     BOUNDS = (30.0, 140.0)

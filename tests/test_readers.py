@@ -9,6 +9,7 @@ be quoted and are stripped; demand rows may come in any order.
 """
 
 import csv
+import io
 import json
 
 import numpy as np
@@ -19,9 +20,9 @@ from hypothesis import strategies as st
 from dhnopt.cli import EXIT_INPUT, EXIT_OK, main
 from dhnopt.errors import ParseError, ValidationError
 from dhnopt.fixtures import desk_network, write_desk_fixture
-from dhnopt.network import parse_network, write_network
+from dhnopt.network import csv_writer, parse_network, write_network
 from dhnopt.scenario import (DemandSet, LoadSeries, read_demand_set,
-                             write_demand_set)
+                             read_load_series, write_demand_set)
 
 _DEMAND_HEADER = "time_s,consumer_edge_id,power_w\n"
 
@@ -151,6 +152,75 @@ def test_single_sample_consumer_is_named(tmp_path):
         read_demand_set(path)
 
 
+def test_short_consumer_is_named(tmp_path):
+    path = tmp_path / "demands.csv"
+    path.write_text(_DEMAND_HEADER + "".join(
+        f"{900.0 * k},a,1.0\n" for k in range(8)) + "".join(
+        f"{900.0 * k},short,1.0\n" for k in range(3)))
+    with pytest.raises(ValidationError, match="demands.csv: consumer 'short': "
+                       "load series needs >= 8 samples, got 3"):
+        read_demand_set(path)
+
+
+def test_non_finite_demand_power_is_named(tmp_path):
+    path = tmp_path / "demands.csv"
+    path.write_text(_DEMAND_HEADER + "".join(
+        f"{900.0 * k},a,{'nan' if k == 3 else 1.0}\n" for k in range(8)))
+    with pytest.raises(ValidationError, match="demands.csv: consumer 'a': "
+                       "load series contains non-finite values"):
+        read_demand_set(path)
+
+
+def test_short_load_series_is_named(tmp_path):
+    path = tmp_path / "base_load.csv"
+    path.write_text("time_s,power_w\n" + "".join(
+        f"{900.0 * k},1.0\n" for k in range(3)))
+    with pytest.raises(ValidationError, match="base_load.csv: "
+                       "load series needs >= 8 samples, got 3"):
+        read_load_series(path)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_demand_time_is_rejected(tmp_path, bad):
+    path = tmp_path / "demands.csv"
+    path.write_text(_DEMAND_HEADER + "".join(
+        f"{900.0 * k},a,1.0\n" for k in range(7)) + f"{bad},a,1.0\n")
+    with pytest.raises(ValidationError,
+                       match="demands.csv:9: consumer 'a': time_s is not finite"):
+        read_demand_set(path)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_load_time_is_rejected(tmp_path, bad):
+    path = tmp_path / "base_load.csv"
+    path.write_text("time_s,power_w\n" + "".join(
+        f"{900.0 * k},1.0\n" for k in range(7)) + f"{bad},1.0\n")
+    with pytest.raises(ValidationError,
+                       match="base_load.csv:9: time_s is not finite"):
+        read_load_series(path)
+
+
+@pytest.mark.parametrize("cid", ["\r", "a\rb", "\r\n", "c\r,d"])
+def test_carriage_return_in_id_round_trips(tmp_path, cid):
+    values = np.linspace(1.0, 2.0, 8)
+    demands = DemandSet((cid,), (LoadSeries(values_w=values, dt_s=900.0),))
+    write_demand_set(demands, tmp_path / "demands.csv")
+    back = read_demand_set(tmp_path / "demands.csv")
+    assert back.consumer_ids == (cid.strip(),)
+    assert back.series[0].values_w.tobytes() == values.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.lists(st.text(st.characters(
+    blacklist_categories=("Cs",), blacklist_characters="\x00\r"),
+    max_size=5), min_size=1, max_size=4), max_size=4))
+def test_writer_bytes_without_carriage_return_unchanged(rows):
+    ours, plain = io.StringIO(), io.StringIO()
+    csv_writer(ours).writerows(rows)
+    csv.writer(plain, lineterminator="\n").writerows(rows)
+    assert ours.getvalue() == plain.getvalue()
+
+
 def test_blank_coordinates_read_as_nan(tmp_path):
     graph, _ = desk_network(n_consumers=3)
     nodes, edges = tmp_path / "nodes.csv", tmp_path / "edges.csv"
@@ -175,10 +245,8 @@ def _oracle_demands(path):
             for cid, rows in groups.items()}
 
 
-# csv.writer quotes only the characters of its "\n" line terminator, so a
-# bare carriage return in an id would split the record on reading
 _IDS = st.text(st.characters(blacklist_categories=("Cs",),
-                             blacklist_characters="\x00\r"), max_size=6)
+                             blacklist_characters="\x00"), max_size=6)
 
 
 @settings(max_examples=40, deadline=None)
@@ -197,7 +265,7 @@ def test_shuffled_rows_read_back_grouped(tmp_path_factory, ids, data):
     rows = data.draw(st.permutations(rows))
     path = tmp_path_factory.mktemp("demands") / "demands.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(
+        csv_writer(fh).writerows(
             [_DEMAND_HEADER.strip().split(",")] + rows)
 
     expected = _oracle_demands(path)
