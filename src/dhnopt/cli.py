@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, SolverError, ValidationError
-from .network import (csv_writer, load_flow_field, parse_network, read_csv,
-                      subdivide_pipes)
+from .network import (load_flow_field, parse_network, read_csv,
+                      subdivide_pipes, write_csv)
 from .objective import (J_PER_MWH, ConstraintSet, constraint_violations,
                         loss_energy, loss_energy_steps, max_violation)
 from .optimizer import OptimizerConfig, optimize
@@ -267,15 +267,6 @@ def _read_control_file(path, graph, grid):
     return u
 
 
-def _write_control_file(path, plant_ids, grid, u):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv_writer(fh)
-        w.writerow(_CONTROL_HEADER)
-        for i, pid in enumerate(plant_ids):
-            for t, temp in zip(grid.times()[1:], u[i]):
-                w.writerow([repr(float(t)), pid, repr(float(temp))])
-
-
 # ---------------------------------------------------------------------------
 # metrics and series output
 # ---------------------------------------------------------------------------
@@ -305,16 +296,6 @@ def _stored_series(scenario, traj):
     e = stored_energy(traj.values_c, scenario.volumes, scenario.constants,
                       reference_c=ref)
     return e[1:], e[1:] - e[0], e[0]
-
-
-def _write_csv(path, header, columns):
-    columns = [np.asarray(c) for c in columns]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv_writer(fh)
-        w.writerow(header)
-        for row in zip(*columns):
-            w.writerow([x if isinstance(x, str) else repr(float(x))
-                        for x in row])
 
 
 def _jsonable(obj):
@@ -355,27 +336,21 @@ def cmd_simulate(cfg):
     times = scenario.grid.times()[1:]
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
 
-    _write_csv(cfg.out_dir / "steady_state.csv",
-               _STEADY_HEADER, [list(graph.node_ids), traj.values_c[:, 0]])
+    write_csv(cfg.out_dir / "steady_state.csv",
+              {"node_id": graph.node_ids, "temperature_c": traj.values_c[:, 0]})
     min_supply, min_return = _min_consumer_temps(traj, system.bc)
     e_amb, e_init, e0 = _stored_series(scenario, traj)
-    _write_csv(cfg.out_dir / "summary.csv",
-               ["time_s", "min_temp_c", "mean_temp_c", "max_temp_c",
-                "min_consumer_supply_c", "min_consumer_return_c",
-                "plant_injection_w"],
-               [times, traj.values_c[:, 1:].min(axis=0),
-                traj.values_c[:, 1:].mean(axis=0),
-                traj.values_c[:, 1:].max(axis=0),
-                min_supply, min_return, plant_injection_w(system, traj)])
-    _write_csv(cfg.out_dir / "energy_balance.csv",
-               ["time_s", "injection_w", "extraction_w", "ambient_w",
-                "storage_w", "residual_w", "residual_rel"],
-               [times, balance["injection_w"], balance["extraction_w"],
-                balance["ambient_w"], balance["storage_w"],
-                balance["residual_w"], balance["residual_rel"]])
-    _write_csv(cfg.out_dir / "stored_energy.csv",
-               ["time_s", "stored_vs_ambient_j", "stored_vs_initial_j"],
-               [times, e_amb, e_init])
+    temps = traj.values_c[:, 1:]
+    write_csv(cfg.out_dir / "summary.csv", {
+        "time_s": times, "min_temp_c": temps.min(axis=0),
+        "mean_temp_c": temps.mean(axis=0), "max_temp_c": temps.max(axis=0),
+        "min_consumer_supply_c": min_supply,
+        "min_consumer_return_c": min_return,
+        "plant_injection_w": plant_injection_w(system, traj)})
+    write_csv(cfg.out_dir / "energy_balance.csv", {"time_s": times, **balance})
+    write_csv(cfg.out_dir / "stored_energy.csv",
+              {"time_s": times, "stored_vs_ambient_j": e_amb,
+               "stored_vs_initial_j": e_init})
 
     c = constraint_violations(traj, graph, scenario.constraints)
     report = {
@@ -425,64 +400,56 @@ def cmd_optimize(cfg):
     savings = (loss_base - loss_opt) / loss_base
 
     times = scenario.grid.times()[1:]
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    out = cfg.out_dir
+    out.mkdir(parents=True, exist_ok=True)
     plant_ids = [graph.edge_ids[e] for e in bc.producer_edges]
-
-    _write_csv(cfg.out_dir / "controls.csv",
-               ["time_s"] + [f"baseline_{p}" for p in plant_ids]
-               + [f"optimized_{p}" for p in plant_ids],
-               [times] + [u0[i] for i in range(len(plant_ids))]
-               + [u_opt[i] for i in range(len(plant_ids))])
-    _write_control_file(cfg.out_dir / "optimized_control.csv", plant_ids,
-                        scenario.grid, u_opt)
-
-    bs, br = _min_consumer_temps(baseline, bc)
-    os_, or_ = _min_consumer_temps(optimized, bc)
-    _write_csv(cfg.out_dir / "consumer_temps.csv",
-               ["time_s", "baseline_min_supply_c", "baseline_min_return_c",
-                "optimized_min_supply_c", "optimized_min_return_c"],
-               [times, bs, br, os_, or_])
-
-    eb_amb, eb_init, eb0 = _stored_series(scenario, baseline)
-    eo_amb, eo_init, eo0 = _stored_series(scenario, optimized)
-    _write_csv(cfg.out_dir / "stored_energy.csv",
-               ["time_s", "baseline_vs_ambient_j", "optimized_vs_ambient_j",
-                "baseline_vs_initial_j", "optimized_vs_initial_j"],
-               [times, eb_amb, eo_amb, eb_init, eo_init])
-
-    price_curve = scenario.price.price_at(times)
-    _write_csv(cfg.out_dir / "price.csv", ["time_s", "price_eur_mwh"],
-               [times, price_curve])
-
-    inj_base = plant_injection_w(system, baseline)
-    inj_opt = plant_injection_w(system, optimized)
-    _write_csv(cfg.out_dir / "plant_power.csv", _PLANT_POWER_HEADER,
-               [times, inj_base, inj_opt,
-                loss_energy_steps(baseline, graph, flow, scenario.price, cp),
-                loss_energy_steps(optimized, graph, flow, scenario.price, cp)])
-
     levels = tuple(cfg.data["quantile_levels"])
-    for name, traj in (("baseline", baseline), ("optimized", optimized)):
-        q = compute_quantiles(traj, graph, levels)
-        keys = ["min", "median"] + [f"p{q_:g}" for q_ in levels]
-        _write_csv(cfg.out_dir / f"quantiles_{name}.csv",
-                   ["time_s"] + keys, [times] + [q[k] for k in keys])
 
-    _write_csv(cfg.out_dir / "trace.csv",
-               ["round", "lambda_p", "inner_iterations", "objective",
-                "true_loss", "max_violation_c", "grad_norm"],
-               [[str(i) for i in range(len(opt_report.rounds))],
-                [r.lambda_p for r in opt_report.rounds],
-                [str(r.inner_iterations) for r in opt_report.rounds],
-                [r.objective for r in opt_report.rounds],
-                [r.true_loss for r in opt_report.rounds],
-                [r.max_violation_c for r in opt_report.rounds],
-                [r.grad_norm for r in opt_report.rounds]])
+    # run-major files fill in the loop; quantity-major ones read ``runs``
+    controls, temps, runs = {"time_s": times}, {"time_s": times}, {}
+    for name, u, traj in (("baseline", u0, baseline),
+                          ("optimized", u_opt, optimized)):
+        controls |= {f"{name}_{p}": row for p, row in zip(plant_ids, u)}
+        supply, ret = _min_consumer_temps(traj, bc)
+        temps |= {f"{name}_min_supply_c": supply, f"{name}_min_return_c": ret}
+        vs_ambient, vs_initial, initial = _stored_series(scenario, traj)
+        runs[name] = {
+            "vs_ambient_j": vs_ambient, "vs_initial_j": vs_initial,
+            "initial_j": initial,
+            "injection_w": plant_injection_w(system, traj),
+            "loss_step": loss_energy_steps(traj, graph, flow, scenario.price, cp),
+        }
+        write_csv(out / f"quantiles_{name}.csv",
+                  {"time_s": times, **compute_quantiles(traj, graph, levels)})
 
+    write_csv(out / "controls.csv", controls)
+    write_csv(out / "optimized_control.csv", {
+        "time_s": np.tile(times, len(plant_ids)),
+        "plant_edge_id": [p for p in plant_ids for _ in times],
+        "supply_temp_c": u_opt.ravel()})
+    write_csv(out / "consumer_temps.csv", temps)
+    write_csv(out / "stored_energy.csv", {"time_s": times} | {
+        f"{run}_{key}": runs[run][key]
+        for key in ("vs_ambient_j", "vs_initial_j") for run in runs})
+    price_curve = scenario.price.price_at(times)
+    write_csv(out / "price.csv", {"time_s": times, "price_eur_mwh": price_curve})
+    write_csv(out / "plant_power.csv", {"time_s": times} | {
+        f"{run}_{key}": runs[run][key]
+        for key in ("injection_w", "loss_step") for run in runs})
+
+    rounds = opt_report.rounds
+    write_csv(out / "trace.csv", {"round": np.arange(len(rounds))} | {
+        key: np.array([getattr(r, key) for r in rounds], dtype=dtype)
+        for key, dtype in (("lambda_p", float), ("inner_iterations", int),
+                           ("objective", float), ("true_loss", float),
+                           ("max_violation_c", float), ("grad_norm", float))})
+
+    opt = runs["optimized"]
     smin = scenario.constraints.consumer_supply_min_c
     rmin = scenario.constraints.consumer_return_min_c
-    binding = ((np.abs(os_ - smin) <= _BINDING_TOL_C)
-               | (np.abs(or_ - rmin) <= _BINDING_TOL_C))
+    binding = (
+        (np.abs(temps["optimized_min_supply_c"] - smin) <= _BINDING_TOL_C)
+        | (np.abs(temps["optimized_min_return_c"] - rmin) <= _BINDING_TOL_C))
     report = {
         "command": "optimize",
         "n_nodes": graph.n_nodes,
@@ -496,10 +463,10 @@ def cmd_optimize(cfg):
         "optimized_loss_mwh": loss_opt / J_PER_MWH if scenario.price.static else None,
         "final_max_violation_c": opt_report.final_max_violation_c,
         "binding_fraction": float(binding.mean()),
-        "stored_energy_initial_j": eo0,
-        "stored_energy_final_j": float(eo_amb[-1]),
+        "stored_energy_initial_j": opt["initial_j"],
+        "stored_energy_final_j": float(opt["vs_ambient_j"][-1]),
         "injection_price_correlation": (
-            float(np.corrcoef(inj_opt, price_curve)[0, 1])
+            float(np.corrcoef(opt["injection_w"], price_curve)[0, 1])
             if not scenario.price.static else None),
         "aborted": opt_report.aborted,
         "abort_reason": opt_report.abort_reason,
@@ -507,8 +474,8 @@ def cmd_optimize(cfg):
         "seed": cfg.seed,
         "config": cfg.data,
     }
-    _write_json(cfg.out_dir / "report.json", report)
-    _write_json(cfg.out_dir / "timing.json",
+    _write_json(out / "report.json", report)
+    _write_json(out / "timing.json",
                 {"wall_time_s": wall,
                  "optimize_wall_time_s": opt_report.wall_time_s})
 
@@ -557,9 +524,9 @@ def cmd_verify(cfg):
         mismatch = y - ref
         mean_abs = float(np.mean(np.abs(mismatch)))
         counts, bins = np.histogram(mismatch, bins=50)
-        _write_csv(cfg.out_dir / "mismatch_histogram.csv",
-                   ["bin_left_c", "bin_right_c", "count"],
-                   [bins[:-1], bins[1:], [str(c) for c in counts]])
+        write_csv(cfg.out_dir / "mismatch_histogram.csv",
+                  {"bin_left_c": bins[:-1], "bin_right_c": bins[1:],
+                   "count": counts})
         report["reference_mean_abs_mismatch_c"] = mean_abs
         report["reference_max_abs_mismatch_c"] = float(np.max(np.abs(mismatch)))
         threshold = ver["mean_mismatch_threshold_c"]
@@ -569,8 +536,8 @@ def cmd_verify(cfg):
         else:
             report["reference_ok"] = True
 
-    _write_csv(cfg.out_dir / "steady_state.csv",
-               _STEADY_HEADER, [list(graph.node_ids), y])
+    write_csv(cfg.out_dir / "steady_state.csv",
+              {"node_id": graph.node_ids, "temperature_c": y})
     _write_json(cfg.out_dir / "verify_report.json", report)
     cfg.log(f"dense-oracle mismatch {dense_mismatch:.3e} °C on "
             f"{graph.n_nodes} nodes")
@@ -608,12 +575,12 @@ def cmd_synth_demand(cfg):
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     write_demand_set(demands, cfg.out_dir / "demands.csv")
-    _write_csv(cfg.out_dir / "demand_summary.csv",
-               ["consumer_edge_id", "mean_w", "min_w", "max_w"],
-               [consumer_ids,
-                [s.values_w.mean() for s in series],
-                [s.values_w.min() for s in series],
-                [s.values_w.max() for s in series]])
+    values = [s.values_w for s in series]
+    write_csv(cfg.out_dir / "demand_summary.csv", {
+        "consumer_edge_id": consumer_ids,
+        "mean_w": np.array([v.mean() for v in values]),
+        "min_w": np.array([v.min() for v in values]),
+        "max_w": np.array([v.max() for v in values])})
     cfg.log(f"synthesized {n} demand series "
             f"(mean target {targets[0]:.1f} W each)")
     return EXIT_OK
@@ -684,16 +651,14 @@ def _build_parser():
     common.add_argument("--quiet", action="store_true", help="suppress progress output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_, needs_config=True):
-        p = sub.add_parser(name, parents=[common], help=help_)
-        p.set_defaults(func=func, needs_config=needs_config)
-        return p
+    def add(name, func, help_):
+        sub.add_parser(name, parents=[common], help=help_).set_defaults(func=func)
 
     add("simulate", cmd_simulate, "run the solution operator on a control")
     add("optimize", cmd_optimize, "optimize the plant supply temperatures")
     add("synth-demand", cmd_synth_demand, "synthesize consumer demand profiles")
     add("verify", cmd_verify, "steady solve vs dense oracle and reference")
-    add("report", cmd_report, "summarize a finished run", needs_config=False)
+    add("report", cmd_report, "summarize a finished run")
     return parser
 
 

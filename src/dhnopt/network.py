@@ -10,6 +10,10 @@ return to supply (the plant reheats the returning water).
 Mass flows are a fixed external input, computed by a hydraulic tool and
 ingested from file. They are validated for conservation but never
 re-balanced here; bad input fails fast.
+
+:func:`read_csv` and :func:`write_csv` are the package's one CSV reader
+and one CSV writer: every CSV file the package reads or writes goes
+through them, so the file format has a single owner.
 """
 
 from __future__ import annotations
@@ -309,28 +313,6 @@ _FLOW_HEADER = ["edge_id", "massflow_kg_s"]
 _CHUNK_ROWS = 256
 
 
-class _RecordFile:
-    r"""File for ``csv.writer``, which hands each record with its ``\r\n``
-    to one ``write`` call; the record is written ending in ``\n``."""
-
-    def __init__(self, fh):
-        self._fh = fh
-
-    def write(self, record):
-        return self._fh.write(record[:-2] + "\n")
-
-
-def csv_writer(fh):
-    r"""``csv.writer`` for the package's files: ``\n`` line ends.
-
-    csv quotes a field when it holds a character of the line terminator.
-    With a ``\n`` terminator a bare ``\r`` would go unquoted and split
-    the record on reading, so records are formatted with ``\r\n`` and
-    written with ``\n``; fields without ``\r`` come out as with ``\n``.
-    """
-    return csv.writer(_RecordFile(fh), lineterminator="\r\n")
-
-
 def read_csv(path, header, floats=(), blank_nan=()):
     """Columns of a CSV file with a fixed header.
 
@@ -407,6 +389,53 @@ def _float_columns(path, lines, columns, floats, blank_nan):
         raise
 
 
+class _RecordFile:
+    r"""File for ``csv.writer``, which hands each record with its ``\r\n``
+    to one ``write`` call; the record is written ending in ``\n``.
+
+    csv quotes a field when it holds a character of the line terminator.
+    With a ``\n`` terminator a bare ``\r`` would go unquoted and split
+    the record on reading, so records are formatted with ``\r\n`` and
+    written with ``\n``; fields without ``\r`` come out as with ``\n``.
+    """
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, record):
+        return self._fh.write(record[:-2] + "\n")
+
+
+def write_csv(path, columns, blank_nan=()):
+    """Write ``{header name: column}`` as a CSV file read by :func:`read_csv`.
+
+    A column is a numpy array or a sequence of strings, all of one
+    length. Float arrays are written as the ``repr`` of each value, so
+    they read back bit-exactly, and a NaN in a column named in
+    ``blank_nan`` is written as an empty field. Other arrays (integers,
+    labels) are written with ``str``, strings as they are; a field is
+    quoted where the :mod:`csv` dialect needs it.
+    """
+    fields = [_format_column(column, name in blank_nan)
+              for name, column in columns.items()]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(_RecordFile(fh), lineterminator="\r\n")
+        writer.writerow(columns)
+        writer.writerows(zip(*fields, strict=True))
+
+
+def _format_column(column, blank_nan):
+    """Lazy fields of one column."""
+    if not isinstance(column, np.ndarray):
+        return column
+    values = column.tolist()
+    if column.dtype.kind != "f":
+        return map(str, values)
+    if blank_nan:
+        return ("" if math.isnan(v) else repr(v) for v in values)
+    return map(repr, values)
+
+
 def parse_network(node_file, edge_file):
     """Load and validate a network from node and edge CSV files.
 
@@ -439,29 +468,18 @@ def parse_network(node_file, edge_file):
 
 
 def write_network(graph, node_file, edge_file):
-    """Write a graph back to the CSV schemas read by :func:`parse_network`.
-
-    Floats are written with ``repr`` so a round trip is bit-exact.
-    """
-    with open(node_file, "w", newline="", encoding="utf-8") as fh:
-        w = csv_writer(fh)
-        w.writerow(_NODE_HEADER)
-        for i, nid in enumerate(graph.node_ids):
-            x, y = (float(v) for v in graph.node_xy[i])
-            w.writerow([nid, graph.node_side[i],
-                        "" if math.isnan(x) else repr(x),
-                        "" if math.isnan(y) else repr(y)])
-    with open(edge_file, "w", newline="", encoding="utf-8") as fh:
-        w = csv_writer(fh)
-        w.writerow(_EDGE_HEADER)
-        for e, eid in enumerate(graph.edge_ids):
-            w.writerow([eid,
-                        graph.node_ids[graph.edge_tail[e]],
-                        graph.node_ids[graph.edge_head[e]],
-                        graph.edge_kind[e],
-                        repr(float(graph.length_m[e])),
-                        repr(float(graph.diameter_m[e])),
-                        repr(float(graph.htc_w_per_m_c[e]))])
+    """Write a graph back to the CSV schemas read by :func:`parse_network`."""
+    ids = np.array(graph.node_ids, dtype=object)
+    write_csv(node_file, {"node_id": graph.node_ids, "side": graph.node_side,
+                          "x": graph.node_xy[:, 0], "y": graph.node_xy[:, 1]},
+              blank_nan=("x", "y"))
+    write_csv(edge_file, {"edge_id": graph.edge_ids,
+                          "from_node": ids[graph.edge_tail],
+                          "to_node": ids[graph.edge_head],
+                          "kind": graph.edge_kind,
+                          "length_m": graph.length_m,
+                          "diameter_m": graph.diameter_m,
+                          "htc_w_per_m_c": graph.htc_w_per_m_c})
 
 
 def load_flow_field(flow_file, graph):
@@ -488,11 +506,8 @@ def load_flow_field(flow_file, graph):
 
 def write_flow_field(flow, graph, flow_file):
     """Write a flow field to the CSV schema read by :func:`load_flow_field`."""
-    with open(flow_file, "w", newline="", encoding="utf-8") as fh:
-        w = csv_writer(fh)
-        w.writerow(_FLOW_HEADER)
-        for eid, val in zip(graph.edge_ids, flow.massflow_kg_s):
-            w.writerow([eid, repr(float(val))])
+    write_csv(flow_file, {"edge_id": graph.edge_ids,
+                          "massflow_kg_s": flow.massflow_kg_s})
 
 
 # ---------------------------------------------------------------------------

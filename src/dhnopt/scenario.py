@@ -17,7 +17,7 @@ import numpy as np
 from scipy.signal import butter, sosfiltfilt
 
 from .errors import ParseError, ValidationError
-from .network import control_volumes, csv_writer, read_csv
+from .network import control_volumes, read_csv, write_csv
 from .objective import ConstraintSet, PriceModel
 from .thermal import (PhysicalConstants, TimeGrid, assemble, condense,
                       demand_to_delta)
@@ -256,14 +256,6 @@ class Scenario:
         return condense(self.system, self.grid, self.deltas, self.ambient,
                         self.u_init)
 
-    @property
-    def n_plants(self):
-        return len(self.graph.producer_edges)
-
-    @property
-    def n_consumers(self):
-        return len(self.graph.consumer_edges)
-
 
 def build_scenario(graph, flow, demands, prices, constraints, grid, constants,
                    *, alpha=1.0, beta=0.0, tikhonov_weight=DEFAULT_TIKHONOV_WEIGHT,
@@ -346,23 +338,27 @@ _PRICE_HEADER = ["time_s", "price_eur_mwh"]
 _DEMAND_HEADER = ["time_s", "consumer_edge_id", "power_w"]
 
 
-def _check_times_finite(path, lines, times, ids=None):
-    """Reject a NaN or infinite sample time.
+def _check_finite(path, lines, columns, names, ids=None):
+    """Reject a NaN or infinite value in the ``names`` columns.
 
-    A NaN would sort last and pass the uniform-spacing test.
+    The first faulty record is named, and within it the first faulty
+    column. A NaN sample time would sort last and pass the
+    uniform-spacing test.
     """
-    bad = np.flatnonzero(~np.isfinite(times))
+    finite = np.column_stack([np.isfinite(columns[name]) for name in names])
+    bad = np.flatnonzero(~finite.all(axis=1))
     if bad.size:
         i = bad[0]
+        name = names[np.argmin(finite[i])]
         who = "" if ids is None else f"consumer {ids[i]!r}: "
-        raise ValidationError(f"{path}:{lines[i]}: {who}time_s is not finite")
+        raise ValidationError(f"{path}:{lines[i]}: {who}{name} is not finite")
 
 
 def read_load_series(path):
     """Read a base load CSV (`time_s,power_w`); spacing must be uniform."""
     lines, cols = read_csv(path, _LOAD_HEADER, _LOAD_HEADER)
     times, powers = cols["time_s"], cols["power_w"]
-    _check_times_finite(path, lines, times)
+    _check_finite(path, lines, cols, ("time_s",))
     if times.size < 2:
         raise ParseError(f"{path}: need at least two samples")
     steps = np.diff(times)
@@ -376,25 +372,23 @@ def read_load_series(path):
 
 
 def write_load_series(series, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv_writer(fh)
-        w.writerow(_LOAD_HEADER)
-        for t, p in zip(series.times(), series.values_w):
-            w.writerow([repr(float(t)), repr(float(p))])
+    write_csv(path, {"time_s": series.times(), "power_w": series.values_w})
 
 
 def read_price_series(path):
-    _, cols = read_csv(path, _PRICE_HEADER, _PRICE_HEADER)
-    return PriceSeries(times_s=cols["time_s"],
-                       prices_eur_mwh=cols["price_eur_mwh"])
+    """Read a price CSV (`time_s,price_eur_mwh`); knots must increase."""
+    lines, cols = read_csv(path, _PRICE_HEADER, _PRICE_HEADER)
+    _check_finite(path, lines, cols, _PRICE_HEADER)
+    try:
+        return PriceSeries(times_s=cols["time_s"],
+                           prices_eur_mwh=cols["price_eur_mwh"])
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def write_price_series(series, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv_writer(fh)
-        w.writerow(_PRICE_HEADER)
-        for t, p in zip(series.times_s, series.prices_eur_mwh):
-            w.writerow([repr(float(t)), repr(float(p))])
+    write_csv(path, {"time_s": series.times_s,
+                     "price_eur_mwh": series.prices_eur_mwh})
 
 
 def read_demand_set(path):
@@ -404,7 +398,7 @@ def read_demand_set(path):
     first appear; each consumer's rows are sorted by time, stably.
     """
     lines, cols = read_csv(path, _DEMAND_HEADER, ("time_s", "power_w"))
-    _check_times_finite(path, lines, cols["time_s"], cols["consumer_edge_id"])
+    _check_finite(path, lines, cols, ("time_s",), cols["consumer_edge_id"])
     first_seen = {}
     key = np.array([first_seen.setdefault(cid, len(first_seen))
                     for cid in cols["consumer_edge_id"]], dtype=np.int64)
@@ -429,9 +423,10 @@ def read_demand_set(path):
 
 
 def write_demand_set(demands, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv_writer(fh)
-        w.writerow(_DEMAND_HEADER)
-        for cid, series in zip(demands.consumer_ids, demands.series):
-            for t, p in zip(series.times(), series.values_w):
-                w.writerow([repr(float(t)), cid, repr(float(p))])
+    series = demands.series
+    write_csv(path, {
+        "time_s": np.concatenate([np.empty(0)] + [s.times() for s in series]),
+        "consumer_edge_id": [cid for cid, s in zip(demands.consumer_ids, series)
+                             for _ in range(s.values_w.size)],
+        "power_w": np.concatenate([np.empty(0)] + [s.values_w for s in series]),
+    })

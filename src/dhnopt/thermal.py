@@ -241,9 +241,6 @@ class SystemMatrices:
             self._lu_steady = self._factorize(self._build_matrix(False), "steady")
         return self._lu_steady
 
-    def transient_matrix(self):
-        return self._build_matrix(True)
-
     def steady_matrix(self):
         return self._build_matrix(False)
 

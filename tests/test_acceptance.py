@@ -104,7 +104,7 @@ class TestCriterion2EnergyBalance:
         scenario = build()
         t = scenario.grid.times()[1:]
         u = 110.0 + 8.0 * np.sin(2 * np.pi * t / 86400.0)[None, :]
-        u = np.repeat(u, scenario.n_plants, axis=0)
+        u = np.repeat(u, scenario.system.bc.n_plants, axis=0)
         traj = simulate(scenario.graph, scenario.flow, scenario, u)
         bal = energy_balance(scenario.system, traj, scenario.deltas,
                              scenario.ambient)
@@ -122,7 +122,7 @@ class TestCriterion3GradientExactness:
     def test_adjoint_vs_central_differences(self, build):
         scenario = build()
         rng = np.random.default_rng(17)
-        n_p, n_t = scenario.n_plants, scenario.grid.n_steps
+        n_p, n_t = scenario.system.bc.n_plants, scenario.grid.n_steps
         u = 95.0 + 15.0 * rng.random((n_p, n_t))
         ev = ObjectiveEvaluator(scenario, lambda_p=100.0)
         _, grad = ev.value_and_gradient(u)

@@ -6,6 +6,7 @@ import pytest
 from dhnopt.cli import (EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK,
                         compute_quantiles, main)
 from dhnopt.fixtures import desk_network, write_desk_fixture
+from dhnopt.network import read_csv
 from dhnopt.thermal import StateTrajectory, TimeGrid
 
 
@@ -15,6 +16,15 @@ def _run(*args):
 
 def _read_lines(path):
     return path.read_text().splitlines()
+
+
+def _with(cfg_path, name, **sections):
+    """Copy of a config file with some sections replaced."""
+    data = json.loads(cfg_path.read_text())
+    data.update(sections)
+    path = cfg_path.parent / name
+    path.write_text(json.dumps(data))
+    return path
 
 
 @pytest.fixture()
@@ -69,6 +79,28 @@ class TestSimulate:
                      "stored_energy.csv", "steady_state.csv"):
             assert (base / "out_a" / name).read_bytes() == \
                 (base / "out_b" / name).read_bytes(), name
+
+    def test_horizon_s_gives_the_same_n_steps(self, small_files):
+        base = small_files.parent
+        data = json.loads(small_files.read_text())
+        scenario = dict(data["scenario"])
+        n = scenario.pop("n_steps")
+        scenario["horizon_s"] = n * scenario["dt_s"]
+        cfg = _with(small_files, "horizon.json", scenario=scenario)
+        for path, out in ((small_files, "by_steps"), (cfg, "by_horizon")):
+            assert _run("simulate", "--config", path, "--quiet",
+                        "--out-dir", base / out) == EXIT_OK
+        reports = [json.loads((base / out / "report.json").read_text())
+                   for out in ("by_steps", "by_horizon")]
+        assert reports[0]["n_steps"] == reports[1]["n_steps"] == n
+
+    def test_horizon_s_not_divided_by_dt_s_exits_2(self, small_files, capsys):
+        scenario = dict(json.loads(small_files.read_text())["scenario"])
+        n = scenario.pop("n_steps")
+        scenario["horizon_s"] = (n + 0.5) * scenario["dt_s"]
+        cfg = _with(small_files, "horizon.json", scenario=scenario)
+        assert _run("simulate", "--config", cfg, "--quiet") == EXIT_INPUT
+        assert "does not divide horizon_s" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -166,6 +198,54 @@ class TestOptimize:
         data["savings"] = 0.5
         (out / "report.json").write_text(json.dumps(data))
         assert _run("report", "--out-dir", out, "--quiet") == EXIT_NUMERICAL
+
+    def test_optimized_control_reads_back_bit_exactly(self, small_files):
+        base = small_files.parent
+        assert _run("optimize", "--config", small_files, "--quiet") == EXIT_OK
+        # the second run's baseline is the control file read back
+        cfg = _with(small_files, "again.json",
+                    control={"file": "out/optimized_control.csv"},
+                    optimizer={"max_inner_iterations": 1})
+        assert _run("optimize", "--config", cfg, "--quiet",
+                    "--out-dir", base / "again") == EXIT_OK
+        first, again = (_controls(out / "controls.csv")
+                        for out in (base / "out", base / "again"))
+        plants = [h[len("optimized_"):] for h in first
+                  if h.startswith("optimized_")]
+        assert plants
+        for plant in plants:
+            assert again[f"baseline_{plant}"].tobytes() == \
+                first[f"optimized_{plant}"].tobytes()
+
+
+def _controls(path):
+    header = _read_lines(path)[0].split(",")
+    return read_csv(path, header, header)[1]
+
+
+def test_every_written_csv_reads_back(small_files):
+    """Each CSV output reads back with its own header; non-ids are floats."""
+    base = small_files.parent
+    assert _run("simulate", "--config", small_files, "--quiet",
+                "--out-dir", base / "simulate") == EXIT_OK
+    cfg = _with(small_files, "verify.json",
+                verify={"reference_file": "simulate/steady_state.csv"})
+    assert _run("verify", "--config", cfg, "--quiet",
+                "--out-dir", base / "verify") == EXIT_OK
+    assert _run("optimize", "--config", small_files, "--quiet",
+                "--out-dir", base / "optimize") == EXIT_OK
+    written = sorted(base.glob("*/*.csv"))
+    assert {p.name for p in written} == {
+        "steady_state.csv", "summary.csv", "energy_balance.csv",
+        "stored_energy.csv", "mismatch_histogram.csv", "controls.csv",
+        "optimized_control.csv", "consumer_temps.csv", "price.csv",
+        "plant_power.csv", "quantiles_baseline.csv",
+        "quantiles_optimized.csv", "trace.csv"}
+    for path in written:
+        header = _read_lines(path)[0].split(",")
+        floats = [h for h in header if not h.endswith("_id")]
+        lines, _ = read_csv(path, header, floats)
+        assert lines, path
 
 
 class TestQuantiles:

@@ -45,7 +45,7 @@ def scenario(request):
 
 def _controls(scenario):
     lo, hi = scenario.constraints.control_bounds
-    return arrays(np.float64, (scenario.n_plants, scenario.grid.n_steps),
+    return arrays(np.float64, (scenario.system.bc.n_plants, scenario.grid.n_steps),
                   elements=st.floats(lo, hi))
 
 
@@ -183,7 +183,7 @@ def two_plant(request):
 
 class TestTwoPlants:
     def test_outputs_equal_sweep(self, two_plant):
-        assert two_plant.n_plants == 2
+        assert two_plant.system.bc.n_plants == 2
         rng = np.random.default_rng(5)
         u = rng.uniform(80.0, 110.0, (2, 48))
         y = two_plant.condensed.apply(u).values_c
@@ -232,7 +232,7 @@ def folded(request):
     scenario = _FOLDED[request.param]()
     lo, hi = scenario.constraints.control_bounds
     rng = np.random.default_rng(11)
-    u = rng.uniform(lo, hi, (scenario.n_plants, scenario.grid.n_steps))
+    u = rng.uniform(lo, hi, (scenario.system.bc.n_plants, scenario.grid.n_steps))
     return scenario, u, scenario.condensed.apply(u)
 
 

@@ -1,16 +1,18 @@
-"""The CSV reader contract, checked through the public readers.
+"""The CSV reader and writer contract, checked through the public readers.
 
 Every CSV input rejects a bad header, field count or number by
 file:line: each case corrupts one file of a valid dynamic-price desk
 input set and runs the CLI command that reads it, and the run must exit
 with the input error code and name the file and line in its message.
 The first faulty record in file order is the one reported; fields may
-be quoted and are stripped; demand rows may come in any order.
+be quoted and are stripped; demand rows may come in any order. What
+``write_csv`` writes, ``read_csv`` reads back bit-exactly.
 """
 
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 from dhnopt.cli import EXIT_INPUT, EXIT_OK, main
 from dhnopt.errors import ParseError, ValidationError
 from dhnopt.fixtures import desk_network, write_desk_fixture
-from dhnopt.network import csv_writer, parse_network, write_network
+from dhnopt.network import parse_network, read_csv, write_csv, write_network
 from dhnopt.scenario import (DemandSet, LoadSeries, read_demand_set,
                              read_load_series, write_demand_set)
 
@@ -200,6 +202,29 @@ def test_non_finite_load_time_is_rejected(tmp_path, bad):
         read_load_series(path)
 
 
+@pytest.mark.parametrize("column, bad", [(0, "nan"), (1, "nan"),
+                                         (0, "-inf"), (1, "inf")])
+def test_non_finite_price_names_file_and_line(inputs, column, bad, capsys):
+    path = inputs.parent / "prices.csv"
+    lines = path.read_text().splitlines()
+    row = lines[2].split(",")
+    row[column] = bad
+    lines[2] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    assert _run("simulate", inputs) == EXIT_INPUT
+    name = ("time_s", "price_eur_mwh")[column]
+    assert f"prices.csv:3: {name} is not finite" in capsys.readouterr().err
+
+
+def test_repeated_price_knot_names_file(inputs, capsys):
+    path = inputs.parent / "prices.csv"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:3] + lines[2:]) + "\n")
+    assert _run("simulate", inputs) == EXIT_INPUT
+    assert "prices.csv: price knots must be strictly increasing" in \
+        capsys.readouterr().err
+
+
 @pytest.mark.parametrize("cid", ["\r", "a\rb", "\r\n", "c\r,d"])
 def test_carriage_return_in_id_round_trips(tmp_path, cid):
     values = np.linspace(1.0, 2.0, 8)
@@ -210,15 +235,69 @@ def test_carriage_return_in_id_round_trips(tmp_path, cid):
     assert back.series[0].values_w.tobytes() == values.tobytes()
 
 
+_NO_CR = st.text(st.characters(blacklist_categories=("Cs",),
+                               blacklist_characters="\x00\r"), max_size=5)
+
+
 @settings(max_examples=200, deadline=None)
-@given(rows=st.lists(st.lists(st.text(st.characters(
-    blacklist_categories=("Cs",), blacklist_characters="\x00\r"),
-    max_size=5), min_size=1, max_size=4), max_size=4))
-def test_writer_bytes_without_carriage_return_unchanged(rows):
-    ours, plain = io.StringIO(), io.StringIO()
-    csv_writer(ours).writerows(rows)
-    csv.writer(plain, lineterminator="\n").writerows(rows)
-    assert ours.getvalue() == plain.getvalue()
+@given(header=st.lists(_NO_CR, min_size=1, max_size=4, unique=True),
+       data=st.data())
+def test_writer_bytes_without_carriage_return_unchanged(tmp_path_factory,
+                                                        header, data):
+    # a column mapping holds a rectangular table with distinct names
+    rows = data.draw(st.lists(st.lists(_NO_CR, min_size=len(header),
+                                       max_size=len(header)), max_size=4))
+    path = tmp_path_factory.mktemp("plain") / "table.csv"
+    write_csv(path, {name: [row[j] for row in rows]
+                     for j, name in enumerate(header)})
+    plain = io.StringIO()
+    csv.writer(plain, lineterminator="\n").writerows([header] + rows)
+    assert path.read_bytes() == plain.getvalue().encode("utf-8")
+
+
+def test_writer_formats_each_column_kind(tmp_path):
+    path = tmp_path / "table.csv"
+    write_csv(path, {"id": ["a", "b,c"], "n": np.array([3, -4]),
+                     "x": np.array([math.nan, 0.1]),
+                     "y": np.array([math.nan, -0.0])}, blank_nan=("x",))
+    assert path.read_text() == 'id,n,x,y\na,3,,nan\n"b,c",-4,0.1,-0.0\n'
+
+
+#: Stripped strings, since the reader strips; the csv specials come often.
+_STRIPPED = st.text(st.one_of(
+    st.sampled_from(',"\r\n '),
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00")),
+    max_size=6).map(str.strip)
+_FLOATS = st.one_of(st.sampled_from([-0.0, math.inf, -math.inf, 5e-324,
+                                     2.2250738585072e-308, math.nan]),
+                    st.floats())
+
+
+@settings(max_examples=150, deadline=None)
+@given(names=st.lists(_STRIPPED, min_size=1, max_size=4, unique=True),
+       data=st.data())
+def test_written_columns_read_back_bit_exactly(tmp_path_factory, names, data):
+    n = data.draw(st.integers(0, 6))
+    kinds = data.draw(st.lists(st.sampled_from(["str", "float", "blank_nan"]),
+                               min_size=len(names), max_size=len(names)))
+    columns = {}
+    for name, kind in zip(names, kinds):
+        values = data.draw(st.lists(_STRIPPED if kind == "str" else _FLOATS,
+                                    min_size=n, max_size=n))
+        columns[name] = values if kind == "str" else np.array(values)
+    floats = [name for name, kind in zip(names, kinds) if kind != "str"]
+    blank = [name for name, kind in zip(names, kinds) if kind == "blank_nan"]
+    path = tmp_path_factory.mktemp("table") / "table.csv"
+    write_csv(path, columns, blank_nan=blank)
+    lines, back = read_csv(path, names, floats, blank_nan=blank)
+    assert lines == list(range(2, n + 2))
+    for name in names:
+        if name in floats:
+            # every NaN reads back as the one NaN that float("nan") gives
+            want = np.where(np.isnan(columns[name]), math.nan, columns[name])
+            assert back[name].tobytes() == want.tobytes(), name
+        else:
+            assert back[name] == columns[name], name
 
 
 def test_blank_coordinates_read_as_nan(tmp_path):
@@ -264,9 +343,7 @@ def test_shuffled_rows_read_back_grouped(tmp_path_factory, ids, data):
                  for k, p in enumerate(powers)]
     rows = data.draw(st.permutations(rows))
     path = tmp_path_factory.mktemp("demands") / "demands.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv_writer(fh).writerows(
-            [_DEMAND_HEADER.strip().split(",")] + rows)
+    write_csv(path, dict(zip(_DEMAND_HEADER.strip().split(","), zip(*rows))))
 
     expected = _oracle_demands(path)
     demands = read_demand_set(path)

@@ -160,7 +160,7 @@ class TestBuildScenario:
         assert scenario.deltas.shape == (10, 289)
         assert scenario.demands_w.shape == (10, 289)
         assert scenario.price.static
-        assert scenario.n_plants == 1
+        assert scenario.system.bc.n_plants == 1
 
     def test_dynamic_scenario_prices_recovery_at_zero(self):
         scenario = desk_scenario(static=False, beta=0.0)

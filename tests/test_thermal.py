@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import make_loop_scenario
 from dhnopt.errors import SolverError, ValidationError
@@ -230,7 +231,8 @@ class TestDenseOracle:
 
         _, y1 = _from_steady(system, 100.0, 90.0, deltas, 10.0)
         bt = system.rhs_steady([90.0], deltas, 10.0) + system.B_diag * y_sparse
-        y1_dense = np.linalg.solve(system.transient_matrix().toarray(), bt)
+        transient = system.steady_matrix() + sp.diags(system.B_diag)
+        y1_dense = np.linalg.solve(transient.toarray(), bt)
         assert np.max(np.abs(y1 - y1_dense)) < 1e-8
 
 
