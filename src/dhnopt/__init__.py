@@ -4,9 +4,12 @@ The package simulates thermal transport on a supply/return pipe graph
 with fixed mass flows (sparse backward Euler, first-order upwinding)
 and optimizes the plant supply-temperature trajectories against static
 or time-varying energy prices under consumer temperature constraints,
-using quadratic-penalty continuation and projected L-BFGS. Objective
-values and exact gradients run on a condensed control-to-output map
-(free plus impulse response, FFT convolution) built once per scenario.
+using quadratic-penalty continuation around scipy's L-BFGS-B
+(``OptimizerConfig``: ``memory`` curvature pairs, ``max_inner_iterations``
+per round, converged once the projected gradient is within
+``gradient_tolerance * (1 + |f|)``). Objective values and exact
+gradients run on a condensed control-to-output map (free plus impulse
+response, FFT convolution) built once per scenario.
 """
 
 from .errors import DhnError, ParseError, SolverError, ValidationError

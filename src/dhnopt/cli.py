@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -30,9 +31,9 @@ from .objective import (J_PER_MWH, ConstraintSet, constraint_violations,
 from .optimizer import OptimizerConfig, optimize
 from .scenario import (DEFAULT_CUTOFF_HZ, DEFAULT_NOISE_BAND_HZ,
                        DEFAULT_TIKHONOV_WEIGHT, DemandSet, build_scenario,
-                       lowpass, read_demand_set, read_load_series,
-                       read_price_series, synthesize_variations,
-                       write_demand_set)
+                       _check_finite, lowpass, read_demand_set,
+                       read_load_series, read_price_series,
+                       synthesize_variations, write_demand_set)
 from .thermal import (PhysicalConstants, TimeGrid, energy_balance,
                       plant_injection_w, simulate_system, solve_steady,
                       stored_energy)
@@ -111,6 +112,29 @@ def _merge(defaults, given):
     return out
 
 
+def _number(value, name, kind=float):
+    """A config value as a finite ``kind`` (``float`` or ``int``).
+
+    A string, ``null``, boolean, NaN or infinity, or a fraction where an
+    integer is expected, is a ``ValidationError`` naming the key.
+    """
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)
+            or (kind is int and value != int(value))):
+        what = "an integer" if kind is int else "a finite number"
+        raise ValidationError(f"config {name!r} must be {what}, got {value!r}")
+    return kind(value)
+
+
+def _numbers(values, name, size=None):
+    """A config list of finite numbers (of ``size`` entries if given)."""
+    if not isinstance(values, list) or size not in (None, len(values)):
+        what = "a list of" if size is None else f"a list of {size}"
+        raise ValidationError(
+            f"config {name!r} must be {what} numbers, got {values!r}")
+    return [_number(v, name) for v in values]
+
+
 class RunConfig:
     """Parsed config file plus flag overrides."""
 
@@ -118,7 +142,7 @@ class RunConfig:
         self.data = data
         self.base_dir = Path(base_dir)
         self.out_dir = Path(out_dir)
-        self.seed = int(seed)
+        self.seed = seed
         self.quiet = quiet
 
     @classmethod
@@ -132,7 +156,8 @@ class RunConfig:
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{path}: invalid JSON: {exc}") from None
         data = _merge(_DEFAULTS, raw)
-        seed = args.seed if args.seed is not None else data["seed"]
+        seed = (args.seed if args.seed is not None
+                else _number(data["seed"], "seed", int))
         base = path.parent
         # a flag resolves against the working directory, the config
         # value against the config file's own directory
@@ -172,18 +197,20 @@ def _load_network(cfg):
                            for key in ("nodes", "edges", "flows"))
     graph = parse_network(nodes, edges)
     flow = load_flow_field(flows, graph)
-    max_cell = cfg.data["scenario"]["max_cell_length_m"]
+    max_cell = _number(cfg.data["scenario"]["max_cell_length_m"],
+                       "scenario.max_cell_length_m")
     return subdivide_pipes(graph, flow, max_cell)
 
 
 def _time_grid(cfg):
     sc = cfg.data["scenario"]
-    dt = float(sc["dt_s"])
+    dt = _number(sc["dt_s"], "scenario.dt_s")
     if sc["n_steps"] is not None:
-        return TimeGrid(dt_s=dt, n_steps=int(sc["n_steps"]))
+        return TimeGrid(dt_s=dt,
+                        n_steps=_number(sc["n_steps"], "scenario.n_steps", int))
     if sc["horizon_s"] is None:
         raise ValidationError("config needs scenario.n_steps or scenario.horizon_s")
-    horizon = float(sc["horizon_s"])
+    horizon = _number(sc["horizon_s"], "scenario.horizon_s")
     n = horizon / dt
     if abs(n - round(n)) > 1e-9:
         raise ValidationError(
@@ -207,17 +234,23 @@ def _scenario(cfg):
         if price_path is None:
             raise ValidationError("dynamic pricing needs a price_file")
         prices = read_price_series(price_path)
-    constants = PhysicalConstants(
-        cp_j_per_kg_c=float(sc["cp_j_per_kg_c"]),
-        rho_kg_m3=float(sc["rho_kg_m3"]),
-        ambient_c=sc["ambient_c"],
-    )
+    num = {k: _number(sc[k], f"scenario.{k}")
+           for k in ("cp_j_per_kg_c", "rho_kg_m3", "alpha", "beta",
+                     "tikhonov_weight", "initial_control_c")}
+    ambient = sc["ambient_c"]  # a scalar or a per-step series
+    ambient = (np.array(_numbers(ambient, "scenario.ambient_c"))
+               if isinstance(ambient, list)
+               else _number(ambient, "scenario.ambient_c"))
+    constants = PhysicalConstants(cp_j_per_kg_c=num["cp_j_per_kg_c"],
+                                  rho_kg_m3=num["rho_kg_m3"], ambient_c=ambient)
+    constraints = ConstraintSet(**{
+        k: _number(v, f"scenario.constraints.{k}")
+        for k, v in sc["constraints"].items()})
     return build_scenario(
-        graph, flow, demands, prices, ConstraintSet(**sc["constraints"]),
-        grid, constants,
-        alpha=float(sc["alpha"]), beta=float(sc["beta"]),
-        tikhonov_weight=float(sc["tikhonov_weight"]),
-        initial_control_c=float(sc["initial_control_c"]),
+        graph, flow, demands, prices, constraints, grid, constants,
+        alpha=num["alpha"], beta=num["beta"],
+        tikhonov_weight=num["tikhonov_weight"],
+        initial_control_c=num["initial_control_c"],
         seed=cfg.seed,
     )
 
@@ -233,7 +266,8 @@ def _control(cfg, scenario):
     const = ctl.get("constant_c")
     if const is None:
         const = cfg.data["scenario"]["initial_control_c"]
-    return np.full((bc.n_plants, grid.n_steps), float(const))
+    return np.full((bc.n_plants, grid.n_steps),
+                   _number(const, "control.constant_c"))
 
 
 _CONTROL_HEADER = ["time_s", "plant_edge_id", "supply_temp_c"]
@@ -246,6 +280,7 @@ def _read_control_file(path, graph, grid):
     plant_ids = [graph.edge_ids[e] for e in graph.boundary.producer_edges]
     by_id = {pid: {} for pid in plant_ids}
     lines, cols = read_csv(path, _CONTROL_HEADER, ("time_s", "supply_temp_c"))
+    _check_finite(path, lines, cols, ("time_s", "supply_temp_c"))
     for lineno, t, pid, temp in zip(lines, cols["time_s"].tolist(),
                                     cols["plant_edge_id"],
                                     cols["supply_temp_c"].tolist()):
@@ -377,12 +412,17 @@ def cmd_simulate(cfg):
 
 def cmd_optimize(cfg):
     """Optimize the plant controls and report baseline vs optimized."""
+    opt_cfg = OptimizerConfig(**{
+        k: _number(v, f"optimizer.{k}",
+                   int if k in ("memory", "max_inner_iterations") else float)
+        for k, v in cfg.data["optimizer"].items()})
+    levels = tuple(_numbers(cfg.data["quantile_levels"], "quantile_levels"))
+    if not all(0 <= q <= 100 for q in levels):
+        raise ValidationError(
+            f"config 'quantile_levels' must lie in [0, 100], got {list(levels)}")
     scenario = _scenario(cfg)
     graph, flow = scenario.graph, scenario.flow
     u0 = _control(cfg, scenario)
-    opt_cfg = OptimizerConfig(**{k: (int(v) if k in ("memory", "max_inner_iterations")
-                                     else float(v))
-                                 for k, v in cfg.data["optimizer"].items()})
     system = scenario.system
     bc = system.bc
 
@@ -403,7 +443,6 @@ def cmd_optimize(cfg):
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     plant_ids = [graph.edge_ids[e] for e in bc.producer_edges]
-    levels = tuple(cfg.data["quantile_levels"])
 
     # run-major files fill in the loop; quantity-major ones read ``runs``
     controls, temps, runs = {"time_s": times}, {"time_s": times}, {}
@@ -504,7 +543,7 @@ def cmd_verify(cfg):
     dense_mismatch = float(np.max(np.abs(y - dense)))
 
     ver = cfg.data["verify"]
-    tol = float(ver["dense_tolerance_c"])
+    tol = _number(ver["dense_tolerance_c"], "verify.dense_tolerance_c")
     report = {
         "command": "verify",
         "n_nodes": graph.n_nodes,
@@ -530,7 +569,8 @@ def cmd_verify(cfg):
         report["reference_mean_abs_mismatch_c"] = mean_abs
         report["reference_max_abs_mismatch_c"] = float(np.max(np.abs(mismatch)))
         threshold = ver["mean_mismatch_threshold_c"]
-        if threshold is not None and mean_abs > float(threshold):
+        if threshold is not None and mean_abs > _number(
+                threshold, "verify.mean_mismatch_threshold_c"):
             report["reference_ok"] = False
             failed = True
         else:
@@ -561,15 +601,19 @@ def cmd_synth_demand(cfg):
     graph, _ = _load_network(cfg)
     base = read_load_series(cfg.path("base_load_file"))
     syn = cfg.data["synthesis"]
-    smooth = lowpass(base, float(syn["cutoff_hz"]), order=int(syn["order"]))
+    smooth = lowpass(base, _number(syn["cutoff_hz"], "synthesis.cutoff_hz"),
+                     order=_number(syn["order"], "synthesis.order", int))
     consumer_ids = [graph.edge_ids[e] for e in graph.consumer_edges]
     n = len(consumer_ids)
     mean_target = syn["mean_w_per_consumer"]
-    targets = (np.full(n, float(mean_target)) if mean_target is not None
+    targets = (np.full(n, _number(mean_target, "synthesis.mean_w_per_consumer"))
+               if mean_target is not None
                else np.full(n, smooth.mean() / n))
     series = synthesize_variations(
-        smooth, n, band_hz=tuple(float(b) for b in syn["band_hz"]),
-        sigma=float(syn["sigma"]), seed=cfg.seed, target_means=targets,
+        smooth, n,
+        band_hz=tuple(_numbers(syn["band_hz"], "synthesis.band_hz", 2)),
+        sigma=_number(syn["sigma"], "synthesis.sigma"), seed=cfg.seed,
+        target_means=targets,
         keys=consumer_ids)
     demands = DemandSet(consumer_ids=tuple(consumer_ids), series=tuple(series))
 

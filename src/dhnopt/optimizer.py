@@ -1,4 +1,4 @@
-"""Penalized objective on the condensed control map, and projected L-BFGS.
+"""Penalized objective on the condensed control map, and L-BFGS-B.
 
 For fixed flows and step size the temperatures the objective reads
 (plant supply and return, consumer supply and return) are affine in
@@ -14,11 +14,13 @@ drop, so those outputs need no transform. The per-step sweep
 :func:`~dhnopt.thermal.simulate_system` remains the oracle for these
 outputs and the full-state path of the CLI.
 
-Minimization is a gradient-projection flavoured L-BFGS: trial points
-are clamped into the control box, and the curvature memory is reset
-whenever the active bound set changes. State constraints are enforced
-by quadratic-penalty continuation with a geometrically increasing
-weight.
+Minimization within the plant temperature box is scipy's L-BFGS-B
+(Byrd, Lu, Nocedal & Zhu 1995), one value-and-gradient call per trial
+point. ``OptimizerConfig.memory`` is its number of curvature pairs,
+``max_inner_iterations`` its iteration cap, and ``gradient_tolerance``
+the relative projected-gradient test a round must pass to count as
+converged. State constraints are enforced by quadratic-penalty
+continuation with a geometrically increasing weight.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import Bounds, minimize
 
 from .errors import SolverError, ValidationError
 from .objective import (constraint_violations, injection_cost_rates,
@@ -35,17 +38,23 @@ from .objective import (constraint_violations, injection_cost_rates,
 # not called here; perfbench's tracer wraps it under every module name
 from .thermal import simulate_system  # noqa: F401
 
-_ARMIJO_C1 = 1e-4
-_MAX_BACKTRACKS = 40
-_CURVATURE_EPS = 1e-10
-_BOUND_ATOL = 1e-12
-_STALL_WINDOW = 15
-_STALL_RTOL = 1e-10
+# scipy's defaults (20 trials, 2.2e-9) end the penalty rounds early: a
+# 1-D hinge at weight 1e6 needs more than 20 trials, and the looser
+# decrease test stops rounds before the violations fall monotonically
+_MAXLS = 40
+_FTOL = 1e-10
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Inner L-BFGS and outer continuation settings."""
+    """Inner L-BFGS-B and outer continuation settings.
+
+    ``memory`` is the number of curvature pairs L-BFGS-B keeps and
+    ``max_inner_iterations`` its iteration cap per round. A round
+    converges once the projected-gradient infinity norm
+    ``|clip(u - g, lo, hi) - u|`` is at most
+    ``gradient_tolerance * (1 + |f|)``.
+    """
 
     memory: int = 10
     max_inner_iterations: int = 200
@@ -70,9 +79,9 @@ class ObjectiveEvaluator:
     Both run on the scenario's condensed map (see the module docstring),
     built on the first request: a value is one FFT convolution, a
     gradient one FFT correlation with the impulse response. The outputs
-    are cached keyed on the control bytes, so a line search evaluating
-    the value at a trial point pays nothing again when the gradient is
-    requested at the accepted point.
+    are cached keyed on the control bytes, so reading the parts of a
+    round's result, last evaluated by its line search, pays nothing
+    again.
     """
 
     def __init__(self, scenario, lambda_p):
@@ -163,7 +172,7 @@ class ObjectiveEvaluator:
 
 
 # ---------------------------------------------------------------------------
-# projected L-BFGS
+# L-BFGS-B
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -177,40 +186,17 @@ class LbfgsResult:
     trace: list = field(default_factory=list)
 
 
-def _projected_gradient(x, g, lo, hi):
-    """Gradient with components pushing against an active bound zeroed.
+def _pg_norm(x, g, lo, hi):
+    """Infinity norm of the projected-gradient step ``clip(x - g) - x``.
 
-    At the lower bound only a negative component can still decrease the
-    objective, at the upper bound only a positive one; everywhere else
-    the plain gradient applies. The infinity norm of this vector is the
-    box-constrained stationarity measure.
+    Zero exactly at a box-constrained stationary point: a component
+    pushing against an active bound is cut off by the clip.
     """
-    pg = g.copy()
-    at_lo = x <= lo + _BOUND_ATOL
-    at_hi = x >= hi - _BOUND_ATOL
-    pg[at_lo] = np.minimum(g[at_lo], 0.0)
-    pg[at_hi] = np.maximum(g[at_hi], 0.0)
-    return pg
+    return float(np.max(np.abs(np.clip(x - g, lo, hi) - x)))
 
 
-def _two_loop(g, s_list, y_list):
-    q = g.copy()
-    alphas = []
-    rhos = [1.0 / float(np.vdot(y, s)) for s, y in zip(s_list, y_list)]
-    for s, y, rho in zip(reversed(s_list), reversed(y_list), reversed(rhos)):
-        a = rho * float(np.vdot(s, q))
-        alphas.append(a)
-        q -= a * y
-    s, y = s_list[-1], y_list[-1]
-    q *= float(np.vdot(s, y) / np.vdot(y, y))
-    for (s, y, rho), a in zip(zip(s_list, y_list, rhos), reversed(alphas)):
-        b = rho * float(np.vdot(y, q))
-        q += (a - b) * s
-    return q
-
-
-def lbfgs_minimize(fg, u0, bounds, config=None, f_only=None):
-    """Minimize within a box via limited-memory BFGS with projection.
+def lbfgs_minimize(fg, u0, bounds, config=None):
+    """Minimize within a box with L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995).
 
     Parameters
     ----------
@@ -221,99 +207,57 @@ def lbfgs_minimize(fg, u0, bounds, config=None, f_only=None):
     bounds : tuple
         ``(lo, hi)`` scalars or arrays broadcastable to the control.
     config : OptimizerConfig
-    f_only : callable, optional
-        Cheaper value-only evaluation used for line-search trials;
-        defaults to ``fg(u)[0]``.
+        ``memory`` is the number of curvature pairs kept (``maxcor``),
+        ``max_inner_iterations`` the iteration cap (``maxiter``).
 
-    Trial points are clamped into the box; sufficient decrease is
-    measured against the projected step, and the curvature memory is
-    dropped whenever the set of active bounds changes. A failed line
-    search returns the best iterate with a flag instead of raising.
-
-    Converged means the projected-gradient infinity norm (components
-    pushing against an active bound zeroed) fell below
-    ``tolerance * (1 + |f|)``.
+    One call to scipy's L-BFGS-B. Converged means the projected-gradient
+    infinity norm ``|clip(u - g, lo, hi) - u|`` fell to
+    ``gradient_tolerance * (1 + |f|)`` at an accepted iterate; the run
+    also stops on the iteration cap, on a relative decrease of ``f``
+    below ``1e-10`` in one iteration (a stall), or on a failed line
+    search, which returns the last accepted iterate with a flag instead
+    of raising. ``trace`` holds one ``{"iteration", "f", "pg_norm"}``
+    record per iteration.
     """
     if config is None:
         config = OptimizerConfig()
-    if f_only is None:
-        f_only = lambda u: fg(u)[0]
-    lo, hi = bounds
-
-    x = project_control(np.asarray(u0, dtype=float), bounds)
-    f, g = fg(x)
-    s_mem, y_mem = [], []
+    x0 = project_control(np.asarray(u0, dtype=float), bounds)
+    shape = x0.shape
+    lo, hi = (np.broadcast_to(b, shape).ravel() for b in bounds)
+    tol = config.gradient_tolerance
+    latest = {}
+    accepted = {}
     trace = []
-    converged = False
-    ls_failed = False
-    active = (x <= lo + _BOUND_ATOL) | (x >= hi - _BOUND_ATOL)
-    it = 0
-    window_f = f
 
-    for it in range(1, config.max_inner_iterations + 1):
-        pg = _projected_gradient(x, g, lo, hi)
-        pg_norm = float(np.max(np.abs(pg)))
-        trace.append({"iteration": it - 1, "f": f, "pg_norm": pg_norm})
-        if pg_norm <= config.gradient_tolerance * (1.0 + abs(f)):
-            converged = True
-            break
+    def fun(x):
+        f, g = fg(x.reshape(shape))
+        f, latest["g"] = float(f), np.ravel(g)
+        accepted.setdefault("f", f)  # the start point
+        return f, latest["g"]
 
-        if s_mem:
-            d = -_two_loop(g, s_mem, y_mem)
-            alpha0 = 1.0
-            if float(np.vdot(d, g)) >= 0.0:
-                s_mem.clear()
-                y_mem.clear()
-                d = -g
-                alpha0 = 1.0 / pg_norm  # first trial moves about 1 °C
-        else:
-            d = -g
-            alpha0 = 1.0 / pg_norm
+    def callback(intermediate_result):
+        # called at each accepted iterate, right after the line search
+        # evaluated it, so ``latest`` holds its gradient
+        x, f = intermediate_result.x, float(intermediate_result.fun)
+        accepted["f"] = f
+        pg = _pg_norm(x, latest["g"], lo, hi)
+        trace.append({"iteration": len(trace) + 1, "f": f, "pg_norm": pg})
+        if pg <= tol * (1.0 + abs(f)):
+            raise StopIteration
 
-        alpha = alpha0
-        accepted = False
-        for _ in range(_MAX_BACKTRACKS):
-            xt = project_control(x + alpha * d, bounds)
-            step = xt - x
-            if not np.any(step):
-                break
-            ft = f_only(xt)
-            slope = min(0.0, float(np.vdot(g, step)))
-            if ft <= f + _ARMIJO_C1 * slope:
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
-            ls_failed = True
-            break
-
-        f_new, g_new = fg(xt)
-        s_vec = xt - x
-        y_vec = g_new - g
-        active_new = (xt <= lo + _BOUND_ATOL) | (xt >= hi - _BOUND_ATOL)
-        if np.any(active_new != active):
-            s_mem.clear()
-            y_mem.clear()
-        else:
-            sy = float(np.vdot(s_vec, y_vec))
-            if sy > _CURVATURE_EPS * float(np.linalg.norm(s_vec)
-                                           * np.linalg.norm(y_vec)):
-                s_mem.append(s_vec)
-                y_mem.append(y_vec)
-                if len(s_mem) > config.memory:
-                    s_mem.pop(0)
-                    y_mem.pop(0)
-        x, f, g, active = xt, f_new, g_new, active_new
-
-        # near the hinge walls the objective flattens below float
-        # resolution; stop once a whole window makes no progress
-        if it % _STALL_WINDOW == 0:
-            if window_f - f <= _STALL_RTOL * (1.0 + abs(f)):
-                break
-            window_f = f
-
-    return LbfgsResult(u=x, f=f, g=g, iterations=it, converged=converged,
-                       line_search_failed=ls_failed, trace=trace)
+    res = minimize(fun, x0.ravel(), jac=True, method="L-BFGS-B",
+                   bounds=Bounds(lo, hi), callback=callback,
+                   options={"maxcor": config.memory,
+                            "maxiter": config.max_inner_iterations,
+                            "gtol": 0.0, "ftol": _FTOL, "maxls": _MAXLS})
+    # a failed line search restores x and g but not f, so the value is
+    # the one recorded at the last accepted iterate
+    f = accepted["f"]
+    return LbfgsResult(
+        u=res.x.reshape(shape), f=f, g=res.jac.reshape(shape),
+        iterations=res.nit,
+        converged=_pg_norm(res.x, res.jac, lo, hi) <= tol * (1.0 + abs(f)),
+        line_search_failed=res.status == 2, trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +290,7 @@ class OptimizationReport:
 
 
 def optimize(scenario, u0=None, config=None):
-    """Penalty-continuation loop around the projected L-BFGS.
+    """Penalty-continuation loop around L-BFGS-B.
 
     Each round minimizes the objective at the current penalty weight,
     warm-starts the next round from its result, and multiplies the
@@ -376,8 +320,7 @@ def optimize(scenario, u0=None, config=None):
     prev = None
     while True:
         ev = ObjectiveEvaluator(scenario, lam)
-        res = lbfgs_minimize(ev.value_and_gradient, u, bounds, config,
-                             f_only=ev.value)
+        res = lbfgs_minimize(ev.value_and_gradient, u, bounds, config)
         parts = ev.parts(res.u)
         viol = max_violation(parts["violations"])
         rounds.append(RoundStats(

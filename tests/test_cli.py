@@ -103,6 +103,38 @@ class TestSimulate:
         assert "does not divide horizon_s" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, section, values, key", [
+    ("simulate", "scenario", {"dt_s": "abc"}, "scenario.dt_s"),
+    ("simulate", "scenario", {"alpha": None}, "scenario.alpha"),
+    ("simulate", "scenario", {"n_steps": 2.5}, "scenario.n_steps"),
+    ("simulate", "scenario", {"ambient_c": [10.0, "cold"]}, "scenario.ambient_c"),
+    ("simulate", None, {"seed": True}, "seed"),
+    ("optimize", "optimizer", {"memory": "ten"}, "optimizer.memory"),
+    ("optimize", "optimizer", {"penalty_stop": float("inf")},
+     "optimizer.penalty_stop"),
+    ("optimize", None, {"quantile_levels": [1, 150]}, "quantile_levels"),
+    ("optimize", None, {"quantile_levels": [1, "median"]}, "quantile_levels"),
+    ("synth-demand", "synthesis", {"order": 4.5}, "synthesis.order"),
+    ("synth-demand", "synthesis", {"band_hz": 5e-5}, "synthesis.band_hz"),
+    ("synth-demand", "synthesis", {"band_hz": [5e-5]}, "synthesis.band_hz"),
+])
+def test_config_value_of_the_wrong_type_exits_2(small_files, monkeypatch,
+                                                capsys, command, section,
+                                                values, key):
+    data = json.loads(small_files.read_text())
+    if section is None:
+        data.update(values)
+    else:
+        data[section] = {**data.get(section, {}), **values}
+    small_files.write_text(json.dumps(data))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("optimize ran on an invalid config")
+    monkeypatch.setattr("dhnopt.cli.optimize", no_solve)
+    assert _run(command, "--config", small_files, "--quiet") == EXIT_INPUT
+    assert f"'{key}'" in capsys.readouterr().err
+
+
 class TestVerify:
     def test_dense_oracle_and_identity_reference(self, desk_files):
         assert _run("simulate", "--config", desk_files, "--quiet") == EXIT_OK

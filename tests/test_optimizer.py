@@ -124,16 +124,87 @@ class TestLbfgs:
         assert not res.converged
         np.testing.assert_array_equal(res.u, np.zeros(3))
 
+    def test_line_search_failure_keeps_the_accepted_value(self):
+        def fg(u):
+            # the value rises along the phantom slope, so every trial
+            # point is rejected and differs from the start's value
+            return float(np.sum(u)), -np.ones_like(u)
+
+        res = lbfgs_minimize(fg, np.zeros(3), (-np.inf, np.inf))
+        assert res.line_search_failed
+        np.testing.assert_array_equal(res.u, np.zeros(3))
+        assert res.f == fg(res.u)[0]
+
     def test_objective_non_increasing_over_accepted_iterates(self):
         scenario = make_loop_scenario(n_steps=48, swing=0.3)
         ev = ObjectiveEvaluator(scenario, 100.0)
         res = lbfgs_minimize(ev.value_and_gradient,
                              np.full((1, 48), 110.0),
                              scenario.constraints.control_bounds,
-                             OptimizerConfig(max_inner_iterations=60),
-                             f_only=ev.value)
+                             OptimizerConfig(max_inner_iterations=60))
         fs = [t["f"] for t in res.trace]
         assert all(b <= a + 1e-12 for a, b in zip(fs, fs[1:]))
+
+    @staticmethod
+    def _outcomes(res, config):
+        capped = (not res.converged and not res.line_search_failed
+                  and res.iterations == config.max_inner_iterations)
+        return [res.converged, res.line_search_failed, capped]
+
+    def test_stop_outcomes_are_exclusive(self):
+        c = np.array([1.0, -2.0, 3.5])
+
+        def bowl(u):
+            d = u - c
+            return float(d @ d), 2.0 * d
+
+        def flat_slope(u):
+            return 0.0, np.ones_like(u)
+
+        def rosenbrock(u):
+            a, b = u
+            f = (1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2
+            g = np.array([-2.0 * (1.0 - a) - 400.0 * a * (b - a * a),
+                          200.0 * (b - a * a)])
+            return f, g
+
+        capped = OptimizerConfig(max_inner_iterations=3)
+        cases = [(bowl, np.zeros(3), OptimizerConfig(), 0),
+                 (flat_slope, np.zeros(3), OptimizerConfig(), 1),
+                 (rosenbrock, np.array([-1.2, 1.0]), capped, 2)]
+        for fg, u0, config, expected in cases:
+            res = lbfgs_minimize(fg, u0, (-np.inf, np.inf), config)
+            outcomes = self._outcomes(res, config)
+            assert sum(outcomes) == 1
+            assert outcomes[expected]
+
+    def test_trace_has_one_record_per_iteration(self):
+        scenario = make_loop_scenario(n_steps=24, swing=0.3)
+        ev = ObjectiveEvaluator(scenario, 100.0)
+        config = OptimizerConfig(max_inner_iterations=25)
+        res = lbfgs_minimize(ev.value_and_gradient, np.full((1, 24), 110.0),
+                             scenario.constraints.control_bounds, config)
+        assert len(res.trace) == res.iterations > 0
+        assert [t["iteration"] for t in res.trace] == \
+            list(range(1, res.iterations + 1))
+        assert res.trace[-1]["f"] == res.f
+
+    def test_converged_result_meets_the_gradient_test(self):
+        c = np.array([1.0, -2.0, 3.5, 0.0, 7.0])
+
+        def fg(u):
+            d = u - c
+            return float(d @ d), 2.0 * d
+
+        config = OptimizerConfig(gradient_tolerance=1e-6)
+        for bounds in ((-np.inf, np.inf), (0.0, 5.0)):
+            res = lbfgs_minimize(fg, np.full(5, 2.0), bounds, config)
+            assert res.converged
+            tol = config.gradient_tolerance * (1.0 + abs(res.f))
+            assert res.trace[-1]["pg_norm"] <= tol
+            lo, hi = bounds
+            step = np.clip(res.u - res.g, lo, hi) - res.u
+            assert np.max(np.abs(step)) <= tol
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):

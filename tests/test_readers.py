@@ -216,6 +216,19 @@ def test_non_finite_price_names_file_and_line(inputs, column, bad, capsys):
     assert f"prices.csv:3: {name} is not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("column, bad", [(2, "nan"), (2, "inf"), (0, "nan")])
+def test_non_finite_control_names_file_and_line(inputs, column, bad, capsys):
+    path = inputs.parent / "control.csv"
+    lines = path.read_text().splitlines()
+    row = lines[5].split(",")
+    row[column] = bad
+    lines[5] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    assert _run("simulate", inputs) == EXIT_INPUT
+    name = {0: "time_s", 2: "supply_temp_c"}[column]
+    assert f"control.csv:6: {name} is not finite" in capsys.readouterr().err
+
+
 def test_repeated_price_knot_names_file(inputs, capsys):
     path = inputs.parent / "prices.csv"
     lines = path.read_text().splitlines()

@@ -36,8 +36,10 @@ def test_install_traces_an_optimize_run_and_remove_restores():
     with _tracer_module().Tracer() as tracer:
         optimizer.optimize(sc, config=OptimizerConfig(max_inner_iterations=5,
                                                       penalty_stop=100.0))
-        optimizer.ObjectiveEvaluator(sc, 10.0).value_and_gradient(
-            np.full((1, 24), 100.0))
+        # optimize makes no value-only calls, so make one here
+        ev = optimizer.ObjectiveEvaluator(sc, 10.0)
+        ev.value(np.full((1, 24), 101.0))
+        ev.value_and_gradient(np.full((1, 24), 100.0))
     names = {span[0] for span in tracer.spans}
     assert {"optimizer.optimize", "optimizer.lbfgs", "optimizer.value",
             "optimizer.gradient", "thermal.factorize", "objective.loss_energy",
