@@ -45,6 +45,11 @@ EXIT_INPUT = 2
 _SAVINGS_RECOMPUTE_RTOL = 1e-12
 _BINDING_TOL_C = 0.5
 
+
+def _field_defaults(cls):
+    return {f.name: f.default for f in dataclasses.fields(cls)}
+
+
 _DEFAULTS = {
     "network": {"nodes": None, "edges": None, "flows": None},
     "demand_file": None,
@@ -64,21 +69,9 @@ _DEFAULTS = {
         "static_price": None,
         "tikhonov_weight": DEFAULT_TIKHONOV_WEIGHT,
         "initial_control_c": 110.0,
-        "constraints": {
-            "consumer_supply_min_c": 80.0,
-            "consumer_return_min_c": 30.0,
-            "plant_max_c": 140.0,
-            "plant_min_c": 30.0,
-        },
+        "constraints": _field_defaults(ConstraintSet),
     },
-    "optimizer": {
-        "memory": 10,
-        "max_inner_iterations": 200,
-        "gradient_tolerance": 1e-6,
-        "initial_penalty": 10.0,
-        "penalty_factor": 10.0,
-        "penalty_stop": 1e6,
-    },
+    "optimizer": _field_defaults(OptimizerConfig),
     "synthesis": {
         "cutoff_hz": DEFAULT_CUTOFF_HZ,
         "order": 4,
@@ -124,6 +117,13 @@ def _number(value, name, kind=float):
         what = "an integer" if kind is int else "a finite number"
         raise ValidationError(f"config {name!r} must be {what}, got {value!r}")
     return kind(value)
+
+
+def _settings(cls, values, section):
+    """``cls`` from its config block, each value of its default's kind."""
+    kinds = {k: type(v) for k, v in _field_defaults(cls).items()}
+    return cls(**{k: _number(v, f"{section}.{k}", kinds[k])
+                  for k, v in values.items()})
 
 
 def _numbers(values, name, size=None):
@@ -243,9 +243,8 @@ def _scenario(cfg):
                else _number(ambient, "scenario.ambient_c"))
     constants = PhysicalConstants(cp_j_per_kg_c=num["cp_j_per_kg_c"],
                                   rho_kg_m3=num["rho_kg_m3"], ambient_c=ambient)
-    constraints = ConstraintSet(**{
-        k: _number(v, f"scenario.constraints.{k}")
-        for k, v in sc["constraints"].items()})
+    constraints = _settings(ConstraintSet, sc["constraints"],
+                            "scenario.constraints")
     return build_scenario(
         graph, flow, demands, prices, constraints, grid, constants,
         alpha=num["alpha"], beta=num["beta"],
@@ -286,6 +285,9 @@ def _read_control_file(path, graph, grid):
                                     cols["supply_temp_c"].tolist()):
         if pid not in by_id:
             raise ValidationError(f"{path}:{lineno}: unknown plant {pid!r}")
+        if t in by_id[pid]:
+            raise ValidationError(
+                f"{path}:{lineno}: duplicate row for plant {pid!r} at {t!r} s")
         by_id[pid][t] = temp
     u = np.empty((len(plant_ids), grid.n_steps))
     for i, pid in enumerate(plant_ids):
@@ -412,10 +414,7 @@ def cmd_simulate(cfg):
 
 def cmd_optimize(cfg):
     """Optimize the plant controls and report baseline vs optimized."""
-    opt_cfg = OptimizerConfig(**{
-        k: _number(v, f"optimizer.{k}",
-                   int if k in ("memory", "max_inner_iterations") else float)
-        for k, v in cfg.data["optimizer"].items()})
+    opt_cfg = _settings(OptimizerConfig, cfg.data["optimizer"], "optimizer")
     levels = tuple(_numbers(cfg.data["quantile_levels"], "quantile_levels"))
     if not all(0 <= q <= 100 for q in levels):
         raise ValidationError(

@@ -1,9 +1,9 @@
 """Synthetic networks, load profiles and scenarios for tests and demos.
 
 All fixtures are fully deterministic given their arguments. The desk
-network is a single feeder with ten consumers, small enough to solve in
-milliseconds; the feeder network scales the same layout to a realistic
-node count for runtime benchmarks.
+network is the feeder network cut to one unrefined feeder of ten
+consumers, small enough to solve in milliseconds; the full feeder
+network has a realistic node count for runtime benchmarks.
 """
 
 from __future__ import annotations
@@ -131,17 +131,8 @@ def _feeder(nodes, edges, flows, plant_supply, plant_return, feeder_id,
 def desk_network(n_consumers=10, segment_length_m=80.0, mdot_consumer=0.4,
                  htc_w_per_m_c=1.0, velocity_m_s=0.8):
     """Single-feeder network: one plant, ``n_consumers`` substations."""
-    nodes = [("SP", "supply", 0.0, 0.0), ("RP", "return", 0.0, -0.5)]
-    edges, flows = [], []
-    _feeder(nodes, edges, flows, "SP", "RP", 0, n_consumers,
-            segment_length_m, mdot_consumer, htc_w_per_m_c, velocity_m_s)
-    total = n_consumers * mdot_consumer
-    edges.append(("producer", "RP", "SP", "producer", _EXCHANGER_LENGTH_M,
-                  _EXCHANGER_DIAMETER_M, 0.0))
-    flows.append(total)
-    graph = _graph(nodes, edges)
-    flow = FlowField(np.array(flows)).validate_against(graph)
-    return graph, flow
+    return feeder_network(1, n_consumers, segment_length_m, mdot_consumer,
+                          htc_w_per_m_c, velocity_m_s, max_cell_length_m=math.inf)
 
 
 def feeder_network(n_feeders=13, consumers_per_feeder=10,

@@ -35,7 +35,8 @@ class PriceModel:
     ``p(t)`` in EUR/MWh plus a generation efficiency factor ``alpha``
     (applied while the plant injects heat) and a recovery factor
     ``beta`` (applied when the plant return runs hotter than its
-    supply, i.e. the network gives heat back).
+    supply, i.e. the network gives heat back). ``0 <= beta <= alpha``
+    keeps the cost convex in the injection.
     """
 
     alpha: float = 1.0
@@ -49,6 +50,10 @@ class PriceModel:
             raise ValidationError("alpha must be > 0")
         if self.beta < 0:
             raise ValidationError("beta must be >= 0")
+        if self.beta > self.alpha:
+            raise ValidationError(
+                f"beta ({self.beta:g}) must not exceed alpha ({self.alpha:g}): "
+                f"the injection cost would be concave")
         if not self.static:
             if self.times_s is None or self.prices_eur_mwh is None:
                 raise ValidationError("dynamic price model needs a price curve")

@@ -4,15 +4,17 @@ For fixed flows and step size the temperatures the objective reads
 (plant supply and return, consumer supply and return) are affine in
 the control, ``y = y_free + H * u`` with ``*`` a causal convolution in
 time ("condensing", Bock & Plitt 1984). The scenario builds this map
-once (:func:`dhnopt.thermal.condense`); a value is then one FFT
-convolution with ``H``, and the exact gradient its transpose, one FFT
-correlation of ``H`` with ``dJ/dy``. Both transform only the
+once (:func:`dhnopt.thermal.condense`) from ``1 + n_plants`` runs of the
+per-step sweep :func:`~dhnopt.thermal.simulate_system`: one with zero
+control gives ``y_free``, one per plant with a unit pulse gives that
+plant's column of ``H``. A value is then one FFT convolution with
+``H``, and the exact gradient its transpose, one FFT correlation of
+``H`` with ``dJ/dy``. Both transform only the
 ``n_plants + n_consumers`` plant return and consumer supply rows: the
 boundary rows of the system matrix hold a plant supply node at its
 control and a consumer return node at its supply temperature minus the
-drop, so those outputs need no transform. The per-step sweep
-:func:`~dhnopt.thermal.simulate_system` remains the oracle for these
-outputs and the full-state path of the CLI.
+drop, so those outputs need no transform. The sweep remains the
+oracle for these outputs and the full-state path of the CLI.
 
 Minimization within the plant temperature box is scipy's L-BFGS-B
 (Byrd, Lu, Nocedal & Zhu 1995), one value-and-gradient call per trial

@@ -24,6 +24,7 @@ return temperature drop representing the extracted heat.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.fft as sfft
@@ -124,10 +125,12 @@ def _ambient_loss_diagonal(graph):
 class SystemMatrices:
     """Assembled sparse operators plus cached LU factorizations.
 
-    The transient matrix ``A = rho*cp/dt * V + cp*G + S`` and the steady
-    matrix ``cp*G + S`` share their boundary-row replacement; both are
-    factorized at most once. ``lu.solve(b, trans='T')`` provides the
-    transposed solves needed by adjoint computations.
+    The steady matrix ``cp*G + S`` with its boundary rows replaced is
+    assembled once. The transient matrix ``A = rho*cp/dt * V + cp*G + S``
+    is ``steady + diag(B_diag)``: the previous-state diagonal ``B_diag``
+    vanishes on the boundary rows, so both share them. Each matrix is
+    factorized at most once, on first use; ``lu.solve(b, trans='T')``
+    provides the transposed solves needed by adjoint computations.
     """
 
     def __init__(self, graph, flow, volumes, constants, dt_s):
@@ -144,23 +147,30 @@ class SystemMatrices:
         self.plant_massflow = np.abs(flow.massflow_kg_s[bc.producer_edges])
         self.consumer_massflow = np.abs(flow.massflow_kg_s[bc.consumer_edges])
 
-        replaced = np.zeros(n, dtype=bool)
-        replaced[bc.plant_nodes] = True
-        replaced[bc.consumer_return_nodes] = True
-        self.replaced_rows = replaced
-        self.interior = ~replaced
+        self.interior = interior = np.ones(n, dtype=bool)
+        interior[bc.plant_nodes] = False
+        interior[bc.consumer_return_nodes] = False
         self._check_boundary_inflows()
 
         cp = constants.cp_j_per_kg_c
         rho = constants.rho_kg_m3
-        # rows of the previous-state operator vanish where rows of A are replaced
-        if self.dt_s is not None:
-            self.B_diag = np.where(replaced, 0.0, rho * cp / self.dt_s * self.V_diag)
-        else:
-            self.B_diag = None
+        self.B_diag = (np.where(interior, rho * cp / self.dt_s * self.V_diag, 0.0)
+                       if self.dt_s is not None else None)
 
-        self._lu_transient = None
-        self._lu_steady = None
+        # physical rows of the interior nodes, then the boundary rows:
+        # a plant supply node equals its control, a consumer return node
+        # its supply node minus the drop
+        G = self.G.tocoo()
+        keep = interior[G.row]
+        nodes = np.flatnonzero(interior)
+        rows = np.concatenate([G.row[keep], nodes, bc.plant_nodes,
+                               bc.consumer_return_nodes, bc.consumer_return_nodes])
+        cols = np.concatenate([G.col[keep], nodes, bc.plant_nodes,
+                               bc.consumer_return_nodes, bc.consumer_supply_nodes])
+        vals = np.concatenate([cp * G.data[keep], self.S_diag[nodes],
+                               np.ones(bc.n_plants), np.ones(bc.n_consumers),
+                               -np.ones(bc.n_consumers)])
+        self._steady = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
 
     def _check_boundary_inflows(self):
         """Boundary rows must own all flow into their node.
@@ -191,34 +201,8 @@ class SystemMatrices:
                     f"flow besides its producer edge"
                 )
 
-    # -- assembly -------------------------------------------------------
-
-    def _build_matrix(self, include_time):
-        n = self.graph.n_nodes
-        cp = self.constants.cp_j_per_kg_c
-        rho = self.constants.rho_kg_m3
-        G = self.G.tocoo()
-        rows = [G.row, np.arange(n)]
-        cols = [G.col, np.arange(n)]
-        vals = [cp * G.data, self.S_diag.astype(float)]
-        if include_time:
-            rows.append(np.arange(n))
-            cols.append(np.arange(n))
-            vals.append(rho * cp / self.dt_s * self.V_diag)
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        vals = np.concatenate(vals)
-        keep = ~self.replaced_rows[rows]
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-
-        bc = self.bc
-        rows = np.concatenate([rows, bc.plant_nodes,
-                               bc.consumer_return_nodes, bc.consumer_return_nodes])
-        cols = np.concatenate([cols, bc.plant_nodes,
-                               bc.consumer_return_nodes, bc.consumer_supply_nodes])
-        vals = np.concatenate([vals, np.ones(bc.n_plants),
-                               np.ones(bc.n_consumers), -np.ones(bc.n_consumers)])
-        return sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
+    def steady_matrix(self):
+        return self._steady
 
     def _factorize(self, matrix, label):
         try:
@@ -227,26 +211,18 @@ class SystemMatrices:
             raise SolverError(f"{label} system matrix is singular: {exc}") from None
         return lu
 
-    @property
+    @cached_property
     def lu_transient(self):
         if self.dt_s is None:
             raise SolverError("system was assembled without a time step")
-        if self._lu_transient is None:
-            self._lu_transient = self._factorize(self._build_matrix(True), "transient")
-        return self._lu_transient
+        return self._factorize(self._steady + sp.diags(self.B_diag), "transient")
 
-    @property
+    @cached_property
     def lu_steady(self):
-        if self._lu_steady is None:
-            self._lu_steady = self._factorize(self._build_matrix(False), "steady")
-        return self._lu_steady
+        return self._factorize(self._steady, "steady")
 
-    def steady_matrix(self):
-        return self._build_matrix(False)
-
-    # -- right-hand sides ------------------------------------------------
-
-    def _check_bc(self, plant_temps, deltas):
+    def rhs_steady(self, plant_temps, deltas, ambient_c):
+        """Steady right-hand side; checks the boundary values."""
         plant_temps = np.asarray(plant_temps, dtype=float)
         deltas = np.asarray(deltas, dtype=float)
         if plant_temps.shape != (self.bc.n_plants,):
@@ -259,29 +235,14 @@ class SystemMatrices:
             )
         if np.any(deltas < 0):
             raise ValidationError("consumer temperature deltas must be >= 0")
-        return plant_temps, deltas
+        return self._forcing(plant_temps, deltas, ambient_c)
 
-    def _rhs_steady_unchecked(self, plant_temps, deltas, ambient_c):
+    def _forcing(self, plant_temps, deltas, ambient_c):
+        """Ambient loss on the interior rows, boundary values on the rest."""
         b = self.S_diag * ambient_c
-        b[self.replaced_rows] = 0.0
         b[self.bc.plant_nodes] = plant_temps
         b[self.bc.consumer_return_nodes] = -deltas
         return b
-
-    def rhs_steady(self, plant_temps, deltas, ambient_c):
-        plant_temps, deltas = self._check_bc(plant_temps, deltas)
-        return self._rhs_steady_unchecked(plant_temps, deltas, ambient_c)
-
-    def _rhs_transient_unchecked(self, y_prev, plant_temps, deltas, ambient_c):
-        b = self._rhs_steady_unchecked(plant_temps, deltas, ambient_c)
-        b += self.B_diag * y_prev  # B rows vanish where rows are replaced
-        return b
-
-    def _solve(self, lu, b):
-        y = lu.solve(b)
-        if not np.all(np.isfinite(y)):
-            raise SolverError("linear solve produced non-finite temperatures")
-        return y
 
     def solve_adjoint(self, b):
         """Solve ``A^T x = b`` with the transient factorization."""
@@ -299,8 +260,10 @@ def assemble(graph, flow, volumes, constants, dt_s=None):
 
 def solve_steady(system, plant_temps, deltas, ambient_c):
     """Steady temperatures under fixed boundary values."""
-    b = system.rhs_steady(plant_temps, deltas, ambient_c)
-    return system._solve(system.lu_steady, b)
+    y = system.lu_steady.solve(system.rhs_steady(plant_temps, deltas, ambient_c))
+    if not np.all(np.isfinite(y)):
+        raise SolverError("linear solve produced non-finite temperatures")
+    return y
 
 
 @dataclass
@@ -390,8 +353,8 @@ def simulate_system(system, grid, u, deltas, ambient, u_init=None):
     y[:, 0] = solve_steady(system, u_init, deltas[:, 0], ambient[0])
     lu = system.lu_transient
     for k in range(1, grid.n_steps + 1):
-        b = system._rhs_transient_unchecked(y[:, k - 1], u[:, k - 1],
-                                            deltas[:, k], ambient[k])
+        b = system._forcing(u[:, k - 1], deltas[:, k], ambient[k])
+        b += system.B_diag * y[:, k - 1]
         y[:, k] = lu.solve(b)
     return StateTrajectory(values_c=y, grid=grid)
 
@@ -481,12 +444,12 @@ def condense(system, grid, deltas, ambient, u_init):
 
     The observed rows are the plant supply, plant return, consumer
     supply and consumer return nodes, each block in boundary-spec order.
-    One backward-Euler sweep with ``1 + n_plants`` right-hand sides and
-    the transient factorization gives the map: column 0 is the free
-    response from the steady state under ``u_init``, column ``1 + p``
-    the response to a unit pulse of plant ``p`` at step 1 from zero
-    state with zero consumer drops and zero ambient. ``impulse`` keeps
-    every observed row, but the map transforms only the
+    The map is read off ``1 + n_plants`` runs of :func:`simulate_system`:
+    ``y_free`` is the response to zero control from the steady state
+    under ``u_init``, and plant ``p``'s column of ``impulse`` the
+    response to a unit pulse of that plant at step 1 from zero state,
+    with zero consumer drops and zero ambient. ``impulse`` keeps every
+    observed row, but the map transforms only the
     ``n_plants + n_consumers`` plant return and consumer supply rows;
     the boundary rows of the system matrix fix the other two blocks.
     """
@@ -495,23 +458,15 @@ def condense(system, grid, deltas, ambient, u_init):
               bc.consumer_supply_nodes, bc.consumer_return_nodes)
     nodes = np.concatenate(blocks)
     n_p, n = bc.n_plants, grid.n_steps
-    lu = system.lu_transient
-    x = np.zeros((system.graph.n_nodes, 1 + n_p))
-    x[:, 0] = solve_steady(system, u_init, deltas[:, 0], ambient[0])
-    y_free = np.empty((nodes.size, n))
+    u = np.zeros((n_p, n))
+    y_free = simulate_system(system, grid, u, deltas, ambient, u_init).rows(nodes)
     impulse = np.empty((nodes.size, n_p, n))
-    no_control = np.zeros(n_p)
-    for k in range(1, n + 1):
-        b = system.B_diag[:, None] * x
-        b[:, 0] += system._rhs_steady_unchecked(no_control, deltas[:, k],
-                                                ambient[k])
-        if k == 1:
-            b[bc.plant_nodes, 1 + np.arange(n_p)] = 1.0
-        x = lu.solve(b)
-        y_free[:, k - 1] = x[nodes, 0]
-        impulse[:, :, k - 1] = x[nodes, 1:]
-    if not (np.all(np.isfinite(y_free)) and np.all(np.isfinite(impulse))):
-        raise SolverError("condensing sweep produced non-finite temperatures")
+    no_drops, no_ambient = np.zeros_like(deltas), np.zeros(n + 1)
+    for p in range(n_p):
+        u[p, 0] = 1.0
+        impulse[:, p] = simulate_system(system, grid, u, no_drops, no_ambient,
+                                        np.zeros(n_p)).rows(nodes)
+        u[p, 0] = 0.0
     return CondensedMap(blocks, y_free, impulse, grid)
 
 

@@ -94,6 +94,13 @@ class TestSimulate:
                    for out in ("by_steps", "by_horizon")]
         assert reports[0]["n_steps"] == reports[1]["n_steps"] == n
 
+    def test_beta_above_alpha_exits_2(self, small_files, capsys):
+        scenario = json.loads(small_files.read_text())["scenario"]
+        cfg = _with(small_files, "concave.json",
+                    scenario=dict(scenario, alpha=1.0, beta=2.0))
+        assert _run("simulate", "--config", cfg, "--quiet") == EXIT_INPUT
+        assert "beta" in capsys.readouterr().err
+
     def test_horizon_s_not_divided_by_dt_s_exits_2(self, small_files, capsys):
         scenario = dict(json.loads(small_files.read_text())["scenario"])
         n = scenario.pop("n_steps")

@@ -21,7 +21,8 @@ from dhnopt.network import FlowField, NetworkGraph
 from dhnopt.objective import ConstraintSet
 from dhnopt.optimizer import ObjectiveEvaluator, OptimizerConfig, optimize
 from dhnopt.scenario import DemandSet, LoadSeries, build_scenario
-from dhnopt.thermal import PhysicalConstants, TimeGrid, simulate_system
+from dhnopt.thermal import (PhysicalConstants, TimeGrid, energy_balance,
+                            simulate_system)
 
 _SCENARIOS = {
     "loop": lambda: make_loop_scenario(n_steps=96, swing=0.3),
@@ -214,6 +215,86 @@ class TestTwoPlants:
                 g = grad[plant, j]
                 worst = max(worst, abs(g - fd) / max(abs(fd), abs(g), 1e-12))
             assert worst < 1e-5, f"plant {plant}: relative error {worst:.2e}"
+
+
+# ---------------------------------------------------------------------------
+# a directed flow cycle on the supply side
+# ---------------------------------------------------------------------------
+
+def cyclic_network():
+    """One plant and one consumer; 0.3 of 0.8 kg/s circles S1 -> S2 -> S3."""
+    nodes = [("SP", "supply"), ("S1", "supply"), ("S2", "supply"),
+             ("S3", "supply"), ("RC", "return"), ("RP", "return")]
+    # id, tail, head, kind, length_m, htc, mass flow
+    edges = [("producer", "RP", "SP", "producer", 5.0, 0.0, 0.8),
+             ("sup1", "SP", "S1", "supply", 200.0, 0.4, 0.8),
+             ("sup2", "S1", "S2", "supply", 150.0, 0.4, 1.1),
+             ("sup3", "S2", "S3", "supply", 150.0, 0.4, 1.1),
+             ("loop", "S3", "S1", "supply", 100.0, 0.4, 0.3),
+             ("consumer", "S3", "RC", "consumer", 5.0, 0.0, 0.8),
+             ("ret", "RC", "RP", "return", 500.0, 0.4, 0.8)]
+    index = {n[0]: i for i, n in enumerate(nodes)}
+    graph = NetworkGraph(
+        node_ids=[n[0] for n in nodes],
+        node_side=[n[1] for n in nodes],
+        node_xy=np.full((len(nodes), 2), np.nan),
+        edge_ids=[e[0] for e in edges],
+        edge_kind=[e[3] for e in edges],
+        edge_tail=[index[e[1]] for e in edges],
+        edge_head=[index[e[2]] for e in edges],
+        length_m=[e[4] for e in edges],
+        diameter_m=[0.05] * len(edges),
+        htc_w_per_m_c=[e[5] for e in edges],
+    )
+    flow = FlowField([e[6] for e in edges]).validate_against(graph)
+    return graph, flow
+
+
+@pytest.fixture(scope="module")
+def cyclic():
+    graph, flow = cyclic_network()
+    grid = TimeGrid(dt_s=900.0, n_steps=48)
+    t = grid.times()
+    demands = DemandSet(("consumer",), (LoadSeries(
+        values_w=40e3 * (1.0 + 0.3 * np.sin(2 * np.pi * t / 86400.0)),
+        dt_s=900.0),))
+    scenario = build_scenario(graph, flow, demands, None, ConstraintSet(),
+                              grid, PhysicalConstants(),
+                              initial_control_c=105.0)
+    # low enough that some consumer constraints are active
+    u = np.random.default_rng(3).uniform(70.0, 95.0, (1, 48))
+    return scenario, u
+
+
+class TestCyclicFlow:
+    def test_energy_balance_closes(self, cyclic):
+        scenario, u = cyclic
+        traj = simulate_system(scenario.system, scenario.grid, u,
+                               scenario.deltas, scenario.ambient,
+                               scenario.u_init)
+        bal = energy_balance(scenario.system, traj, scenario.deltas,
+                             scenario.ambient)
+        assert bal["residual_rel"].max() < 1e-12
+
+    def test_outputs_equal_sweep(self, cyclic):
+        scenario, u = cyclic
+        y = scenario.condensed.apply(u).values_c
+        assert np.max(np.abs(y - _sweep_outputs(scenario, u))) <= 1e-11
+
+    def test_gradient_matches_central_differences(self, cyclic):
+        scenario, u = cyclic
+        ev = ObjectiveEvaluator(scenario, 100.0)
+        _, grad = ev.value_and_gradient(u)
+        assert ev.parts(u)["violations"].max() > 0.0
+        worst = 0.0
+        for j in range(0, 48, 6):
+            up, um = u.copy(), u.copy()
+            up[0, j] += 1e-3
+            um[0, j] -= 1e-3
+            fd = (ev.value(up) - ev.value(um)) / 2e-3
+            worst = max(worst, abs(grad[0, j] - fd)
+                        / max(abs(fd), abs(grad[0, j]), 1e-12))
+        assert worst < 1e-5, f"relative error {worst:.2e}"
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,16 @@ class TestPriceWeight:
         with pytest.raises(ValidationError, match="covers"):
             model.price_at(7200.0)
 
+    def test_recovery_may_not_outweigh_generation(self):
+        # beta > alpha makes the cost concave in the lift: rejected;
+        # beta == alpha and negative prices stay accepted
+        with pytest.raises(ValidationError, match="beta"):
+            PriceModel.from_curve(*self.CURVE, alpha=1.0, beta=2.0)
+        with pytest.raises(ValidationError, match="beta"):
+            PriceModel.static_price(alpha=1.0, beta=1.5)
+        PriceModel.from_curve(*self.CURVE, alpha=1.0, beta=1.0)
+        PriceModel.from_curve([0.0, 3600.0], [-10.0, 20.0])
+
 
 class TestTikhonov:
     GRID = TimeGrid(dt_s=900.0, n_steps=3)

@@ -229,6 +229,17 @@ def test_non_finite_control_names_file_and_line(inputs, column, bad, capsys):
     assert f"control.csv:6: {name} is not finite" in capsys.readouterr().err
 
 
+def test_duplicate_control_row_names_file_and_line(inputs, capsys):
+    path = inputs.parent / "control.csv"
+    lines = path.read_text().splitlines()
+    assert lines[5] == "4500.0,producer,105.0"
+    lines.insert(6, "4500.0,producer,60.0")
+    path.write_text("\n".join(lines) + "\n")
+    assert _run("simulate", inputs) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "control.csv:7: duplicate row for plant 'producer'" in err
+
+
 def test_repeated_price_knot_names_file(inputs, capsys):
     path = inputs.parent / "prices.csv"
     lines = path.read_text().splitlines()

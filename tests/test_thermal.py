@@ -8,7 +8,9 @@ from conftest import make_loop_scenario
 from dhnopt.errors import SolverError, ValidationError
 from dhnopt.fixtures import desk_network, minimal_loop, pipe_chain
 from dhnopt.network import FlowField, control_volumes
-from dhnopt.thermal import (PhysicalConstants, TimeGrid, _advection_matrix,
+from dhnopt.optimizer import optimize
+from dhnopt.thermal import (PhysicalConstants, SystemMatrices, TimeGrid,
+                            _advection_matrix,
                             assemble, demand_to_delta, energy_balance,
                             simulate, simulate_system, solve_steady,
                             stored_energy)
@@ -234,6 +236,34 @@ class TestDenseOracle:
         transient = system.steady_matrix() + sp.diags(system.B_diag)
         y1_dense = np.linalg.solve(transient.toarray(), bt)
         assert np.max(np.abs(y1 - y1_dense)) < 1e-8
+
+
+class TestFactorizations:
+    def test_each_matrix_is_factorized_once_per_system(self, monkeypatch):
+        labels = []
+        real = SystemMatrices._factorize
+
+        def counting(self, matrix, label):
+            labels.append(label)
+            return real(self, matrix, label)
+
+        monkeypatch.setattr(SystemMatrices, "_factorize", counting)
+        sc = make_loop_scenario(n_steps=24, swing=0.3)
+        simulate(sc.graph, sc.flow, sc, np.full((1, 24), 105.0))
+        sc.condensed
+        optimize(sc, np.full((1, 24), 110.0))
+        assert sorted(labels) == ["steady", "transient"]
+
+    def test_steady_only_system_has_no_transient_factorization(self):
+        graph, flow = minimal_loop()
+        system = assemble(graph, flow, control_volumes(graph),
+                          PhysicalConstants(), dt_s=None)
+        assert system.B_diag is None
+        y = solve_steady(system, [90.0], [20.0], 10.0)
+        assert np.all(np.isfinite(y))
+        for _ in range(2):  # a failed access is not cached
+            with pytest.raises(SolverError, match="without a time step"):
+                system.lu_transient
 
 
 class TestAdvectionOperator:
