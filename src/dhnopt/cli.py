@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -30,11 +31,12 @@ from .objective import (J_PER_MWH, ConstraintSet, constraint_violations,
                         loss_energy, loss_energy_steps, max_violation)
 from .optimizer import OptimizerConfig, optimize
 from .scenario import (DEFAULT_CUTOFF_HZ, DEFAULT_NOISE_BAND_HZ,
-                       DEFAULT_TIKHONOV_WEIGHT, DemandSet, build_scenario,
+                       DEFAULT_NOISE_SIGMA, DemandSet, build_scenario,
                        _check_finite, lowpass, read_demand_set,
                        read_load_series, read_price_series,
                        synthesize_variations, write_demand_set)
-from .thermal import (PhysicalConstants, TimeGrid, energy_balance,
+from .thermal import (DEFAULT_AMBIENT, DEFAULT_CP, DEFAULT_RHO,
+                      PhysicalConstants, TimeGrid, energy_balance,
                       plant_injection_w, simulate_system, solve_steady,
                       stored_energy)
 
@@ -46,10 +48,32 @@ _SAVINGS_RECOMPUTE_RTOL = 1e-12
 _BINDING_TOL_C = 0.5
 
 
+def compute_quantiles(traj, graph, levels=(1, 10, 50, 90, 99)):
+    """Per-step quantile bands of the consumer supply temperatures.
+
+    Empirical quantiles with linear interpolation between order
+    statistics, plus the per-step minimum and median.
+    """
+    temps = traj.values_c[graph.boundary.consumer_supply_nodes, 1:]
+    out = {"min": temps.min(axis=0), "median": np.median(temps, axis=0)}
+    for q in levels:
+        out[f"p{q:g}"] = np.quantile(temps, q / 100.0, axis=0)
+    return out
+
+
 def _field_defaults(cls):
     return {f.name: f.default for f in dataclasses.fields(cls)}
 
 
+def _arg_default(func, name):
+    return inspect.signature(func).parameters[name].default
+
+
+# Every config key with its default. A value must have the kind of its
+# default: a number, a list of numbers (of the same length if the
+# default is a tuple), a bool or a string. ``_NONE_KINDS`` gives the
+# kind of the values that default to ``None``; the other ``None``
+# defaults are file paths.
 _DEFAULTS = {
     "network": {"nodes": None, "edges": None, "flows": None},
     "demand_file": None,
@@ -60,23 +84,21 @@ _DEFAULTS = {
         "dt_s": 900.0,
         "n_steps": None,
         "horizon_s": None,
-        "ambient_c": 10.0,
-        "cp_j_per_kg_c": 4186.0,
-        "rho_kg_m3": 1000.0,
-        "max_cell_length_m": 100.0,
-        "alpha": 1.0,
-        "beta": 0.0,
+        "ambient_c": DEFAULT_AMBIENT,  # or a per-step list
+        "cp_j_per_kg_c": DEFAULT_CP,
+        "rho_kg_m3": DEFAULT_RHO,
+        "max_cell_length_m": _arg_default(subdivide_pipes, "max_cell_length_m"),
         "static_price": None,
-        "tikhonov_weight": DEFAULT_TIKHONOV_WEIGHT,
-        "initial_control_c": 110.0,
+        **{key: _arg_default(build_scenario, key) for key in
+           ("alpha", "beta", "tikhonov_weight", "initial_control_c")},
         "constraints": _field_defaults(ConstraintSet),
     },
     "optimizer": _field_defaults(OptimizerConfig),
     "synthesis": {
         "cutoff_hz": DEFAULT_CUTOFF_HZ,
-        "order": 4,
-        "band_hz": list(DEFAULT_NOISE_BAND_HZ),
-        "sigma": 0.2,
+        "order": _arg_default(lowpass, "order"),
+        "band_hz": DEFAULT_NOISE_BAND_HZ,
+        "sigma": DEFAULT_NOISE_SIGMA,
         "mean_w_per_consumer": None,
     },
     "verify": {
@@ -84,25 +106,60 @@ _DEFAULTS = {
         "dense_tolerance_c": 1e-8,
         "mean_mismatch_threshold_c": None,
     },
-    "quantile_levels": [1, 10, 50, 90, 99],
+    "quantile_levels": list(_arg_default(compute_quantiles, "levels")),
     "seed": 0,
     "out_dir": "out",
     "threads": None,  # accepted and ignored, like the --threads flag
 }
 
+_NONE_KINDS = {
+    "scenario.n_steps": int, "scenario.horizon_s": float,
+    "control.constant_c": float, "synthesis.mean_w_per_consumer": float,
+    "verify.mean_mismatch_threshold_c": float,
+    "scenario.static_price": bool, "threads": int,
+}
 
-def _merge(defaults, given):
-    out = {}
-    for key, val in defaults.items():
-        if isinstance(val, dict):
-            out[key] = _merge(val, given.get(key, {}) if given else {})
-        else:
-            out[key] = given.get(key, val) if given else val
-    if given:
-        for key in given:
-            if key not in defaults:
-                raise ValidationError(f"unknown config key {key!r}")
-    return out
+
+def _merge(defaults, given, prefix=""):
+    """``given`` over ``defaults``, every value checked against its default."""
+    if not isinstance(given, dict):
+        where = f"config {prefix[:-1]!r}" if prefix else "config"
+        raise ValidationError(f"{where} must be a JSON object, got {given!r}")
+    for key in given:
+        if key not in defaults:
+            raise ValidationError(f"unknown config key {prefix + key!r}")
+    return {key: (_merge(default, given.get(key, {}), f"{prefix}{key}.")
+                  if isinstance(default, dict)
+                  else _value(given.get(key, default), prefix + key, default))
+            for key, default in defaults.items()}
+
+
+def _value(value, name, default):
+    """One config value, converted to the kind of its default."""
+    if default is None and value is None:
+        return None
+    kind = _NONE_KINDS.get(name, str) if default is None else type(default)
+    if name == "scenario.ambient_c" and isinstance(value, list):
+        kind = list  # a per-step series
+    if kind in (int, float):
+        return _number(value, name, kind)
+    if kind in (list, tuple):
+        size = len(default) if kind is tuple else None
+        if (not isinstance(value, (list, tuple))
+                or size not in (None, len(value))):
+            what = "a list of" if size is None else f"a list of {size}"
+            raise ValidationError(
+                f"config {name!r} must be {what} numbers, got {value!r}")
+        for v in value:  # kept as given: an integer level prints as one
+            _number(v, name)
+        if name == "quantile_levels" and not all(0 <= q <= 100 for q in value):
+            raise ValidationError(
+                f"config {name!r} must lie in [0, 100], got {value}")
+        return list(value)
+    if not isinstance(value, kind):
+        what = "true or false" if kind is bool else "a string"
+        raise ValidationError(f"config {name!r} must be {what}, got {value!r}")
+    return value
 
 
 def _number(value, name, kind=float):
@@ -117,22 +174,6 @@ def _number(value, name, kind=float):
         what = "an integer" if kind is int else "a finite number"
         raise ValidationError(f"config {name!r} must be {what}, got {value!r}")
     return kind(value)
-
-
-def _settings(cls, values, section):
-    """``cls`` from its config block, each value of its default's kind."""
-    kinds = {k: type(v) for k, v in _field_defaults(cls).items()}
-    return cls(**{k: _number(v, f"{section}.{k}", kinds[k])
-                  for k, v in values.items()})
-
-
-def _numbers(values, name, size=None):
-    """A config list of finite numbers (of ``size`` entries if given)."""
-    if not isinstance(values, list) or size not in (None, len(values)):
-        what = "a list of" if size is None else f"a list of {size}"
-        raise ValidationError(
-            f"config {name!r} must be {what} numbers, got {values!r}")
-    return [_number(v, name) for v in values]
 
 
 class RunConfig:
@@ -156,8 +197,7 @@ class RunConfig:
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{path}: invalid JSON: {exc}") from None
         data = _merge(_DEFAULTS, raw)
-        seed = (args.seed if args.seed is not None
-                else _number(data["seed"], "seed", int))
+        seed = args.seed if args.seed is not None else data["seed"]
         base = path.parent
         # a flag resolves against the working directory, the config
         # value against the config file's own directory
@@ -197,20 +237,16 @@ def _load_network(cfg):
                            for key in ("nodes", "edges", "flows"))
     graph = parse_network(nodes, edges)
     flow = load_flow_field(flows, graph)
-    max_cell = _number(cfg.data["scenario"]["max_cell_length_m"],
-                       "scenario.max_cell_length_m")
-    return subdivide_pipes(graph, flow, max_cell)
+    return subdivide_pipes(graph, flow,
+                           cfg.data["scenario"]["max_cell_length_m"])
 
 
-def _time_grid(cfg):
-    sc = cfg.data["scenario"]
-    dt = _number(sc["dt_s"], "scenario.dt_s")
+def _time_grid(sc):
+    dt, horizon = sc["dt_s"], sc["horizon_s"]
     if sc["n_steps"] is not None:
-        return TimeGrid(dt_s=dt,
-                        n_steps=_number(sc["n_steps"], "scenario.n_steps", int))
-    if sc["horizon_s"] is None:
+        return TimeGrid(dt_s=dt, n_steps=sc["n_steps"])
+    if horizon is None:
         raise ValidationError("config needs scenario.n_steps or scenario.horizon_s")
-    horizon = _number(sc["horizon_s"], "scenario.horizon_s")
     n = horizon / dt
     if abs(n - round(n)) > 1e-9:
         raise ValidationError(
@@ -220,53 +256,37 @@ def _time_grid(cfg):
 
 
 def _scenario(cfg):
-    graph, flow = _load_network(cfg)
     sc = cfg.data["scenario"]
-    grid = _time_grid(cfg)
+    grid = _time_grid(sc)
+    graph, flow = _load_network(cfg)
     demands = read_demand_set(cfg.path("demand_file"))
-    static = sc["static_price"]
     price_path = cfg.path("price_file", required=False)
-    if static is None:
-        static = price_path is None
-    if static:
-        prices = None
-    else:
-        if price_path is None:
-            raise ValidationError("dynamic pricing needs a price_file")
-        prices = read_price_series(price_path)
-    num = {k: _number(sc[k], f"scenario.{k}")
-           for k in ("cp_j_per_kg_c", "rho_kg_m3", "alpha", "beta",
-                     "tikhonov_weight", "initial_control_c")}
-    ambient = sc["ambient_c"]  # a scalar or a per-step series
-    ambient = (np.array(_numbers(ambient, "scenario.ambient_c"))
-               if isinstance(ambient, list)
-               else _number(ambient, "scenario.ambient_c"))
-    constants = PhysicalConstants(cp_j_per_kg_c=num["cp_j_per_kg_c"],
-                                  rho_kg_m3=num["rho_kg_m3"], ambient_c=ambient)
-    constraints = _settings(ConstraintSet, sc["constraints"],
-                            "scenario.constraints")
+    static = (price_path is None if sc["static_price"] is None
+              else sc["static_price"])
+    if not static and price_path is None:
+        raise ValidationError("dynamic pricing needs a price_file")
+    prices = None if static else read_price_series(price_path)
+    constants = PhysicalConstants(cp_j_per_kg_c=sc["cp_j_per_kg_c"],
+                                  rho_kg_m3=sc["rho_kg_m3"],
+                                  ambient_c=sc["ambient_c"])
     return build_scenario(
-        graph, flow, demands, prices, constraints, grid, constants,
-        alpha=num["alpha"], beta=num["beta"],
-        tikhonov_weight=num["tikhonov_weight"],
-        initial_control_c=num["initial_control_c"],
-        seed=cfg.seed,
+        graph, flow, demands, prices, ConstraintSet(**sc["constraints"]),
+        grid, constants, alpha=sc["alpha"], beta=sc["beta"],
+        tikhonov_weight=sc["tikhonov_weight"],
+        initial_control_c=sc["initial_control_c"],
     )
 
 
 def _control(cfg, scenario):
     """Baseline control trajectory, shape (n_plants, n_steps)."""
-    bc = scenario.system.bc
-    ctl = cfg.data["control"]
     grid = scenario.grid
     path = cfg.path("file", required=False, section="control")
     if path is not None:
         return _read_control_file(path, scenario.graph, grid)
-    const = ctl.get("constant_c")
+    const = cfg.data["control"]["constant_c"]
     if const is None:
         const = cfg.data["scenario"]["initial_control_c"]
-    return np.full((bc.n_plants, grid.n_steps),
-                   _number(const, "control.constant_c"))
+    return np.full((scenario.system.bc.n_plants, grid.n_steps), const)
 
 
 _CONTROL_HEADER = ["time_s", "plant_edge_id", "supply_temp_c"]
@@ -307,19 +327,6 @@ def _read_control_file(path, graph, grid):
 # ---------------------------------------------------------------------------
 # metrics and series output
 # ---------------------------------------------------------------------------
-
-def compute_quantiles(traj, graph, levels=(1, 10, 50, 90, 99)):
-    """Per-step quantile bands of the consumer supply temperatures.
-
-    Empirical quantiles with linear interpolation between order
-    statistics, plus the per-step minimum and median.
-    """
-    temps = traj.values_c[graph.boundary.consumer_supply_nodes, 1:]
-    out = {"min": temps.min(axis=0), "median": np.median(temps, axis=0)}
-    for q in levels:
-        out[f"p{q:g}"] = np.quantile(temps, q / 100.0, axis=0)
-    return out
-
 
 def _min_consumer_temps(traj, bc):
     y = traj.values_c
@@ -414,11 +421,7 @@ def cmd_simulate(cfg):
 
 def cmd_optimize(cfg):
     """Optimize the plant controls and report baseline vs optimized."""
-    opt_cfg = _settings(OptimizerConfig, cfg.data["optimizer"], "optimizer")
-    levels = tuple(_numbers(cfg.data["quantile_levels"], "quantile_levels"))
-    if not all(0 <= q <= 100 for q in levels):
-        raise ValidationError(
-            f"config 'quantile_levels' must lie in [0, 100], got {list(levels)}")
+    opt_cfg = OptimizerConfig(**cfg.data["optimizer"])
     scenario = _scenario(cfg)
     graph, flow = scenario.graph, scenario.flow
     u0 = _control(cfg, scenario)
@@ -458,7 +461,8 @@ def cmd_optimize(cfg):
             "loss_step": loss_energy_steps(traj, graph, flow, scenario.price, cp),
         }
         write_csv(out / f"quantiles_{name}.csv",
-                  {"time_s": times, **compute_quantiles(traj, graph, levels)})
+                  {"time_s": times, **compute_quantiles(
+                      traj, graph, cfg.data["quantile_levels"])})
 
     write_csv(out / "controls.csv", controls)
     write_csv(out / "optimized_control.csv", {
@@ -542,7 +546,7 @@ def cmd_verify(cfg):
     dense_mismatch = float(np.max(np.abs(y - dense)))
 
     ver = cfg.data["verify"]
-    tol = _number(ver["dense_tolerance_c"], "verify.dense_tolerance_c")
+    tol = ver["dense_tolerance_c"]
     report = {
         "command": "verify",
         "n_nodes": graph.n_nodes,
@@ -568,8 +572,7 @@ def cmd_verify(cfg):
         report["reference_mean_abs_mismatch_c"] = mean_abs
         report["reference_max_abs_mismatch_c"] = float(np.max(np.abs(mismatch)))
         threshold = ver["mean_mismatch_threshold_c"]
-        if threshold is not None and mean_abs > _number(
-                threshold, "verify.mean_mismatch_threshold_c"):
+        if threshold is not None and mean_abs > threshold:
             report["reference_ok"] = False
             failed = True
         else:
@@ -600,20 +603,15 @@ def cmd_synth_demand(cfg):
     graph, _ = _load_network(cfg)
     base = read_load_series(cfg.path("base_load_file"))
     syn = cfg.data["synthesis"]
-    smooth = lowpass(base, _number(syn["cutoff_hz"], "synthesis.cutoff_hz"),
-                     order=_number(syn["order"], "synthesis.order", int))
+    smooth = lowpass(base, syn["cutoff_hz"], order=syn["order"])
     consumer_ids = [graph.edge_ids[e] for e in graph.consumer_edges]
     n = len(consumer_ids)
     mean_target = syn["mean_w_per_consumer"]
-    targets = (np.full(n, _number(mean_target, "synthesis.mean_w_per_consumer"))
-               if mean_target is not None
-               else np.full(n, smooth.mean() / n))
+    targets = np.full(n, smooth.mean() / n if mean_target is None
+                      else mean_target)
     series = synthesize_variations(
-        smooth, n,
-        band_hz=tuple(_numbers(syn["band_hz"], "synthesis.band_hz", 2)),
-        sigma=_number(syn["sigma"], "synthesis.sigma"), seed=cfg.seed,
-        target_means=targets,
-        keys=consumer_ids)
+        smooth, n, band_hz=syn["band_hz"], sigma=syn["sigma"], seed=cfg.seed,
+        target_means=targets, keys=consumer_ids)
     demands = DemandSet(consumer_ids=tuple(consumer_ids), series=tuple(series))
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)

@@ -217,7 +217,7 @@ def desk_scenario(static=True, seed=0, n_consumers=10, n_days=3, dt_s=900.0,
     return build_scenario(
         graph, flow, demands, prices, ConstraintSet(), grid,
         PhysicalConstants(), alpha=alpha, beta=beta,
-        initial_control_c=initial_control_c, seed=seed, **kwargs)
+        initial_control_c=initial_control_c, **kwargs)
 
 
 def feeder_scenario(static=True, seed=0, n_days=3, dt_s=900.0, sigma=0.15,
@@ -234,7 +234,7 @@ def feeder_scenario(static=True, seed=0, n_days=3, dt_s=900.0, sigma=0.15,
     prices = None if static else two_level_price(n_days=n_days)
     return build_scenario(
         graph, flow, demands, prices, ConstraintSet(), grid,
-        PhysicalConstants(), initial_control_c=initial_control_c, seed=seed)
+        PhysicalConstants(), initial_control_c=initial_control_c)
 
 
 def write_desk_fixture(out_dir, dynamic=False, seed=0, n_consumers=10,

@@ -514,7 +514,7 @@ def write_flow_field(flow, graph, flow_file):
 # discretization helper
 # ---------------------------------------------------------------------------
 
-def subdivide_pipes(graph, flow=None, max_cell_length_m=100.0):
+def subdivide_pipes(graph, flow, max_cell_length_m=100.0):
     """Split supply/return pipes into cells of at most the given length.
 
     Each pipe of length ``l`` becomes ``ceil(l / max_cell_length_m)``
@@ -523,9 +523,8 @@ def subdivide_pipes(graph, flow=None, max_cell_length_m=100.0):
     pipes, and are never split. Interior node coordinates are
     interpolated when both endpoints have coordinates.
 
-    Returns the refined graph and, when a flow field is given, the flow
-    field expanded to the new edge list (every segment of a pipe
-    carries the parent pipe's flow).
+    Returns the refined graph and the flow field expanded to the new
+    edge list (every segment of a pipe carries the parent pipe's flow).
     """
     if not max_cell_length_m > 0:
         raise ValidationError("max_cell_length_m must be > 0")
@@ -560,7 +559,5 @@ def subdivide_pipes(graph, flow=None, max_cell_length_m=100.0):
                            np.repeat(graph.length_m / cells, cells),
                            np.repeat(graph.diameter_m, cells),
                            np.repeat(graph.htc_w_per_m_c, cells))
-    if flow is None:
-        return refined, None
     return refined, FlowField(np.repeat(flow.massflow_kg_s, cells)
                               ).validate_against(refined)

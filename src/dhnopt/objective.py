@@ -26,6 +26,20 @@ from .thermal import DEFAULT_CP
 J_PER_MWH = 3.6e9
 
 
+def price_knots(times_s, prices_eur_mwh):
+    """Price-curve knots as float arrays: finite, matching and 1-d, at
+    least two, strictly increasing in time."""
+    t = np.asarray(times_s, dtype=float)
+    p = np.asarray(prices_eur_mwh, dtype=float)
+    if t.ndim != 1 or t.shape != p.shape or t.size < 2:
+        raise ValidationError("price curve needs matching 1-d knots")
+    if np.any(np.diff(t) <= 0):
+        raise ValidationError("price knots must be strictly increasing")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(p))):
+        raise ValidationError("price curve contains non-finite values")
+    return t, p
+
+
 @dataclass(frozen=True)
 class PriceModel:
     """Energy price weighting for the injection cost.
@@ -57,14 +71,7 @@ class PriceModel:
         if not self.static:
             if self.times_s is None or self.prices_eur_mwh is None:
                 raise ValidationError("dynamic price model needs a price curve")
-            t = np.asarray(self.times_s, dtype=float)
-            p = np.asarray(self.prices_eur_mwh, dtype=float)
-            if t.ndim != 1 or t.shape != p.shape or t.size < 2:
-                raise ValidationError("price curve needs matching 1-d knots")
-            if np.any(np.diff(t) <= 0):
-                raise ValidationError("price knots must be strictly increasing")
-            if not (np.all(np.isfinite(t)) and np.all(np.isfinite(p))):
-                raise ValidationError("price curve contains non-finite values")
+            t, p = price_knots(self.times_s, self.prices_eur_mwh)
             object.__setattr__(self, "times_s", t)
             object.__setattr__(self, "prices_eur_mwh", p)
 

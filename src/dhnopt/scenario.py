@@ -16,9 +16,9 @@ from functools import cached_property
 import numpy as np
 from scipy.signal import butter, sosfiltfilt
 
-from .errors import ParseError, ValidationError
+from .errors import ValidationError
 from .network import control_volumes, read_csv, write_csv
-from .objective import ConstraintSet, PriceModel
+from .objective import ConstraintSet, PriceModel, price_knots
 from .thermal import (PhysicalConstants, TimeGrid, assemble, condense,
                       demand_to_delta)
 
@@ -73,14 +73,9 @@ class PriceSeries:
     prices_eur_mwh: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.times_s, dtype=float)
-        p = np.asarray(self.prices_eur_mwh, dtype=float)
+        t, p = price_knots(self.times_s, self.prices_eur_mwh)
         object.__setattr__(self, "times_s", t)
         object.__setattr__(self, "prices_eur_mwh", p)
-        if t.ndim != 1 or t.shape != p.shape or t.size < 2:
-            raise ValidationError("price series needs matching 1-d knots")
-        if np.any(np.diff(t) <= 0):
-            raise ValidationError("price knots must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -243,7 +238,6 @@ class Scenario:
     constraints: ConstraintSet
     tikhonov_weight: float
     u_init: np.ndarray
-    seed: int | None = None
 
     @cached_property
     def system(self):
@@ -259,7 +253,7 @@ class Scenario:
 
 def build_scenario(graph, flow, demands, prices, constraints, grid, constants,
                    *, alpha=1.0, beta=0.0, tikhonov_weight=DEFAULT_TIKHONOV_WEIGHT,
-                   initial_control_c=110.0, seed=None):
+                   initial_control_c=110.0):
     """Assemble a scenario from validated pieces.
 
     Demand powers are converted to consumer temperature drops with each
@@ -318,7 +312,6 @@ def build_scenario(graph, flow, demands, prices, constraints, grid, constants,
         constraints=constraints,
         tikhonov_weight=float(tikhonov_weight),
         u_init=_read_only(u_init),
-        seed=seed,
     )
 
 
@@ -354,21 +347,28 @@ def _check_finite(path, lines, columns, names, ids=None):
         raise ValidationError(f"{path}:{lines[i]}: {who}{name} is not finite")
 
 
-def read_load_series(path):
-    """Read a base load CSV (`time_s,power_w`); spacing must be uniform."""
-    lines, cols = read_csv(path, _LOAD_HEADER, _LOAD_HEADER)
-    times, powers = cols["time_s"], cols["power_w"]
-    _check_finite(path, lines, cols, ("time_s",))
+def _uniform_series(who, times, powers):
+    """The samples as a :class:`LoadSeries`; their spacing must be uniform.
+
+    ``who`` starts each message: the file, or the file and consumer.
+    """
     if times.size < 2:
-        raise ParseError(f"{path}: need at least two samples")
+        raise ValidationError(f"{who} needs at least two samples")
     steps = np.diff(times)
     if np.any(np.abs(steps - steps[0]) > 1e-6 * abs(steps[0])):
-        raise ValidationError(f"{path}: sample spacing is not uniform")
+        raise ValidationError(f"{who} spacing not uniform")
     try:
         return LoadSeries(values_w=powers, dt_s=float(steps[0]),
                           start_s=float(times[0]))
     except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+        raise ValidationError(f"{who}: {exc}") from None
+
+
+def read_load_series(path):
+    """Read a base load CSV (`time_s,power_w`); spacing must be uniform."""
+    lines, cols = read_csv(path, _LOAD_HEADER, _LOAD_HEADER)
+    _check_finite(path, lines, cols, ("time_s",))
+    return _uniform_series(path, cols["time_s"], cols["power_w"])
 
 
 def write_load_series(series, path):
@@ -404,21 +404,10 @@ def read_demand_set(path):
                     for cid in cols["consumer_edge_id"]], dtype=np.int64)
     order = np.lexsort((cols["time_s"], key))
     bounds = np.cumsum(np.bincount(key))[:-1]
-    series = []
-    for cid, times, powers in zip(first_seen,
-                                  np.split(cols["time_s"][order], bounds),
-                                  np.split(cols["power_w"][order], bounds)):
-        if times.size < 2:
-            raise ValidationError(
-                f"{path}: consumer {cid!r} needs at least two samples")
-        steps = np.diff(times)
-        if np.any(np.abs(steps - steps[0]) > 1e-6 * abs(steps[0])):
-            raise ValidationError(f"{path}: consumer {cid!r} spacing not uniform")
-        try:
-            series.append(LoadSeries(values_w=powers, dt_s=float(steps[0]),
-                                     start_s=float(times[0])))
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: consumer {cid!r}: {exc}") from None
+    series = [_uniform_series(f"{path}: consumer {cid!r}", times, powers)
+              for cid, times, powers in zip(
+                  first_seen, np.split(cols["time_s"][order], bounds),
+                  np.split(cols["power_w"][order], bounds))]
     return DemandSet(consumer_ids=tuple(first_seen), series=tuple(series))
 
 

@@ -1,13 +1,19 @@
+import dataclasses
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from dhnopt.cli import (EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK,
+from dhnopt.cli import (_DEFAULTS, EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK,
                         compute_quantiles, main)
 from dhnopt.fixtures import desk_network, write_desk_fixture
-from dhnopt.network import read_csv
-from dhnopt.thermal import StateTrajectory, TimeGrid
+from dhnopt.network import read_csv, subdivide_pipes
+from dhnopt.objective import ConstraintSet
+from dhnopt.optimizer import OptimizerConfig
+from dhnopt.scenario import (DEFAULT_CUTOFF_HZ, DEFAULT_NOISE_BAND_HZ,
+                             DEFAULT_NOISE_SIGMA, build_scenario, lowpass)
+from dhnopt.thermal import PhysicalConstants, StateTrajectory, TimeGrid
 
 
 def _run(*args):
@@ -124,6 +130,17 @@ class TestSimulate:
     ("synth-demand", "synthesis", {"order": 4.5}, "synthesis.order"),
     ("synth-demand", "synthesis", {"band_hz": 5e-5}, "synthesis.band_hz"),
     ("synth-demand", "synthesis", {"band_hz": [5e-5]}, "synthesis.band_hz"),
+    # blocks and values that the command itself does not read
+    ("simulate", None, {"scenario": 5}, "scenario"),
+    ("simulate", None, {"verify": None}, "verify"),
+    ("simulate", "network", {"nodes": ["x"]}, "network.nodes"),
+    ("simulate", None, {"demand_file": 5}, "demand_file"),
+    ("simulate", "scenario", {"static_price": "yes"}, "scenario.static_price"),
+    ("simulate", None, {"threads": "four"}, "threads"),
+    ("simulate", "optimizer", {"memory": "ten"}, "optimizer.memory"),
+    ("synth-demand", "scenario", {"dt_s": "abc"}, "scenario.dt_s"),
+    ("verify", "verify", {"dense_tolerance_c": "x"},
+     "verify.dense_tolerance_c"),
 ])
 def test_config_value_of_the_wrong_type_exits_2(small_files, monkeypatch,
                                                 capsys, command, section,
@@ -136,10 +153,38 @@ def test_config_value_of_the_wrong_type_exits_2(small_files, monkeypatch,
     small_files.write_text(json.dumps(data))
 
     def no_solve(*args, **kwargs):
-        raise AssertionError("optimize ran on an invalid config")
+        raise AssertionError("a solve ran on an invalid config")
     monkeypatch.setattr("dhnopt.cli.optimize", no_solve)
+    monkeypatch.setattr("numpy.linalg.solve", no_solve)
     assert _run(command, "--config", small_files, "--quiet") == EXIT_INPUT
     assert f"'{key}'" in capsys.readouterr().err
+
+
+def test_config_that_is_not_an_object_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text('[{"seed": 0}]')
+    assert _run("simulate", "--config", cfg) == EXIT_INPUT
+    assert "must be a JSON object" in capsys.readouterr().err
+
+
+def test_model_defaults_come_from_their_owners():
+    def arg(func, name):
+        return inspect.signature(func).parameters[name].default
+
+    sc, syn = _DEFAULTS["scenario"], _DEFAULTS["synthesis"]
+    constants = PhysicalConstants()
+    assert (sc["cp_j_per_kg_c"], sc["rho_kg_m3"], sc["ambient_c"]) == (
+        constants.cp_j_per_kg_c, constants.rho_kg_m3, constants.ambient_c)
+    for key in ("alpha", "beta", "tikhonov_weight", "initial_control_c"):
+        assert sc[key] == arg(build_scenario, key), key
+    assert sc["max_cell_length_m"] == arg(subdivide_pipes, "max_cell_length_m")
+    assert sc["constraints"] == dataclasses.asdict(ConstraintSet())
+    assert _DEFAULTS["optimizer"] == dataclasses.asdict(OptimizerConfig())
+    assert syn["order"] == arg(lowpass, "order")
+    assert (syn["cutoff_hz"], tuple(syn["band_hz"]), syn["sigma"]) == (
+        DEFAULT_CUTOFF_HZ, DEFAULT_NOISE_BAND_HZ, DEFAULT_NOISE_SIGMA)
+    assert tuple(_DEFAULTS["quantile_levels"]) == arg(compute_quantiles,
+                                                      "levels")
 
 
 class TestVerify:
