@@ -28,7 +28,8 @@ from .errors import ParseError, SolverError, ValidationError
 from .network import (load_flow_field, parse_network, read_csv,
                       subdivide_pipes, write_csv)
 from .objective import (J_PER_MWH, ConstraintSet, constraint_violations,
-                        loss_energy, loss_energy_steps, max_violation)
+                        interpolate, loss_energy, loss_energy_steps,
+                        max_violation)
 from .optimizer import OptimizerConfig, optimize
 from .scenario import (DEFAULT_CUTOFF_HZ, DEFAULT_NOISE_BAND_HZ,
                        DEFAULT_NOISE_SIGMA, DemandSet, build_scenario,
@@ -258,6 +259,10 @@ def _time_grid(sc):
 def _scenario(cfg):
     sc = cfg.data["scenario"]
     grid = _time_grid(sc)
+    ambient = sc["ambient_c"]
+    if isinstance(ambient, list) and len(ambient) != grid.n_steps + 1:
+        raise ValidationError(f"config 'scenario.ambient_c' needs n_steps + 1 "
+                              f"= {grid.n_steps + 1} values, got {len(ambient)}")
     graph, flow = _load_network(cfg)
     demands = read_demand_set(cfg.path("demand_file"))
     price_path = cfg.path("price_file", required=False)
@@ -268,7 +273,7 @@ def _scenario(cfg):
     prices = None if static else read_price_series(price_path)
     constants = PhysicalConstants(cp_j_per_kg_c=sc["cp_j_per_kg_c"],
                                   rho_kg_m3=sc["rho_kg_m3"],
-                                  ambient_c=sc["ambient_c"])
+                                  ambient_c=ambient)
     return build_scenario(
         graph, flow, demands, prices, ConstraintSet(**sc["constraints"]),
         grid, constants, alpha=sc["alpha"], beta=sc["beta"],
@@ -315,12 +320,8 @@ def _read_control_file(path, graph, grid):
             raise ValidationError(f"{path}: no rows for plant {pid!r}")
         times = np.array(sorted(by_id[pid]))
         vals = np.array([by_id[pid][t] for t in times])
-        target = grid.times()[1:]
-        if target[0] < times[0] - 1e-9 or target[-1] > times[-1] + 1e-9:
-            raise ValidationError(
-                f"{path}: control for {pid!r} does not cover the horizon"
-            )
-        u[i] = np.interp(target, times, vals)
+        u[i] = interpolate(grid.times()[1:], times, vals,
+                           f"{path}: control for {pid!r}")
     return u
 
 
@@ -607,11 +608,10 @@ def cmd_synth_demand(cfg):
     consumer_ids = [graph.edge_ids[e] for e in graph.consumer_edges]
     n = len(consumer_ids)
     mean_target = syn["mean_w_per_consumer"]
-    targets = np.full(n, smooth.mean() / n if mean_target is None
-                      else mean_target)
     series = synthesize_variations(
         smooth, n, band_hz=syn["band_hz"], sigma=syn["sigma"], seed=cfg.seed,
-        target_means=targets, keys=consumer_ids)
+        target_means=None if mean_target is None else np.full(n, mean_target),
+        keys=consumer_ids)
     demands = DemandSet(consumer_ids=tuple(consumer_ids), series=tuple(series))
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -623,7 +623,7 @@ def cmd_synth_demand(cfg):
         "min_w": np.array([v.min() for v in values]),
         "max_w": np.array([v.max() for v in values])})
     cfg.log(f"synthesized {n} demand series "
-            f"(mean target {targets[0]:.1f} W each)")
+            f"(mean {values[0].mean():.1f} W each)")
     return EXIT_OK
 
 

@@ -4,55 +4,69 @@ All fixtures are fully deterministic given their arguments. The desk
 network is the feeder network cut to one unrefined feeder of ten
 consumers, small enough to solve in milliseconds; the full feeder
 network has a realistic node count for runtime benchmarks.
+
+Module constants fix what no caller varies: the exchanger, service
+pipe and minimal-loop pipe sizes, the 900 s step, the 50 kW mean
+demand per consumer, the load swings, the price levels and cheap
+hours, and the 110 °C initial control of the scenarios.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 
-from .network import FlowField, NetworkGraph, subdivide_pipes
+from .network import (FlowField, NetworkGraph, subdivide_pipes,
+                      write_flow_field, write_network)
 from .objective import ConstraintSet
-from .scenario import (DemandSet, LoadSeries, PriceSeries, build_scenario,
-                       lowpass, synthesize_variations, DEFAULT_CUTOFF_HZ)
+from .scenario import (DEFAULT_CUTOFF_HZ, DemandSet, LoadSeries, PriceSeries,
+                       build_scenario, lowpass, synthesize_variations,
+                       write_demand_set, write_load_series, write_price_series)
 from .thermal import PhysicalConstants, TimeGrid
 
+#: Consumer and producer edges, and each substation's service pipe.
 _EXCHANGER_LENGTH_M = 5.0
 _EXCHANGER_DIAMETER_M = 0.05
+_LOOP_LENGTH_M = 80.0
+_LOOP_DIAMETER_M = 0.05
+_DT_S = 900.0
+_MEAN_W_PER_CONSUMER = 50e3
+_DAILY_SWING = 0.25
+_SECONDARY_SWING = 0.12
+#: EUR/MWh inside and outside the cheap hours ``[2, 8)`` of each day.
+_CHEAP_EUR_MWH = 20.0
+_EXPENSIVE_EUR_MWH = 100.0
+_CHEAP_HOURS = (2, 8)
+_INITIAL_CONTROL_C = 110.0
 
 
 def _graph(nodes, edges):
     """nodes: (id, side, x, y); edges: (id, tail, head, kind, l, d, k)."""
-    node_ids = [n[0] for n in nodes]
-    sides = [n[1] for n in nodes]
-    xy = [[n[2], n[3]] for n in nodes]
-    edge_ids = [e[0] for e in edges]
-    kinds = [e[3] for e in edges]
+    node_ids, sides, xs, ys = zip(*nodes)
+    edge_ids, tails, heads, kinds, lengths, diams, htcs = zip(*edges)
     index = {nid: i for i, nid in enumerate(node_ids)}
-    tails = [index[e[1]] for e in edges]
-    heads = [index[e[2]] for e in edges]
-    lengths = [e[4] for e in edges]
-    diams = [e[5] for e in edges]
-    htcs = [e[6] for e in edges]
-    return NetworkGraph(node_ids, sides, xy, edge_ids, kinds, tails, heads,
-                        lengths, diams, htcs)
+    return NetworkGraph(node_ids, sides, np.column_stack([xs, ys]), edge_ids,
+                        kinds, [index[t] for t in tails],
+                        [index[h] for h in heads], lengths, diams, htcs)
 
 
-def minimal_loop(mdot_kg_s=0.5, length_m=80.0, diameter_m=0.05,
-                 htc_w_per_m_c=0.5):
+def minimal_loop(mdot_kg_s=0.5, htc_w_per_m_c=0.5):
     """Smallest closed network: one consumer fed by one plant."""
+    length, diameter = _LOOP_LENGTH_M, _LOOP_DIAMETER_M
     nodes = [
         ("SP", "supply", 0.0, 0.0),
-        ("SC", "supply", length_m, 0.0),
-        ("RC", "return", length_m, -1.0),
+        ("SC", "supply", length, 0.0),
+        ("RC", "return", length, -1.0),
         ("RP", "return", 0.0, -1.0),
     ]
     edges = [
-        ("supply_pipe", "SP", "SC", "supply", length_m, diameter_m, htc_w_per_m_c),
+        ("supply_pipe", "SP", "SC", "supply", length, diameter, htc_w_per_m_c),
         ("consumer", "SC", "RC", "consumer", _EXCHANGER_LENGTH_M,
          _EXCHANGER_DIAMETER_M, 0.0),
-        ("return_pipe", "RC", "RP", "return", length_m, diameter_m, htc_w_per_m_c),
+        ("return_pipe", "RC", "RP", "return", length, diameter, htc_w_per_m_c),
         ("producer", "RP", "SP", "producer", _EXCHANGER_LENGTH_M,
          _EXCHANGER_DIAMETER_M, 0.0),
     ]
@@ -93,8 +107,7 @@ def pipe_chain(n_cells, total_length_m=1000.0, mdot_kg_s=0.05,
 
 
 def _feeder(nodes, edges, flows, plant_supply, plant_return, feeder_id,
-            n_consumers, segment_length_m, mdot_consumer, htc, velocity_m_s,
-            port_length_m=5.0):
+            n_consumers, segment_length_m, mdot_consumer, htc, velocity_m_s):
     """Append one feeder (supply trunk, consumers, return trunk).
 
     Every substation gets a dedicated return port node: the consumer
@@ -120,7 +133,7 @@ def _feeder(nodes, edges, flows, plant_supply, plant_return, feeder_id,
                       _EXCHANGER_LENGTH_M, _EXCHANGER_DIAMETER_M, 0.0))
         flows.append(mdot_consumer)
         edges.append((f"svc{feeder_id}_{j}", port, r, "return",
-                      port_length_m, _EXCHANGER_DIAMETER_M, htc))
+                      _EXCHANGER_LENGTH_M, _EXCHANGER_DIAMETER_M, htc))
         flows.append(mdot_consumer)
         edges.append((f"ret{feeder_id}_{j}", r, prev_r, "return",
                       segment_length_m, diameter, htc))
@@ -128,11 +141,11 @@ def _feeder(nodes, edges, flows, plant_supply, plant_return, feeder_id,
         prev_s, prev_r = s, r
 
 
-def desk_network(n_consumers=10, segment_length_m=80.0, mdot_consumer=0.4,
-                 htc_w_per_m_c=1.0, velocity_m_s=0.8):
+def desk_network(n_consumers=10, segment_length_m=80.0, htc_w_per_m_c=1.0):
     """Single-feeder network: one plant, ``n_consumers`` substations."""
-    return feeder_network(1, n_consumers, segment_length_m, mdot_consumer,
-                          htc_w_per_m_c, velocity_m_s, max_cell_length_m=math.inf)
+    return feeder_network(1, n_consumers, segment_length_m,
+                          htc_w_per_m_c=htc_w_per_m_c,
+                          max_cell_length_m=math.inf)
 
 
 def feeder_network(n_feeders=13, consumers_per_feeder=10,
@@ -158,8 +171,7 @@ def feeder_network(n_feeders=13, consumers_per_feeder=10,
     return subdivide_pipes(graph, flow, max_cell_length_m)
 
 
-def daily_load_profile(mean_w=500e3, n_days=3, dt_s=900.0,
-                       daily_swing=0.25, secondary_swing=0.12):
+def daily_load_profile(mean_w=500e3, n_days=3, dt_s=_DT_S):
     """Smooth district-total heating load over a few days.
 
     Daily cycle peaking in the morning (heating plus hot-water draw)
@@ -169,100 +181,78 @@ def daily_load_profile(mean_w=500e3, n_days=3, dt_s=900.0,
     t = np.arange(n) * dt_s
     day = t / 86400.0
     shape = (1.0
-             + daily_swing * np.sin(2.0 * np.pi * day - 0.125 * np.pi)
-             + secondary_swing * np.sin(4.0 * np.pi * day + 1.0))
+             + _DAILY_SWING * np.sin(2.0 * np.pi * day - 0.125 * np.pi)
+             + _SECONDARY_SWING * np.sin(4.0 * np.pi * day + 1.0))
     return LoadSeries(values_w=mean_w * shape, dt_s=dt_s)
 
 
-def two_level_price(n_days=3, cheap_eur_mwh=20.0, expensive_eur_mwh=100.0,
-                    cheap_hours=(2, 8)):
+def two_level_price(n_days=3):
     """Hourly two-level day-ahead curve: cheap nights, expensive days."""
     hours = np.arange(n_days * 24 + 1)
-    in_window = (hours % 24 >= cheap_hours[0]) & (hours % 24 < cheap_hours[1])
-    prices = np.where(in_window, cheap_eur_mwh, expensive_eur_mwh)
+    in_window = (hours % 24 >= _CHEAP_HOURS[0]) & (hours % 24 < _CHEAP_HOURS[1])
+    prices = np.where(in_window, _CHEAP_EUR_MWH, _EXPENSIVE_EUR_MWH)
     return PriceSeries(times_s=hours * 3600.0, prices_eur_mwh=prices.astype(float))
 
 
-def demand_set_for(graph, base, seed=0, sigma=0.15,
-                   cutoff_hz=DEFAULT_CUTOFF_HZ, mean_w_per_consumer=None):
-    """Synthesize one demand series per consumer edge of a graph."""
+def demand_set_for(graph, base, seed=0, sigma=0.15, mean_w_per_consumer=None):
+    """One demand series per consumer edge of a graph, each with mean
+    ``mean_w_per_consumer`` (default: an equal share of the base)."""
     consumer_ids = [graph.edge_ids[e] for e in graph.consumer_edges]
     n = len(consumer_ids)
-    smooth = lowpass(base, cutoff_hz)
-    if mean_w_per_consumer is None:
-        targets = np.full(n, smooth.mean() / n)
-    else:
-        targets = np.full(n, float(mean_w_per_consumer))
-    series = synthesize_variations(smooth, n, sigma=sigma, seed=seed,
+    targets = (None if mean_w_per_consumer is None
+               else np.full(n, mean_w_per_consumer))
+    series = synthesize_variations(lowpass(base, DEFAULT_CUTOFF_HZ), n,
+                                   sigma=sigma, seed=seed,
                                    target_means=targets, keys=consumer_ids)
     return DemandSet(consumer_ids=tuple(consumer_ids), series=tuple(series))
 
 
-def desk_scenario(static=True, seed=0, n_consumers=10, n_days=3, dt_s=900.0,
-                  sigma=0.15, initial_control_c=110.0, tikhonov_weight=None,
-                  alpha=1.0, beta=0.0, htc_w_per_m_c=1.0,
-                  mean_w_per_consumer=50e3):
+def _inputs(graph, static, seed, n_days):
+    """Time grid, base load, demands and prices (``None`` if static)."""
+    n_steps = int(round(n_days * 86400.0 / _DT_S))
+    base = daily_load_profile(
+        mean_w=_MEAN_W_PER_CONSUMER * len(graph.consumer_edges),
+        n_days=n_days)
+    demands = demand_set_for(graph, base, seed=seed,
+                             mean_w_per_consumer=_MEAN_W_PER_CONSUMER)
+    prices = None if static else two_level_price(n_days=n_days)
+    return TimeGrid(dt_s=_DT_S, n_steps=n_steps), base, demands, prices
+
+
+def desk_scenario(static=True, seed=0, n_consumers=10, n_days=3,
+                  initial_control_c=_INITIAL_CONTROL_C, beta=0.0):
     """Ten-consumer, three-day scenario used throughout the tests."""
-    graph, flow = desk_network(n_consumers=n_consumers,
-                               htc_w_per_m_c=htc_w_per_m_c)
-    grid = TimeGrid(dt_s=dt_s, n_steps=int(round(n_days * 86400.0 / dt_s)))
-    base = daily_load_profile(mean_w=mean_w_per_consumer * n_consumers,
-                              n_days=n_days, dt_s=dt_s)
-    demands = demand_set_for(graph, base, seed=seed, sigma=sigma,
-                             mean_w_per_consumer=mean_w_per_consumer)
-    prices = None if static else two_level_price(n_days=n_days)
-    kwargs = {}
-    if tikhonov_weight is not None:
-        kwargs["tikhonov_weight"] = tikhonov_weight
-    return build_scenario(
-        graph, flow, demands, prices, ConstraintSet(), grid,
-        PhysicalConstants(), alpha=alpha, beta=beta,
-        initial_control_c=initial_control_c, **kwargs)
+    graph, flow = desk_network(n_consumers=n_consumers)
+    grid, _, demands, prices = _inputs(graph, static, seed, n_days)
+    return build_scenario(graph, flow, demands, prices, ConstraintSet(), grid,
+                          PhysicalConstants(), beta=beta,
+                          initial_control_c=initial_control_c)
 
 
-def feeder_scenario(static=True, seed=0, n_days=3, dt_s=900.0, sigma=0.15,
-                    initial_control_c=110.0, mean_w_per_consumer=50e3,
-                    **network_kwargs):
-    """Scenario on the ~1500-node feeder network."""
+def feeder_scenario(static=True, seed=0, **network_kwargs):
+    """Three-day scenario on the ~1500-node feeder network."""
     graph, flow = feeder_network(**network_kwargs)
-    grid = TimeGrid(dt_s=dt_s, n_steps=int(round(n_days * 86400.0 / dt_s)))
-    n_cons = len(graph.consumer_edges)
-    base = daily_load_profile(mean_w=mean_w_per_consumer * n_cons,
-                              n_days=n_days, dt_s=dt_s)
-    demands = demand_set_for(graph, base, seed=seed, sigma=sigma,
-                             mean_w_per_consumer=mean_w_per_consumer)
-    prices = None if static else two_level_price(n_days=n_days)
-    return build_scenario(
-        graph, flow, demands, prices, ConstraintSet(), grid,
-        PhysicalConstants(), initial_control_c=initial_control_c)
+    grid, _, demands, prices = _inputs(graph, static, seed, n_days=3)
+    return build_scenario(graph, flow, demands, prices, ConstraintSet(), grid,
+                          PhysicalConstants(),
+                          initial_control_c=_INITIAL_CONTROL_C)
 
 
 def write_desk_fixture(out_dir, dynamic=False, seed=0, n_consumers=10,
-                       n_days=3, dt_s=900.0, sigma=0.15,
-                       initial_control_c=110.0, **config_overrides):
+                       n_days=3, **config_overrides):
     """Write the desk fixture as CSV files plus a run config.
 
     Produces ``nodes.csv``, ``edges.csv``, ``flows.csv``,
     ``base_load.csv``, ``demands.csv``, optionally ``prices.csv`` and a
     ready-to-run ``config.json``; returns the config path.
     """
-    import json
-    from pathlib import Path
-
-    from .network import write_flow_field, write_network
-    from .scenario import (write_demand_set, write_load_series,
-                           write_price_series)
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     graph, flow = desk_network(n_consumers=n_consumers)
+    grid, base, demands, prices = _inputs(graph, not dynamic, seed, n_days)
     write_network(graph, out / "nodes.csv", out / "edges.csv")
     write_flow_field(flow, graph, out / "flows.csv")
-    base = daily_load_profile(mean_w=50e3 * n_consumers, n_days=n_days,
-                              dt_s=dt_s)
     write_load_series(base, out / "base_load.csv")
-    demands = demand_set_for(graph, base, seed=seed, sigma=sigma,
-                             mean_w_per_consumer=50e3)
     write_demand_set(demands, out / "demands.csv")
 
     config = {
@@ -270,17 +260,17 @@ def write_desk_fixture(out_dir, dynamic=False, seed=0, n_consumers=10,
                     "flows": "flows.csv"},
         "demand_file": "demands.csv",
         "base_load_file": "base_load.csv",
-        "control": {"constant_c": initial_control_c},
+        "control": {"constant_c": _INITIAL_CONTROL_C},
         "scenario": {
-            "dt_s": dt_s,
-            "n_steps": int(round(n_days * 86400.0 / dt_s)),
-            "initial_control_c": initial_control_c,
+            "dt_s": grid.dt_s,
+            "n_steps": grid.n_steps,
+            "initial_control_c": _INITIAL_CONTROL_C,
         },
         "seed": seed,
         "out_dir": "out",
     }
     if dynamic:
-        write_price_series(two_level_price(n_days=n_days), out / "prices.csv")
+        write_price_series(prices, out / "prices.csv")
         config["price_file"] = "prices.csv"
         config["scenario"]["static_price"] = False
     for key, value in config_overrides.items():

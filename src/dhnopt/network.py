@@ -8,8 +8,8 @@ extraction at a substation) and a producer edge crosses back from
 return to supply (the plant reheats the returning water).
 
 Mass flows are a fixed external input, computed by a hydraulic tool and
-ingested from file. They are validated for conservation but never
-re-balanced here; bad input fails fast.
+ingested from file. They are validated for conservation and for the
+exchanger layout, but never re-balanced here; bad input fails fast.
 
 :func:`read_csv` and :func:`write_csv` are the package's one CSV reader
 and one CSV writer: every CSV file the package reads or writes goes
@@ -242,11 +242,14 @@ class FlowField:
         self.massflow_kg_s = np.asarray(massflow_kg_s, dtype=float)
 
     def validate_against(self, graph):
-        """Check stagnation, conservation and exchanger orientation.
+        """Check stagnation, conservation and the exchanger layout.
 
         Consumer and producer edges must carry flow along the edge
-        direction (supply -> return and return -> supply respectively):
-        the boundary handling in the thermal model relies on it.
+        direction (supply -> return and return -> supply respectively),
+        and their heads may receive no other flow: the thermal model
+        replaces those nodes' balance rows, so any further inflow there
+        would be silently lost. Give each substation a dedicated return
+        port that joins the trunk at a separate junction node.
         """
         m = self.massflow_kg_s
         if m.shape != (graph.n_edges,):
@@ -268,12 +271,27 @@ class FlowField:
                 f"node {graph.node_ids[i]!r}: mass imbalance "
                 f"{imbalance[i]:.3e} kg/s exceeds {MASS_BALANCE_TOL} kg/s"
             )
-        for e in np.concatenate([graph.consumer_edges, graph.producer_edges]):
-            if m[e] <= 0:
-                raise ValidationError(
-                    f"edge {graph.edge_ids[e]!r}: {graph.edge_kind[e]} edges "
-                    f"must carry flow along their orientation (got {m[e]} kg/s)"
-                )
+        consumers, producers = graph.consumer_edges, graph.producer_edges
+        exchangers = np.concatenate([consumers, producers])
+        backward = exchangers[m[exchangers] <= 0]
+        if backward.size:
+            e = backward[0]
+            raise ValidationError(
+                f"edge {graph.edge_ids[e]!r}: {graph.edge_kind[e]} edges "
+                f"must carry flow along their orientation (got {m[e]} kg/s)"
+            )
+        inflows = np.bincount(np.where(m > 0, graph.edge_head, graph.edge_tail),
+                              minlength=graph.n_nodes)
+        for edges, message in (
+                (consumers, "consumer return node {!r} receives flow besides "
+                 "its consumer edge; use a dedicated return port per "
+                 "substation"),
+                (producers, "plant supply node {!r} receives flow besides its "
+                 "producer edge")):
+            heads = graph.edge_head[edges]
+            bad = heads[inflows[heads] > 1]
+            if bad.size:
+                raise ValidationError(message.format(graph.node_ids[bad[0]]))
         return self
 
 

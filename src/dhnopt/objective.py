@@ -40,6 +40,17 @@ def price_knots(times_s, prices_eur_mwh):
     return t, p
 
 
+def interpolate(t, knot_times, knot_values, what):
+    """``np.interp`` at ``t``, once the knots named ``what`` are checked
+    to cover ``t`` within 1e-9 s."""
+    t = np.asarray(t, dtype=float)
+    lo, hi = knot_times[0], knot_times[-1]
+    if t.min() < lo - 1e-9 or t.max() > hi + 1e-9:
+        raise ValidationError(f"{what} covers [{lo}, {hi}] s; "
+                              f"[{t.min()}, {t.max()}] s is not covered")
+    return np.interp(t, knot_times, knot_values)
+
+
 @dataclass(frozen=True)
 class PriceModel:
     """Energy price weighting for the injection cost.
@@ -88,13 +99,7 @@ class PriceModel:
         """Linear interpolation of the price curve, EUR/MWh."""
         if self.static:
             return np.ones_like(np.asarray(t_s, dtype=float))
-        t = np.asarray(t_s, dtype=float)
-        if np.any(t < self.times_s[0]) or np.any(t > self.times_s[-1]):
-            raise ValidationError(
-                f"price curve covers [{self.times_s[0]}, {self.times_s[-1]}] s, "
-                f"queried outside"
-            )
-        return np.interp(t, self.times_s, self.prices_eur_mwh)
+        return interpolate(t_s, self.times_s, self.prices_eur_mwh, "price curve")
 
 
 def _loss_weights(model, times_s, supply, ret, working=False):

@@ -18,7 +18,7 @@ from scipy.signal import butter, sosfiltfilt
 
 from .errors import ValidationError
 from .network import control_volumes, read_csv, write_csv
-from .objective import ConstraintSet, PriceModel, price_knots
+from .objective import ConstraintSet, PriceModel, interpolate, price_knots
 from .thermal import (PhysicalConstants, TimeGrid, assemble, condense,
                       demand_to_delta)
 
@@ -192,22 +192,9 @@ def synthesize_variations(base, n, band_hz=DEFAULT_NOISE_BAND_HZ,
 
 
 def resample_to_grid(series, grid):
-    """Linear interpolation of a load or price series at the grid times."""
-    if isinstance(series, LoadSeries):
-        times, values = series.times(), series.values_w
-    elif isinstance(series, PriceSeries):
-        times, values = series.times_s, series.prices_eur_mwh
-    else:
-        times, values = series
-        times = np.asarray(times, dtype=float)
-        values = np.asarray(values, dtype=float)
-    t = grid.times()
-    if t[0] < times[0] - 1e-9 or t[-1] > times[-1] + 1e-9:
-        raise ValidationError(
-            f"grid [{t[0]}, {t[-1]}] s not covered by series "
-            f"[{times[0]}, {times[-1]}] s"
-        )
-    return np.interp(t, times, values)
+    """Linear interpolation of a :class:`LoadSeries` at the grid times."""
+    return interpolate(grid.times(), series.times(), series.values_w,
+                       "load series")
 
 
 # ---------------------------------------------------------------------------
@@ -266,11 +253,8 @@ def build_scenario(graph, flow, demands, prices, constraints, grid, constants,
         raise ValidationError("tikhonov weight must be >= 0")
 
     consumer_ids = [graph.edge_ids[e] for e in bc.consumer_edges]
-    rows = []
-    for cid in consumer_ids:
-        series = demands.for_consumer(cid)
-        rows.append(resample_to_grid(series, grid))
-    demands_w = np.asarray(rows)
+    demands_w = np.array([resample_to_grid(demands.for_consumer(cid), grid)
+                          for cid in consumer_ids])
 
     mdot_c = np.abs(flow.massflow_kg_s[bc.consumer_edges])
     deltas = demand_to_delta(demands_w, mdot_c[:, None],

@@ -150,7 +150,6 @@ class SystemMatrices:
         self.interior = interior = np.ones(n, dtype=bool)
         interior[bc.plant_nodes] = False
         interior[bc.consumer_return_nodes] = False
-        self._check_boundary_inflows()
 
         cp = constants.cp_j_per_kg_c
         rho = constants.rho_kg_m3
@@ -171,35 +170,6 @@ class SystemMatrices:
                                np.ones(bc.n_plants), np.ones(bc.n_consumers),
                                -np.ones(bc.n_consumers)])
         self._steady = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
-
-    def _check_boundary_inflows(self):
-        """Boundary rows must own all flow into their node.
-
-        A replaced row discards the node's physical balance, so any
-        additional inflow there would be silently lost. Consumer return
-        nodes may only receive the consumer edge's flow (give each
-        substation a dedicated return port that joins the trunk at a
-        separate junction node), and plant supply nodes only the
-        producer edge's flow.
-        """
-        graph, m = self.graph, self.flow.massflow_kg_s
-        down = np.where(m > 0, graph.edge_head, graph.edge_tail)
-        inflows = [[] for _ in range(graph.n_nodes)]
-        for e, node in enumerate(down):
-            inflows[node].append(e)
-        for e, node in zip(self.bc.consumer_edges, self.bc.consumer_return_nodes):
-            if inflows[node] != [e]:
-                raise ValidationError(
-                    f"consumer return node {graph.node_ids[node]!r} receives "
-                    f"flow besides its consumer edge; use a dedicated return "
-                    f"port per substation"
-                )
-        for e, node in zip(self.bc.producer_edges, self.bc.plant_nodes):
-            if inflows[node] != [e]:
-                raise ValidationError(
-                    f"plant supply node {graph.node_ids[node]!r} receives "
-                    f"flow besides its producer edge"
-                )
 
     def steady_matrix(self):
         return self._steady

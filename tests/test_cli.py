@@ -141,6 +141,8 @@ class TestSimulate:
     ("synth-demand", "scenario", {"dt_s": "abc"}, "scenario.dt_s"),
     ("verify", "verify", {"dense_tolerance_c": "x"},
      "verify.dense_tolerance_c"),
+    # one value per grid point: the fixture's 96 steps need 97
+    ("simulate", "scenario", {"ambient_c": [10.0] * 96}, "scenario.ambient_c"),
 ])
 def test_config_value_of_the_wrong_type_exits_2(small_files, monkeypatch,
                                                 capsys, command, section,

@@ -16,13 +16,13 @@ from hypothesis.extra.numpy import arrays
 import dhnopt.scenario
 from conftest import make_loop_scenario
 from dhnopt.errors import ValidationError
-from dhnopt.fixtures import desk_scenario, two_level_price
+from dhnopt.fixtures import desk_scenario, feeder_network, two_level_price
 from dhnopt.network import FlowField, NetworkGraph
 from dhnopt.objective import ConstraintSet
 from dhnopt.optimizer import ObjectiveEvaluator, OptimizerConfig, optimize
 from dhnopt.scenario import DemandSet, LoadSeries, build_scenario
-from dhnopt.thermal import (PhysicalConstants, TimeGrid, energy_balance,
-                            simulate_system)
+from dhnopt.thermal import (DEFAULT_CP, PhysicalConstants, TimeGrid,
+                            energy_balance, simulate_system)
 
 _SCENARIOS = {
     "loop": lambda: make_loop_scenario(n_steps=96, swing=0.3),
@@ -221,16 +221,18 @@ class TestTwoPlants:
 # a directed flow cycle on the supply side
 # ---------------------------------------------------------------------------
 
-def cyclic_network():
-    """One plant and one consumer; 0.3 of 0.8 kg/s circles S1 -> S2 -> S3."""
+def cyclic_network(circulating_kg_s=0.3):
+    """One plant and one consumer on 0.8 kg/s; the circulating flow goes
+    around S1 -> S2 -> S3 on top of it."""
+    c = circulating_kg_s
     nodes = [("SP", "supply"), ("S1", "supply"), ("S2", "supply"),
              ("S3", "supply"), ("RC", "return"), ("RP", "return")]
     # id, tail, head, kind, length_m, htc, mass flow
     edges = [("producer", "RP", "SP", "producer", 5.0, 0.0, 0.8),
              ("sup1", "SP", "S1", "supply", 200.0, 0.4, 0.8),
-             ("sup2", "S1", "S2", "supply", 150.0, 0.4, 1.1),
-             ("sup3", "S2", "S3", "supply", 150.0, 0.4, 1.1),
-             ("loop", "S3", "S1", "supply", 100.0, 0.4, 0.3),
+             ("sup2", "S1", "S2", "supply", 150.0, 0.4, 0.8 + c),
+             ("sup3", "S2", "S3", "supply", 150.0, 0.4, 0.8 + c),
+             ("loop", "S3", "S1", "supply", 100.0, 0.4, c),
              ("consumer", "S3", "RC", "consumer", 5.0, 0.0, 0.8),
              ("ret", "RC", "RP", "return", 500.0, 0.4, 0.8)]
     index = {n[0]: i for i, n in enumerate(nodes)}
@@ -295,6 +297,51 @@ class TestCyclicFlow:
             worst = max(worst, abs(grad[0, j] - fd)
                         / max(abs(fd), abs(grad[0, j]), 1e-12))
         assert worst < 1e-5, f"relative error {worst:.2e}"
+
+
+# ---------------------------------------------------------------------------
+# drawn networks: feeders of any size and refinement, and the cycle
+# ---------------------------------------------------------------------------
+
+_NETWORKS = st.one_of(
+    st.builds(feeder_network, n_feeders=st.integers(1, 3),
+              consumers_per_feeder=st.integers(1, 4),
+              segment_length_m=st.floats(20.0, 500.0),
+              htc_w_per_m_c=st.floats(0.0, 2.0),
+              max_cell_length_m=st.floats(25.0, 600.0)),
+    st.builds(cyclic_network, st.floats(0.05, 2.0)))
+
+
+def _drawn_scenario(graph, flow):
+    """24 steps from 105 °C; each consumer cools its flow by 12-18 °C."""
+    grid = TimeGrid(dt_s=900.0, n_steps=24)
+    shape = 1.0 + 0.2 * np.sin(2 * np.pi * grid.times() / 86400.0)
+    edges = graph.consumer_edges
+    demands = DemandSet(
+        tuple(graph.edge_ids[e] for e in edges),
+        tuple(LoadSeries(values_w=15.0 * DEFAULT_CP * m * shape, dt_s=900.0)
+              for m in flow.massflow_kg_s[edges]))
+    return build_scenario(graph, flow, demands, None, ConstraintSet(), grid,
+                          PhysicalConstants(), initial_control_c=105.0)
+
+
+class TestDrawnNetworks:
+    @settings(max_examples=25, deadline=None)
+    @given(network=_NETWORKS, seed=st.integers(0, 2**32 - 1))
+    def test_map_equals_sweep_and_energy_balances(self, network, seed):
+        scenario = _drawn_scenario(*network)
+        # the plant lift stays at least 7 °C, so injection is far from 0
+        u = np.random.default_rng(seed).uniform(
+            105.0, 110.0, (scenario.system.bc.n_plants, 24))
+        traj = simulate_system(scenario.system, scenario.grid, u,
+                               scenario.deltas, scenario.ambient,
+                               scenario.u_init)
+        y = scenario.condensed.apply(u).values_c
+        assert np.max(np.abs(
+            y - traj.values_c[scenario.condensed.nodes, 1:])) <= 1e-9
+        bal = energy_balance(scenario.system, traj, scenario.deltas,
+                             scenario.ambient)
+        assert bal["residual_rel"].max() < 1e-9
 
 
 # ---------------------------------------------------------------------------

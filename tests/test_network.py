@@ -1,10 +1,13 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from dhnopt.cli import EXIT_INPUT, main
 from dhnopt.errors import ParseError, ValidationError
-from dhnopt.fixtures import desk_network, minimal_loop, pipe_chain
+from dhnopt.fixtures import (desk_network, minimal_loop, pipe_chain,
+                             write_desk_fixture)
 from dhnopt.network import (FlowField, NetworkGraph, control_volumes,
                             load_flow_field, parse_network, subdivide_pipes,
                             write_flow_field, write_network)
@@ -243,6 +246,54 @@ class TestFlowField:
         (tmp_path / "flows.csv").write_text("\n".join(lines) + "\n")
         with pytest.raises(ValidationError, match="missing edge"):
             load_flow_field(tmp_path / "flows.csv", graph)
+
+
+def _with_bypass(tail, head, pipe):
+    """The minimal loop plus a pipe ``tail -> head`` that returns 0.2 kg/s
+    around ``pipe``, which then carries 0.7 kg/s."""
+    graph, flow = minimal_loop()
+    tails = [*graph.edge_tail, graph.node_index[tail]]
+    heads = [*graph.edge_head, graph.node_index[head]]
+    kind = graph.node_side[graph.node_index[tail]]
+    bypassed = NetworkGraph(
+        graph.node_ids, graph.node_side, graph.node_xy,
+        [*graph.edge_ids, "bypass"], [*graph.edge_kind, kind], tails, heads,
+        [*graph.length_m, 10.0], [*graph.diameter_m, 0.05],
+        [*graph.htc_w_per_m_c, 0.5])
+    m = np.append(flow.massflow_kg_s, 0.2)
+    m[graph.edge_index[pipe]] += 0.2
+    return bypassed, FlowField(m)
+
+
+class TestExchangerLayout:
+    """A consumer return port or plant supply node is fed only by its
+    own exchanger edge; the flow field is checked for it on load."""
+
+    def test_return_pipe_into_consumer_port_rejected(self):
+        graph, flow = _with_bypass("RP", "RC", "return_pipe")
+        with pytest.raises(ValidationError,
+                           match="consumer return node 'RC' receives flow"):
+            flow.validate_against(graph)
+
+    def test_second_inflow_into_plant_supply_node_rejected(self):
+        graph, flow = _with_bypass("SC", "SP", "supply_pipe")
+        with pytest.raises(ValidationError,
+                           match="plant supply node 'SP' receives flow"):
+            flow.validate_against(graph)
+
+    def test_cli_rejects_the_layout_before_reading_demands(self, tmp_path,
+                                                           capsys):
+        cfg = write_desk_fixture(tmp_path, n_consumers=3, n_days=1)
+        graph, flow = _with_bypass("RP", "RC", "return_pipe")
+        write_network(graph, tmp_path / "nodes.csv", tmp_path / "edges.csv")
+        write_flow_field(flow, graph, tmp_path / "flows.csv")
+        data = json.loads(cfg.read_text())
+        data["demand_file"] = "missing.csv"
+        cfg.write_text(json.dumps(data))
+        assert main(["simulate", "--config", str(cfg), "--quiet"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "consumer return node 'RC'" in err
+        assert "missing.csv" not in err
 
 
 class TestSubdivision:

@@ -4,11 +4,10 @@ import pytest
 from dhnopt.errors import ValidationError
 from dhnopt.fixtures import (daily_load_profile, demand_set_for, desk_network,
                              desk_scenario, two_level_price)
-from dhnopt.objective import ConstraintSet
-from dhnopt.scenario import (DemandSet, LoadSeries, PriceSeries,
-                             build_scenario, lowpass, read_demand_set,
-                             read_load_series, read_price_series,
-                             resample_to_grid, synthesize_variations,
+from dhnopt.objective import ConstraintSet, PriceModel
+from dhnopt.scenario import (DemandSet, LoadSeries, build_scenario, lowpass,
+                             read_demand_set, read_load_series,
+                             read_price_series, synthesize_variations,
                              write_demand_set, write_load_series,
                              write_price_series)
 from dhnopt.thermal import PhysicalConstants, TimeGrid
@@ -121,25 +120,26 @@ class TestSynthesizeVariations:
 
 
 class TestResample:
+    """Price curves at the grid times, through the package's price path."""
+
     def test_linear_midpoint(self):
-        prices = PriceSeries(times_s=np.array([0.0, 3600.0]),
-                             prices_eur_mwh=np.array([10.0, 20.0]))
+        price = PriceModel.from_curve([0.0, 3600.0], [10.0, 20.0])
         grid = TimeGrid(dt_s=1800.0, n_steps=2)
-        np.testing.assert_allclose(resample_to_grid(prices, grid),
+        np.testing.assert_allclose(price.price_at(grid.times()),
                                    [10.0, 15.0, 20.0])
 
     def test_knot_values_reproduced(self):
         times = np.array([0.0, 900.0, 1800.0, 2700.0])
         vals = np.array([5.0, 7.0, 6.5, 9.0])
-        prices = PriceSeries(times_s=times, prices_eur_mwh=vals)
+        price = PriceModel.from_curve(times, vals)
         grid = TimeGrid(dt_s=900.0, n_steps=3)
-        np.testing.assert_array_equal(resample_to_grid(prices, grid), vals)
+        np.testing.assert_array_equal(price.price_at(grid.times()), vals)
 
     def test_exact_for_affine_series(self):
         times = np.arange(0.0, 7200.1, 600.0)
-        prices = PriceSeries(times_s=times, prices_eur_mwh=3.0 + 0.25 * times)
+        price = PriceModel.from_curve(times, 3.0 + 0.25 * times)
         grid = TimeGrid(dt_s=450.0, n_steps=16)
-        np.testing.assert_allclose(resample_to_grid(prices, grid),
+        np.testing.assert_allclose(price.price_at(grid.times()),
                                    3.0 + 0.25 * grid.times(), rtol=1e-14)
 
     def test_three_day_grid_has_288_steps(self):
@@ -147,10 +147,9 @@ class TestResample:
         assert grid.n_steps == 288
 
     def test_grid_outside_span_rejected(self):
-        prices = PriceSeries(times_s=np.array([0.0, 3600.0]),
-                             prices_eur_mwh=np.array([10.0, 20.0]))
+        price = PriceModel.from_curve([0.0, 3600.0], [10.0, 20.0])
         with pytest.raises(ValidationError, match="not covered"):
-            resample_to_grid(prices, TimeGrid(dt_s=3600.0, n_steps=2))
+            price.price_at(TimeGrid(dt_s=3600.0, n_steps=2).times())
 
 
 class TestBuildScenario:
@@ -180,6 +179,15 @@ class TestBuildScenario:
         grid = TimeGrid(dt_s=900.0, n_steps=288)
         with pytest.raises(ValidationError, match="no demand series"):
             build_scenario(graph, flow, short, None, ConstraintSet(), grid,
+                           PhysicalConstants())
+
+    def test_demand_shorter_than_the_grid_rejected(self):
+        graph, flow = desk_network()
+        demands = demand_set_for(graph, daily_load_profile(n_days=1))
+        grid = TimeGrid(dt_s=900.0, n_steps=288)
+        with pytest.raises(ValidationError,
+                           match=r"load series covers \[0.0, 86400.0\] s"):
+            build_scenario(graph, flow, demands, None, ConstraintSet(), grid,
                            PhysicalConstants())
 
     def test_absurd_demand_rejected(self):
