@@ -96,10 +96,22 @@ class PriceModel:
                    times_s=times_s, prices_eur_mwh=prices_eur_mwh)
 
     def price_at(self, t_s):
-        """Linear interpolation of the price curve, EUR/MWh."""
+        """Linear interpolation of the price curve, EUR/MWh.
+
+        The objective asks for the prices at the same grid times on
+        every call, so a dynamic model keeps its last result with the
+        times it was read at and returns copies of it.
+        """
+        t = np.asarray(t_s, dtype=float)
         if self.static:
-            return np.ones_like(np.asarray(t_s, dtype=float))
-        return interpolate(t_s, self.times_s, self.prices_eur_mwh, "price curve")
+            return np.ones_like(t)
+        key = (t.shape, t.tobytes())
+        last = self.__dict__.get("_last_read")
+        if last is None or last[0] != key:
+            last = (key, interpolate(t, self.times_s, self.prices_eur_mwh,
+                                     "price curve"))
+            object.__setattr__(self, "_last_read", last)
+        return last[1].copy()
 
 
 def _loss_weights(model, times_s, supply, ret, working=False):

@@ -13,8 +13,14 @@ plant's column of ``H``. A value is then one FFT convolution with
 ``n_plants + n_consumers`` plant return and consumer supply rows: the
 boundary rows of the system matrix hold a plant supply node at its
 control and a consumer return node at its supply temperature minus the
-drop, so those outputs need no transform. The sweep remains the
-oracle for these outputs and the full-state path of the CLI.
+drop, so those outputs need no transform. The gradient transforms
+fewer still: ``dJ/dy`` is nonzero only on the plant rows, which carry
+the injection cost, and on the consumer rows with a violated
+constraint, since the hinge penalty has zero slope where a constraint
+holds. Leaving the zero rows out is exact, because a zero row
+transforms to exact zeros and adding exact zeros changes no bit of the
+sum. The sweep remains the oracle for these outputs and the full-state
+path of the CLI.
 
 Minimization within the plant temperature box is scipy's L-BFGS-B
 (Byrd, Lu, Nocedal & Zhu 1995), one value-and-gradient call per trial
@@ -80,10 +86,12 @@ class ObjectiveEvaluator:
 
     Both run on the scenario's condensed map (see the module docstring),
     built on the first request: a value is one FFT convolution, a
-    gradient one FFT correlation with the impulse response. The outputs
-    are cached keyed on the control bytes, so reading the parts of a
-    round's result, last evaluated by its line search, pays nothing
-    again.
+    gradient one FFT correlation with the impulse response of the plant
+    rows and the violated consumer rows only. The outputs are cached
+    keyed on the control bytes, so reading the parts of a round's
+    result, last evaluated by its line search, pays nothing again, and
+    a gradient at the cached control reads its violations from the
+    scratch the value wrote them to.
     """
 
     def __init__(self, scenario, lambda_p):
@@ -92,10 +100,10 @@ class ObjectiveEvaluator:
         self.scenario = scenario
         self.lambda_p = float(lambda_p)
         self.bc = bc = scenario.system.bc
-        # scratch for the violations and the output gradient; a second
-        # fresh array of this size per call costs page faults
-        self._dj_dy = np.empty((2 * (bc.n_plants + bc.n_consumers),
-                                scenario.grid.n_steps))
+        # the violations at the cached control, rewritten on every cache
+        # miss; a fresh array of this size per call costs page faults
+        self._c = np.empty((2 * bc.n_consumers, scenario.grid.n_steps))
+        self._row_starts = np.arange(0, self._c.size, scenario.grid.n_steps)
         self.n_evals = 0
         self.n_gradients = 0
         self._cache_key = None
@@ -138,10 +146,10 @@ class ObjectiveEvaluator:
         return parts
 
     def _violations(self, outputs):
-        """Constraint values in the scratch rows below the plant rows."""
+        """Constraint values, in the scratch the gradient reads them from."""
         s = self.scenario
         return constraint_violations(outputs, s.graph, s.constraints,
-                                     out=self._dj_dy[2 * self.bc.n_plants:])
+                                     out=self._c)
 
     # -- gradient --------------------------------------------------------
 
@@ -154,18 +162,25 @@ class ObjectiveEvaluator:
         rates, _ = injection_cost_rates(outputs, s.graph, s.flow, s.price,
                                         s.constants.cp_j_per_kg_c,
                                         working=True)
-        # d/dy of lambda/2 * max(0, bound - y)^2 is -lambda * hinge; rows
-        # follow the map's order: plant supply, plant return, consumer
-        # supply, consumer return (the order of the violation rows)
+        # d/dy of lambda/2 * max(0, bound - y)^2 is -lambda * hinge, zero
+        # on every row whose constraints hold, so the map gets the plant
+        # rows and the violated consumer rows (NaN counts) only. One
+        # reduction over the flat scratch: a row-wise max pays a per-row
+        # overhead that is most of its cost.
         n_p = self.bc.n_plants
-        dj_dy = self._dj_dy
+        c = self._c
+        row_max = np.maximum.reduceat(c.ravel(), self._row_starts)
+        violated = np.flatnonzero(~(row_max <= 0.0))
+        # observed rows: plant supply, plant return, consumer supply,
+        # consumer return (the order of the violation rows)
+        rows = np.concatenate((np.arange(2 * n_p), 2 * n_p + violated))
+        dj_dy = np.empty((rows.size, s.grid.n_steps))
         dj_dy[:n_p] = rates
         np.negative(rates, out=dj_dy[n_p:2 * n_p])
-        hinge = self._violations(outputs)
-        np.maximum(0.0, hinge, out=hinge)
+        hinge = dj_dy[2 * n_p:]
+        np.maximum(0.0, c[violated], out=hinge)
         hinge *= -self.lambda_p
-
-        grad = s.condensed.apply_transpose(dj_dy)
+        grad = s.condensed.apply_transpose(dj_dy, rows)
         grad += s.tikhonov_weight * tikhonov_gradient(u, s.grid)
         if not np.all(np.isfinite(grad)):
             raise SolverError("condensed map produced a non-finite gradient")

@@ -345,10 +345,14 @@ class CondensedMap:
     boundary rows of the system matrix fix the others: a plant supply
     node is held at the control, so its rows are ``u``, and a consumer
     return node sits ``delta`` below its supply node, so its rows are
-    its free response plus the supply node's convolution. Each plant's
-    spectrum is multiplied in turn; the transforms reuse a spectrum, a
-    product and a signal buffer the map owns: a fresh megabyte-sized
-    array per call costs about as much as the transforms.
+    its free response plus the supply node's convolution. The transpose
+    takes its output gradient as the rows that may be nonzero, folds the
+    consumer return rows onto their supply rows and transforms only the
+    folded rows it was given: an objective gradient is zero on every
+    consumer row whose constraints hold. Each plant's spectrum is
+    multiplied in turn; the transforms reuse a spectrum, a product and a
+    signal buffer the map owns: a fresh megabyte-sized array per call
+    costs about as much as the transforms.
     """
 
     def __init__(self, blocks, y_free, impulse, grid):
@@ -364,9 +368,15 @@ class CondensedMap:
         # them, the consumer supply rows the consumer return rows repeat
         self._convolved = slice(bounds[1], bounds[3])
         self._supply = slice(bounds[2] - bounds[1], bounds[3] - bounds[1])
+        n_conv = bounds[3] - bounds[1]
+        # the folded row of each observed row past the plant supply rows:
+        # its own for a convolved row, its supply row's for a consumer
+        # return row; the transpose splits its rows at these two blocks
+        self._fold = np.r_[np.arange(n_conv),
+                           np.arange(self._supply.start, self._supply.stop)]
+        self._cuts = bounds[[1, 3]]
         self._n_fft = n_fft = sfft.next_fast_len(2 * grid.n_steps - 1, real=True)
         self._impulse_f = np.fft.rfft(impulse[self._convolved], n_fft)
-        n_conv = bounds[3] - bounds[1]
         self._spectrum = np.empty((n_conv, n_fft // 2 + 1), dtype=complex)
         self._product = np.empty_like(self._spectrum)
         self._signal = np.empty((n_conv, n_fft))
@@ -387,26 +397,46 @@ class CondensedMap:
                out=y[self._returns])
         return ObservedTrajectory(self.nodes, y, self.grid, self._blocks)
 
-    def apply_transpose(self, g):
-        """``H^T g``: the control gradient of ``sum(g * y)``."""
+    def apply_transpose(self, g, rows):
+        """``H^T`` of the output gradient that is ``g`` on the observed
+        ``rows`` and zero on the others: the control gradient of
+        ``sum(g * y[rows])``.
+
+        ``rows`` is an increasing index array, one entry per row of
+        ``g``. Consumer return rows are folded onto their supply rows,
+        and only the folded rows given are transformed. This is exact: a
+        zero row transforms to exact zeros, and adding exact zeros to the
+        sum over rows changes no bit of it.
+        """
         n = self.grid.n_steps
-        folded = self._signal
-        folded[:, :n] = g[self._convolved]
-        folded[self._supply, :n] += g[self._returns]
-        folded[:, n:] = 0.0
-        g_f = np.fft.rfft(folded, out=self._spectrum)
+        n_p = self._impulse_f.shape[1]
+        plant_end, return_start = rows.searchsorted(self._cuts)
+        grad = np.zeros((n_p, n))
+        grad[rows[:plant_end]] = g[:plant_end]
+        at = self._fold[rows[plant_end:] - self._convolved.start]
+        given = np.zeros(self._impulse_f.shape[0], dtype=bool)
+        given[at] = True
+        live = np.flatnonzero(given)
+        if live.size == 0:
+            return grad
+        slot = live.searchsorted(at)
+        own = return_start - plant_end
+        folded = self._signal[:live.size]
+        folded.fill(0.0)
+        folded[slot[:own], :n] = g[plant_end:return_start]
+        folded[slot[own:], :n] += g[return_start:]
+        g_f = np.fft.rfft(folded, out=self._spectrum[:live.size])
         # correlation: sum_o conj(H_f) g_f = conj(sum_o H_f conj(g_f)), so
         # g_f is conjugated in place instead of copying conj(H_f)
         np.conj(g_f, out=g_f)
-        n_p = self._impulse_f.shape[1]
         u_f = np.empty((n_p, g_f.shape[1]), dtype=complex)
         for p in range(n_p):
             # the last plant's product may overwrite g_f: no plant reads it after
-            product = g_f if p == n_p - 1 else self._product
-            np.multiply(g_f, self._impulse_f[:, p], out=product)
+            product = g_f if p == n_p - 1 else self._product[:live.size]
+            np.multiply(g_f, self._impulse_f[live, p], out=product)
             product.sum(axis=0, out=u_f[p])
-        u = np.fft.irfft(np.conj(u_f), self._n_fft)[:, :n]
-        return u + g[self._plants]
+        grad += np.fft.irfft(np.conj(u_f), self._n_fft)[:, :n]
+        return grad
 
 
 def condense(system, grid, deltas, ambient, u_init):

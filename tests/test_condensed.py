@@ -371,7 +371,65 @@ def _block_rows(scenario):
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
+def _dense_transpose(m, g):
+    """``H^T g`` with every folded row transformed, zero rows included:
+    the reference the row-sparse transpose must match."""
+    n = m.grid.n_steps
+    folded = np.zeros((m._impulse_f.shape[0], m._n_fft))
+    folded[:, :n] = g[m._convolved]
+    folded[m._supply, :n] += g[m._returns]
+    g_f = np.conj(np.fft.rfft(folded))
+    u_f = np.array([(g_f * m._impulse_f[:, p]).sum(axis=0)
+                    for p in range(m._impulse_f.shape[1])])
+    return np.fft.irfft(np.conj(u_f), m._n_fft)[:, :n] + g[m._plants]
+
+
+def _sparse_transpose(m, g):
+    """The map's transpose given only the nonzero rows of ``g``."""
+    rows = np.flatnonzero(g.any(axis=1))
+    return m.apply_transpose(g[rows], rows)
+
+
+def _patterns(scenario, rng):
+    """Output gradients zero outside a few rows, by name."""
+    plants, returns_p, supply, returns = _block_rows(scenario)
+    shape = (returns.stop, scenario.grid.n_steps)
+
+    def only(*blocks):
+        g = np.zeros(shape)
+        for rows in blocks:
+            g[rows] = rng.standard_normal((rows.stop - rows.start, shape[1]))
+        return g
+    first = supply.start
+    return {
+        "plant rows only": only(plants, returns_p),
+        "one consumer supply row": only(slice(first, first + 1)),
+        "one consumer return row only": only(slice(returns.stop - 1,
+                                                   returns.stop)),
+        "every row": rng.standard_normal(shape),
+        "all zero": np.zeros(shape),
+    }
+
+
 class TestFoldedMap:
+    def test_sparse_transpose_equals_dense(self, folded):
+        scenario, _, _ = folded
+        m = scenario.condensed
+        for name, g in _patterns(scenario, np.random.default_rng(17)).items():
+            want = _dense_transpose(m, g)
+            got = _sparse_transpose(m, g)
+            scale = max(np.max(np.abs(want)), 1e-300)
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale, name
+
+    def test_plant_supply_rows_alone_pass_through(self, folded):
+        scenario, _, _ = folded
+        m = scenario.condensed
+        plants = _block_rows(scenario)[0]
+        g = np.zeros((m.nodes.size, scenario.grid.n_steps))
+        g[plants] = np.random.default_rng(23).standard_normal(
+            (plants.stop, scenario.grid.n_steps))
+        assert _sparse_transpose(m, g).tobytes() == g[plants].tobytes()
+
     def test_transpose_is_the_adjoint(self, folded):
         scenario, u, y = folded
         m = scenario.condensed
@@ -379,7 +437,8 @@ class TestFoldedMap:
         for _ in range(3):
             g = rng.standard_normal(y.values_c.shape)
             lhs = float(np.vdot(y.values_c - m.y_free, g))
-            rhs = float(np.vdot(u, m.apply_transpose(g)))
+            rows = np.arange(g.shape[0])
+            rhs = float(np.vdot(u, m.apply_transpose(g, rows)))
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
 
     def test_plant_supply_rows_are_the_control(self, folded):

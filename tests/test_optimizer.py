@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import make_loop_scenario
+from dhnopt import objective
 from dhnopt.errors import ValidationError
+from dhnopt.fixtures import desk_scenario, feeder_scenario
 from dhnopt.objective import J_PER_MWH
 from dhnopt.network import BoundarySpec
 from dhnopt.optimizer import (ObjectiveEvaluator, OptimizerConfig,
@@ -61,8 +63,44 @@ class TestGradient:
         scale = CP * 0.5 * 900.0 / J_PER_MWH
         assert np.max(np.abs(g[0, :-10])) < 1e-3 * scale
 
+    @pytest.mark.parametrize("build", [
+        lambda: feeder_scenario(n_feeders=1, consumers_per_feeder=9),
+        lambda: desk_scenario(),
+    ], ids=["hundred-node", "desk"])
+    def test_matches_finite_differences_partly_violated(self, build):
+        # the map transforms the violated consumer rows only: a control
+        # that violates some consumers but not all mixes both kinds
+        scenario = build()
+        n_c = scenario.system.bc.n_consumers
+        rng = np.random.default_rng(17)
+        u = 82.0 + 5.0 * rng.random((1, scenario.grid.n_steps))
+        c = ObjectiveEvaluator(scenario, 100.0).parts(u)["violations"]
+        violated = int(np.count_nonzero(c.max(axis=1) > 0.0))
+        assert 0 < violated < n_c
+        coords = [(0, int(j)) for j in rng.integers(0, scenario.grid.n_steps,
+                                                    size=20)]
+        assert _fd_check(scenario, u, 100.0, coords) < 1e-5
+
 
 class TestEvaluatorCalls:
+    def test_price_curve_read_once(self, monkeypatch):
+        scenario = desk_scenario(static=False)
+        calls = []
+        read = objective.interpolate
+
+        def counting(*args):
+            calls.append(args)
+            return read(*args)
+        monkeypatch.setattr(objective, "interpolate", counting)
+        ev = ObjectiveEvaluator(scenario, 100.0)
+        rng = np.random.default_rng(3)
+        counts = []
+        for _ in range(50):
+            ev.value_and_gradient(rng.uniform(95.0, 110.0,
+                                              (1, scenario.grid.n_steps)))
+            counts.append(len(calls))
+        assert counts[-1] == counts[0] <= 1
+
     def test_no_boundary_derivation_after_the_first_call(self, monkeypatch):
         scenario = make_loop_scenario(n_steps=24, swing=0.3)
         ev = ObjectiveEvaluator(scenario, 100.0)
