@@ -30,7 +30,7 @@ print(f"control now swings {u_opt.min():.1f} .. {u_opt.max():.1f} °C "
       f"(plant limit 140 °C)")
 
 times = scenario.grid.times()[1:]
-price = scenario.price.price_at(times)
+price = scenario.price.step_prices  # the curve, read onto the solved steps
 balance = energy_balance(scenario.system, optimized, scenario.deltas,
                          scenario.ambient)
 corr = np.corrcoef(balance["injection_w"], price)[0, 1]

@@ -89,7 +89,6 @@ _DEFAULTS = {
         "cp_j_per_kg_c": DEFAULT_CP,
         "rho_kg_m3": DEFAULT_RHO,
         "max_cell_length_m": _arg_default(subdivide_pipes, "max_cell_length_m"),
-        "static_price": None,
         **{key: _arg_default(build_scenario, key) for key in
            ("alpha", "beta", "tikhonov_weight", "initial_control_c")},
         "constraints": _field_defaults(ConstraintSet),
@@ -117,7 +116,7 @@ _NONE_KINDS = {
     "scenario.n_steps": int, "scenario.horizon_s": float,
     "control.constant_c": float, "synthesis.mean_w_per_consumer": float,
     "verify.mean_mismatch_threshold_c": float,
-    "scenario.static_price": bool, "threads": int,
+    "threads": int,
 }
 
 
@@ -266,11 +265,7 @@ def _scenario(cfg):
     graph, flow = _load_network(cfg)
     demands = read_demand_set(cfg.path("demand_file"))
     price_path = cfg.path("price_file", required=False)
-    static = (price_path is None if sc["static_price"] is None
-              else sc["static_price"])
-    if not static and price_path is None:
-        raise ValidationError("dynamic pricing needs a price_file")
-    prices = None if static else read_price_series(price_path)
+    prices = None if price_path is None else read_price_series(price_path)
     constants = PhysicalConstants(cp_j_per_kg_c=sc["cp_j_per_kg_c"],
                                   rho_kg_m3=sc["rho_kg_m3"],
                                   ambient_c=ambient)
@@ -406,7 +401,7 @@ def cmd_simulate(cfg):
         "dt_s": scenario.grid.dt_s,
         "loss": loss_energy(traj, graph, scenario.flow, scenario.price,
                             scenario.constants.cp_j_per_kg_c),
-        "loss_unit": "J" if scenario.price.static else "EUR",
+        "loss_unit": scenario.price.loss_unit,
         "max_energy_balance_residual_rel": float(balance["residual_rel"].max()),
         "max_constraint_violation_c": max_violation(c),
         "initial_stored_vs_ambient_j": e0,
@@ -437,9 +432,9 @@ def cmd_optimize(cfg):
                                 scenario.ambient, scenario.u_init)
     wall = time.perf_counter() - t0
 
-    cp = scenario.constants.cp_j_per_kg_c
-    loss_base = loss_energy(baseline, graph, flow, scenario.price, cp)
-    loss_opt = loss_energy(optimized, graph, flow, scenario.price, cp)
+    cp, price = scenario.constants.cp_j_per_kg_c, scenario.price
+    loss_base = loss_energy(baseline, graph, flow, price, cp)
+    loss_opt = loss_energy(optimized, graph, flow, price, cp)
     savings = (loss_base - loss_opt) / loss_base
 
     times = scenario.grid.times()[1:]
@@ -459,7 +454,7 @@ def cmd_optimize(cfg):
             "vs_ambient_j": vs_ambient, "vs_initial_j": vs_initial,
             "initial_j": initial,
             "injection_w": plant_injection_w(system, traj),
-            "loss_step": loss_energy_steps(traj, graph, flow, scenario.price, cp),
+            "loss_step": loss_energy_steps(traj, graph, flow, price, cp),
         }
         write_csv(out / f"quantiles_{name}.csv",
                   {"time_s": times, **compute_quantiles(
@@ -474,7 +469,7 @@ def cmd_optimize(cfg):
     write_csv(out / "stored_energy.csv", {"time_s": times} | {
         f"{run}_{key}": runs[run][key]
         for key in ("vs_ambient_j", "vs_initial_j") for run in runs})
-    price_curve = scenario.price.price_at(times)
+    price_curve = np.ones_like(times) if price.static else price.step_prices
     write_csv(out / "price.csv", {"time_s": times, "price_eur_mwh": price_curve})
     write_csv(out / "plant_power.csv", {"time_s": times} | {
         f"{run}_{key}": runs[run][key]
@@ -501,16 +496,16 @@ def cmd_optimize(cfg):
         "baseline_loss": loss_base,
         "optimized_loss": loss_opt,
         "savings": savings,
-        "loss_unit": "J" if scenario.price.static else "EUR",
-        "baseline_loss_mwh": loss_base / J_PER_MWH if scenario.price.static else None,
-        "optimized_loss_mwh": loss_opt / J_PER_MWH if scenario.price.static else None,
+        "loss_unit": price.loss_unit,
+        "baseline_loss_mwh": loss_base / J_PER_MWH if price.static else None,
+        "optimized_loss_mwh": loss_opt / J_PER_MWH if price.static else None,
         "final_max_violation_c": opt_report.final_max_violation_c,
         "binding_fraction": float(binding.mean()),
         "stored_energy_initial_j": opt["initial_j"],
         "stored_energy_final_j": float(opt["vs_ambient_j"][-1]),
         "injection_price_correlation": (
             float(np.corrcoef(opt["injection_w"], price_curve)[0, 1])
-            if not scenario.price.static else None),
+            if not price.static else None),
         "aborted": opt_report.aborted,
         "abort_reason": opt_report.abort_reason,
         "rounds": [dataclasses.asdict(r) for r in opt_report.rounds],
@@ -523,7 +518,7 @@ def cmd_optimize(cfg):
                  "optimize_wall_time_s": opt_report.wall_time_s})
 
     cfg.log(f"baseline {loss_base:.6e} -> optimized {loss_opt:.6e} "
-            f"({'J' if scenario.price.static else 'EUR'}); "
+            f"({price.loss_unit}); "
             f"savings {100 * savings:.2f} %; "
             f"max violation {opt_report.final_max_violation_c:.3f} °C")
     if opt_report.aborted:

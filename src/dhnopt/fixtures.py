@@ -272,7 +272,6 @@ def write_desk_fixture(out_dir, dynamic=False, seed=0, n_consumers=10,
     if dynamic:
         write_price_series(prices, out / "prices.csv")
         config["price_file"] = "prices.csv"
-        config["scenario"]["static_price"] = False
     for key, value in config_overrides.items():
         if isinstance(value, dict):
             config.setdefault(key, {}).update(value)

@@ -26,20 +26,6 @@ from .thermal import DEFAULT_CP
 J_PER_MWH = 3.6e9
 
 
-def price_knots(times_s, prices_eur_mwh):
-    """Price-curve knots as float arrays: finite, matching and 1-d, at
-    least two, strictly increasing in time."""
-    t = np.asarray(times_s, dtype=float)
-    p = np.asarray(prices_eur_mwh, dtype=float)
-    if t.ndim != 1 or t.shape != p.shape or t.size < 2:
-        raise ValidationError("price curve needs matching 1-d knots")
-    if np.any(np.diff(t) <= 0):
-        raise ValidationError("price knots must be strictly increasing")
-    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(p))):
-        raise ValidationError("price curve contains non-finite values")
-    return t, p
-
-
 def interpolate(t, knot_times, knot_values, what):
     """``np.interp`` at ``t``, once the knots named ``what`` are checked
     to cover ``t`` within 1e-9 s."""
@@ -55,22 +41,24 @@ def interpolate(t, knot_times, knot_values, what):
 class PriceModel:
     """Energy price weighting for the injection cost.
 
-    A static model weights every step by 1, so the loss is a plain
-    energy. A dynamic model carries a piecewise-linear price curve
-    ``p(t)`` in EUR/MWh plus a generation efficiency factor ``alpha``
-    (applied while the plant injects heat) and a recovery factor
-    ``beta`` (applied when the plant return runs hotter than its
-    supply, i.e. the network gives heat back). ``0 <= beta <= alpha``
-    keeps the cost convex in the injection.
+    ``step_prices`` is ``None`` for a static model, which weights every
+    step by 1, so the loss is a plain energy. A dynamic model carries
+    the price in EUR/MWh at each solved step 1..n (a read-only 1-d
+    array, see :meth:`~dhnopt.scenario.PriceSeries.on_grid`) plus a
+    generation efficiency factor ``alpha`` (applied while the plant
+    injects heat) and a recovery factor ``beta`` (applied when the
+    plant return runs hotter than its supply, i.e. the network gives
+    heat back). ``0 <= beta <= alpha`` keeps the cost convex in the
+    injection; a static model reads neither factor.
     """
 
     alpha: float = 1.0
     beta: float = 0.0
-    static: bool = True
-    times_s: np.ndarray | None = None
-    prices_eur_mwh: np.ndarray | None = None
+    step_prices: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.static:
+            return
         if not self.alpha > 0:
             raise ValidationError("alpha must be > 0")
         if self.beta < 0:
@@ -79,55 +67,34 @@ class PriceModel:
             raise ValidationError(
                 f"beta ({self.beta:g}) must not exceed alpha ({self.alpha:g}): "
                 f"the injection cost would be concave")
-        if not self.static:
-            if self.times_s is None or self.prices_eur_mwh is None:
-                raise ValidationError("dynamic price model needs a price curve")
-            t, p = price_knots(self.times_s, self.prices_eur_mwh)
-            object.__setattr__(self, "times_s", t)
-            object.__setattr__(self, "prices_eur_mwh", p)
 
-    @classmethod
-    def static_price(cls, alpha=1.0, beta=0.0):
-        return cls(alpha=alpha, beta=beta, static=True)
+    @property
+    def static(self):
+        return self.step_prices is None
 
-    @classmethod
-    def from_curve(cls, times_s, prices_eur_mwh, alpha=1.0, beta=0.0):
-        return cls(alpha=alpha, beta=beta, static=False,
-                   times_s=times_s, prices_eur_mwh=prices_eur_mwh)
-
-    def price_at(self, t_s):
-        """Linear interpolation of the price curve, EUR/MWh.
-
-        The objective asks for the prices at the same grid times on
-        every call, so a dynamic model keeps its last result with the
-        times it was read at and returns copies of it.
-        """
-        t = np.asarray(t_s, dtype=float)
-        if self.static:
-            return np.ones_like(t)
-        key = (t.shape, t.tobytes())
-        last = self.__dict__.get("_last_read")
-        if last is None or last[0] != key:
-            last = (key, interpolate(t, self.times_s, self.prices_eur_mwh,
-                                     "price curve"))
-            object.__setattr__(self, "_last_read", last)
-        return last[1].copy()
+    @property
+    def loss_unit(self):
+        """Unit of a :func:`loss_energy` value under this model."""
+        return "J" if self.static else "EUR"
 
 
-def _loss_weights(model, times_s, supply, ret, working=False):
+def _loss_weights(model, supply, ret, working=False):
     """Per-plant per-step loss weights including the unit conversion.
 
     Shape ``(n_plants, n_steps)``. For a static model the weights are 1
-    and the loss is in joules; for a dynamic model the EUR/MWh curve is
-    converted to EUR/J so the loss comes out in euros. With
+    and the loss is in joules; for a dynamic model the EUR/MWh step
+    prices are converted to EUR/J so the loss comes out in euros. With
     ``working=True`` a static model weighs per MWh instead of per joule
     (the objective's working unit).
     """
     if model.static:
         return np.full_like(supply, objective_loss(1.0, model) if working else 1.0)
-    p = model.price_at(times_s)[None, :]
+    p = model.step_prices
+    if p.shape != supply.shape[1:]:
+        raise ValidationError(f"price model has {p.size} step prices for a "
+                              f"trajectory of {supply.shape[1]} steps")
     factor = np.where(supply >= ret, model.alpha, model.beta)
-    return p * factor / J_PER_MWH
+    return p[None, :] * factor / J_PER_MWH
 
 
 @dataclass(frozen=True)
@@ -162,12 +129,11 @@ def injection_cost_rates(traj, graph, flow, price, cp_j_per_kg_c=DEFAULT_CP,
     ``lift = y_supply - y_return``.
     """
     bc = graph.boundary
-    grid = traj.grid
     supply = traj.rows(bc.plant_nodes)
     ret = traj.rows(bc.plant_return_nodes)
     mdot = np.abs(flow.massflow_kg_s[bc.producer_edges])
-    w = _loss_weights(price, grid.times()[1:], supply, ret, working)
-    return cp_j_per_kg_c * grid.dt_s * mdot[:, None] * w, supply - ret
+    w = _loss_weights(price, supply, ret, working)
+    return cp_j_per_kg_c * traj.grid.dt_s * mdot[:, None] * w, supply - ret
 
 
 def loss_energy_steps(traj, graph, flow, price, cp_j_per_kg_c=DEFAULT_CP):
@@ -208,10 +174,13 @@ def tikhonov(u, grid):
 def tikhonov_gradient(u, grid):
     """Exact gradient of :func:`tikhonov`, same shape as ``u``."""
     u = np.atleast_2d(np.asarray(u, dtype=float))
-    d = np.diff(u, axis=1) / grid.dt_s
+    q = np.diff(u, axis=1)
+    q /= grid.dt_s
+    q *= 2.0
+    q /= grid.dt_s  # 2 * d / dt with d = diff / dt, rounded as such
     g = np.zeros_like(u)
-    g[:, :-1] -= 2.0 * d / grid.dt_s
-    g[:, 1:] += 2.0 * d / grid.dt_s
+    g[:, :-1] -= q
+    g[:, 1:] += q
     return g
 
 

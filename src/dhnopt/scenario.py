@@ -3,8 +3,8 @@
 Consumer demand profiles are synthesized from one district-total load
 curve: the curve is low-pass filtered (zero-phase Butterworth) and then
 varied per consumer by multiplicative log-normal noise on a band of its
-Fourier spectrum. Price curves are piecewise linear in time and
-resampled onto the simulation grid.
+Fourier spectrum. Price curves are piecewise linear in time and read
+onto the simulation grid once, when the scenario is built.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from scipy.signal import butter, sosfiltfilt
 
 from .errors import ValidationError
 from .network import control_volumes, read_csv, write_csv
-from .objective import ConstraintSet, PriceModel, interpolate, price_knots
+from .objective import ConstraintSet, PriceModel, interpolate
 from .thermal import (PhysicalConstants, TimeGrid, assemble, condense,
                       demand_to_delta)
 
@@ -67,15 +67,36 @@ class LoadSeries:
 
 @dataclass(frozen=True)
 class PriceSeries:
-    """Price knots in time, EUR/MWh, linearly interpolated between."""
+    """Price curve knots in time, EUR/MWh, linearly interpolated between.
+
+    The knots are finite, matching and 1-d, at least two, and strictly
+    increasing in time. This is the only holder of a price curve; a
+    scenario reads it onto its grid once with :meth:`on_grid`.
+    """
 
     times_s: np.ndarray
     prices_eur_mwh: np.ndarray
 
     def __post_init__(self):
-        t, p = price_knots(self.times_s, self.prices_eur_mwh)
+        t = np.asarray(self.times_s, dtype=float)
+        p = np.asarray(self.prices_eur_mwh, dtype=float)
+        if t.ndim != 1 or t.shape != p.shape or t.size < 2:
+            raise ValidationError("price curve needs matching 1-d knots")
+        if np.any(np.diff(t) <= 0):
+            raise ValidationError("price knots must be strictly increasing")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(p))):
+            raise ValidationError("price curve contains non-finite values")
         object.__setattr__(self, "times_s", t)
         object.__setattr__(self, "prices_eur_mwh", p)
+
+    def on_grid(self, grid):
+        """Prices at the solved steps 1..n of ``grid``, EUR/MWh.
+
+        The curve must cover the whole grid from t = 0, the initial
+        state included, although step 0 is not priced.
+        """
+        return interpolate(grid.times(), self.times_s, self.prices_eur_mwh,
+                           "price curve")[1:]
 
 
 @dataclass(frozen=True)
@@ -244,9 +265,12 @@ def build_scenario(graph, flow, demands, prices, constraints, grid, constants,
     """Assemble a scenario from validated pieces.
 
     Demand powers are converted to consumer temperature drops with each
-    consumer's mass flow. ``prices=None`` selects the static model
-    (every step weighted 1). The initial control defines the steady
-    state the horizon starts from.
+    consumer's mass flow. The run is dynamic exactly when ``prices``, a
+    :class:`PriceSeries`, is given: its curve is read onto the grid here,
+    once, and the scenario's :class:`~dhnopt.objective.PriceModel` holds
+    the step prices. ``prices=None`` selects the static model (every
+    step weighted 1, ``alpha`` and ``beta`` unread). The initial control
+    defines the steady state the horizon starts from.
     """
     bc = graph.boundary
     if tikhonov_weight < 0:
@@ -268,12 +292,8 @@ def build_scenario(graph, flow, demands, prices, constraints, grid, constants,
             f"absolute zero"
         )
 
-    if prices is None:
-        price = PriceModel.static_price(alpha=alpha, beta=beta)
-    else:
-        price = PriceModel.from_curve(prices.times_s, prices.prices_eur_mwh,
-                                      alpha=alpha, beta=beta)
-        price.price_at(grid.times())  # fails fast if the curve is too short
+    price = PriceModel(alpha=alpha, beta=beta, step_prices=(
+        None if prices is None else _read_only(prices.on_grid(grid))))
 
     u_init = np.asarray(initial_control_c, dtype=float)
     if u_init.ndim == 0:

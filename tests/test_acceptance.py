@@ -204,7 +204,7 @@ class TestCriterion6DynamicPricing:
 
         bal = energy_balance(scenario.system, dyn_traj, scenario.deltas,
                              scenario.ambient)
-        price = scenario.price.price_at(scenario.grid.times()[1:])
+        price = scenario.price.step_prices
         corr = float(np.corrcoef(bal["injection_w"], price)[0, 1])
         _criterion(6, corr < 0.0,
                    f"(b) corr(injection, price) = {corr:.3f} (want < 0)")

@@ -44,6 +44,11 @@ def small_files(tmp_path):
     return write_desk_fixture(tmp_path, n_consumers=3, n_days=1)
 
 
+@pytest.fixture()
+def small_dynamic_files(tmp_path):
+    return write_desk_fixture(tmp_path, dynamic=True, n_consumers=3, n_days=1)
+
+
 class TestSimulate:
     def test_writes_series_and_clean_balance(self, desk_files):
         rc = _run("simulate", "--config", desk_files, "--quiet")
@@ -100,9 +105,9 @@ class TestSimulate:
                    for out in ("by_steps", "by_horizon")]
         assert reports[0]["n_steps"] == reports[1]["n_steps"] == n
 
-    def test_beta_above_alpha_exits_2(self, small_files, capsys):
-        scenario = json.loads(small_files.read_text())["scenario"]
-        cfg = _with(small_files, "concave.json",
+    def test_beta_above_alpha_exits_2(self, small_dynamic_files, capsys):
+        scenario = json.loads(small_dynamic_files.read_text())["scenario"]
+        cfg = _with(small_dynamic_files, "concave.json",
                     scenario=dict(scenario, alpha=1.0, beta=2.0))
         assert _run("simulate", "--config", cfg, "--quiet") == EXIT_INPUT
         assert "beta" in capsys.readouterr().err
@@ -135,7 +140,9 @@ class TestSimulate:
     ("simulate", None, {"verify": None}, "verify"),
     ("simulate", "network", {"nodes": ["x"]}, "network.nodes"),
     ("simulate", None, {"demand_file": 5}, "demand_file"),
-    ("simulate", "scenario", {"static_price": "yes"}, "scenario.static_price"),
+    # a removed key (a run is dynamic exactly when it names a price_file),
+    # given a value of its old type: rejected as an unknown key
+    ("simulate", "scenario", {"static_price": False}, "scenario.static_price"),
     ("simulate", None, {"threads": "four"}, "threads"),
     ("simulate", "optimizer", {"memory": "ten"}, "optimizer.memory"),
     ("synth-demand", "scenario", {"dt_s": "abc"}, "scenario.dt_s"),
@@ -273,6 +280,21 @@ class TestOptimize:
                            skiprows=1, usecols=(3, 4))
         recomputed = (steps[:, 0].sum() - steps[:, 1].sum()) / steps[:, 0].sum()
         assert recomputed == pytest.approx(report["savings"], rel=1e-12)
+
+    def test_static_run_ignores_beta_above_alpha(self, small_files):
+        # a static run weighs every step by 1 and reads neither factor
+        base = small_files.parent
+        scenario = json.loads(small_files.read_text())["scenario"]
+        cfg = _with(small_files, "concave.json",
+                    scenario=dict(scenario, alpha=1.0, beta=2.0))
+        for path, out in ((small_files, "beta0"), (cfg, "beta2")):
+            assert _run("optimize", "--config", path, "--quiet",
+                        "--out-dir", base / out) == EXIT_OK
+        written = sorted(p.name for p in (base / "beta0").glob("*.csv"))
+        assert written == sorted(p.name for p in (base / "beta2").glob("*.csv"))
+        for name in written:
+            assert (base / "beta0" / name).read_bytes() == \
+                (base / "beta2" / name).read_bytes(), name
 
     def test_report_subcommand_checks_series(self, small_files, capsys):
         assert _run("optimize", "--config", small_files, "--quiet") == EXIT_OK

@@ -17,7 +17,7 @@ import dhnopt.scenario
 from conftest import make_loop_scenario
 from dhnopt.errors import ValidationError
 from dhnopt.fixtures import desk_scenario, feeder_network, two_level_price
-from dhnopt.network import FlowField, NetworkGraph
+from dhnopt.network import FlowField, NetworkGraph, subdivide_pipes
 from dhnopt.objective import ConstraintSet
 from dhnopt.optimizer import ObjectiveEvaluator, OptimizerConfig, optimize
 from dhnopt.scenario import DemandSet, LoadSeries, build_scenario
@@ -342,6 +342,16 @@ class TestDrawnNetworks:
         bal = energy_balance(scenario.system, traj, scenario.deltas,
                              scenario.ambient)
         assert bal["residual_rel"].max() < 1e-9
+
+    @settings(max_examples=25, deadline=None)
+    @given(network=_NETWORKS, max_cell_length_m=st.floats(10.0, 600.0))
+    def test_refined_flow_passes_validation(self, network, max_cell_length_m):
+        # feeder_network refines its pipes without checking the result;
+        # refining again at a drawn length splits the cycle's pipes too
+        graph, flow = network
+        flow.validate_against(graph)
+        fine, fine_flow = subdivide_pipes(graph, flow, max_cell_length_m)
+        fine_flow.validate_against(fine)
 
 
 # ---------------------------------------------------------------------------

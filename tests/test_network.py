@@ -6,8 +6,8 @@ import pytest
 
 from dhnopt.cli import EXIT_INPUT, main
 from dhnopt.errors import ParseError, ValidationError
-from dhnopt.fixtures import (desk_network, minimal_loop, pipe_chain,
-                             write_desk_fixture)
+from dhnopt.fixtures import (desk_network, feeder_network, minimal_loop,
+                             pipe_chain, write_desk_fixture)
 from dhnopt.network import (FlowField, NetworkGraph, control_volumes,
                             load_flow_field, parse_network, subdivide_pipes,
                             write_flow_field, write_network)
@@ -318,6 +318,15 @@ class TestSubdivision:
         assert control_volumes(fine).volumes_m3.sum() == pytest.approx(
             control_volumes(graph).volumes_m3.sum(), rel=1e-12)
         # every refined segment carries its parent's flow
+        fine_flow.validate_against(fine)
+
+    def test_refined_feeder_flow_passes_validation(self):
+        # the refinement does not check its output: segments carry their
+        # parent pipe's validated flow and no junction is added (the desk
+        # case is in test_flows_and_volume_preserved)
+        graph, flow = feeder_network(max_cell_length_m=math.inf)
+        fine, fine_flow = subdivide_pipes(graph, flow, 100.0)
+        assert fine.n_edges > graph.n_edges
         fine_flow.validate_against(fine)
 
     def test_exchanger_edges_never_split(self):

@@ -10,6 +10,7 @@ from dhnopt.objective import (ConstraintSet, J_PER_MWH, PriceModel,
                               objective_loss, penalty, project_control,
                               tikhonov, tikhonov_gradient)
 from dhnopt.optimizer import ObjectiveEvaluator
+from dhnopt.scenario import PriceSeries
 from dhnopt.thermal import StateTrajectory, TimeGrid, simulate
 
 CP = 4186.0
@@ -32,18 +33,18 @@ class TestLossEnergy:
     def test_hand_integrated_value(self):
         # cp * mdot * dT * time = 4186 * 1 * 40 * 3600 J = 602.784 MJ
         graph, flow, traj = _loop_traj(80.0, 40.0)
-        loss = loss_energy(traj, graph, flow, PriceModel.static_price())
+        loss = loss_energy(traj, graph, flow, PriceModel())
         assert loss == pytest.approx(602.784e6, rel=1e-12)
         assert loss / 3.6e6 == pytest.approx(167.44, rel=1e-12)  # kWh
 
     def test_zero_when_supply_equals_return(self):
         graph, flow, traj = _loop_traj(60.0, 60.0)
-        assert loss_energy(traj, graph, flow, PriceModel.static_price()) == 0.0
+        assert loss_energy(traj, graph, flow, PriceModel()) == 0.0
 
     def test_rectangle_rule_step_consistency(self):
         g1, f1, coarse = _loop_traj(80.0, 40.0, n_steps=2, dt_s=1800.0)
         g2, f2, fine = _loop_traj(80.0, 40.0, n_steps=4, dt_s=900.0)
-        price = PriceModel.static_price()
+        price = PriceModel()
         assert loss_energy(coarse, g1, f1, price) == pytest.approx(
             loss_energy(fine, g2, f2, price), rel=1e-14)
 
@@ -55,13 +56,13 @@ class TestLossEnergy:
                 [traj.values_c[:, :1], np.roll(traj.values_c[:, 1:], 3, axis=1)],
                 axis=1),
             grid=traj.grid)
-        price = PriceModel.static_price()
+        price = PriceModel()
         assert loss_energy(rolled, graph, flow, price) == pytest.approx(
             loss_energy(traj, graph, flow, price), rel=1e-14)
 
     def test_dynamic_loss_is_in_euros(self):
         graph, flow, traj = _loop_traj(80.0, 40.0)  # one hour, 167.44 kWh
-        price = PriceModel.from_curve([0.0, 3600.0], [50.0, 50.0], alpha=1.0)
+        price = PriceModel(step_prices=np.full(4, 50.0))
         loss = loss_energy(traj, graph, flow, price)
         assert loss == pytest.approx(0.16744 * 50.0, rel=1e-12)
 
@@ -69,12 +70,18 @@ class TestLossEnergy:
 class TestPriceWeight:
     """Per-step price weights, read off ``loss_energy_steps``.
 
-    On the hand-built loop trajectory (1 kg/s, 900 s steps) a weight ``w``
-    gives a step loss of ``cp * 900 * (y_supply - y_return) * w``; step
-    index 1 ends at t = 1800 s, where the curve below costs 15 EUR/MWh.
+    The curve is read onto the loop trajectory's grid (four 900 s steps)
+    as a scenario reads it. A weight ``w`` gives a step loss of
+    ``cp * 900 * (y_supply - y_return) * w``; step index 1 ends at
+    t = 1800 s, where the curve below costs 15 EUR/MWh.
     """
 
-    CURVE = ([0.0, 3600.0], [10.0, 20.0])
+    CURVE = PriceSeries([0.0, 3600.0], [10.0, 20.0])
+    GRID = TimeGrid(dt_s=900.0, n_steps=4)
+
+    def _dynamic(self, alpha=1.0, beta=0.0, curve=CURVE):
+        return PriceModel(alpha=alpha, beta=beta,
+                          step_prices=curve.on_grid(self.GRID))
 
     @staticmethod
     def _weight_at_1800(plant_c, plant_return_c, model):
@@ -83,35 +90,47 @@ class TestPriceWeight:
         return steps[1] / (CP * 900.0 * (plant_c - plant_return_c))
 
     def test_static_is_one(self):
-        model = PriceModel.static_price(alpha=3.0)
+        model = PriceModel(alpha=3.0)
         assert self._weight_at_1800(90.0, 50.0, model) == 1.0
 
     def test_generation_case(self):
-        model = PriceModel.from_curve(*self.CURVE, alpha=2.0, beta=0.5)
+        model = self._dynamic(alpha=2.0, beta=0.5)
         assert self._weight_at_1800(90.0, 50.0, model) * J_PER_MWH == \
             pytest.approx(30.0)
 
     def test_recovery_case_and_free_recovery(self):
-        model = PriceModel.from_curve(*self.CURVE, alpha=2.0, beta=0.5)
+        model = self._dynamic(alpha=2.0, beta=0.5)
         assert self._weight_at_1800(50.0, 90.0, model) * J_PER_MWH == \
             pytest.approx(7.5)
-        free = PriceModel.from_curve(*self.CURVE, beta=0.0)
+        free = self._dynamic(beta=0.0)
         assert self._weight_at_1800(50.0, 90.0, free) == 0.0
 
     def test_curve_must_cover_query(self):
-        model = PriceModel.from_curve([0.0, 3600.0], [10.0, 20.0])
         with pytest.raises(ValidationError, match="covers"):
-            model.price_at(7200.0)
+            self.CURVE.on_grid(TimeGrid(dt_s=900.0, n_steps=8))
+
+    def test_step_count_must_match_the_trajectory(self):
+        graph, flow, traj = _loop_traj(90.0, 50.0)  # four steps
+        model = PriceModel(step_prices=self.CURVE.on_grid(
+            TimeGrid(dt_s=1200.0, n_steps=3)))
+        with pytest.raises(ValidationError,
+                           match="3 step prices for a trajectory of 4 steps"):
+            loss_energy(traj, graph, flow, model)
 
     def test_recovery_may_not_outweigh_generation(self):
         # beta > alpha makes the cost concave in the lift: rejected;
         # beta == alpha and negative prices stay accepted
         with pytest.raises(ValidationError, match="beta"):
-            PriceModel.from_curve(*self.CURVE, alpha=1.0, beta=2.0)
-        with pytest.raises(ValidationError, match="beta"):
-            PriceModel.static_price(alpha=1.0, beta=1.5)
-        PriceModel.from_curve(*self.CURVE, alpha=1.0, beta=1.0)
-        PriceModel.from_curve([0.0, 3600.0], [-10.0, 20.0])
+            self._dynamic(alpha=1.0, beta=2.0)
+        self._dynamic(alpha=1.0, beta=1.0)
+        self._dynamic(curve=PriceSeries([0.0, 3600.0], [-10.0, 20.0]))
+
+    def test_static_model_reads_no_factors(self):
+        # a static model weighs every step by 1 and never reads alpha
+        # or beta, so it does not check them either
+        for model in (PriceModel(alpha=1.0, beta=1.5), PriceModel(alpha=0.0)):
+            assert self._weight_at_1800(90.0, 50.0, model) == 1.0
+            assert self._weight_at_1800(50.0, 90.0, model) == 1.0
 
 
 class TestTikhonov:
@@ -144,6 +163,19 @@ class TestTikhonov:
             um[i, j] -= h
             fd = (tikhonov(up, grid) - tikhonov(um, grid)) / (2 * h)
             assert g[i, j] == pytest.approx(fd, rel=1e-6, abs=1e-12)
+
+    @pytest.mark.parametrize("n_plants", [1, 2])
+    def test_gradient_equals_the_two_sided_formula(self, n_plants):
+        # the formula written out with its temporaries; the in-place
+        # evaluation must give the same bits
+        rng = np.random.default_rng(n_plants)
+        u = 80.0 + 40.0 * rng.random((n_plants, 96))
+        grid = TimeGrid(dt_s=900.0, n_steps=96)
+        d = np.diff(u, axis=1) / grid.dt_s
+        want = np.zeros_like(u)
+        want[:, :-1] -= 2.0 * d / grid.dt_s
+        want[:, 1:] += 2.0 * d / grid.dt_s
+        np.testing.assert_array_equal(tikhonov_gradient(u, grid), want)
 
     def test_needs_two_steps(self):
         with pytest.raises(ValidationError):

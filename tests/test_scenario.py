@@ -4,12 +4,12 @@ import pytest
 from dhnopt.errors import ValidationError
 from dhnopt.fixtures import (daily_load_profile, demand_set_for, desk_network,
                              desk_scenario, two_level_price)
-from dhnopt.objective import ConstraintSet, PriceModel
-from dhnopt.scenario import (DemandSet, LoadSeries, build_scenario, lowpass,
-                             read_demand_set, read_load_series,
-                             read_price_series, synthesize_variations,
-                             write_demand_set, write_load_series,
-                             write_price_series)
+from dhnopt.objective import ConstraintSet
+from dhnopt.scenario import (DemandSet, LoadSeries, PriceSeries,
+                             build_scenario, lowpass, read_demand_set,
+                             read_load_series, read_price_series,
+                             synthesize_variations, write_demand_set,
+                             write_load_series, write_price_series)
 from dhnopt.thermal import PhysicalConstants, TimeGrid
 
 CUTOFF_HZ = 69.4e-6  # one cycle per ~4 h
@@ -120,36 +120,35 @@ class TestSynthesizeVariations:
 
 
 class TestResample:
-    """Price curves at the grid times, through the package's price path."""
+    """Price curves read onto the solved steps of a grid."""
 
     def test_linear_midpoint(self):
-        price = PriceModel.from_curve([0.0, 3600.0], [10.0, 20.0])
+        prices = PriceSeries([0.0, 3600.0], [10.0, 20.0])
         grid = TimeGrid(dt_s=1800.0, n_steps=2)
-        np.testing.assert_allclose(price.price_at(grid.times()),
-                                   [10.0, 15.0, 20.0])
+        np.testing.assert_allclose(prices.on_grid(grid), [15.0, 20.0])
 
     def test_knot_values_reproduced(self):
         times = np.array([0.0, 900.0, 1800.0, 2700.0])
         vals = np.array([5.0, 7.0, 6.5, 9.0])
-        price = PriceModel.from_curve(times, vals)
         grid = TimeGrid(dt_s=900.0, n_steps=3)
-        np.testing.assert_array_equal(price.price_at(grid.times()), vals)
+        np.testing.assert_array_equal(PriceSeries(times, vals).on_grid(grid),
+                                      vals[1:])
 
     def test_exact_for_affine_series(self):
         times = np.arange(0.0, 7200.1, 600.0)
-        price = PriceModel.from_curve(times, 3.0 + 0.25 * times)
+        prices = PriceSeries(times, 3.0 + 0.25 * times)
         grid = TimeGrid(dt_s=450.0, n_steps=16)
-        np.testing.assert_allclose(price.price_at(grid.times()),
-                                   3.0 + 0.25 * grid.times(), rtol=1e-14)
+        np.testing.assert_allclose(prices.on_grid(grid),
+                                   3.0 + 0.25 * grid.times()[1:], rtol=1e-14)
 
     def test_three_day_grid_has_288_steps(self):
         grid = TimeGrid(dt_s=900.0, n_steps=int(3 * 86400 / 900))
         assert grid.n_steps == 288
 
     def test_grid_outside_span_rejected(self):
-        price = PriceModel.from_curve([0.0, 3600.0], [10.0, 20.0])
+        prices = PriceSeries([0.0, 3600.0], [10.0, 20.0])
         with pytest.raises(ValidationError, match="not covered"):
-            price.price_at(TimeGrid(dt_s=3600.0, n_steps=2).times())
+            prices.on_grid(TimeGrid(dt_s=3600.0, n_steps=2))
 
 
 class TestBuildScenario:
@@ -165,6 +164,25 @@ class TestBuildScenario:
         scenario = desk_scenario(static=False, beta=0.0)
         assert not scenario.price.static
         assert scenario.price.beta == 0.0
+
+    def test_dynamic_scenario_holds_the_curve_on_its_steps(self):
+        scenario = desk_scenario(static=False)
+        step_prices = scenario.price.step_prices
+        np.testing.assert_array_equal(
+            step_prices, two_level_price().on_grid(scenario.grid))
+        assert step_prices.shape == (288,)
+        with pytest.raises(ValueError):
+            step_prices[0] = 0.0
+
+    def test_curve_must_cover_the_initial_time(self):
+        # the curve covers every solved step but not t = 0
+        graph, flow = desk_network()
+        demands = demand_set_for(graph, daily_load_profile())
+        grid = TimeGrid(dt_s=900.0, n_steps=288)
+        late = PriceSeries([900.0, grid.times()[-1]], [10.0, 20.0])
+        with pytest.raises(ValidationError, match="not covered"):
+            build_scenario(graph, flow, demands, late, ConstraintSet(), grid,
+                           PhysicalConstants())
 
     def test_same_seed_same_scenario(self):
         a = desk_scenario(seed=3)
