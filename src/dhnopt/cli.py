@@ -28,12 +28,11 @@ from .errors import ParseError, SolverError, ValidationError
 from .network import (load_flow_field, parse_network, read_csv,
                       subdivide_pipes, write_csv)
 from .objective import (J_PER_MWH, ConstraintSet, constraint_violations,
-                        interpolate, loss_energy, loss_energy_steps,
-                        max_violation)
+                        loss_energy, loss_energy_steps, max_violation)
 from .optimizer import OptimizerConfig, optimize
 from .scenario import (DEFAULT_CUTOFF_HZ, DEFAULT_NOISE_BAND_HZ,
                        DEFAULT_NOISE_SIGMA, DemandSet, build_scenario,
-                       _check_finite, lowpass, read_demand_set,
+                       _check_finite, interpolate, lowpass, read_demand_set,
                        read_load_series, read_price_series,
                        synthesize_variations, write_demand_set)
 from .thermal import (DEFAULT_AMBIENT, DEFAULT_CP, DEFAULT_RHO,

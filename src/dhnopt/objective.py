@@ -26,17 +26,6 @@ from .thermal import DEFAULT_CP
 J_PER_MWH = 3.6e9
 
 
-def interpolate(t, knot_times, knot_values, what):
-    """``np.interp`` at ``t``, once the knots named ``what`` are checked
-    to cover ``t`` within 1e-9 s."""
-    t = np.asarray(t, dtype=float)
-    lo, hi = knot_times[0], knot_times[-1]
-    if t.min() < lo - 1e-9 or t.max() > hi + 1e-9:
-        raise ValidationError(f"{what} covers [{lo}, {hi}] s; "
-                              f"[{t.min()}, {t.max()}] s is not covered")
-    return np.interp(t, knot_times, knot_values)
-
-
 @dataclass(frozen=True)
 class PriceModel:
     """Energy price weighting for the injection cost.

@@ -18,7 +18,7 @@ from scipy.signal import butter, sosfiltfilt
 
 from .errors import ValidationError
 from .network import control_volumes, read_csv, write_csv
-from .objective import ConstraintSet, PriceModel, interpolate
+from .objective import ConstraintSet, PriceModel
 from .thermal import (PhysicalConstants, TimeGrid, assemble, condense,
                       demand_to_delta)
 
@@ -34,6 +34,17 @@ DEFAULT_TIKHONOV_WEIGHT = 300.0
 
 _MIN_FILTER_SAMPLES = 8
 _ABS_ZERO_C = -273.15
+
+
+def interpolate(t, knot_times, knot_values, what):
+    """``np.interp`` at ``t``, once the knots named ``what`` are checked
+    to cover ``t`` within 1e-9 s."""
+    t = np.asarray(t, dtype=float)
+    lo, hi = knot_times[0], knot_times[-1]
+    if t.min() < lo - 1e-9 or t.max() > hi + 1e-9:
+        raise ValidationError(f"{what} covers [{lo}, {hi}] s; "
+                              f"[{t.min()}, {t.max()}] s is not covered")
+    return np.interp(t, knot_times, knot_values)
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,14 @@ Euler in time gives one sparse linear system
     (rho*cp/dt * V + cp * G + S) y_t = rho*cp/dt * V y_{t-1} + S y_a
 
 whose matrix does not change over time for fixed flows and step size,
-so a single LU factorization serves the whole horizon. Boundary
-conditions replace rows: plant supply nodes are held at the control
-temperature, and each consumer edge enforces a prescribed supply-to-
-return temperature drop representing the extracted heat.
+so it is factorized once for the whole horizon. Boundary conditions
+replace rows: plant supply nodes are held at the control temperature,
+and each consumer edge enforces a prescribed supply-to-return
+temperature drop representing the extracted heat. A node's row reads
+only its upstream neighbours, and a plant supply row reads nothing, so
+for acyclic flows the matrix is lower triangular in flow order (each
+node after every node its row reads): factorized in that order, its LU
+factors are its own lower part and its diagonal, with no fill.
 """
 
 from __future__ import annotations
@@ -122,15 +126,44 @@ def _ambient_loss_diagonal(graph):
     return s
 
 
+def _flow_order(matrix):
+    """The nodes in flow order: each after every node its row of ``matrix`` reads.
+
+    Kahn's algorithm on the off-diagonal pattern. Nodes on or downstream
+    of a flow cycle never become ready; they go last, in node order.
+    """
+    a = sp.csc_matrix(matrix)  # column j holds the rows that read node j
+    n = a.shape[0]
+    cols = np.repeat(np.arange(n), np.diff(a.indptr))
+    pending = np.bincount(a.indices[a.indices != cols], minlength=n)
+    order = np.flatnonzero(pending == 0).tolist()
+    pending = pending.tolist()
+    indptr, indices = a.indptr.tolist(), a.indices.tolist()
+    for j in order:  # grows while it is read: a node is ready once appended
+        for i in indices[indptr[j]:indptr[j + 1]]:
+            if i != j:
+                pending[i] -= 1
+                if pending[i] == 0:
+                    order.append(i)
+    placed = np.zeros(n, dtype=bool)
+    placed[order] = True
+    return np.concatenate([np.array(order, dtype=np.intp),
+                           np.flatnonzero(~placed)])
+
+
 class SystemMatrices:
     """Assembled sparse operators plus cached LU factorizations.
 
     The steady matrix ``cp*G + S`` with its boundary rows replaced is
     assembled once. The transient matrix ``A = rho*cp/dt * V + cp*G + S``
     is ``steady + diag(B_diag)``: the previous-state diagonal ``B_diag``
-    vanishes on the boundary rows, so both share them. Each matrix is
-    factorized at most once, on first use; ``lu.solve(b, trans='T')``
-    provides the transposed solves needed by adjoint computations.
+    vanishes on the boundary rows, so both share them and share ``order``,
+    the flow order of the nodes. Each matrix is factorized at most once,
+    on first use, permuted to ``order`` (``lu_steady``, ``lu_transient``);
+    only this module calls ``.solve`` on them, and it permutes right-hand
+    sides into ``order`` and solutions back, so every caller sees node
+    order. :meth:`solve_adjoint` gives the transposed solves of adjoint
+    computations.
     """
 
     def __init__(self, graph, flow, volumes, constants, dt_s):
@@ -170,13 +203,19 @@ class SystemMatrices:
                                np.ones(bc.n_plants), np.ones(bc.n_consumers),
                                -np.ones(bc.n_consumers)])
         self._steady = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
+        self.order = _flow_order(self._steady)
 
     def steady_matrix(self):
         return self._steady
 
     def _factorize(self, matrix, label):
+        """SuperLU of ``matrix`` permuted to ``order``, pivoting on its
+        diagonal: an acyclic flow's factors are its lower part and its
+        diagonal."""
+        order = self.order
         try:
-            lu = spla.splu(matrix)
+            lu = spla.splu(matrix[order][:, order],
+                           permc_spec="NATURAL", diag_pivot_thresh=0.0)
         except RuntimeError as exc:
             raise SolverError(f"{label} system matrix is singular: {exc}") from None
         return lu
@@ -205,10 +244,7 @@ class SystemMatrices:
             )
         if np.any(deltas < 0):
             raise ValidationError("consumer temperature deltas must be >= 0")
-        return self._forcing(plant_temps, deltas, ambient_c)
-
-    def _forcing(self, plant_temps, deltas, ambient_c):
-        """Ambient loss on the interior rows, boundary values on the rest."""
+        # ambient loss on the interior rows, boundary values on the rest
         b = self.S_diag * ambient_c
         b[self.bc.plant_nodes] = plant_temps
         b[self.bc.consumer_return_nodes] = -deltas
@@ -216,7 +252,10 @@ class SystemMatrices:
 
     def solve_adjoint(self, b):
         """Solve ``A^T x = b`` with the transient factorization."""
-        return self.lu_transient.solve(b, trans="T")
+        b = np.asarray(b, dtype=float)
+        x = np.empty_like(b)
+        x[self.order] = self.lu_transient.solve(b[self.order], trans="T")
+        return x
 
 
 def assemble(graph, flow, volumes, constants, dt_s=None):
@@ -230,7 +269,9 @@ def assemble(graph, flow, volumes, constants, dt_s=None):
 
 def solve_steady(system, plant_temps, deltas, ambient_c):
     """Steady temperatures under fixed boundary values."""
-    y = system.lu_steady.solve(system.rhs_steady(plant_temps, deltas, ambient_c))
+    b = system.rhs_steady(plant_temps, deltas, ambient_c)
+    y = np.empty_like(b)
+    y[system.order] = system.lu_steady.solve(b[system.order])
     if not np.all(np.isfinite(y)):
         raise SolverError("linear solve produced non-finite temperatures")
     return y
@@ -299,8 +340,11 @@ def simulate_system(system, grid, u, deltas, ambient, u_init=None):
         to the first control column.
 
     The initial state is the steady solution under ``u_init`` and the
-    grid's first boundary values; the matrix is factorized once and
-    reused for every step.
+    grid's first boundary values. The transient matrix is factorized
+    once, in the system's flow order, and reused for every step; the
+    state is kept in flow order between steps, each step is a forward
+    substitution for acyclic flows, and each is written back to node
+    order in the returned trajectory.
     """
     u = np.asarray(u, dtype=float)
     n_p, n_c = system.bc.n_plants, system.bc.n_consumers
@@ -322,10 +366,22 @@ def simulate_system(system, grid, u, deltas, ambient, u_init=None):
     y = np.empty((system.graph.n_nodes, grid.n_steps + 1))
     y[:, 0] = solve_steady(system, u_init, deltas[:, 0], ambient[0])
     lu = system.lu_transient
+    # the right-hand side in flow order: ambient loss on the interior
+    # rows, boundary values on the rest, plus the stored previous state
+    order = system.order
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    plants = rank[system.bc.plant_nodes]
+    returns = rank[system.bc.consumer_return_nodes]
+    loss, storage = system.S_diag[order], system.B_diag[order]
+    x = y[order, 0]
     for k in range(1, grid.n_steps + 1):
-        b = system._forcing(u[:, k - 1], deltas[:, k], ambient[k])
-        b += system.B_diag * y[:, k - 1]
-        y[:, k] = lu.solve(b)
+        b = loss * ambient[k]
+        b[plants] = u[:, k - 1]
+        b[returns] = -deltas[:, k]
+        b += storage * x
+        x = lu.solve(b)
+        y[order, k] = x
     return StateTrajectory(values_c=y, grid=grid)
 
 
@@ -545,11 +601,14 @@ def energy_balance(system, traj, deltas, ambient):
     injection = plant_injection_w(system, traj)
     extraction = cp * (system.consumer_massflow[:, None] * deltas[:, 1:]).sum(axis=0)
 
+    # node weights, zero on the boundary rows; the storage term weights
+    # the step differences, since a difference of two stored-energy sums
+    # would cancel catastrophically
     interior = system.interior
-    s = system.S_diag[interior][:, None]
-    ambient_loss = (s * (y[interior, 1:] - ambient[None, 1:])).sum(axis=0)
-    w = rho * cp * system.V_diag[interior][:, None]
-    storage = (w * (y[interior, 1:] - y[interior, :-1])).sum(axis=0) / dt
+    s = np.where(interior, system.S_diag, 0.0)
+    ambient_loss = s @ y[:, 1:] - s.sum() * ambient[1:]
+    w = np.where(interior, rho * cp * system.V_diag, 0.0)
+    storage = w @ np.diff(y, axis=1) / dt
 
     residual = injection - extraction - ambient_loss - storage
     scale = np.maximum(np.abs(injection), 1e-30)

@@ -9,6 +9,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -297,6 +298,76 @@ class TestCyclicFlow:
             worst = max(worst, abs(grad[0, j] - fd)
                         / max(abs(fd), abs(grad[0, j]), 1e-12))
         assert worst < 1e-5, f"relative error {worst:.2e}"
+
+
+# ---------------------------------------------------------------------------
+# the flow-order sweeps against a dense per-step oracle
+# ---------------------------------------------------------------------------
+
+def _nodes_reversed(graph, flow):
+    """The same network with its nodes numbered backwards, so that its
+    flow order is not its node order."""
+    last = graph.n_nodes - 1
+    backwards = NetworkGraph(
+        node_ids=graph.node_ids[::-1], node_side=graph.node_side[::-1],
+        node_xy=graph.node_xy[::-1], edge_ids=graph.edge_ids,
+        edge_kind=graph.edge_kind, edge_tail=last - graph.edge_tail,
+        edge_head=last - graph.edge_head, length_m=graph.length_m,
+        diameter_m=graph.diameter_m, htc_w_per_m_c=graph.htc_w_per_m_c)
+    return backwards, flow.validate_against(backwards)
+
+
+# network and whether its flow order makes the matrix triangular
+_DENSE = {
+    "cyclic": (lambda: _nodes_reversed(*cyclic_network()), False),
+    "two-plant": (lambda: _nodes_reversed(*two_plant_network()), True),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(_DENSE))
+def dense(request):
+    build, triangular = _DENSE[request.param]
+    scenario = _drawn_scenario(*build())
+    system = scenario.system
+    transient = (system.steady_matrix() + sp.diags(system.B_diag)).toarray()
+    return scenario, transient, triangular
+
+
+class TestDenseSweeps:
+    def test_order_is_triangular_only_for_acyclic_flow(self, dense):
+        scenario, transient, triangular = dense
+        order = scenario.system.order
+        assert np.any(order != np.arange(order.size))
+        upper = np.triu(transient[np.ix_(order, order)], 1)
+        assert np.any(upper) != triangular
+
+    def test_simulate_matches_dense_per_step_solves(self, dense):
+        scenario, transient, _ = dense
+        system, grid = scenario.system, scenario.grid
+        u = np.random.default_rng(2).uniform(
+            95.0, 110.0, (system.bc.n_plants, grid.n_steps))
+        traj = simulate_system(system, grid, u, scenario.deltas,
+                               scenario.ambient, scenario.u_init)
+        y = np.linalg.solve(system.steady_matrix().toarray(), system.rhs_steady(
+            scenario.u_init, scenario.deltas[:, 0], scenario.ambient[0]))
+        assert np.max(np.abs(traj.values_c[:, 0] - y)) <= 1e-9
+        for k in range(1, grid.n_steps + 1):
+            b = system.rhs_steady(u[:, k - 1], scenario.deltas[:, k],
+                                  scenario.ambient[k]) + system.B_diag * y
+            y = np.linalg.solve(transient, b)
+            assert np.max(np.abs(traj.values_c[:, k] - y)) <= 1e-9
+
+    def test_adjoint_sweep_matches_dense_per_step_solves(self, dense):
+        scenario, transient, _ = dense
+        system = scenario.system
+        g = np.random.default_rng(4).normal(
+            size=(system.graph.n_nodes, scenario.grid.n_steps))
+        lam = dense_lam = np.zeros(system.graph.n_nodes)
+        for k in reversed(range(g.shape[1])):
+            lam = system.solve_adjoint(g[:, k] + system.B_diag * lam)
+            dense_lam = np.linalg.solve(transient.T,
+                                        g[:, k] + system.B_diag * dense_lam)
+            assert np.max(np.abs(lam - dense_lam)) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_loop_scenario
-from dhnopt import objective
+from dhnopt import scenario as scenario_module
 from dhnopt.errors import ValidationError
 from dhnopt.fixtures import desk_scenario, feeder_scenario
 from dhnopt.objective import J_PER_MWH
@@ -84,22 +84,22 @@ class TestGradient:
 
 class TestEvaluatorCalls:
     def test_price_curve_read_once(self, monkeypatch):
-        scenario = desk_scenario(static=False)
         calls = []
-        read = objective.interpolate
+        read = scenario_module.interpolate
 
         def counting(*args):
-            calls.append(args)
+            calls.append(args[-1])
             return read(*args)
-        monkeypatch.setattr(objective, "interpolate", counting)
+        monkeypatch.setattr(scenario_module, "interpolate", counting)
+        scenario = desk_scenario(static=False)
+        assert calls.count("price curve") == 1
+        built = len(calls)
         ev = ObjectiveEvaluator(scenario, 100.0)
         rng = np.random.default_rng(3)
-        counts = []
         for _ in range(50):
             ev.value_and_gradient(rng.uniform(95.0, 110.0,
                                               (1, scenario.grid.n_steps)))
-            counts.append(len(calls))
-        assert counts[-1] == counts[0] <= 1
+        assert len(calls) == built
 
     def test_no_boundary_derivation_after_the_first_call(self, monkeypatch):
         scenario = make_loop_scenario(n_steps=24, swing=0.3)

@@ -6,7 +6,8 @@ import scipy.sparse as sp
 
 from conftest import make_loop_scenario
 from dhnopt.errors import SolverError, ValidationError
-from dhnopt.fixtures import desk_network, minimal_loop, pipe_chain
+from dhnopt.fixtures import (desk_network, feeder_network, minimal_loop,
+                             pipe_chain)
 from dhnopt.network import FlowField, control_volumes
 from dhnopt.optimizer import optimize
 from dhnopt.thermal import (PhysicalConstants, SystemMatrices, TimeGrid,
@@ -194,6 +195,24 @@ class TestSimulate:
         assert np.all(bal["extraction_w"] > 0)
         assert np.all(bal["ambient_w"] > 0)
 
+    def test_energy_terms_equal_the_per_node_sums(self, desk_static_scenario):
+        # reference: each interior node's term summed over the nodes
+        sc = desk_static_scenario
+        t = sc.grid.times()[1:]
+        u = 110.0 + 8.0 * np.sin(2 * np.pi * t / 86400.0)[None, :]
+        traj = simulate(sc.graph, sc.flow, sc, u)
+        bal = energy_balance(sc.system, traj, sc.deltas, sc.ambient)
+        y, inner = traj.values_c, sc.system.interior
+        s = sc.system.S_diag[inner][:, None]
+        ambient = (s * (y[inner, 1:] - sc.ambient[None, 1:])).sum(axis=0)
+        c = sc.constants
+        w = c.rho_kg_m3 * c.cp_j_per_kg_c * sc.system.V_diag[inner][:, None]
+        storage = (w * (y[inner, 1:] - y[inner, :-1])).sum(axis=0) / sc.grid.dt_s
+        np.testing.assert_allclose(bal["ambient_w"], ambient, rtol=1e-12)
+        scale = np.abs(bal["injection_w"]).max()
+        np.testing.assert_allclose(bal["storage_w"], storage, rtol=0,
+                                   atol=1e-12 * scale)
+
     def test_zero_demand_lossless_plant_power_decays(self):
         scenario = make_loop_scenario(n_steps=120, demand_w=0.0,
                                       htc_w_per_m_c=0.0,
@@ -253,6 +272,22 @@ class TestFactorizations:
         sc.condensed
         optimize(sc, np.full((1, 24), 110.0))
         assert sorted(labels) == ["steady", "transient"]
+
+    @pytest.mark.parametrize("builder", [desk_network, feeder_network],
+                             ids=["desk", "feeder"])
+    def test_flow_order_factorization_has_no_fill(self, builder):
+        graph, flow = builder()
+        system = assemble(graph, flow, control_volumes(graph),
+                          PhysicalConstants(), dt_s=900.0)
+        rank = np.empty_like(system.order)
+        rank[system.order] = np.arange(graph.n_nodes)
+        # every node follows the nodes its row reads
+        a = system.steady_matrix().tocoo()
+        off = a.row != a.col
+        assert np.all(rank[a.col[off]] < rank[a.row[off]])
+        transient = system.steady_matrix() + sp.diags(system.B_diag)
+        lu = system.lu_transient
+        assert lu.L.nnz + lu.U.nnz == transient.nnz + graph.n_nodes
 
     def test_steady_only_system_has_no_transient_factorization(self):
         graph, flow = minimal_loop()
