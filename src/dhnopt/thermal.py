@@ -129,26 +129,45 @@ def _ambient_loss_diagonal(graph):
 def _flow_order(matrix):
     """The nodes in flow order: each after every node its row of ``matrix`` reads.
 
-    Kahn's algorithm on the off-diagonal pattern. Nodes on or downstream
-    of a flow cycle never become ready; they go last, in node order.
+    Kahn's algorithm on the off-diagonal pattern. When a flow cycle
+    leaves no node ready, the cycle is broken at one of its nodes
+    (:func:`_cycle_node`), which is placed next; so only the rows that
+    close a cycle read a later node.
     """
     a = sp.csc_matrix(matrix)  # column j holds the rows that read node j
     n = a.shape[0]
     cols = np.repeat(np.arange(n), np.diff(a.indptr))
     pending = np.bincount(a.indices[a.indices != cols], minlength=n)
     order = np.flatnonzero(pending == 0).tolist()
+    placed = (pending == 0).tolist()
     pending = pending.tolist()
     indptr, indices = a.indptr.tolist(), a.indices.tolist()
-    for j in order:  # grows while it is read: a node is ready once appended
+    reads = None
+    for head in range(n):
+        if head == len(order):  # each unplaced node reads an unplaced node
+            if reads is None:
+                reads = sp.csr_matrix(matrix)
+            order.append(_cycle_node(reads, placed))
+            placed[order[-1]] = True
+        j = order[head]
         for i in indices[indptr[j]:indptr[j + 1]]:
-            if i != j:
+            if not placed[i]:
                 pending[i] -= 1
                 if pending[i] == 0:
+                    placed[i] = True
                     order.append(i)
-    placed = np.zeros(n, dtype=bool)
-    placed[order] = True
-    return np.concatenate([np.array(order, dtype=np.intp),
-                           np.flatnonzero(~placed)])
+    return np.array(order, dtype=np.intp)
+
+
+def _cycle_node(reads, placed):
+    """A node on a cycle of unplaced nodes when each reads an unplaced one:
+    walking upstream from the lowest of them must come back to a node."""
+    j, seen = placed.index(False), set()
+    while j not in seen:
+        seen.add(j)
+        row = reads.indices[reads.indptr[j]:reads.indptr[j + 1]]
+        j = next(int(i) for i in row if i != j and not placed[i])
+    return j
 
 
 class SystemMatrices:
@@ -244,11 +263,9 @@ class SystemMatrices:
             )
         if np.any(deltas < 0):
             raise ValidationError("consumer temperature deltas must be >= 0")
-        # ambient loss on the interior rows, boundary values on the rest
-        b = self.S_diag * ambient_c
-        b[self.bc.plant_nodes] = plant_temps
-        b[self.bc.consumer_return_nodes] = -deltas
-        return b
+        return _forcing(self.S_diag, self.bc.plant_nodes,
+                        self.bc.consumer_return_nodes, plant_temps, deltas,
+                        ambient_c)
 
     def solve_adjoint(self, b):
         """Solve ``A^T x = b`` with the transient factorization."""
@@ -256,6 +273,16 @@ class SystemMatrices:
         x = np.empty_like(b)
         x[self.order] = self.lu_transient.solve(b[self.order], trans="T")
         return x
+
+
+def _forcing(loss, plants, returns, plant_temps, deltas, ambient_c):
+    """Ambient loss on the interior rows, boundary values on the rest:
+    the plant temperatures on ``plants``, the negated drops on
+    ``returns``. ``loss`` (``S_diag``) and the rows share one node order."""
+    b = loss * ambient_c
+    b[plants] = plant_temps
+    b[returns] = -deltas
+    return b
 
 
 def assemble(graph, flow, volumes, constants, dt_s=None):
@@ -366,8 +393,7 @@ def simulate_system(system, grid, u, deltas, ambient, u_init=None):
     y = np.empty((system.graph.n_nodes, grid.n_steps + 1))
     y[:, 0] = solve_steady(system, u_init, deltas[:, 0], ambient[0])
     lu = system.lu_transient
-    # the right-hand side in flow order: ambient loss on the interior
-    # rows, boundary values on the rest, plus the stored previous state
+    # the forcing rows and the previous-state diagonal in flow order
     order = system.order
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
@@ -376,9 +402,8 @@ def simulate_system(system, grid, u, deltas, ambient, u_init=None):
     loss, storage = system.S_diag[order], system.B_diag[order]
     x = y[order, 0]
     for k in range(1, grid.n_steps + 1):
-        b = loss * ambient[k]
-        b[plants] = u[:, k - 1]
-        b[returns] = -deltas[:, k]
+        b = _forcing(loss, plants, returns, u[:, k - 1], deltas[:, k],
+                     ambient[k])
         b += storage * x
         x = lu.solve(b)
         y[order, k] = x
@@ -594,21 +619,17 @@ def energy_balance(system, traj, deltas, ambient):
     ``residual_rel`` (relative to plant injection).
     """
     cp = system.constants.cp_j_per_kg_c
-    rho = system.constants.rho_kg_m3
     y = traj.values_c
-    dt = traj.grid.dt_s
 
     injection = plant_injection_w(system, traj)
     extraction = cp * (system.consumer_massflow[:, None] * deltas[:, 1:]).sum(axis=0)
 
-    # node weights, zero on the boundary rows; the storage term weights
-    # the step differences, since a difference of two stored-energy sums
-    # would cancel catastrophically
-    interior = system.interior
-    s = np.where(interior, system.S_diag, 0.0)
+    # node weights, zero on the boundary rows (B_diag already is); the
+    # storage term weights the step differences, since a difference of
+    # two stored-energy sums would cancel catastrophically
+    s = np.where(system.interior, system.S_diag, 0.0)
     ambient_loss = s @ y[:, 1:] - s.sum() * ambient[1:]
-    w = np.where(interior, rho * cp * system.V_diag, 0.0)
-    storage = w @ np.diff(y, axis=1) / dt
+    storage = system.B_diag @ np.diff(y, axis=1)
 
     residual = injection - extraction - ambient_loss - storage
     scale = np.maximum(np.abs(injection), 1e-30)

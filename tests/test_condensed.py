@@ -304,23 +304,26 @@ class TestCyclicFlow:
 # the flow-order sweeps against a dense per-step oracle
 # ---------------------------------------------------------------------------
 
-def _nodes_reversed(graph, flow):
-    """The same network with its nodes numbered backwards, so that its
-    flow order is not its node order."""
-    last = graph.n_nodes - 1
-    backwards = NetworkGraph(
-        node_ids=graph.node_ids[::-1], node_side=graph.node_side[::-1],
-        node_xy=graph.node_xy[::-1], edge_ids=graph.edge_ids,
-        edge_kind=graph.edge_kind, edge_tail=last - graph.edge_tail,
-        edge_head=last - graph.edge_head, length_m=graph.length_m,
-        diameter_m=graph.diameter_m, htc_w_per_m_c=graph.htc_w_per_m_c)
-    return backwards, flow.validate_against(backwards)
+def _renumbered(graph, flow, old=None):
+    """The same network with node ``old[i]`` numbered ``i``; backwards by
+    default, so that its flow order is not its node order."""
+    old = np.arange(graph.n_nodes)[::-1] if old is None else old
+    new = np.empty_like(old)
+    new[old] = np.arange(old.size)
+    renumbered = NetworkGraph(
+        node_ids=[graph.node_ids[i] for i in old],
+        node_side=graph.node_side[old], node_xy=graph.node_xy[old],
+        edge_ids=graph.edge_ids, edge_kind=graph.edge_kind,
+        edge_tail=new[graph.edge_tail], edge_head=new[graph.edge_head],
+        length_m=graph.length_m, diameter_m=graph.diameter_m,
+        htc_w_per_m_c=graph.htc_w_per_m_c)
+    return renumbered, flow.validate_against(renumbered)
 
 
 # network and whether its flow order makes the matrix triangular
 _DENSE = {
-    "cyclic": (lambda: _nodes_reversed(*cyclic_network()), False),
-    "two-plant": (lambda: _nodes_reversed(*two_plant_network()), True),
+    "cyclic": (lambda: _renumbered(*cyclic_network()), False),
+    "two-plant": (lambda: _renumbered(*two_plant_network()), True),
 }
 
 
@@ -368,6 +371,24 @@ class TestDenseSweeps:
             dense_lam = np.linalg.solve(transient.T,
                                         g[:, k] + system.B_diag * dense_lam)
             assert np.max(np.abs(lam - dense_lam)) <= 1e-9
+
+    @pytest.mark.parametrize("seed", [None, 1, 2, 3])
+    def test_only_the_row_closing_the_cycle_reads_a_later_node(self, seed):
+        # the 400 m cycle in 2 m cells, the 1100 pipe metres in 551 nodes
+        graph, flow = subdivide_pipes(*cyclic_network(), 2.0)
+        if seed is not None:
+            graph, flow = _renumbered(graph, flow, np.random.default_rng(
+                seed).permutation(graph.n_nodes))
+        system = _drawn_scenario(graph, flow).system
+        order = system.order
+        transient = (system.steady_matrix() + sp.diags(system.B_diag)).tocsr()
+        upper = sp.triu(transient[order][:, order], 1).tocoo()
+        assert upper.nnz == 1
+        # the fill is the factor column of the node the cycle's closing
+        # row reads: at most the nodes placed between the two
+        span = upper.col[0] - upper.row[0]
+        lu = system.lu_transient
+        assert lu.L.nnz + lu.U.nnz <= transient.nnz + graph.n_nodes + span
 
 
 # ---------------------------------------------------------------------------
