@@ -13,16 +13,24 @@ exchanger layout, but never re-balanced here; bad input fails fast.
 
 :func:`read_csv` and :func:`write_csv` are the package's one CSV reader
 and one CSV writer: every CSV file the package reads or writes goes
-through them, so the file format has a single owner.
+through them, so the file format has a single owner. The reader has two
+record paths. Up to the first double quote in a file it splits blocks
+of text on line ends and commas with ``str.split``, which gives the
+fields ``csv.reader`` gives as long as no field is quoted, and parses
+each block's float columns at once. From the block that holds a quote
+on, ``csv.reader`` reads the rest, since a quoted field may hold a comma
+or a line break; :mod:`csv` stays the one authority on the dialect.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
+import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -323,16 +331,24 @@ _EDGE_HEADER = ["edge_id", "from_node", "to_node", "kind",
 _FLOW_HEADER = ["edge_id", "massflow_kg_s"]
 
 
-#: Records read and transposed into the columns at a time. A chunk's row
-#: lists are freed once the next chunk is read, so at most two chunks of
-#: them are alive: fewer than the 700 net container allocations that
+#: Bytes read and decoded at a time. A block without a double quote is
+#: split into fields with ``str.split`` and its float columns are parsed
+#: before the next block is read, so the float fields of the whole file
+#: are never alive as strings at once.
+_BLOCK_BYTES = 1 << 16
+#: Every byte but the comma and the newline: deleted from a block of
+#: UTF-8 text, they leave its field and record separators in order.
+_NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\n")))
+#: Records the :mod:`csv` path reads and transposes at a time. A chunk's
+#: row lists are freed once the next chunk is read, so at most two chunks
+#: of them are alive: fewer than the 700 net container allocations that
 #: start a cyclic garbage collection in CPython by default. Keeping every
 #: row alive instead makes the collector re-walk them again and again.
 _CHUNK_ROWS = 256
 
 
 def read_csv(path, header, floats=(), blank_nan=()):
-    """Columns of a CSV file with a fixed header.
+    r"""Columns of a CSV file with a fixed header.
 
     Returns ``(lines, columns)``: ``lines`` lists the record number of
     every data row in file order (the header is record 1; blank records
@@ -340,71 +356,235 @@ def read_csv(path, header, floats=(), blank_nan=()):
     its column. Columns named in ``floats`` are float arrays; those also
     in ``blank_nan`` read an empty field as NaN. Every other column is a
     list of strings. Fields are read with the :mod:`csv` dialect, so they
-    may be quoted, and surrounding whitespace is stripped.
+    may be quoted, and surrounding whitespace is stripped. A record ends
+    at ``\n``, ``\r\n`` or ``\r``.
+
+    The file is read in blocks of text. Up to the first block that holds
+    a double quote, records are split with ``str.split``: without a
+    quote, a line is one record and a comma always ends a field, so that
+    gives the fields :mod:`csv` gives. From that block on, the rest of the
+    file goes through ``csv.reader``, since a quoted field may hold a
+    comma or span lines.
 
     Raises
     ------
     ParseError
-        Empty file, wrong header, wrong field count or bad number; the
-        message names the file and the first faulty record, and within
-        a record the first faulty column of ``floats``.
+        Empty file, wrong header, wrong field count, bad number, a field
+        longer than ``csv.field_size_limit()`` or bytes that are not
+        UTF-8; the message names the file and the first faulty record,
+        and within a record the first faulty column of ``floats``.
     """
-    n = len(header)
-    lines, columns = [], {name: [] for name in header}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        first = next(reader, None)
-        if first is None:
-            raise ParseError(f"{path}:1: empty file")
-        if [h.strip() for h in first] != header:
-            raise ParseError(f"{path}:1: expected header {','.join(header)!r}, "
-                             f"got {','.join(first)!r}")
-        lineno = 2
-        while chunk := list(islice(reader, _CHUNK_ROWS)):
-            numbers = range(lineno, lineno + len(chunk))
-            lineno += len(chunk)
-            if not all(chunk):
-                numbers = [k for k, row in zip(numbers, chunk) if row]
-                chunk = [row for row in chunk if row]
-            if set(map(len, chunk)) - {n}:
-                j = next(j for j, row in enumerate(chunk) if len(row) != n)
-                _append_rows(lines, columns, numbers[:j], chunk[:j])
-                # a bad number in an earlier record is the first fault
-                _float_columns(path, lines, columns, floats, blank_nan)
-                raise ParseError(f"{path}:{numbers[j]}: expected {n} "
-                                 f"fields, got {len(chunk[j])}")
-            _append_rows(lines, columns, numbers, chunk)
-    columns.update(_float_columns(path, lines, columns, floats, blank_nan))
-    return lines, columns
+    table = _Table(path, header, floats, blank_nan)
+    with open(path, "rb") as fh:
+        blocks = _text_blocks(fh)
+        carry = ""  # the text read after the last whole record
+        try:
+            for block in blocks:
+                if '"' in block:
+                    table.add_quoted(_lines(carry, chain([block], blocks)))
+                    break
+                text = carry + block
+                # a "\r" at the end may be the first half of "\r\n"
+                end = max(text.rfind("\n"), text.rfind("\r", 0, len(text) - 1)) + 1
+                table.add_text(_newlines(text[:end]))
+                carry = text[end:]
+            else:
+                if carry:
+                    table.add_text(carry.removesuffix("\r") + "\n")
+        except _BadBytes as exc:
+            # the bad byte is in the record after a whole one
+            if carry.endswith("\r"):
+                table.add_text(carry[:-1] + "\n")
+            table.fault(exc)
+    return table.result()
 
 
-def _append_rows(lines, columns, numbers, rows):
-    lines.extend(numbers)
-    for column, fields in zip(columns.values(), zip(*rows)):
-        column.extend(map(str.strip, fields))
+class _BadBytes(Exception):
+    """The file holds bytes that are not UTF-8; the text before them is read."""
+
+
+def _text_blocks(fh):
+    """The text of a binary file, decoded as UTF-8 in blocks.
+
+    Before a byte that is not UTF-8 raises :class:`_BadBytes`, the text
+    up to it is yielded as one more block.
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    while True:
+        raw = fh.read(_BLOCK_BYTES)
+        try:
+            text = decoder.decode(raw, final=not raw)
+        except UnicodeDecodeError as exc:
+            yield exc.object[:exc.start].decode("utf-8")
+            raise _BadBytes(f"not UTF-8: {exc.reason}") from None
+        yield text
+        if not raw:
+            return
+
+
+def _newlines(text):
+    r"""``text`` with every record terminator as ``\n``."""
+    if "\r" in text:
+        return text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+def _lines(text, blocks):
+    """The lines of ``text`` and then of ``blocks``, each with its
+    terminator, as a file opened with ``newline=""`` gives them."""
+    try:
+        for block in blocks:
+            lines = io.StringIO(text + block, newline="").readlines()
+            # the last line may go on in the next block
+            text = lines.pop() if lines and not lines[-1].endswith("\n") else ""
+            yield from lines
+    except _BadBytes:
+        if text.endswith("\r"):
+            yield text
+        raise
+    if text:
+        yield text
+
+
+class _Table:
+    """The columns of one CSV file, built from its records in file order.
+
+    ``lineno`` is the number of the next record. Every ``add_*`` method
+    takes the next records of the file; a fault raises for the first
+    faulty record, once every earlier record is added.
+    """
+
+    def __init__(self, path, header, floats, blank_nan):
+        self.path, self.header = path, header
+        self.floats, self.blank_nan = floats, blank_nan
+        self.lineno = 1
+        self.lines = None  # None until the header is read
+        self.strings = {name: [] for name in header if name not in floats}
+        self.arrays = {name: [] for name in floats}
+
+    def result(self):
+        if self.lines is None:
+            raise ParseError(f"{self.path}:1: empty file")
+        columns = {}
+        for name in self.header:
+            if name in self.arrays:
+                columns[name] = np.concatenate([np.empty(0), *self.arrays[name]])
+            else:
+                columns[name] = self.strings[name]
+        return self.lines, columns
+
+    def fault(self, message):
+        """Raise ``message`` for the record being read."""
+        raise ParseError(f"{self.path}:{self.lineno}: {message}")
+
+    def add_text(self, text):
+        r"""Records of unquoted text, each ending in ``\n``.
+
+        A block whose records all hold ``n`` fields is split with one
+        ``str.split``. Any other block goes through :meth:`_add_lines`,
+        record by record, and so does every block of a one-column file,
+        where a blank record holds as many commas as any other.
+        """
+        if self.lines is None and text:
+            first, text = text.split("\n", 1)
+            self._add_lines([first])
+        n = len(self.header)
+        separators = text.encode("utf-8").translate(None, _NOT_SEPARATORS)
+        count = separators.count(b"\n")
+        if (n == 1 or len(text) > csv.field_size_limit()
+                or separators != (b"," * (n - 1) + b"\n") * count):
+            self._add_lines(text.split("\n")[:-1])
+            return
+        numbers = range(self.lineno, self.lineno + count)
+        self.lineno += count
+        fields = text[:-1].replace("\n", ",").split(",")
+        self._add_columns(numbers, [fields[j::n] for j in range(n)])
+
+    def _add_lines(self, lines):
+        """Unquoted records, one a line, split as :mod:`csv` splits them."""
+        limit = csv.field_size_limit()
+        rows = [line.split(",") if line else [] for line in lines]
+        long = (j for j, line in enumerate(lines)
+                if len(line) > limit and max(map(len, rows[j])) > limit)
+        j = next(long, len(rows))
+        self._add_rows(rows[:j])
+        if j < len(rows):
+            self.fault(f"field larger than field limit ({limit})")
+
+    def add_quoted(self, lines):
+        """The records of ``lines``, read with ``csv.reader``."""
+        rows = []
+        try:
+            for row in csv.reader(lines):
+                rows.append(row)
+                if len(rows) == _CHUNK_ROWS:
+                    self._add_rows(rows)
+                    rows = []
+        except (csv.Error, _BadBytes) as exc:
+            self._add_rows(rows)
+            self.fault(exc)
+        self._add_rows(rows)
+
+    def _add_rows(self, rows):
+        """Records as field lists; a blank record is an empty list."""
+        numbers = range(self.lineno, self.lineno + len(rows))
+        self.lineno += len(rows)
+        if self.lines is None and rows:
+            first, rows, numbers = rows[0], rows[1:], numbers[1:]
+            if [h.strip() for h in first] != self.header:
+                raise ParseError(f"{self.path}:1: expected header "
+                                 f"{','.join(self.header)!r}, got {','.join(first)!r}")
+            self.lines = []
+        if not all(rows):
+            numbers = [k for k, row in zip(numbers, rows) if row]
+            rows = [row for row in rows if row]
+        n = len(self.header)
+        if set(map(len, rows)) - {n}:
+            j = next(j for j, row in enumerate(rows) if len(row) != n)
+            # a bad number in an earlier record is the first fault
+            self._add_columns(numbers[:j], list(zip(*rows[:j])))
+            raise ParseError(f"{self.path}:{numbers[j]}: expected {n} "
+                             f"fields, got {len(rows[j])}")
+        self._add_columns(numbers, list(zip(*rows)))
+
+    def _add_columns(self, numbers, fields):
+        """Records ``numbers`` given as one field sequence per column."""
+        if not numbers:
+            return
+        columns = dict(zip(self.header, fields))
+        try:
+            arrays = [np.fromiter(map(float, columns[name]), float, len(numbers))
+                      for name in self.floats]
+        except ValueError:
+            arrays = self._parse_floats(numbers, columns)
+        self.lines.extend(numbers)
+        for name, values in zip(self.floats, arrays):
+            self.arrays[name].append(values)
+        for name, column in self.strings.items():
+            column.extend(map(str.strip, columns[name]))
+
+    def _parse_floats(self, numbers, columns):
+        """The ``floats`` columns from stripped fields, ``blank_nan`` ones
+        reading a blank as NaN; a bad number raises for its record."""
+        convert = {name: _float_or_nan if name in self.blank_nan else float
+                   for name in self.floats}
+        fields = {name: list(map(str.strip, columns[name])) for name in self.floats}
+        try:
+            return [np.array(list(map(convert[name], fields[name])), dtype=float)
+                    for name in self.floats]
+        except ValueError:
+            for i, lineno in enumerate(numbers):
+                for name in self.floats:
+                    try:
+                        convert[name](fields[name][i])
+                    except ValueError:
+                        raise ParseError(f"{self.path}:{lineno}: bad {name} "
+                                         f"value {fields[name][i]!r}") from None
+            raise
 
 
 def _float_or_nan(field):
     return float(field) if field else math.nan
-
-
-def _float_columns(path, lines, columns, floats, blank_nan):
-    """Parse the ``floats`` columns; a bad number raises for its record."""
-    convert = {name: _float_or_nan if name in blank_nan else float
-               for name in floats}
-    try:
-        return {name: np.array(list(map(convert[name], columns[name])),
-                               dtype=float) for name in floats}
-    except ValueError:
-        for i, lineno in enumerate(lines):
-            for name in floats:
-                field = columns[name][i]
-                try:
-                    convert[name](field)
-                except ValueError:
-                    raise ParseError(f"{path}:{lineno}: bad {name} value "
-                                     f"{field!r}") from None
-        raise
 
 
 class _RecordFile:

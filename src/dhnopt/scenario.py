@@ -410,20 +410,61 @@ def read_demand_set(path):
     """Read a per-consumer demand CSV in long format.
 
     Rows may come in any order. Consumers keep the order in which they
-    first appear; each consumer's rows are sorted by time, stably.
+    first appear; each consumer's rows are sorted by time, stably. The
+    first consumer in that order whose samples :func:`_uniform_series`
+    rejects is named.
     """
+    consumers, key, times, powers = _demand_rows(path)
+    order = np.lexsort((times, key))
+    times, powers = times[order], powers[order]
+    counts = np.bincount(key, minlength=len(consumers))
+    starts = np.cumsum(counts) - counts
+    steps = _first_steps(times, counts, starts)
+    for k in np.flatnonzero(_rejected(times, powers, counts, steps))[:1]:
+        part = slice(starts[k], starts[k] + counts[k])
+        _uniform_series(f"{path}: consumer {consumers[k]!r}",
+                        times[part], powers[part])
+    series = [LoadSeries(values_w=values, dt_s=dt, start_s=start)
+              for values, dt, start in zip(np.split(powers, starts[1:]),
+                                            steps.tolist(),
+                                            times[starts].tolist())]
+    return DemandSet(consumer_ids=consumers, series=tuple(series))
+
+
+def _demand_rows(path):
+    """The consumers in order of appearance, each row's consumer index,
+    and the time and power columns of a demand file."""
     lines, cols = read_csv(path, _DEMAND_HEADER, ("time_s", "power_w"))
-    _check_finite(path, lines, cols, ("time_s",), cols["consumer_edge_id"])
-    first_seen = {}
-    key = np.array([first_seen.setdefault(cid, len(first_seen))
-                    for cid in cols["consumer_edge_id"]], dtype=np.int64)
-    order = np.lexsort((cols["time_s"], key))
-    bounds = np.cumsum(np.bincount(key))[:-1]
-    series = [_uniform_series(f"{path}: consumer {cid!r}", times, powers)
-              for cid, times, powers in zip(
-                  first_seen, np.split(cols["time_s"][order], bounds),
-                  np.split(cols["power_w"][order], bounds))]
-    return DemandSet(consumer_ids=tuple(first_seen), series=tuple(series))
+    ids = cols["consumer_edge_id"]
+    _check_finite(path, lines, cols, ("time_s",), ids)
+    code = {cid: k for k, cid in enumerate(dict.fromkeys(ids))}
+    key = np.fromiter(map(code.__getitem__, ids), np.int64, len(ids))
+    return tuple(code), key, cols["time_s"], cols["power_w"]
+
+
+def _first_steps(times, counts, starts):
+    """Each consumer's first sample interval; 0 below two samples."""
+    steps = np.zeros(counts.size)
+    two = counts >= 2
+    steps[two] = times[starts[two] + 1] - times[starts[two]]
+    return steps
+
+
+def _rejected(times, powers, counts, steps):
+    """Per consumer, whether :func:`_uniform_series` rejects its samples.
+
+    ``times`` and ``powers`` hold the consumers' samples one after the
+    other, each consumer's sorted by time; the arithmetic of the spacing
+    test is that of :func:`_uniform_series`, element by element.
+    """
+    group = np.repeat(np.arange(counts.size), counts)
+    ref = steps[group[:-1]]
+    uneven = ((group[1:] == group[:-1])
+              & (np.abs(np.diff(times) - ref) > 1e-6 * np.abs(ref)))
+    bad_power = ~np.isfinite(powers) | (powers < 0)
+    return ((counts < _MIN_FILTER_SAMPLES) | ~(steps > 0)
+            | (np.bincount(group[:-1][uneven], minlength=counts.size) > 0)
+            | (np.bincount(group[bad_power], minlength=counts.size) > 0))
 
 
 def write_demand_set(demands, path):

@@ -13,15 +13,18 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dhnopt import network
 from dhnopt.cli import EXIT_INPUT, EXIT_OK, main
 from dhnopt.errors import ParseError, ValidationError
-from dhnopt.fixtures import desk_network, write_desk_fixture
+from dhnopt.fixtures import (daily_load_profile, demand_set_for, desk_network,
+                             feeder_network, write_desk_fixture)
 from dhnopt.network import parse_network, read_csv, write_csv, write_network
 from dhnopt.scenario import (DemandSet, LoadSeries, read_demand_set,
                              read_load_series, write_demand_set)
@@ -94,6 +97,33 @@ def test_bad_row_names_file_and_line(inputs, name, fault, capsys):
     path.write_text("\n".join(lines) + "\n")
     assert _run(command, inputs) == EXIT_INPUT
     assert f"{name}:{line}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", list(READERS))
+def test_non_utf8_byte_names_file_and_line(inputs, name, capsys):
+    command, _ = READERS[name]
+    path = inputs.parent / ("out" if name == "plant_power.csv" else "") / name
+    lines = path.read_text().splitlines()
+    lines[2] = "\xe9" + lines[2]
+    path.write_text("\n".join(lines) + "\n", encoding="latin-1")
+    assert _run(command, inputs) == EXIT_INPUT
+    assert f"{name}:3: not UTF-8: invalid continuation byte" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("quote", ["", '"'])
+def test_oversized_field_names_file_and_line(inputs, quote, capsys):
+    # csv refuses a field over csv.field_size_limit(); unquoted files,
+    # which csv does not read, must refuse it the same way
+    path = inputs.parent / "demands.csv"
+    lines = path.read_text().splitlines()
+    row = lines[2].split(",")
+    row[1] = quote + "x" * 140_000 + quote
+    lines[2] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    assert _run("simulate", inputs) == EXIT_INPUT
+    assert ("demands.csv:3: field larger than field limit (131072)"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("rows, line, message", [
@@ -170,6 +200,38 @@ def test_non_finite_demand_power_is_named(tmp_path):
         f"{900.0 * k},a,{'nan' if k == 3 else 1.0}\n" for k in range(8)))
     with pytest.raises(ValidationError, match="demands.csv: consumer 'a': "
                        "load series contains non-finite values"):
+        read_demand_set(path)
+
+
+def _consumer_rows(cid, times, power="1.0"):
+    return "".join(f"{t},{cid},{power}\n" for t in times)
+
+
+_EVEN = [900.0 * k for k in range(8)]
+
+
+@pytest.mark.parametrize("rows, message", [
+    (_consumer_rows("a", _EVEN) + _consumer_rows("b", _EVEN[:7] + [7000.0])
+     + _consumer_rows("c", _EVEN[:3]),
+     "consumer 'b' spacing not uniform"),
+    (_consumer_rows("a", _EVEN) + _consumer_rows("b", _EVEN[:3])
+     + _consumer_rows("c", _EVEN[:7] + [7000.0]),
+     "consumer 'b': load series needs >= 8 samples, got 3"),
+    (_consumer_rows("a", _EVEN) + _consumer_rows("b", [900.0] * 8),
+     "consumer 'b': sample interval must be > 0"),
+    (_consumer_rows("a", _EVEN) + _consumer_rows("b", _EVEN, "-1.0")
+     + _consumer_rows("c", [0.0]),
+     "consumer 'b': load series contains negative power"),
+    (_consumer_rows("a", _EVEN) + _consumer_rows("b", _EVEN, "inf"),
+     "consumer 'b': load series contains non-finite values"),
+    # a consumer's rows are sorted before its spacing is checked
+    (_consumer_rows("a", _EVEN[::-1]) + _consumer_rows("b", _EVEN[::2] + [1.0]),
+     "consumer 'b' spacing not uniform"),
+])
+def test_first_rejected_consumer_is_named(tmp_path, rows, message):
+    path = tmp_path / "demands.csv"
+    path.write_text(_DEMAND_HEADER + rows)
+    with pytest.raises(ValidationError, match=f"demands.csv: {message}"):
         read_demand_set(path)
 
 
@@ -383,3 +445,191 @@ def test_shuffled_rows_read_back_grouped(tmp_path_factory, ids, data):
     assert again.consumer_ids == demands.consumer_ids
     assert [s.values_w.tobytes() for s in again.series] == [
         s.values_w.tobytes() for s in demands.series]
+
+
+def _oracle_read(path, header, floats=(), blank_nan=()):
+    """``read_csv`` spelled out with ``csv.reader`` and ``float``, one
+    record at a time."""
+    records, fault = [], None
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        while True:
+            try:
+                records.append(next(reader))
+            except StopIteration:
+                break
+            except csv.Error as exc:
+                fault = f"{path}:{len(records) + 1}: {exc}"
+                break
+    if not records and fault is None:
+        raise ParseError(f"{path}:1: empty file")
+    if records and [h.strip() for h in records[0]] != header:
+        raise ParseError(f"{path}:1: expected header {','.join(header)!r}, "
+                         f"got {','.join(records[0])!r}")
+    lines, rows = [], []
+    for lineno, row in enumerate(records[1:], start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ParseError(f"{path}:{lineno}: expected {len(header)} "
+                             f"fields, got {len(row)}")
+        row = [field.strip() for field in row]
+        for name in floats:
+            field = row[header.index(name)]
+            if field or name not in blank_nan:
+                try:
+                    float(field)
+                except ValueError:
+                    raise ParseError(f"{path}:{lineno}: bad {name} value "
+                                     f"{field!r}") from None
+        lines.append(lineno)
+        rows.append(row)
+    if fault:
+        raise ParseError(fault)
+    columns = {name: [row[j] for row in rows] for j, name in enumerate(header)}
+    for name in floats:
+        columns[name] = np.array([float(f) if f else math.nan
+                                  for f in columns[name]])
+    return lines, columns
+
+
+def _read_both(path, header, floats, blank_nan=()):
+    """``read_csv`` and the oracle: both results, or both messages."""
+    out = []
+    for read in (read_csv, _oracle_read):
+        try:
+            lines, columns = read(path, header, floats, blank_nan)
+        except ParseError as exc:
+            out.append(str(exc))
+        else:
+            out.append((lines, {name: column.tobytes() if name in floats
+                                else column for name, column in columns.items()}))
+    return out
+
+
+_ROWS = "".join(f"{k}.5,c{k},{k}e3\n" for k in range(12))
+
+#: Files of ``t,id,p`` records; every block size splits each somewhere else.
+_BLOCK_CASES = {
+    "quote_in_a_late_block": "t,id,p\n" + _ROWS + '12,"q,\nr",1\n13,s,2\n',
+    "quoted_newline": 't,id,p\n0,"x\r\ny",1\n1,"a""b",2\n\n2, c ,3\r\n',
+    "every_line_ending": "t,id,p\r\n0,a,1\r\n\r\n1,b,2\r\r2,c,3\n\n3,é€,4\r\n",
+    "blank_records": "t,id,p\n\n0,a,1\n\n\n1,b,2\n\r\n",
+    "no_final_newline": "t,id,p\n" + _ROWS + "12,a,1",
+    "cr_at_the_end": "t,id,p\n" + _ROWS + "12,a,1\r",
+    "stripped_fields": "t,id,p\n 0 ,\ta b\x1c, 1\n\x1c1,b,\u20032\n",
+    "bad_number_then_short_row": "t,id,p\n0,a,oops\n" + _ROWS + "2,c\n",
+    "short_row_then_bad_number": "t,id,p\n" + _ROWS + "2,c\n3,d,oops\n",
+    "quoted_short_row": "t,id,p\n" + _ROWS + '2,"c"\n3,d,oops\n',
+    "bad_header": "t,id\n0,a,1\n",
+    "blank_header": "\n0,a,1\n",
+    "empty": "",
+}
+
+
+@pytest.mark.parametrize("case", list(_BLOCK_CASES))
+def test_blocks_read_as_csv_reads(tmp_path, monkeypatch, case):
+    text = _BLOCK_CASES[case]
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    expected = None
+    for size in range(1, len(path.read_bytes()) + 2):
+        monkeypatch.setattr(network, "_BLOCK_BYTES", size)
+        got, want = _read_both(path, ["t", "id", "p"], ("t", "p"))
+        assert got == want, size
+        assert expected in (None, want)
+        expected = want
+
+
+def test_block_sizes_put_the_faults_in_blocks_one_and_three(tmp_path,
+                                                           monkeypatch):
+    data = _BLOCK_CASES["bad_number_then_short_row"].encode("utf-8")
+    size = 64
+    assert data.index(b"oops") < size and 2 * size <= data.index(b"2,c\n") < 3 * size
+    path = tmp_path / "t.csv"
+    path.write_bytes(data)
+    monkeypatch.setattr(network, "_BLOCK_BYTES", size)
+    with pytest.raises(ParseError, match="t.csv:2: bad p value 'oops'"):
+        read_csv(path, ["t", "id", "p"], ("t", "p"))
+
+
+@pytest.mark.parametrize("quote", ["", '"'])
+def test_blocks_read_a_field_over_the_limit_as_csv_does(tmp_path, monkeypatch,
+                                                       quote):
+    old = csv.field_size_limit(6)
+    try:
+        for rows, line in ((["0,abcdef,1", f"1,{quote}abcdefg{quote},2"], 3),
+                           ([f"1,{quote}abcdefg{quote},2", "0,a,oops"], 2),
+                           (["0,a,oops", f"1,{quote}abcdefg{quote},2"], 2)):
+            path = tmp_path / "t.csv"
+            path.write_text("t,id,p\n" + "\n".join(rows) + "\n")
+            for size in range(1, 40):
+                monkeypatch.setattr(network, "_BLOCK_BYTES", size)
+                got, want = _read_both(path, ["t", "id", "p"], ("t", "p"))
+                assert got == want and want.startswith(f"{path}:{line}: ")
+    finally:
+        csv.field_size_limit(old)
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"t,id,p\n0,a,1\r1,\xe9,2\n", "3: not UTF-8: invalid continuation byte"),
+    (b"t,id,p\n0,a,1\r\xff\n", "3: not UTF-8: invalid start byte"),
+    (b't,id,p\n0,"a\nb",1\n1,b\xe9,2\n', "3: not UTF-8: invalid continuation"),
+    (b't,id,p\n0,"a\n\xe9b",1\n', "2: not UTF-8: invalid continuation"),
+    (b't,id,p\n0,"a",1\r\xff\n', "3: not UTF-8: invalid start byte"),
+    (b"t,id,p\n0,a,x\n1,\xe9,2\n", "2: bad p value 'x'"),
+    (b"t,id,p\n0,a,1\n1,\xe2\x82", "3: not UTF-8: unexpected end of data"),
+    (b"\xef\xbb", "1: not UTF-8: unexpected end of data"),
+])
+def test_bytes_that_are_not_utf8_name_their_record(tmp_path, monkeypatch,
+                                                   data, message):
+    path = tmp_path / "t.csv"
+    path.write_bytes(data)
+    for size in range(1, len(data) + 2):
+        monkeypatch.setattr(network, "_BLOCK_BYTES", size)
+        with pytest.raises(ParseError, match=f"t.csv:{message}"):
+            read_csv(path, ["t", "id", "p"], ("t", "p"))
+
+
+def test_blank_nan_columns_read_across_blocks(tmp_path, monkeypatch):
+    path = tmp_path / "t.csv"
+    path.write_text("id,x,y\n" + "".join(
+        f"n{k},{'' if k % 3 else k},{' ' if k % 4 else -k}\n" for k in range(20)))
+    for size in (1, 7, 30, 1 << 16):
+        monkeypatch.setattr(network, "_BLOCK_BYTES", size)
+        got, want = _read_both(path, ["id", "x", "y"], ("x", "y"),
+                               blank_nan=("x", "y"))
+        assert got == want, size
+
+
+def test_one_column_blank_records_across_blocks(tmp_path, monkeypatch):
+    # with one column a blank record has as many commas as any other
+    path = tmp_path / "t.csv"
+    path.write_text("id\na\n\n b \r\n\r\nc\r\rd\n")
+    for size in range(1, 20):
+        monkeypatch.setattr(network, "_BLOCK_BYTES", size)
+        got, want = _read_both(path, ["id"], ())
+        assert got == want == ([2, 4, 6, 8], {"id": ["a", "b", "c", "d"]})
+
+
+#: ``read_demand_set`` may hold this many bytes per byte of the file at
+#: its peak. It held 8.6 when every float field was kept as a string
+#: until the end of the file, and holds 4.0 since each block's floats
+#: are parsed as the block is read.
+_DEMAND_READ_PEAK_PER_BYTE = 4.8
+
+
+def test_demand_read_peak_memory(tmp_path):
+    graph, _ = feeder_network(max_cell_length_m=math.inf)
+    n = len(graph.consumer_edges)
+    demands = demand_set_for(graph, daily_load_profile(mean_w=50e3 * n, n_days=3),
+                             mean_w_per_consumer=50e3)
+    path = tmp_path / "demands.csv"
+    write_demand_set(demands, path)
+    tracemalloc.start()
+    try:
+        read_demand_set(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _DEMAND_READ_PEAK_PER_BYTE * path.stat().st_size
