@@ -392,7 +392,7 @@ def read_csv(path, header, floats=(), blank_nan=()):
                 if carry:
                     table.add_text(carry.removesuffix("\r") + "\n")
         except _BadBytes as exc:
-            # the bad byte is in the record after a whole one
+            # a carry that ends in "\r" is a whole record before the bad byte
             if carry.endswith("\r"):
                 table.add_text(carry[:-1] + "\n")
             table.fault(exc)
