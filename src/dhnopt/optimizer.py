@@ -8,12 +8,19 @@ once (:func:`dhnopt.thermal.condense`) from ``1 + n_plants`` runs of the
 per-step sweep :func:`~dhnopt.thermal.simulate_system`: one with zero
 control gives ``y_free``, one per plant with a unit pulse gives that
 plant's column of ``H``. A value is then one FFT convolution with
-``H``, and the exact gradient its transpose, one FFT correlation of
-``H`` with ``dJ/dy``. Both transform only the
-``n_plants + n_consumers`` plant return and consumer supply rows: the
-boundary rows of the system matrix hold a plant supply node at its
-control and a consumer return node at its supply temperature minus the
-drop, so those outputs need no transform. The gradient transforms
+``H`` (:meth:`~dhnopt.thermal.CondensedMap.convolve`), and the exact
+gradient its transpose, one FFT correlation of ``H`` with ``dJ/dy``.
+Both transform only the ``n_plants + n_consumers`` plant return and
+consumer supply rows: the boundary rows of the system matrix hold a
+plant supply node at its control and a consumer return node at its
+supply temperature minus the drop, so those outputs need no transform.
+A value reads the convolved rows directly, the loss from the plant
+rows and the constraint values from the consumer rows, rounded as the
+public terms round them on the full outputs; the full outputs
+(:meth:`~dhnopt.thermal.CondensedMap.apply`) are built once per round,
+for its report. The map checks the control, so a non-finite control
+entry raises :class:`~dhnopt.errors.SolverError` before any transform,
+and no output is scanned. The gradient transforms
 fewer still: ``dJ/dy`` is nonzero only on the plant rows, which carry
 the injection cost, and on the consumer rows with a violated
 constraint, since the hinge penalty has zero slope where a constraint
@@ -43,6 +50,7 @@ from .errors import SolverError, ValidationError
 from .objective import (constraint_violations, injection_cost_rates,
                         loss_energy, max_violation, objective_loss, penalty,
                         project_control, tikhonov, tikhonov_gradient)
+from .thermal import ObservedTrajectory
 # not called here; perfbench's tracer wraps it under every module name
 from .thermal import simulate_system  # noqa: F401
 
@@ -85,13 +93,20 @@ class ObjectiveEvaluator:
     """Value and gradient of the penalized objective at a control.
 
     Both run on the scenario's condensed map (see the module docstring),
-    built on the first request: a value is one FFT convolution, a
-    gradient one FFT correlation with the impulse response of the plant
-    rows and the violated consumer rows only. The outputs are cached
-    keyed on the control bytes, so reading the parts of a round's
-    result, last evaluated by its line search, pays nothing again, and
-    a gradient at the cached control reads its violations from the
-    scratch the value wrote them to.
+    built on the first request. A value is one FFT convolution,
+    :meth:`~dhnopt.thermal.CondensedMap.convolve`, whose rows it reads
+    directly: the loss from the plant rows, the violations written into
+    a scratch the evaluator owns. The map's control check raises
+    :class:`~dhnopt.errors.SolverError` before a non-finite temperature
+    can arise, so no output is scanned. A gradient is one FFT
+    correlation with the impulse response of the plant rows and the
+    violated consumer rows only. The outputs are cached keyed on the
+    control bytes, so reading the parts of a round's result, last
+    evaluated by its line search, pays no second convolution for its
+    terms, and a gradient at the cached control reads its violations
+    from the scratch the value wrote them to: every gradient follows a
+    forward at the same control. Only :meth:`parts`, once per round,
+    builds every observed row with :meth:`~dhnopt.thermal.CondensedMap.apply`.
     """
 
     def __init__(self, scenario, lambda_p):
@@ -104,6 +119,15 @@ class ObjectiveEvaluator:
         # miss; a fresh array of this size per call costs page faults
         self._c = np.empty((2 * bc.n_consumers, scenario.grid.n_steps))
         self._row_starts = np.arange(0, self._c.size, scenario.grid.n_steps)
+        # the two plant blocks of the observed rows, all the loss reads
+        n_p = bc.n_plants
+        self._plant_nodes = np.concatenate((bc.plant_nodes,
+                                            bc.plant_return_nodes))
+        self._plant_blocks = ((bc.plant_nodes, slice(0, n_p)),
+                              (bc.plant_return_nodes, slice(n_p, 2 * n_p)))
+        # static loss rates, the same at every control; set by the first
+        # gradient
+        self._rates = None
         self.n_evals = 0
         self.n_gradients = 0
         self._cache_key = None
@@ -113,23 +137,50 @@ class ObjectiveEvaluator:
 
     def _forward(self, u):
         s = self.scenario
-        shape = (self.bc.n_plants, s.grid.n_steps)
+        n_p, n_c = self.bc.n_plants, self.bc.n_consumers
+        shape = (n_p, s.grid.n_steps)
         if u.shape != shape:
             raise ValidationError(f"control must have shape {shape}, got {u.shape}")
         key = u.tobytes()
         if key == self._cache_key:
             return self._cache
-        outputs = s.condensed.apply(u)
-        loss = loss_energy(outputs, s.graph, s.flow, s.price,
+        y_free = s.condensed.y_free
+        h_u = s.condensed.convolve(u)
+        # a plant supply row is the control, a plant return row its free
+        # response plus H * u
+        y = np.empty((2 * n_p, s.grid.n_steps))
+        y[:n_p] = u
+        np.add(y_free[n_p:2 * n_p], h_u[:n_p], out=y[n_p:])
+        plants = ObservedTrajectory(self._plant_nodes, y, s.grid,
+                                    self._plant_blocks)
+        loss = loss_energy(plants, s.graph, s.flow, s.price,
                            s.constants.cp_j_per_kg_c)
         loss_working = objective_loss(loss, s.price)
         reg = tikhonov(u, s.grid)
-        c = self._violations(outputs)
-        pen = penalty(c, self.lambda_p)
+        # each consumer row's temperature, then the bound minus it: the
+        # two roundings constraint_violations makes on apply(u)
+        c, supply = self._c, h_u[n_p:]
+        cons = s.constraints
+        for rows, free, bound in (
+                (c[:n_c], y_free[2 * n_p:2 * n_p + n_c],
+                 cons.consumer_supply_min_c),
+                (c[n_c:], y_free[2 * n_p + n_c:], cons.consumer_return_min_c)):
+            np.add(free, supply, out=rows)
+            np.subtract(bound, rows, out=rows)
+        # the rows with a violation (NaN counts), by one reduction over
+        # the flat scratch: a row-wise max pays a per-row overhead that
+        # is most of its cost. A row without one adds no entry to the
+        # penalty, so the penalty of these rows has every bit of the
+        # penalty of all rows; copying them out pays while they are
+        # fewer than half. The gradient reads the same rows.
+        row_max = np.maximum.reduceat(c.ravel(), self._row_starts)
+        violated = np.flatnonzero(~(row_max <= 0.0))
+        pen = penalty(c[violated] if 2 * violated.size < len(c) else c,
+                      self.lambda_p)
         value = loss_working + s.tikhonov_weight * reg + pen
         self._cache_key = key
-        self._cache = {"outputs": outputs, "loss": loss, "tikhonov": reg,
-                       "penalty": pen, "value": value}
+        self._cache = {"plants": plants, "violated": violated, "loss": loss,
+                       "tikhonov": reg, "penalty": pen, "value": value}
         self.n_evals += 1
         return self._cache
 
@@ -138,18 +189,20 @@ class ObjectiveEvaluator:
         return self._forward(u)["value"]
 
     def parts(self, u):
-        """Dict with outputs, loss, regularizer, penalty, violations, value."""
-        u = np.ascontiguousarray(u, dtype=float)
-        parts = dict(self._forward(u))
-        parts["violations"] = constraint_violations(
-            parts["outputs"], self.scenario.graph, self.scenario.constraints)
-        return parts
+        """Dict with outputs, loss, regularizer, penalty, violations, value.
 
-    def _violations(self, outputs):
-        """Constraint values, in the scratch the gradient reads them from."""
+        ``outputs`` holds every observed row and ``violations`` is
+        :func:`~dhnopt.objective.constraint_violations` on them.
+        """
+        u = np.ascontiguousarray(u, dtype=float)
+        fwd = self._forward(u)
         s = self.scenario
-        return constraint_violations(outputs, s.graph, s.constraints,
-                                     out=self._c)
+        outputs = s.condensed.apply(u)
+        return {"outputs": outputs, "loss": fwd["loss"],
+                "tikhonov": fwd["tikhonov"], "penalty": fwd["penalty"],
+                "violations": constraint_violations(outputs, s.graph,
+                                                    s.constraints),
+                "value": fwd["value"]}
 
     # -- gradient --------------------------------------------------------
 
@@ -157,20 +210,18 @@ class ObjectiveEvaluator:
         u = np.ascontiguousarray(u, dtype=float)
         fwd = self._forward(u)
         s = self.scenario
-        outputs = fwd["outputs"]
-
-        rates, _ = injection_cost_rates(outputs, s.graph, s.flow, s.price,
-                                        s.constants.cp_j_per_kg_c,
-                                        working=True)
+        rates = self._rates
+        if rates is None:
+            rates, _ = injection_cost_rates(fwd["plants"], s.graph, s.flow,
+                                            s.price, s.constants.cp_j_per_kg_c,
+                                            working=True)
+            if s.price.static:
+                self._rates = rates
         # d/dy of lambda/2 * max(0, bound - y)^2 is -lambda * hinge, zero
         # on every row whose constraints hold, so the map gets the plant
-        # rows and the violated consumer rows (NaN counts) only. One
-        # reduction over the flat scratch: a row-wise max pays a per-row
-        # overhead that is most of its cost.
+        # rows and the violated consumer rows only
         n_p = self.bc.n_plants
-        c = self._c
-        row_max = np.maximum.reduceat(c.ravel(), self._row_starts)
-        violated = np.flatnonzero(~(row_max <= 0.0))
+        c, violated = self._c, fwd["violated"]
         # observed rows: plant supply, plant return, consumer supply,
         # consumer return (the order of the violation rows)
         rows = np.concatenate((np.arange(2 * n_p), 2 * n_p + violated))

@@ -434,6 +434,12 @@ class CondensedMap:
     multiplied in turn; the transforms reuse a spectrum, a product and a
     signal buffer the map owns: a fresh megabyte-sized array per call
     costs about as much as the transforms.
+
+    :meth:`convolve` is the one forward transform: ``H * u`` on the
+    convolved rows, with no free response added. The objective reads
+    those rows directly. :meth:`apply` adds the free response and fills
+    in the other two blocks, for callers that want every observed row.
+    The control check in :meth:`convolve` keeps the outputs finite.
     """
 
     def __init__(self, blocks, y_free, impulse, grid):
@@ -461,16 +467,35 @@ class CondensedMap:
         self._spectrum = np.empty((n_conv, n_fft // 2 + 1), dtype=complex)
         self._product = np.empty_like(self._spectrum)
         self._signal = np.empty((n_conv, n_fft))
+        # No sum inside the transforms exceeds a small multiple of
+        # n_fft**2 * (1 + gain) * max|u|, gain being the largest l1 norm
+        # of a convolved row's impulse, so a control within this limit
+        # cannot overflow them; 16 is that multiple, with room to spare.
+        gain = np.abs(impulse[self._convolved]).sum(axis=(1, 2)).max()
+        self.control_limit = np.finfo(float).max / (16 * n_fft**2 * (1 + gain))
 
-    def apply(self, u):
-        """Observed temperatures under the control ``u``."""
-        n = self.grid.n_steps
+    def convolve(self, u):
+        """``H * u`` on the plant return rows, then the consumer supply rows.
+
+        A view of a buffer the map owns: the next transform overwrites
+        it. A control entry that is not finite or exceeds
+        ``control_limit`` in magnitude raises :class:`SolverError`; every
+        other control gives finite outputs, so no output is scanned.
+        """
+        if not np.max(np.abs(u)) <= self.control_limit:
+            raise SolverError("control is not finite or too large for the "
+                              "condensed map")
         u_f = np.fft.rfft(u, self._n_fft)
         h_f, spectrum = self._impulse_f, self._spectrum
         np.multiply(h_f[:, 0], u_f[0], out=spectrum)
         for p in range(1, u_f.shape[0]):
             spectrum += np.multiply(h_f[:, p], u_f[p], out=self._product)
-        h_u = np.fft.irfft(spectrum, self._n_fft, out=self._signal)[:, :n]
+        return np.fft.irfft(spectrum, self._n_fft,
+                            out=self._signal)[:, :self.grid.n_steps]
+
+    def apply(self, u):
+        """Observed temperatures under the control ``u``, every row."""
+        h_u = self.convolve(u)
         y = np.empty_like(self.y_free)
         y[self._plants] = u
         np.add(self.y_free[self._convolved], h_u, out=y[self._convolved])

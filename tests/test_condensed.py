@@ -16,10 +16,14 @@ from hypothesis.extra.numpy import arrays
 
 import dhnopt.scenario
 from conftest import make_loop_scenario
-from dhnopt.errors import ValidationError
-from dhnopt.fixtures import desk_scenario, feeder_network, two_level_price
+from dhnopt.errors import SolverError, ValidationError
+from dhnopt.fixtures import (desk_scenario, feeder_network, feeder_scenario,
+                             two_level_price)
 from dhnopt.network import FlowField, NetworkGraph, subdivide_pipes
-from dhnopt.objective import ConstraintSet
+from dhnopt.objective import (ConstraintSet, constraint_violations,
+                              injection_cost_rates, loss_energy,
+                              objective_loss, penalty, tikhonov,
+                              tikhonov_gradient)
 from dhnopt.optimizer import ObjectiveEvaluator, OptimizerConfig, optimize
 from dhnopt.scenario import DemandSet, LoadSeries, build_scenario
 from dhnopt.thermal import (DEFAULT_CP, PhysicalConstants, TimeGrid,
@@ -572,3 +576,111 @@ class TestFoldedMap:
         bc = scenario.system.bc
         with pytest.raises(ValidationError, match="outside the observed"):
             y.rows(np.concatenate([bc.plant_nodes, bc.consumer_supply_nodes]))
+
+
+# ---------------------------------------------------------------------------
+# the evaluator reads the convolved rows: exactly the public terms
+# ---------------------------------------------------------------------------
+
+_EXACT = {
+    "desk-static": lambda: desk_scenario(),
+    "desk-dynamic": lambda: desk_scenario(static=False),
+    "feeder-static": lambda: feeder_scenario(),
+    "feeder-dynamic": lambda: feeder_scenario(static=False),
+    "two-plant-static": lambda: _two_plant_scenario(*two_plant_network(), 48),
+    "two-plant-dynamic": lambda: _two_plant_scenario(
+        *two_plant_network(), 48, two_level_price(n_days=1)),
+}
+# no violated row; fewer than half the rows violated on the desk and the
+# feeder; about half of them
+_RANGES = ((110.0, 125.0), (83.0, 87.0), (70.0, 95.0))
+
+
+def _exact_controls(shape):
+    rng = np.random.default_rng(29)
+    for lo, hi in _RANGES:
+        yield lo, hi, rng.uniform(lo, hi, shape)
+    # a drop from 125 to 40 °C halfway: the plant return runs hotter than
+    # its supply for a while, where dynamic prices switch to beta
+    drop = np.full(shape, 125.0)
+    drop[:, shape[1] // 2:] = 40.0
+    yield 40.0, 125.0, drop
+
+
+@pytest.fixture(scope="module", params=sorted(_EXACT))
+def exact(request):
+    return _EXACT[request.param]()
+
+
+def _public_terms(s, lambda_p, u):
+    """Value, loss, penalty, violations and gradient of the penalized
+    objective, from the public terms on ``condensed.apply(u)``."""
+    y = s.condensed.apply(u)
+    cp = s.constants.cp_j_per_kg_c
+    loss = loss_energy(y, s.graph, s.flow, s.price, cp)
+    c = constraint_violations(y, s.graph, s.constraints)
+    pen = penalty(c, lambda_p)
+    value = (objective_loss(loss, s.price)
+             + s.tikhonov_weight * tikhonov(u, s.grid) + pen)
+    rates, _ = injection_cost_rates(y, s.graph, s.flow, s.price, cp,
+                                    working=True)
+    n_p = s.system.bc.n_plants
+    dj_dy = np.empty_like(y.values_c)
+    dj_dy[:n_p] = rates
+    dj_dy[n_p:2 * n_p] = -rates
+    dj_dy[2 * n_p:] = -lambda_p * np.maximum(0.0, c)
+    grad = s.condensed.apply_transpose(dj_dy, np.arange(len(dj_dy)))
+    grad += s.tikhonov_weight * tikhonov_gradient(u, s.grid)
+    return value, loss, pen, c, grad
+
+
+class TestEvaluatorIsExact:
+    def test_equals_the_public_terms_on_apply(self, exact):
+        shape = (exact.system.bc.n_plants, exact.grid.n_steps)
+        # one evaluator for every control: the static loss rates it
+        # keeps from its first gradient must hold at the others too
+        ev = ObjectiveEvaluator(exact, 100.0)
+        for lo, hi, u in _exact_controls(shape):
+            value, loss, pen, c, grad = _public_terms(exact, 100.0, u)
+            if lo > 100.0:
+                assert c.max() <= 0.0
+            if hi < 100.0:
+                assert c.max() > 0.0
+            assert ev.value(u) == value
+            # the violations the gradient reads
+            assert np.array_equal(ev._c, c)
+            got_value, got_grad = ev.value_and_gradient(u)
+            assert got_value == value
+            assert np.array_equal(got_grad, grad)
+            parts = ev.parts(u)
+            assert parts["value"] == value
+            assert parts["loss"] == loss
+            assert parts["penalty"] == pen
+            assert np.array_equal(parts["violations"], c)
+            # a gradient with no value call before it
+            _, fresh = ObjectiveEvaluator(exact, 100.0).value_and_gradient(u)
+            assert np.array_equal(fresh, grad)
+
+
+class TestControlCheck:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e307, -1e307])
+    def test_a_bad_control_entry_raises(self, bad):
+        scenario = make_loop_scenario(n_steps=24)
+        u = np.full((1, 24), 100.0)
+        u[0, 7] = bad
+        for call in (ObjectiveEvaluator(scenario, 10.0).value,
+                     ObjectiveEvaluator(scenario, 10.0).value_and_gradient,
+                     scenario.condensed.apply):
+            with pytest.raises(SolverError, match="control"):
+                call(u)
+
+    def test_the_limit_overflows_nothing(self, exact):
+        # every entry at the limit, signs drawn: the largest sums the
+        # transforms can form from a control the check lets through
+        m = exact.condensed
+        shape = (exact.system.bc.n_plants, exact.grid.n_steps)
+        sign = np.random.default_rng(31).choice((-1.0, 1.0), shape)
+        for u in (np.full(shape, m.control_limit), sign * m.control_limit):
+            assert np.all(np.isfinite(m.apply(u).values_c))
+        with pytest.raises(SolverError):
+            m.apply(np.full(shape, 2.0 * m.control_limit))

@@ -48,3 +48,18 @@ def test_install_traces_an_optimize_run_and_remove_restores():
     for old, new in zip(before, _namespaces()):
         assert old.keys() == new.keys()
         assert all(old[k] is new[k] for k in old)
+
+
+def test_a_value_call_alone_traces_its_objective_terms():
+    tracer_module = _tracer_module()
+    # the install looks each term up on optimizer by name
+    assert all(hasattr(optimizer, term) for term in tracer_module._OBJECTIVE_TERMS)
+    sc = make_loop_scenario(n_steps=24, swing=0.3)
+    ev = optimizer.ObjectiveEvaluator(sc, 10.0)
+    with tracer_module.Tracer() as tracer:
+        ev.value(np.full((1, 24), 101.0))
+    names = [span[0] for span in tracer.spans]
+    value = names.index("optimizer.value")
+    for term in ("objective.loss_energy", "objective.tikhonov",
+                 "objective.penalty"):
+        assert tracer.spans[names.index(term)][3] == value, term
