@@ -174,19 +174,18 @@ def tikhonov_gradient(u, grid):
     return g
 
 
-def constraint_violations(traj, graph, constraints, out=None):
+def constraint_violations(traj, graph, constraints):
     """Signed constraint values for every consumer and solved step.
 
     Rows stack the supply-side constraints ``smin - y_supply`` over all
     consumers, then the return-side constraints ``rmin - y_return``;
     positive entries are violations in °C. Shape
-    ``(2 * n_consumers, n_steps)``; written into ``out`` when given.
+    ``(2 * n_consumers, n_steps)``.
     """
     bc = graph.boundary
     n_c = bc.n_consumers
     supply = traj.rows(bc.consumer_supply_nodes)
-    if out is None:
-        out = np.empty((2 * n_c, supply.shape[1]))
+    out = np.empty((2 * n_c, supply.shape[1]))
     np.subtract(constraints.consumer_supply_min_c, supply, out=out[:n_c])
     np.subtract(constraints.consumer_return_min_c,
                 traj.rows(bc.consumer_return_nodes), out=out[n_c:])

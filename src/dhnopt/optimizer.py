@@ -13,21 +13,24 @@ gradient its transpose, one FFT correlation of ``H`` with ``dJ/dy``.
 Both transform only the ``n_plants + n_consumers`` plant return and
 consumer supply rows: the boundary rows of the system matrix hold a
 plant supply node at its control and a consumer return node at its
-supply temperature minus the drop, so those outputs need no transform.
-A value reads the convolved rows directly, the loss from the plant
-rows and the constraint values from the consumer rows, rounded as the
-public terms round them on the full outputs; the full outputs
+supply temperature minus the drop ``delta``. So the return limit
+``rmin`` is the supply limit ``rmin + delta``, and the objective has one
+constraint row per consumer and step, its supply temperature against
+``b = max(smin, rmin + delta)`` (``Scenario.supply_bound``). A value reads
+the convolved rows directly, the loss from the plant rows and the
+constraint values from the consumer supply rows, rounded as the public
+terms round them wherever ``b`` is ``smin``. The full outputs
 (:meth:`~dhnopt.thermal.CondensedMap.apply`) are built once per round,
-for its report. The map checks the control, so a non-finite control
-entry raises :class:`~dhnopt.errors.SolverError` before any transform,
-and no output is scanned. The gradient transforms
-fewer still: ``dJ/dy`` is nonzero only on the plant rows, which carry
-the injection cost, and on the consumer rows with a violated
-constraint, since the hinge penalty has zero slope where a constraint
-holds. Leaving the zero rows out is exact, because a zero row
-transforms to exact zeros and adding exact zeros changes no bit of the
-sum. The sweep remains the oracle for these outputs and the full-state
-path of the CLI.
+for its report, which still shows the supply and return violations
+apart. The map checks the control, so a non-finite control entry raises
+:class:`~dhnopt.errors.SolverError` before any transform, and no output
+is scanned. The gradient transforms fewer still: ``dJ/dy`` is nonzero
+only on the plant rows, which carry the injection cost, and on the
+consumer supply rows with a violated bound, since the hinge penalty has
+zero slope where a bound holds. Leaving the zero rows out is exact,
+because a zero row transforms to exact zeros and adding exact zeros
+changes no bit of the sum. The sweep remains the oracle for these
+outputs and the full-state path of the CLI.
 
 Minimization within the plant temperature box is scipy's L-BFGS-B
 (Byrd, Lu, Nocedal & Zhu 1995), one value-and-gradient call per trial
@@ -95,18 +98,19 @@ class ObjectiveEvaluator:
     Both run on the scenario's condensed map (see the module docstring),
     built on the first request. A value is one FFT convolution,
     :meth:`~dhnopt.thermal.CondensedMap.convolve`, whose rows it reads
-    directly: the loss from the plant rows, the violations written into
-    a scratch the evaluator owns. The map's control check raises
-    :class:`~dhnopt.errors.SolverError` before a non-finite temperature
-    can arise, so no output is scanned. A gradient is one FFT
-    correlation with the impulse response of the plant rows and the
-    violated consumer rows only. The outputs are cached keyed on the
-    control bytes, so reading the parts of a round's result, last
-    evaluated by its line search, pays no second convolution for its
-    terms, and a gradient at the cached control reads its violations
-    from the scratch the value wrote them to: every gradient follows a
-    forward at the same control. Only :meth:`parts`, once per round,
-    builds every observed row with :meth:`~dhnopt.thermal.CondensedMap.apply`.
+    directly: the loss from the plant rows, and one constraint row per
+    consumer, its supply bound ``max(smin, rmin + delta)`` minus its
+    supply temperature, written into a scratch the evaluator owns. The
+    map's control check raises :class:`~dhnopt.errors.SolverError`
+    before a non-finite temperature can arise, so no output is scanned.
+    A gradient is one FFT correlation with the impulse response of the
+    plant rows and the violated consumer supply rows only. The outputs
+    are cached keyed on the control bytes, so reading the parts of a
+    round's result, last evaluated by its line search, pays no second
+    convolution for its terms, and a gradient at the cached control
+    reads its violations from the scratch the value wrote them to: every
+    gradient follows a forward at the same control. Only :meth:`parts`,
+    once per round, applies the full map and both constraint families.
     """
 
     def __init__(self, scenario, lambda_p):
@@ -117,7 +121,7 @@ class ObjectiveEvaluator:
         self.bc = bc = scenario.system.bc
         # the violations at the cached control, rewritten on every cache
         # miss; a fresh array of this size per call costs page faults
-        self._c = np.empty((2 * bc.n_consumers, scenario.grid.n_steps))
+        self._c = np.empty((bc.n_consumers, scenario.grid.n_steps))
         self._row_starts = np.arange(0, self._c.size, scenario.grid.n_steps)
         # the two plant blocks of the observed rows, all the loss reads
         n_p = bc.n_plants
@@ -157,16 +161,12 @@ class ObjectiveEvaluator:
                            s.constants.cp_j_per_kg_c)
         loss_working = objective_loss(loss, s.price)
         reg = tikhonov(u, s.grid)
-        # each consumer row's temperature, then the bound minus it: the
-        # two roundings constraint_violations makes on apply(u)
-        c, supply = self._c, h_u[n_p:]
-        cons = s.constraints
-        for rows, free, bound in (
-                (c[:n_c], y_free[2 * n_p:2 * n_p + n_c],
-                 cons.consumer_supply_min_c),
-                (c[n_c:], y_free[2 * n_p + n_c:], cons.consumer_return_min_c)):
-            np.add(free, supply, out=rows)
-            np.subtract(bound, rows, out=rows)
+        # each consumer's supply temperature, then its bound minus it:
+        # where the bound is smin, the two roundings constraint_violations
+        # makes on apply(u)
+        c = self._c
+        np.add(y_free[2 * n_p:2 * n_p + n_c], h_u[n_p:], out=c)
+        np.subtract(s.supply_bound, c, out=c)
         # the rows with a violation (NaN counts), by one reduction over
         # the flat scratch: a row-wise max pays a per-row overhead that
         # is most of its cost. A row without one adds no entry to the
@@ -192,7 +192,8 @@ class ObjectiveEvaluator:
         """Dict with outputs, loss, regularizer, penalty, violations, value.
 
         ``outputs`` holds every observed row and ``violations`` is
-        :func:`~dhnopt.objective.constraint_violations` on them.
+        :func:`~dhnopt.objective.constraint_violations` on them: the
+        supply and the return rows, each against its own limit.
         """
         u = np.ascontiguousarray(u, dtype=float)
         fwd = self._forward(u)
@@ -218,12 +219,11 @@ class ObjectiveEvaluator:
             if s.price.static:
                 self._rates = rates
         # d/dy of lambda/2 * max(0, bound - y)^2 is -lambda * hinge, zero
-        # on every row whose constraints hold, so the map gets the plant
-        # rows and the violated consumer rows only
+        # on every row whose bound holds, so the map gets the plant rows
+        # and the violated consumer supply rows only
         n_p = self.bc.n_plants
         c, violated = self._c, fwd["violated"]
-        # observed rows: plant supply, plant return, consumer supply,
-        # consumer return (the order of the violation rows)
+        # observed rows: plant supply, plant return, consumer supply
         rows = np.concatenate((np.arange(2 * n_p), 2 * n_p + violated))
         dj_dy = np.empty((rows.size, s.grid.n_steps))
         dj_dy[:n_p] = rates

@@ -269,6 +269,15 @@ class Scenario:
         return condense(self.system, self.grid, self.deltas, self.ambient,
                         self.u_init)
 
+    @cached_property
+    def supply_bound(self):
+        """Consumer supply bound ``max(smin, rmin + delta)`` per solved
+        step: a return node sits ``delta`` below its supply node."""
+        c = self.constraints
+        return _read_only(np.maximum(c.consumer_supply_min_c,
+                                     c.consumer_return_min_c
+                                     + self.deltas[:, 1:]))
+
 
 def build_scenario(graph, flow, demands, prices, constraints, grid, constants,
                    *, alpha=1.0, beta=0.0, tikhonov_weight=DEFAULT_TIKHONOV_WEIGHT,

@@ -341,10 +341,12 @@ class ObservedTrajectory:
             raise SolverError("condensed map produced non-finite temperatures")
 
     def rows(self, nodes):
-        """:meth:`StateTrajectory.rows` for an observed block, as a view."""
-        for block, rows in self.blocks:
-            if nodes is block or np.array_equal(nodes, block):
-                return self.values_c[rows]
+        """:meth:`StateTrajectory.rows` for an observed block, as a view.
+        Identity is tried on every block before any ``array_equal``."""
+        found = ([r for b, r in self.blocks if nodes is b]
+                 or [r for b, r in self.blocks if np.array_equal(nodes, b)])
+        if found:
+            return self.values_c[found[0]]
         raise ValidationError("temperature requested outside the observed blocks")
 
 
@@ -427,13 +429,14 @@ class CondensedMap:
     node is held at the control, so its rows are ``u``, and a consumer
     return node sits ``delta`` below its supply node, so its rows are
     its free response plus the supply node's convolution. The transpose
-    takes its output gradient as the rows that may be nonzero, folds the
-    consumer return rows onto their supply rows and transforms only the
-    folded rows it was given: an objective gradient is zero on every
-    consumer row whose constraints hold. Each plant's spectrum is
-    multiplied in turn; the transforms reuse a spectrum, a product and a
-    signal buffer the map owns: a fresh megabyte-sized array per call
-    costs about as much as the transforms.
+    takes its output gradient as the plant and consumer supply rows that
+    may be nonzero and transforms only the convolved rows it was given:
+    an objective gradient is zero on every consumer row whose bound
+    holds, and none reads a consumer return row, whose limit is a supply
+    bound (:attr:`~dhnopt.scenario.Scenario.supply_bound`). Each plant's
+    spectrum is multiplied in turn; the transforms reuse a spectrum, a
+    product and a signal buffer the map owns: a fresh megabyte-sized
+    array per call costs about as much as the transforms.
 
     :meth:`convolve` is the one forward transform: ``H * u`` on the
     convolved rows, with no free response added. The objective reads
@@ -456,12 +459,6 @@ class CondensedMap:
         self._convolved = slice(bounds[1], bounds[3])
         self._supply = slice(bounds[2] - bounds[1], bounds[3] - bounds[1])
         n_conv = bounds[3] - bounds[1]
-        # the folded row of each observed row past the plant supply rows:
-        # its own for a convolved row, its supply row's for a consumer
-        # return row; the transpose splits its rows at these two blocks
-        self._fold = np.r_[np.arange(n_conv),
-                           np.arange(self._supply.start, self._supply.stop)]
-        self._cuts = bounds[[1, 3]]
         self._n_fft = n_fft = sfft.next_fast_len(2 * grid.n_steps - 1, real=True)
         self._impulse_f = np.fft.rfft(impulse[self._convolved], n_fft)
         self._spectrum = np.empty((n_conv, n_fft // 2 + 1), dtype=complex)
@@ -508,30 +505,24 @@ class CondensedMap:
         ``rows`` and zero on the others: the control gradient of
         ``sum(g * y[rows])``.
 
-        ``rows`` is an increasing index array, one entry per row of
-        ``g``. Consumer return rows are folded onto their supply rows,
-        and only the folded rows given are transformed. This is exact: a
-        zero row transforms to exact zeros, and adding exact zeros to the
-        sum over rows changes no bit of it.
+        ``rows`` is an increasing index array of plant supply, plant
+        return and consumer supply rows, one entry per row of ``g``; only
+        the convolved rows given are transformed. This is exact: a zero
+        row transforms to exact zeros, and adding exact zeros to the sum
+        over rows changes no bit of it.
         """
         n = self.grid.n_steps
         n_p = self._impulse_f.shape[1]
-        plant_end, return_start = rows.searchsorted(self._cuts)
+        plant_end = rows.searchsorted(self._convolved.start)
         grad = np.zeros((n_p, n))
         grad[rows[:plant_end]] = g[:plant_end]
-        at = self._fold[rows[plant_end:] - self._convolved.start]
-        given = np.zeros(self._impulse_f.shape[0], dtype=bool)
-        given[at] = True
-        live = np.flatnonzero(given)
+        live = rows[plant_end:] - self._convolved.start
         if live.size == 0:
             return grad
-        slot = live.searchsorted(at)
-        own = return_start - plant_end
-        folded = self._signal[:live.size]
-        folded.fill(0.0)
-        folded[slot[:own], :n] = g[plant_end:return_start]
-        folded[slot[own:], :n] += g[return_start:]
-        g_f = np.fft.rfft(folded, out=self._spectrum[:live.size])
+        signal = self._signal[:live.size]
+        signal.fill(0.0)
+        signal[:, :n] = g[plant_end:]
+        g_f = np.fft.rfft(signal, out=self._spectrum[:live.size])
         # correlation: sum_o conj(H_f) g_f = conj(sum_o H_f conj(g_f)), so
         # g_f is conjugated in place instead of copying conj(H_f)
         np.conj(g_f, out=g_f)

@@ -451,7 +451,7 @@ class TestDrawnNetworks:
 
 
 # ---------------------------------------------------------------------------
-# the folded map: only plant return and consumer supply rows are convolved
+# the map: only plant return and consumer supply rows are convolved
 # ---------------------------------------------------------------------------
 
 _FOLDED = {
@@ -477,14 +477,19 @@ def _block_rows(scenario):
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
+def _gradient_rows(scenario):
+    """The rows an output gradient may hold: plant supply, plant return
+    and consumer supply."""
+    return _block_rows(scenario)[2].stop
+
+
 def _dense_transpose(m, g):
-    """``H^T g`` with every folded row transformed, zero rows included:
-    the reference the row-sparse transpose must match."""
+    """``H^T g`` with every convolved row transformed, zero rows
+    included: the reference the row-sparse transpose must match."""
     n = m.grid.n_steps
-    folded = np.zeros((m._impulse_f.shape[0], m._n_fft))
-    folded[:, :n] = g[m._convolved]
-    folded[m._supply, :n] += g[m._returns]
-    g_f = np.conj(np.fft.rfft(folded))
+    signal = np.zeros((m._impulse_f.shape[0], m._n_fft))
+    signal[:, :n] = g[m._convolved]
+    g_f = np.conj(np.fft.rfft(signal))
     u_f = np.array([(g_f * m._impulse_f[:, p]).sum(axis=0)
                     for p in range(m._impulse_f.shape[1])])
     return np.fft.irfft(np.conj(u_f), m._n_fft)[:, :n] + g[m._plants]
@@ -498,8 +503,8 @@ def _sparse_transpose(m, g):
 
 def _patterns(scenario, rng):
     """Output gradients zero outside a few rows, by name."""
-    plants, returns_p, supply, returns = _block_rows(scenario)
-    shape = (returns.stop, scenario.grid.n_steps)
+    plants, returns_p, supply, _ = _block_rows(scenario)
+    shape = (supply.stop, scenario.grid.n_steps)
 
     def only(*blocks):
         g = np.zeros(shape)
@@ -510,14 +515,17 @@ def _patterns(scenario, rng):
     return {
         "plant rows only": only(plants, returns_p),
         "one consumer supply row": only(slice(first, first + 1)),
-        "one consumer return row only": only(slice(returns.stop - 1,
-                                                   returns.stop)),
+        "last consumer supply row only": only(slice(supply.stop - 1,
+                                                    supply.stop)),
         "every row": rng.standard_normal(shape),
         "all zero": np.zeros(shape),
     }
 
 
 class TestFoldedMap:
+    """The map whose consumer return rows the objective folds into the
+    supply bound: its transpose takes plant and consumer supply rows."""
+
     def test_sparse_transpose_equals_dense(self, folded):
         scenario, _, _ = folded
         m = scenario.condensed
@@ -531,7 +539,7 @@ class TestFoldedMap:
         scenario, _, _ = folded
         m = scenario.condensed
         plants = _block_rows(scenario)[0]
-        g = np.zeros((m.nodes.size, scenario.grid.n_steps))
+        g = np.zeros((_gradient_rows(scenario), scenario.grid.n_steps))
         g[plants] = np.random.default_rng(23).standard_normal(
             (plants.stop, scenario.grid.n_steps))
         assert _sparse_transpose(m, g).tobytes() == g[plants].tobytes()
@@ -540,10 +548,11 @@ class TestFoldedMap:
         scenario, u, y = folded
         m = scenario.condensed
         rng = np.random.default_rng(13)
+        n_rows = _gradient_rows(scenario)
         for _ in range(3):
-            g = rng.standard_normal(y.values_c.shape)
-            lhs = float(np.vdot(y.values_c - m.y_free, g))
-            rows = np.arange(g.shape[0])
+            g = rng.standard_normal((n_rows, scenario.grid.n_steps))
+            lhs = float(np.vdot((y.values_c - m.y_free)[:n_rows], g))
+            rows = np.arange(n_rows)
             rhs = float(np.vdot(u, m.apply_transpose(g, rows)))
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
 
@@ -612,23 +621,31 @@ def exact(request):
     return _EXACT[request.param]()
 
 
-def _public_terms(s, lambda_p, u):
-    """Value, loss, penalty, violations and gradient of the penalized
-    objective, from the public terms on ``condensed.apply(u)``."""
+def _public_terms(s, lambda_p, u, violations=None):
+    """Value, loss, penalty, constraint rows and gradient of the penalized
+    objective, from the public terms on ``condensed.apply(u)``.
+
+    The constraint rows are ``violations(y)`` when given, else the folded
+    bound ``s.supply_bound`` minus each consumer's supply row; the
+    gradient's hinge reads the first ``n_consumers`` of them, the
+    consumer supply rows.
+    """
     y = s.condensed.apply(u)
+    bc = s.system.bc
+    c = (s.supply_bound - y.rows(bc.consumer_supply_nodes)
+         if violations is None else violations(y))
     cp = s.constants.cp_j_per_kg_c
     loss = loss_energy(y, s.graph, s.flow, s.price, cp)
-    c = constraint_violations(y, s.graph, s.constraints)
     pen = penalty(c, lambda_p)
     value = (objective_loss(loss, s.price)
              + s.tikhonov_weight * tikhonov(u, s.grid) + pen)
     rates, _ = injection_cost_rates(y, s.graph, s.flow, s.price, cp,
                                     working=True)
-    n_p = s.system.bc.n_plants
-    dj_dy = np.empty_like(y.values_c)
+    n_p = bc.n_plants
+    dj_dy = np.empty((2 * n_p + bc.n_consumers, s.grid.n_steps))
     dj_dy[:n_p] = rates
     dj_dy[n_p:2 * n_p] = -rates
-    dj_dy[2 * n_p:] = -lambda_p * np.maximum(0.0, c)
+    dj_dy[2 * n_p:] = -lambda_p * np.maximum(0.0, c[:bc.n_consumers])
     grad = s.condensed.apply_transpose(dj_dy, np.arange(len(dj_dy)))
     grad += s.tikhonov_weight * tikhonov_gradient(u, s.grid)
     return value, loss, pen, c, grad
@@ -656,10 +673,97 @@ class TestEvaluatorIsExact:
             assert parts["value"] == value
             assert parts["loss"] == loss
             assert parts["penalty"] == pen
-            assert np.array_equal(parts["violations"], c)
+            # the report's rows: both families, on every observed row
+            assert np.array_equal(parts["violations"], constraint_violations(
+                exact.condensed.apply(u), exact.graph, exact.constraints))
             # a gradient with no value call before it
             _, fresh = ObjectiveEvaluator(exact, 100.0).value_and_gradient(u)
             assert np.array_equal(fresh, grad)
+
+    def test_equals_the_two_families_where_no_return_row_holds_a_violation(
+            self, exact):
+        # the supply and return rows of constraint_violations, each with
+        # its own limit: where no return row is violated and the folded
+        # bound is smin, the folded rows give every bit of their terms
+        assert np.all(exact.supply_bound
+                      == exact.constraints.consumer_supply_min_c)
+        n_c = exact.system.bc.n_consumers
+        shape = (exact.system.bc.n_plants, exact.grid.n_steps)
+        ev = ObjectiveEvaluator(exact, 100.0)
+        for lo, hi, u in _exact_controls(shape):
+            if (lo, hi) not in _RANGES:
+                continue
+            value, _, pen, c, grad = _public_terms(
+                exact, 100.0, u, lambda y: constraint_violations(
+                    y, exact.graph, exact.constraints))
+            assert c[n_c:].max() <= 0.0
+            got_value, got_grad = ev.value_and_gradient(u)
+            assert got_value == value
+            assert ev.parts(u)["penalty"] == pen
+            assert np.array_equal(got_grad, grad)
+
+
+# ---------------------------------------------------------------------------
+# a return limit above the supply limit: the folded bound is rmin + delta
+# ---------------------------------------------------------------------------
+
+_RMIN_C = 50.0
+
+
+@pytest.fixture(scope="module")
+def return_bound():
+    """The desk with ``rmin + delta > smin`` at most steps, optimized from
+    a flat 110 °C."""
+    desk = desk_scenario()
+    scenario = dataclasses.replace(desk, constraints=dataclasses.replace(
+        desk.constraints, consumer_return_min_c=_RMIN_C))
+    u_opt, report = optimize(scenario,
+                             np.full((1, scenario.grid.n_steps), 110.0))
+    return scenario, u_opt, report
+
+
+class TestReturnLimitBinds:
+    def test_limits_are_ordered_and_the_bound_is_rmin_plus_drop(
+            self, return_bound):
+        scenario, _, _ = return_bound
+        cons = scenario.constraints
+        assert (cons.plant_max_c > cons.consumer_supply_min_c
+                > cons.consumer_return_min_c)
+        drop = scenario.deltas[:, 1:]
+        above = _RMIN_C + drop > cons.consumer_supply_min_c
+        assert 0 < above.sum() < above.size
+        bound = scenario.supply_bound
+        np.testing.assert_array_equal(bound[above], _RMIN_C + drop[above])
+        assert np.all(bound[~above] == cons.consumer_supply_min_c)
+
+    def test_gradient_matches_central_differences(self, return_bound):
+        scenario, _, _ = return_bound
+        t = np.arange(1, scenario.grid.n_steps + 1) * scenario.grid.dt_s
+        u = (92.0 + 3.0 * np.sin(2 * np.pi * t / 86400.0))[None, :]
+        ev = ObjectiveEvaluator(scenario, 100.0)
+        _, grad = ev.value_and_gradient(u)
+        # violated entries where the return limit sets the bound, none
+        # where smin does
+        above = scenario.supply_bound > scenario.constraints.consumer_supply_min_c
+        assert np.any((ev._c > 0) & above)
+        assert not np.any((ev._c > 0) & ~above)
+        # directional: the penalty is large here, so a one-entry
+        # difference loses the entry to the value's round-off
+        rng = np.random.default_rng(37)
+        for _ in range(3):
+            d = rng.standard_normal(u.shape)
+            fd = (ev.value(u + 1e-3 * d) - ev.value(u - 1e-3 * d)) / 2e-3
+            gd = float(np.vdot(grad, d))
+            assert abs(gd - fd) <= 1e-6 * max(abs(fd), abs(gd))
+
+    def test_optimize_holds_the_return_limit(self, return_bound):
+        scenario, u_opt, report = return_bound
+        bc = scenario.system.bc
+        ret = scenario.condensed.apply(u_opt).rows(bc.consumer_return_nodes)
+        # criterion 4's tolerance; the limit binds, so the test shows it held
+        assert report.final_max_violation_c < 0.1
+        assert _RMIN_C - ret.min() < 0.1
+        assert np.any(ret - _RMIN_C < 0.01)
 
 
 class TestControlCheck:
