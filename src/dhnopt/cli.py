@@ -585,7 +585,8 @@ def cmd_verify(cfg):
 
 
 def _read_reference(path, graph):
-    _, cols = read_csv(path, _STEADY_HEADER, ("temperature_c",))
+    lines, cols = read_csv(path, _STEADY_HEADER, ("temperature_c",))
+    _check_finite(path, lines, cols, ("temperature_c",))
     values = dict(zip(cols["node_id"], cols["temperature_c"].tolist()))
     missing = [nid for nid in graph.node_ids if nid not in values]
     if missing:

@@ -1,4 +1,4 @@
-"""Graph data model and file ingestion for district heating networks.
+r"""Graph data model and file ingestion for district heating networks.
 
 A network is a connected directed graph with a duplicated structure:
 every location appears once on the hot supply side and once on the
@@ -14,12 +14,14 @@ exchanger layout, but never re-balanced here; bad input fails fast.
 :func:`read_csv` and :func:`write_csv` are the package's one CSV reader
 and one CSV writer: every CSV file the package reads or writes goes
 through them, so the file format has a single owner. The reader has two
-record paths. Up to the first double quote in a file it splits blocks
-of text on line ends and commas with ``str.split``, which gives the
-fields ``csv.reader`` gives as long as no field is quoted, and parses
-each block's float columns at once. From the block that holds a quote
-on, ``csv.reader`` reads the rest, since a quoted field may hold a comma
-or a line break; :mod:`csv` stays the one authority on the dialect.
+record paths. It splits a block of text on ``\n`` and commas with
+``str.split``, and parses the block's float columns at once, only where
+that gives the fields ``csv.reader`` gives: the file has more than one
+column, and the block holds no double quote, no ``\r``, no field over
+the :mod:`csv` size limit and no record with a wrong field count. From
+the first block that fails, ``csv.reader`` reads the rest of the file,
+so a CR or CRLF, quoted, one-column or faulty file reads as :mod:`csv`
+reads it; :mod:`csv` stays the one authority on the dialect.
 """
 
 from __future__ import annotations
@@ -85,14 +87,14 @@ class NetworkGraph:
         self.edge_head = np.asarray(edge_head, dtype=np.int64)
         self.length_m = np.asarray(length_m, dtype=float)
         self.diameter_m = np.asarray(diameter_m, dtype=float)
-        # per element in Python floats: numpy squares by multiplication,
-        # which differs from float pow in the last bit for some diameters
-        self.area_m2 = np.array([math.pi * d**2 / 4.0
-                                 for d in self.diameter_m.tolist()])
         self.htc_w_per_m_c = np.asarray(htc_w_per_m_c, dtype=float)
         self.node_index = {nid: i for i, nid in enumerate(self.node_ids)}
         self.edge_index = {eid: i for i, eid in enumerate(self.edge_ids)}
         self._validate()
+        # per element in Python floats: numpy squares by multiplication,
+        # which differs from float pow in the last bit for some diameters
+        self.area_m2 = np.array([math.pi * d**2 / 4.0
+                                 for d in self.diameter_m.tolist()])
 
     # -- basic shape --------------------------------------------------
 
@@ -168,12 +170,15 @@ class NetworkGraph:
                     f"edge {eid!r}: kind {kind!r} must connect "
                     f"{want[0]} -> {want[1]} nodes, got {ts} -> {hs}"
                 )
-            if not length > 0:
-                raise ValidationError(f"edge {eid!r}: length must be > 0")
-            if not diameter > 0:
-                raise ValidationError(f"edge {eid!r}: diameter must be > 0")
-            if not htc >= 0:
-                raise ValidationError(f"edge {eid!r}: heat transfer must be >= 0")
+            if not 0 < length < math.inf:
+                raise ValidationError(f"edge {eid!r}: length must be > 0 and finite")
+            # the cross section pi d^2 / 4 must be finite too
+            if not (diameter > 0 and math.pi * diameter * diameter < math.inf):
+                raise ValidationError(f"edge {eid!r}: diameter must be > 0 "
+                                      f"and give a finite cross section")
+            if not 0 <= htc < math.inf:
+                raise ValidationError(f"edge {eid!r}: heat transfer must be "
+                                      f">= 0 and finite")
 
         if self.n_nodes > 1:
             adjacency = sp.coo_matrix(
@@ -331,10 +336,10 @@ _EDGE_HEADER = ["edge_id", "from_node", "to_node", "kind",
 _FLOW_HEADER = ["edge_id", "massflow_kg_s"]
 
 
-#: Bytes read and decoded at a time. A block without a double quote is
-#: split into fields with ``str.split`` and its float columns are parsed
-#: before the next block is read, so the float fields of the whole file
-#: are never alive as strings at once.
+#: Bytes read and decoded at a time. A block that :meth:`_Table.add_split`
+#: takes is split into fields with ``str.split`` and its float columns are
+#: parsed before the next block is read, so the float fields of the whole
+#: file are never alive as strings at once.
 _BLOCK_BYTES = 1 << 16
 #: Every byte but the comma and the newline: deleted from a block of
 #: UTF-8 text, they leave its field and record separators in order.
@@ -357,14 +362,13 @@ def read_csv(path, header, floats=(), blank_nan=()):
     in ``blank_nan`` read an empty field as NaN. Every other column is a
     list of strings. Fields are read with the :mod:`csv` dialect, so they
     may be quoted, and surrounding whitespace is stripped. A record ends
-    at ``\n``, ``\r\n`` or ``\r``.
+    at ``\n``, ``\r\n`` or ``\r``. A byte-order mark at the start of the
+    file is skipped.
 
-    The file is read in blocks of text. Up to the first block that holds
-    a double quote, records are split with ``str.split``: without a
-    quote, a line is one record and a comma always ends a field, so that
-    gives the fields :mod:`csv` gives. From that block on, the rest of the
-    file goes through ``csv.reader``, since a quoted field may hold a
-    comma or span lines.
+    The file is read in blocks of text. Each block, with the part record
+    left over from the block before, is split with ``str.split`` if
+    :meth:`_Table.add_split` can read it exactly. From the first block
+    it cannot, the rest of the file goes through ``csv.reader``.
 
     Raises
     ------
@@ -380,21 +384,17 @@ def read_csv(path, header, floats=(), blank_nan=()):
         carry = ""  # the text read after the last whole record
         try:
             for block in blocks:
-                if '"' in block:
-                    table.add_quoted(_lines(carry, chain([block], blocks)))
-                    break
                 text = carry + block
-                # a "\r" at the end may be the first half of "\r\n"
-                end = max(text.rfind("\n"), text.rfind("\r", 0, len(text) - 1)) + 1
-                table.add_text(_newlines(text[:end]))
-                carry = text[end:]
+                if table.lines is None and not carry:  # the start of the file
+                    text = text.removeprefix("\ufeff")
+                carry = table.add_split(text)
+                if carry is None:
+                    table.add_csv(_lines(chain([text], blocks)))
+                    break
             else:
                 if carry:
-                    table.add_text(carry.removesuffix("\r") + "\n")
+                    table.add_csv([carry])
         except _BadBytes as exc:
-            # a carry that ends in "\r" is a whole record before the bad byte
-            if carry.endswith("\r"):
-                table.add_text(carry[:-1] + "\n")
             table.fault(exc)
     return table.result()
 
@@ -422,16 +422,10 @@ def _text_blocks(fh):
             return
 
 
-def _newlines(text):
-    r"""``text`` with every record terminator as ``\n``."""
-    if "\r" in text:
-        return text.replace("\r\n", "\n").replace("\r", "\n")
-    return text
-
-
-def _lines(text, blocks):
-    """The lines of ``text`` and then of ``blocks``, each with its
-    terminator, as a file opened with ``newline=""`` gives them."""
+def _lines(blocks):
+    """The lines of the text ``blocks``, each with its terminator, as a
+    file opened with ``newline=""`` gives them."""
+    text = ""
     try:
         for block in blocks:
             lines = io.StringIO(text + block, newline="").readlines()
@@ -477,41 +471,37 @@ class _Table:
         """Raise ``message`` for the record being read."""
         raise ParseError(f"{self.path}:{self.lineno}: {message}")
 
-    def add_text(self, text):
-        r"""Records of unquoted text, each ending in ``\n``.
+    def add_split(self, text):
+        r"""The whole records of ``text``, split with ``str.split``; returns
+        the text after them.
 
-        A block whose records all hold ``n`` fields is split with one
-        ``str.split``. Any other block goes through :meth:`_add_lines`,
-        record by record, and so does every block of a one-column file,
-        where a blank record holds as many commas as any other.
+        Reads nothing and returns None unless ``str.split`` gives the
+        fields :mod:`csv` gives: the header has ``n > 1`` columns, ``text``
+        holds no ``"`` and no ``\r`` and is no longer than
+        ``csv.field_size_limit()``, and every whole record holds exactly
+        ``n - 1`` commas, which a blank record does not.
         """
-        if self.lines is None and text:
-            first, text = text.split("\n", 1)
-            self._add_lines([first])
         n = len(self.header)
-        separators = text.encode("utf-8").translate(None, _NOT_SEPARATORS)
+        if (n == 1 or '"' in text or "\r" in text
+                or len(text) > csv.field_size_limit()):
+            return None
+        end = text.rfind("\n") + 1
+        records = text[:end]
+        separators = records.encode("utf-8").translate(None, _NOT_SEPARATORS)
         count = separators.count(b"\n")
-        if (n == 1 or len(text) > csv.field_size_limit()
-                or separators != (b"," * (n - 1) + b"\n") * count):
-            self._add_lines(text.split("\n")[:-1])
-            return
+        if separators != (b"," * (n - 1) + b"\n") * count:
+            return None
+        if self.lines is None and count:
+            first, records = records.split("\n", 1)
+            self._add_rows([first.split(",")])
+            count -= 1
         numbers = range(self.lineno, self.lineno + count)
         self.lineno += count
-        fields = text[:-1].replace("\n", ",").split(",")
+        fields = records[:-1].replace("\n", ",").split(",")
         self._add_columns(numbers, [fields[j::n] for j in range(n)])
+        return text[end:]
 
-    def _add_lines(self, lines):
-        """Unquoted records, one a line, split as :mod:`csv` splits them."""
-        limit = csv.field_size_limit()
-        rows = [line.split(",") if line else [] for line in lines]
-        long = (j for j, line in enumerate(lines)
-                if len(line) > limit and max(map(len, rows[j])) > limit)
-        j = next(long, len(rows))
-        self._add_rows(rows[:j])
-        if j < len(rows):
-            self.fault(f"field larger than field limit ({limit})")
-
-    def add_quoted(self, lines):
+    def add_csv(self, lines):
         """The records of ``lines``, read with ``csv.reader``."""
         rows = []
         try:

@@ -440,6 +440,11 @@ class TestDrawnNetworks:
         assert bal["residual_rel"].max() < 1e-9
 
     @settings(max_examples=25, deadline=None)
+    @given(network=_NETWORKS)
+    def test_maximum_principle(self, network):
+        _assert_maximum_principle(_drawn_scenario(*network))
+
+    @settings(max_examples=25, deadline=None)
     @given(network=_NETWORKS, max_cell_length_m=st.floats(10.0, 600.0))
     def test_refined_flow_passes_validation(self, network, max_cell_length_m):
         # feeder_network refines its pipes without checking the result;
@@ -459,6 +464,21 @@ _FOLDED = {
     "desk": lambda: desk_scenario(),
     "two-plant": lambda: _two_plant_scenario(*two_plant_network(), 48),
 }
+
+
+def _assert_maximum_principle(scenario):
+    """Upwinding with backward Euler makes the system an M-matrix: no
+    impulse entry is negative, and a unit step on every control raises
+    no consumer supply node by more than one degree."""
+    h = scenario.condensed.impulse
+    assert h.min() >= -1e-12
+    gains = h[_block_rows(scenario)[2]].sum(axis=(1, 2))
+    assert gains.max() <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(_FOLDED) + ["feeder"])
+def test_maximum_principle_on_the_fixtures(name):
+    _assert_maximum_principle(_FOLDED.get(name, feeder_scenario)())
 
 
 @pytest.fixture(scope="module", params=sorted(_FOLDED))

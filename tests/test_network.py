@@ -45,6 +45,26 @@ class TestPipeParams:
         with pytest.raises(ValidationError, match="must be > 0"):
             _two_node_pipe(htc=0.5, **kwargs)
 
+    @pytest.mark.parametrize("column, value, message", [
+        ("length_m", "inf", "length must be > 0 and finite"),
+        ("length_m", "nan", "length must be > 0 and finite"),
+        ("diameter_m", "inf", "diameter must be > 0 and give a finite"),
+        # finite, but its cross section overflows
+        ("diameter_m", "1e308", "diameter must be > 0 and give a finite"),
+        ("htc_w_per_m_c", "inf", "heat transfer must be >= 0 and finite"),
+    ])
+    def test_cli_rejects_a_non_finite_pipe_parameter(self, tmp_path, capsys,
+                                                    column, value, message):
+        cfg = write_desk_fixture(tmp_path, n_consumers=3, n_days=1)
+        path = tmp_path / "edges.csv"
+        lines = path.read_text().splitlines()
+        row = lines[1].split(",")
+        row[lines[0].split(",").index(column)] = value
+        lines[1] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["simulate", "--config", str(cfg), "--quiet"]) == EXIT_INPUT
+        assert f"edge {row[0]!r}: {message}" in capsys.readouterr().err
+
 
 class TestGraphStructure:
     def test_minimal_loop_counts(self):

@@ -9,6 +9,7 @@ be quoted and are stripped; demand rows may come in any order. What
 ``write_csv`` writes, ``read_csv`` reads back bit-exactly.
 """
 
+import codecs
 import csv
 import io
 import json
@@ -24,10 +25,13 @@ from dhnopt import network
 from dhnopt.cli import EXIT_INPUT, EXIT_OK, main
 from dhnopt.errors import ParseError, ValidationError
 from dhnopt.fixtures import (daily_load_profile, demand_set_for, desk_network,
-                             feeder_network, write_desk_fixture)
-from dhnopt.network import parse_network, read_csv, write_csv, write_network
+                             feeder_network, two_level_price,
+                             write_desk_fixture)
+from dhnopt.network import (load_flow_field, parse_network, read_csv,
+                            write_csv, write_flow_field, write_network)
 from dhnopt.scenario import (DemandSet, LoadSeries, read_demand_set,
-                             read_load_series, write_demand_set)
+                             read_load_series, read_price_series,
+                             write_demand_set, write_price_series)
 
 _DEMAND_HEADER = "time_s,consumer_edge_id,power_w\n"
 
@@ -289,6 +293,17 @@ def test_non_finite_control_names_file_and_line(inputs, column, bad, capsys):
     assert _run("simulate", inputs) == EXIT_INPUT
     name = {0: "time_s", 2: "supply_temp_c"}[column]
     assert f"control.csv:6: {name} is not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_reference_names_file_and_line(inputs, bad, capsys):
+    path = inputs.parent / "reference.csv"
+    lines = path.read_text().splitlines()
+    lines[4] = lines[4].split(",")[0] + "," + bad
+    path.write_text("\n".join(lines) + "\n")
+    assert _run("verify", inputs) == EXIT_INPUT
+    assert "reference.csv:5: temperature_c is not finite" in \
+        capsys.readouterr().err
 
 
 def test_duplicate_control_row_names_file_and_line(inputs, capsys):
@@ -610,6 +625,118 @@ def test_one_column_blank_records_across_blocks(tmp_path, monkeypatch):
         monkeypatch.setattr(network, "_BLOCK_BYTES", size)
         got, want = _read_both(path, ["id"], ())
         assert got == want == ([2, 4, 6, 8], {"id": ["a", "b", "c", "d"]})
+
+
+_PRICE_HEADER = ["time_s", "price_eur_mwh"]
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+def test_byte_order_mark_is_skipped(tmp_path, monkeypatch, end):
+    # spreadsheet "CSV UTF-8" exports start the file with one
+    text = end.join([",".join(_PRICE_HEADER)]
+                    + [f"{900.0 * k},{k}.5" for k in range(12)]) + end
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+    lines, columns = read_csv(plain, _PRICE_HEADER, _PRICE_HEADER)
+    for size in range(1, marked.stat().st_size + 2):
+        monkeypatch.setattr(network, "_BLOCK_BYTES", size)
+        back_lines, back = read_csv(marked, _PRICE_HEADER, _PRICE_HEADER)
+        assert back_lines == lines, size
+        for name in _PRICE_HEADER:
+            assert back[name].tobytes() == columns[name].tobytes(), size
+
+
+@pytest.mark.parametrize("end", [b"\n", b"\r\n"])
+def test_byte_order_mark_keeps_record_numbers(tmp_path, monkeypatch, end):
+    data = codecs.BOM_UTF8 + end.join([b"t,id,p", b"0,a,1", b"1,\xe9,2", b""])
+    path = tmp_path / "t.csv"
+    path.write_bytes(data)
+    for size in range(1, len(data) + 2):
+        monkeypatch.setattr(network, "_BLOCK_BYTES", size)
+        with pytest.raises(ParseError,
+                           match="t.csv:3: not UTF-8: invalid continuation"):
+            read_csv(path, ["t", "id", "p"], ("t", "p"))
+
+
+def test_feeder_files_are_split_without_csv_reader(tmp_path, monkeypatch):
+    # LF-terminated, unquoted, multi-column files stay on the split path,
+    # which reads them faster than csv.reader does
+    graph, flow = feeder_network(max_cell_length_m=math.inf)
+    nodes, edges, flows = (tmp_path / f"{name}.csv"
+                           for name in ("nodes", "edges", "flows"))
+    write_network(graph, nodes, edges)
+    write_flow_field(flow, graph, flows)
+    n = len(graph.consumer_edges)
+    base = daily_load_profile(mean_w=50e3 * n, n_days=3)
+    write_demand_set(demand_set_for(graph, base, mean_w_per_consumer=50e3),
+                     tmp_path / "demands.csv")
+    write_price_series(two_level_price(n_days=3), tmp_path / "prices.csv")
+    control_header = ["time_s", "plant_edge_id", "supply_temp_c"]
+    write_csv(tmp_path / "control.csv", {
+        "time_s": 900.0 * np.arange(1, 289),
+        "plant_edge_id": [graph.edge_ids[graph.producer_edges[0]]] * 288,
+        "supply_temp_c": np.linspace(95.0, 110.0, 288)})
+
+    def refuse(table, lines):
+        raise AssertionError(f"{table.path} went to csv.reader")
+
+    monkeypatch.setattr(network._Table, "add_csv", refuse)
+    for size in (network._BLOCK_BYTES, 4099):
+        monkeypatch.setattr(network, "_BLOCK_BYTES", size)
+        load_flow_field(flows, parse_network(nodes, edges))
+        assert len(read_demand_set(tmp_path / "demands.csv").series) == n
+        read_price_series(tmp_path / "prices.csv")
+        read_csv(tmp_path / "control.csv", control_header,
+                 ("time_s", "supply_temp_c"))
+
+
+#: Fields the split path reads: numbers, and words that are not numbers;
+#: a blank field is a blank record in a one-column table.
+_NUMBERS = st.sampled_from(["1", " -2.5e3 ", "nan", "1e999", "-0.0"])
+_WORDS = st.sampled_from(["", " ", "oops", " é x "])
+#: Fields with the characters that only ``csv.reader`` reads right.
+_SPECIAL_FIELDS = st.text(st.sampled_from(',"\r\n 0.5eé'), max_size=4)
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.integers(1, 4), kind=st.sampled_from(["plain", "quoted", "any"]),
+       end=st.sampled_from(["\n", "\r\n", "\r", None]), bad=st.booleans(),
+       data=st.data())
+def test_drawn_tables_read_as_csv_reads(tmp_path_factory, n, kind, end, bad,
+                                        data):
+    # plain fields, unquoted or maybe quoted, or any fields maybe quoted,
+    # and blank records; every record ends in ``end``, or if it is None in
+    # any line end or none. Only a ``bad`` table has words in its float
+    # columns. Plain fields with LF line ends are split.
+    header = list("abcd"[:n])
+    floats = data.draw(st.lists(st.sampled_from(header), unique=True))
+    blank_nan = [name for name in data.draw(st.sets(st.sampled_from(header)))
+                 if name in floats]
+    columns = [_NUMBERS | _WORDS if bad or name not in floats
+               else (_NUMBERS | st.just("")) if name in blank_nan
+               else _NUMBERS for name in header]
+    if kind == "any":
+        columns = [column | _SPECIAL_FIELDS for column in columns]
+    rows = data.draw(st.lists(st.tuples(*columns) | st.just(()), max_size=5))
+    records = [",".join(header)]
+    for row in rows:
+        quoted = data.draw(st.lists(st.booleans() if kind != "plain" else
+                                    st.just(False), min_size=len(row),
+                                    max_size=len(row)))
+        records.append(",".join('"' + field.replace('"', '""') + '"' if q
+                                else field for field, q in zip(row, quoted)))
+    ends = data.draw(st.lists(st.sampled_from(["\n", "\r\n", "\r", ""])
+                              if end is None else st.just(end),
+                              min_size=len(records), max_size=len(records)))
+    path = tmp_path_factory.mktemp("drawn") / "t.csv"
+    # a record that ends in "" runs on into the next one
+    path.write_bytes("".join(map(str.__add__, records, ends)).encode("utf-8"))
+    with pytest.MonkeyPatch.context() as patch:
+        for size in range(1, path.stat().st_size + 2):
+            patch.setattr(network, "_BLOCK_BYTES", size)
+            got, want = _read_both(path, header, floats, blank_nan)
+            assert got == want, size
 
 
 #: ``read_demand_set`` may hold this many bytes per byte of the file at
