@@ -70,14 +70,14 @@ class PriceModel:
 def _loss_weights(model, supply, ret, working=False):
     """Per-plant per-step loss weights including the unit conversion.
 
-    Shape ``(n_plants, n_steps)``. For a static model the weights are 1
-    and the loss is in joules; for a dynamic model the EUR/MWh step
-    prices are converted to EUR/J so the loss comes out in euros. With
-    ``working=True`` a static model weighs per MWh instead of per joule
-    (the objective's working unit).
+    For a static model one scalar weight, 1, and the loss is in joules;
+    with ``working=True`` it weighs per MWh instead (the objective's
+    working unit). For a dynamic model shape ``(n_plants, n_steps)``:
+    the EUR/MWh step prices converted to EUR/J, so the loss comes out
+    in euros.
     """
     if model.static:
-        return np.full_like(supply, objective_loss(1.0, model) if working else 1.0)
+        return objective_loss(1.0, model) if working else 1.0
     p = model.step_prices
     if p.shape != supply.shape[1:]:
         raise ValidationError(f"price model has {p.size} step prices for a "
@@ -115,7 +115,8 @@ def injection_cost_rates(traj, graph, flow, price, cp_j_per_kg_c=DEFAULT_CP,
 
     ``rates = cp * dt * mdot_p * w_k`` (units of :func:`_loss_weights`)
     is also the loss derivative by plant supply temperature, and
-    ``lift = y_supply - y_return``.
+    ``lift = y_supply - y_return``. ``rates`` broadcasts against
+    ``lift``: with a static price it is one column per plant.
     """
     bc = graph.boundary
     supply = traj.rows(bc.plant_nodes)

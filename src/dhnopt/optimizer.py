@@ -29,7 +29,9 @@ only on the plant rows, which carry the injection cost, and on the
 consumer supply rows with a violated bound, since the hinge penalty has
 zero slope where a bound holds. Leaving the zero rows out is exact,
 because a zero row transforms to exact zeros and adding exact zeros
-changes no bit of the sum. The sweep remains the oracle for these
+changes no bit of the sum. The transpose takes convolved rows only; a
+plant supply row is the control, so the evaluator adds its cost rates
+to the transpose itself. The sweep remains the oracle for these
 outputs and the full-state path of the CLI.
 
 Minimization within the plant temperature box is scipy's L-BFGS-B
@@ -104,7 +106,8 @@ class ObjectiveEvaluator:
     map's control check raises :class:`~dhnopt.errors.SolverError`
     before a non-finite temperature can arise, so no output is scanned.
     A gradient is one FFT correlation with the impulse response of the
-    plant rows and the violated consumer supply rows only. The outputs
+    plant return rows and the violated consumer supply rows only, plus
+    the plant supply rows' cost rates, which pass through. The outputs
     are cached keyed on the control bytes, so reading the parts of a
     round's result, last evaluated by its line search, pays no second
     convolution for its terms, and a gradient at the cached control
@@ -219,19 +222,20 @@ class ObjectiveEvaluator:
             if s.price.static:
                 self._rates = rates
         # d/dy of lambda/2 * max(0, bound - y)^2 is -lambda * hinge, zero
-        # on every row whose bound holds, so the map gets the plant rows
-        # and the violated consumer supply rows only
+        # on every row whose bound holds, so the map gets the plant return
+        # rows and the violated consumer supply rows only
         n_p = self.bc.n_plants
         c, violated = self._c, fwd["violated"]
-        # observed rows: plant supply, plant return, consumer supply
-        rows = np.concatenate((np.arange(2 * n_p), 2 * n_p + violated))
-        dj_dy = np.empty((rows.size, s.grid.n_steps))
-        dj_dy[:n_p] = rates
-        np.negative(rates, out=dj_dy[n_p:2 * n_p])
-        hinge = dj_dy[2 * n_p:]
+        # convolved rows: plant return, consumer supply
+        live = np.concatenate((np.arange(n_p), n_p + violated))
+        dj_dy = np.empty((live.size, s.grid.n_steps))
+        np.negative(rates, out=dj_dy[:n_p])
+        hinge = dj_dy[n_p:]
         np.maximum(0.0, c[violated], out=hinge)
         hinge *= -self.lambda_p
-        grad = s.condensed.apply_transpose(dj_dy, rows)
+        grad = s.condensed.apply_transpose(dj_dy, live)
+        # a plant supply row is the control: its rates pass through
+        grad += rates
         grad += s.tikhonov_weight * tikhonov_gradient(u, s.grid)
         if not np.all(np.isfinite(grad)):
             raise SolverError("condensed map produced a non-finite gradient")
@@ -422,8 +426,7 @@ def optimize(scenario, u0=None, config=None):
     report = OptimizationReport(
         rounds=rounds,
         final_control=u,
-        final_max_violation_c=rounds[-1].max_violation_c if not aborted
-        else prev.max_violation_c if prev else float("nan"),
+        final_max_violation_c=(prev if aborted else rounds[-1]).max_violation_c,
         wall_time_s=time.perf_counter() - start,
         aborted=aborted,
         abort_reason=reason,

@@ -250,7 +250,6 @@ class Scenario:
     volumes: object
     constants: PhysicalConstants
     grid: TimeGrid
-    demands_w: np.ndarray
     deltas: np.ndarray
     ambient: np.ndarray
     price: PriceModel
@@ -329,7 +328,6 @@ def build_scenario(graph, flow, demands, prices, constraints, grid, constants,
         volumes=control_volumes(graph),
         constants=constants,
         grid=grid,
-        demands_w=demands_w,
         deltas=_read_only(deltas),
         ambient=_read_only(constants.ambient_series(grid.n_steps)),
         price=price,
@@ -419,61 +417,22 @@ def read_demand_set(path):
     """Read a per-consumer demand CSV in long format.
 
     Rows may come in any order. Consumers keep the order in which they
-    first appear; each consumer's rows are sorted by time, stably. The
-    first consumer in that order whose samples :func:`_uniform_series`
-    rejects is named.
+    first appear; each consumer's rows are sorted by time, stably, and
+    checked by :func:`_uniform_series`, so the first consumer in that
+    order whose samples it rejects is named.
     """
-    consumers, key, times, powers = _demand_rows(path)
-    order = np.lexsort((times, key))
-    times, powers = times[order], powers[order]
-    counts = np.bincount(key, minlength=len(consumers))
-    starts = np.cumsum(counts) - counts
-    steps = _first_steps(times, counts, starts)
-    for k in np.flatnonzero(_rejected(times, powers, counts, steps))[:1]:
-        part = slice(starts[k], starts[k] + counts[k])
-        _uniform_series(f"{path}: consumer {consumers[k]!r}",
-                        times[part], powers[part])
-    series = [LoadSeries(values_w=values, dt_s=dt, start_s=start)
-              for values, dt, start in zip(np.split(powers, starts[1:]),
-                                            steps.tolist(),
-                                            times[starts].tolist())]
-    return DemandSet(consumer_ids=consumers, series=tuple(series))
-
-
-def _demand_rows(path):
-    """The consumers in order of appearance, each row's consumer index,
-    and the time and power columns of a demand file."""
     lines, cols = read_csv(path, _DEMAND_HEADER, ("time_s", "power_w"))
     ids = cols["consumer_edge_id"]
     _check_finite(path, lines, cols, ("time_s",), ids)
     code = {cid: k for k, cid in enumerate(dict.fromkeys(ids))}
     key = np.fromiter(map(code.__getitem__, ids), np.int64, len(ids))
-    return tuple(code), key, cols["time_s"], cols["power_w"]
-
-
-def _first_steps(times, counts, starts):
-    """Each consumer's first sample interval; 0 below two samples."""
-    steps = np.zeros(counts.size)
-    two = counts >= 2
-    steps[two] = times[starts[two] + 1] - times[starts[two]]
-    return steps
-
-
-def _rejected(times, powers, counts, steps):
-    """Per consumer, whether :func:`_uniform_series` rejects its samples.
-
-    ``times`` and ``powers`` hold the consumers' samples one after the
-    other, each consumer's sorted by time; the arithmetic of the spacing
-    test is that of :func:`_uniform_series`, element by element.
-    """
-    group = np.repeat(np.arange(counts.size), counts)
-    ref = steps[group[:-1]]
-    uneven = ((group[1:] == group[:-1])
-              & (np.abs(np.diff(times) - ref) > 1e-6 * np.abs(ref)))
-    bad_power = ~np.isfinite(powers) | (powers < 0)
-    return ((counts < _MIN_FILTER_SAMPLES) | ~(steps > 0)
-            | (np.bincount(group[:-1][uneven], minlength=counts.size) > 0)
-            | (np.bincount(group[bad_power], minlength=counts.size) > 0))
+    order = np.lexsort((cols["time_s"], key))
+    ends = np.cumsum(np.bincount(key, minlength=len(code)))[:-1]
+    series = [_uniform_series(f"{path}: consumer {cid!r}", times, powers)
+              for cid, times, powers in zip(
+                  code, np.split(cols["time_s"][order], ends),
+                  np.split(cols["power_w"][order], ends))]
+    return DemandSet(consumer_ids=tuple(code), series=tuple(series))
 
 
 def write_demand_set(demands, path):

@@ -429,14 +429,15 @@ class CondensedMap:
     node is held at the control, so its rows are ``u``, and a consumer
     return node sits ``delta`` below its supply node, so its rows are
     its free response plus the supply node's convolution. The transpose
-    takes its output gradient as the plant and consumer supply rows that
-    may be nonzero and transforms only the convolved rows it was given:
-    an objective gradient is zero on every consumer row whose bound
-    holds, and none reads a consumer return row, whose limit is a supply
-    bound (:attr:`~dhnopt.scenario.Scenario.supply_bound`). Each plant's
-    spectrum is multiplied in turn; the transforms reuse a spectrum, a
-    product and a signal buffer the map owns: a fresh megabyte-sized
-    array per call costs about as much as the transforms.
+    takes convolved rows only, those of its output gradient that may be
+    nonzero: an objective gradient is zero on every consumer row whose
+    bound holds, and none reads a consumer return row, whose limit is a
+    supply bound (:attr:`~dhnopt.scenario.Scenario.supply_bound`). A
+    plant supply row's gradient is a control gradient as it stands, so
+    the caller adds it to the transpose. Each plant's spectrum is
+    multiplied in turn; the transforms reuse a spectrum, a product and a
+    signal buffer the map owns: a fresh megabyte-sized array per call
+    costs about as much as the transforms.
 
     :meth:`convolve` is the one forward transform: ``H * u`` on the
     convolved rows, with no free response added. The objective reads
@@ -500,28 +501,22 @@ class CondensedMap:
                out=y[self._returns])
         return ObservedTrajectory(self.nodes, y, self.grid, self._blocks)
 
-    def apply_transpose(self, g, rows):
-        """``H^T`` of the output gradient that is ``g`` on the observed
-        ``rows`` and zero on the others: the control gradient of
-        ``sum(g * y[rows])``.
+    def apply_transpose(self, g, live):
+        """``H^T`` of the output gradient that is ``g`` on the convolved
+        rows ``live`` and zero on the others: the control gradient of
+        ``sum(g * convolve(u)[live])``.
 
-        ``rows`` is an increasing index array of plant supply, plant
-        return and consumer supply rows, one entry per row of ``g``; only
-        the convolved rows given are transformed. This is exact: a zero
-        row transforms to exact zeros, and adding exact zeros to the sum
-        over rows changes no bit of it.
+        ``live`` is an increasing index into the convolved rows, plant
+        return then consumer supply, one entry per row of ``g``. Leaving
+        the other rows out is exact: a zero row transforms to exact
+        zeros, and adding exact zeros to the sum over rows changes no
+        bit of it.
         """
         n = self.grid.n_steps
         n_p = self._impulse_f.shape[1]
-        plant_end = rows.searchsorted(self._convolved.start)
-        grad = np.zeros((n_p, n))
-        grad[rows[:plant_end]] = g[:plant_end]
-        live = rows[plant_end:] - self._convolved.start
-        if live.size == 0:
-            return grad
         signal = self._signal[:live.size]
-        signal.fill(0.0)
-        signal[:, :n] = g[plant_end:]
+        signal[:, :n] = g
+        signal[:, n:] = 0.0
         g_f = np.fft.rfft(signal, out=self._spectrum[:live.size])
         # correlation: sum_o conj(H_f) g_f = conj(sum_o H_f conj(g_f)), so
         # g_f is conjugated in place instead of copying conj(H_f)
@@ -532,8 +527,7 @@ class CondensedMap:
             product = g_f if p == n_p - 1 else self._product[:live.size]
             np.multiply(g_f, self._impulse_f[live, p], out=product)
             product.sum(axis=0, out=u_f[p])
-        grad += np.fft.irfft(np.conj(u_f), self._n_fft)[:, :n]
-        return grad
+        return np.fft.irfft(np.conj(u_f), self._n_fft)[:, :n]
 
 
 def condense(system, grid, deltas, ambient, u_init):

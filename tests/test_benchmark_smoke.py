@@ -5,7 +5,8 @@ so a change that broke the benchmark would pass every other test here.
 One short untraced run of each workload must finish, pass its checks
 and fail no operation. The feeder sweep's checks compare the gradient
 with central differences and audit the energy balance on the 1432-node
-feeder.
+feeder. A short traced run of the sweep must do the same and report
+every per-layer metric that ``BENCHMARK.json`` declares.
 """
 
 import json
@@ -16,15 +17,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _run_clean(workload):
+def _run_clean(workload, trace=0):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", "0", "--seconds", "1", "--trace", "0"],
+         "--seed", "0", "--seconds", "1", "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, result
     assert result["failed"] == 0, result
+    return result
 
 
 def test_feeder_simulate_cli_runs_clean():
@@ -33,3 +35,10 @@ def test_feeder_simulate_cli_runs_clean():
 
 def test_feeder_sweep_runs_clean():
     _run_clean("feeder-sweep")
+
+
+def test_feeder_sweep_traced_reports_every_layer():
+    result = _run_clean("feeder-sweep", trace=1)
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    missing = {m["name"] for m in declared} - result["metrics"].keys()
+    assert not missing, missing

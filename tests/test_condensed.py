@@ -497,15 +497,11 @@ def _block_rows(scenario):
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def _gradient_rows(scenario):
-    """The rows an output gradient may hold: plant supply, plant return
-    and consumer supply."""
-    return _block_rows(scenario)[2].stop
-
-
 def _dense_transpose(m, g):
-    """``H^T g`` with every convolved row transformed, zero rows
-    included: the reference the row-sparse transpose must match."""
+    """The control gradient of ``sum(g * y)`` over the plant supply,
+    plant return and consumer supply rows: ``H^T`` of every convolved
+    row, zero rows included, plus the plant supply rows, which are the
+    control. The reference the row-sparse transpose must match."""
     n = m.grid.n_steps
     signal = np.zeros((m._impulse_f.shape[0], m._n_fft))
     signal[:, :n] = g[m._convolved]
@@ -516,9 +512,11 @@ def _dense_transpose(m, g):
 
 
 def _sparse_transpose(m, g):
-    """The map's transpose given only the nonzero rows of ``g``."""
-    rows = np.flatnonzero(g.any(axis=1))
-    return m.apply_transpose(g[rows], rows)
+    """The map's transpose given only the nonzero convolved rows of
+    ``g``, plus the plant supply rows, which pass through."""
+    convolved = g[m._convolved]
+    live = np.flatnonzero(convolved.any(axis=1))
+    return m.apply_transpose(convolved[live], live) + g[m._plants]
 
 
 def _patterns(scenario, rng):
@@ -544,7 +542,7 @@ def _patterns(scenario, rng):
 
 class TestFoldedMap:
     """The map whose consumer return rows the objective folds into the
-    supply bound: its transpose takes plant and consumer supply rows."""
+    supply bound: its transpose takes convolved rows only."""
 
     def test_sparse_transpose_equals_dense(self, folded):
         scenario, _, _ = folded
@@ -555,25 +553,16 @@ class TestFoldedMap:
             scale = max(np.max(np.abs(want)), 1e-300)
             assert np.max(np.abs(got - want)) <= 1e-13 * scale, name
 
-    def test_plant_supply_rows_alone_pass_through(self, folded):
-        scenario, _, _ = folded
-        m = scenario.condensed
-        plants = _block_rows(scenario)[0]
-        g = np.zeros((_gradient_rows(scenario), scenario.grid.n_steps))
-        g[plants] = np.random.default_rng(23).standard_normal(
-            (plants.stop, scenario.grid.n_steps))
-        assert _sparse_transpose(m, g).tobytes() == g[plants].tobytes()
-
     def test_transpose_is_the_adjoint(self, folded):
         scenario, u, y = folded
         m = scenario.condensed
         rng = np.random.default_rng(13)
-        n_rows = _gradient_rows(scenario)
+        convolved = m._convolved
+        n_rows = convolved.stop - convolved.start
         for _ in range(3):
             g = rng.standard_normal((n_rows, scenario.grid.n_steps))
-            lhs = float(np.vdot((y.values_c - m.y_free)[:n_rows], g))
-            rows = np.arange(n_rows)
-            rhs = float(np.vdot(u, m.apply_transpose(g, rows)))
+            lhs = float(np.vdot((y.values_c - m.y_free)[convolved], g))
+            rhs = float(np.vdot(u, m.apply_transpose(g, np.arange(n_rows))))
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
 
     def test_plant_supply_rows_are_the_control(self, folded):
@@ -666,7 +655,7 @@ def _public_terms(s, lambda_p, u, violations=None):
     dj_dy[:n_p] = rates
     dj_dy[n_p:2 * n_p] = -rates
     dj_dy[2 * n_p:] = -lambda_p * np.maximum(0.0, c[:bc.n_consumers])
-    grad = s.condensed.apply_transpose(dj_dy, np.arange(len(dj_dy)))
+    grad = _dense_transpose(s.condensed, dj_dy)
     grad += s.tikhonov_weight * tikhonov_gradient(u, s.grid)
     return value, loss, pen, c, grad
 

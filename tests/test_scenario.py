@@ -156,7 +156,6 @@ class TestBuildScenario:
         scenario = desk_scenario()
         assert scenario.grid.n_steps == 288
         assert scenario.deltas.shape == (10, 289)
-        assert scenario.demands_w.shape == (10, 289)
         assert scenario.price.static
         assert scenario.system.bc.n_plants == 1
 
