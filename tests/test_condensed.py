@@ -553,6 +553,19 @@ class TestFoldedMap:
             scale = max(np.max(np.abs(want)), 1e-300)
             assert np.max(np.abs(got - want)) <= 1e-13 * scale, name
 
+    def test_plant_supply_rows_alone_pass_through(self, folded):
+        scenario, _, _ = folded
+        m = scenario.condensed
+        plants = _block_rows(scenario)[0]
+        n = scenario.grid.n_steps
+        g = np.zeros((_block_rows(scenario)[2].stop, n))
+        g[plants] = np.random.default_rng(23).standard_normal((plants.stop, n))
+        # no convolved row is live: the map's share is exact zeros
+        none = m.apply_transpose(np.empty((0, n)), np.arange(0))
+        assert none.tobytes() == np.zeros((plants.stop, n)).tobytes()
+        assert _sparse_transpose(m, g).tobytes() == g[plants].tobytes()
+        assert _dense_transpose(m, g).tobytes() == g[plants].tobytes()
+
     def test_transpose_is_the_adjoint(self, folded):
         scenario, u, y = folded
         m = scenario.condensed
