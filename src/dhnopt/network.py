@@ -30,6 +30,7 @@ import codecs
 import csv
 import io
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -355,8 +356,8 @@ _CHUNK_ROWS = 256
 def read_csv(path, header, floats=(), blank_nan=()):
     r"""Columns of a CSV file with a fixed header.
 
-    Returns ``(lines, columns)``: ``lines`` lists the record number of
-    every data row in file order (the header is record 1; blank records
+    Returns ``(lines, columns)``: ``lines`` is the :class:`RecordNumbers`
+    of the data rows in file order (the header is record 1; blank records
     are skipped but counted), and ``columns`` maps each header name to
     its column. Columns named in ``floats`` are float arrays; those also
     in ``blank_nan`` read an empty field as NaN. Every other column is a
@@ -440,12 +441,38 @@ def _lines(blocks):
         yield text
 
 
+class RecordNumbers(Sequence):
+    """The record number of each data row of a CSV file, as ``int``.
+
+    The numbers are held in one integer array: a list would hold a
+    Python object per record, a large share of what reading a large file
+    allocates. Equal to a sequence of the same numbers.
+    """
+
+    def __init__(self, numbers):
+        self._numbers = numbers
+
+    def __len__(self):
+        return self._numbers.size
+
+    def __getitem__(self, i):
+        return self._numbers[i].tolist()
+
+    def __iter__(self):
+        return iter(self._numbers.tolist())
+
+    def __eq__(self, other):
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+
 class _Table:
     """The columns of one CSV file, built from its records in file order.
 
-    ``lineno`` is the number of the next record. Every ``add_*`` method
-    takes the next records of the file; a fault raises for the first
-    faulty record, once every earlier record is added.
+    ``lineno`` is the number of the next record, and ``lines`` holds the
+    record numbers of the data rows read, one integer array per block.
+    Every ``add_*`` method takes the next records of the file; a fault
+    raises for the first faulty record, once every earlier record is
+    added.
     """
 
     def __init__(self, path, header, floats, blank_nan):
@@ -465,7 +492,8 @@ class _Table:
                 columns[name] = np.concatenate([np.empty(0), *self.arrays[name]])
             else:
                 columns[name] = self.strings[name]
-        return self.lines, columns
+        return RecordNumbers(np.concatenate([np.empty(0, np.int64),
+                                             *self.lines])), columns
 
     def fault(self, message):
         """Raise ``message`` for the record being read."""
@@ -495,7 +523,7 @@ class _Table:
             first, records = records.split("\n", 1)
             self._add_rows([first.split(",")])
             count -= 1
-        numbers = range(self.lineno, self.lineno + count)
+        numbers = np.arange(self.lineno, self.lineno + count)
         self.lineno += count
         fields = records[:-1].replace("\n", ",").split(",")
         self._add_columns(numbers, [fields[j::n] for j in range(n)])
@@ -517,7 +545,7 @@ class _Table:
 
     def _add_rows(self, rows):
         """Records as field lists; a blank record is an empty list."""
-        numbers = range(self.lineno, self.lineno + len(rows))
+        numbers = np.arange(self.lineno, self.lineno + len(rows))
         self.lineno += len(rows)
         if self.lines is None and rows:
             first, rows, numbers = rows[0], rows[1:], numbers[1:]
@@ -526,7 +554,7 @@ class _Table:
                                  f"{','.join(self.header)!r}, got {','.join(first)!r}")
             self.lines = []
         if not all(rows):
-            numbers = [k for k, row in zip(numbers, rows) if row]
+            numbers = numbers[list(map(bool, rows))]
             rows = [row for row in rows if row]
         n = len(self.header)
         if set(map(len, rows)) - {n}:
@@ -539,7 +567,7 @@ class _Table:
 
     def _add_columns(self, numbers, fields):
         """Records ``numbers`` given as one field sequence per column."""
-        if not numbers:
+        if not numbers.size:
             return
         columns = dict(zip(self.header, fields))
         try:
@@ -547,7 +575,7 @@ class _Table:
                       for name in self.floats]
         except ValueError:
             arrays = self._parse_floats(numbers, columns)
-        self.lines.extend(numbers)
+        self.lines.append(numbers)
         for name, values in zip(self.floats, arrays):
             self.arrays[name].append(values)
         for name, column in self.strings.items():

@@ -7,10 +7,13 @@ time ("condensing", Bock & Plitt 1984). The scenario builds this map
 once (:func:`dhnopt.thermal.condense`) from ``1 + n_plants`` runs of the
 per-step sweep :func:`~dhnopt.thermal.simulate_system`: one with zero
 control gives ``y_free``, one per plant with a unit pulse gives that
-plant's column of ``H``. A value is then one FFT convolution with
-``H`` (:meth:`~dhnopt.thermal.CondensedMap.convolve`), and the exact
-gradient its transpose, one FFT correlation of ``H`` with ``dJ/dy``.
-Both transform only the ``n_plants + n_consumers`` plant return and
+plant's column of ``H``. A value is then one matrix product over the
+impulse's numerical support, ``H`` cut where its dropped tail is at
+most 1e-20 of each row's l1 mass, with the windows of the control
+(:meth:`~dhnopt.thermal.CondensedMap.convolve`), for every convolved row
+on every call. The exact gradient is its transpose, an FFT correlation
+of the whole ``H`` with ``dJ/dy`` over the few rows where that is
+nonzero. Both read only the ``n_plants + n_consumers`` plant return and
 consumer supply rows: the boundary rows of the system matrix hold a
 plant supply node at its control and a consumer return node at its
 supply temperature minus the drop ``delta``. So the return limit
@@ -23,7 +26,7 @@ terms round them wherever ``b`` is ``smin``. The full outputs
 (:meth:`~dhnopt.thermal.CondensedMap.apply`) are built once per round,
 for its report, which still shows the supply and return violations
 apart. The map checks the control, so a non-finite control entry raises
-:class:`~dhnopt.errors.SolverError` before any transform, and no output
+:class:`~dhnopt.errors.SolverError` before any product, and no output
 is scanned. The gradient transforms fewer still: ``dJ/dy`` is nonzero
 only on the plant rows, which carry the injection cost, and on the
 consumer supply rows with a violated bound, since the hinge penalty has
@@ -98,11 +101,12 @@ class ObjectiveEvaluator:
     """Value and gradient of the penalized objective at a control.
 
     Both run on the scenario's condensed map (see the module docstring),
-    built on the first request. A value is one FFT convolution,
-    :meth:`~dhnopt.thermal.CondensedMap.convolve`, whose rows it reads
-    directly: the loss from the plant rows, and one constraint row per
-    consumer, its supply bound ``max(smin, rmin + delta)`` minus its
-    supply temperature, written into a scratch the evaluator owns. The
+    built on the first request. A value is one matrix product over the
+    impulse's support, :meth:`~dhnopt.thermal.CondensedMap.convolve`,
+    into a contiguous buffer whose rows it reads directly: the loss from
+    the plant rows, and one constraint row per consumer, its supply
+    bound ``max(smin, rmin + delta)`` minus its supply temperature,
+    written into a scratch the evaluator owns. The
     map's control check raises :class:`~dhnopt.errors.SolverError`
     before a non-finite temperature can arise, so no output is scanned.
     A gradient is one FFT correlation with the impulse response of the
@@ -110,7 +114,7 @@ class ObjectiveEvaluator:
     the plant supply rows' cost rates, which pass through. The outputs
     are cached keyed on the control bytes, so reading the parts of a
     round's result, last evaluated by its line search, pays no second
-    convolution for its terms, and a gradient at the cached control
+    product for its terms, and a gradient at the cached control
     reads its violations from the scratch the value wrote them to: every
     gradient follows a forward at the same control. Only :meth:`parts`,
     once per round, applies the full map and both constraint families.

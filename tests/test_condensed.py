@@ -6,6 +6,10 @@ reproduce at every observed node.
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +30,7 @@ from dhnopt.objective import (ConstraintSet, constraint_violations,
                               tikhonov_gradient)
 from dhnopt.optimizer import ObjectiveEvaluator, OptimizerConfig, optimize
 from dhnopt.scenario import DemandSet, LoadSeries, build_scenario
-from dhnopt.thermal import (DEFAULT_CP, PhysicalConstants, TimeGrid,
+from dhnopt.thermal import (DEFAULT_CP, PhysicalConstants, TimeGrid, condense,
                             energy_balance, simulate_system)
 
 _SCENARIOS = {
@@ -607,6 +611,103 @@ class TestFoldedMap:
         bc = scenario.system.bc
         with pytest.raises(ValidationError, match="outside the observed"):
             y.rows(np.concatenate([bc.plant_nodes, bc.consumer_supply_nodes]))
+
+
+# ---------------------------------------------------------------------------
+# the forward: one product over the impulse's numerical support
+# ---------------------------------------------------------------------------
+
+def _short_desk_map():
+    """The desk's map over 4 steps, fewer than its transit takes."""
+    desk = desk_scenario()
+    grid = TimeGrid(dt_s=desk.grid.dt_s, n_steps=4)
+    return condense(desk.system, grid, desk.deltas[:, :5], desk.ambient[:5],
+                    desk.u_init)
+
+
+_FORWARD = {
+    "loop": lambda: make_loop_scenario(n_steps=96, swing=0.3).condensed,
+    "desk": lambda: desk_scenario().condensed,
+    "desk-4-steps": _short_desk_map,
+    "two-plant": lambda: _two_plant_scenario(*two_plant_network(),
+                                             48).condensed,
+    "feeder": lambda: feeder_scenario().condensed,
+}
+
+
+@pytest.fixture(scope="module", params=sorted(_FORWARD) + ["cyclic"])
+def forward(request):
+    if request.param == "cyclic":
+        return request.param, request.getfixturevalue("cyclic")[0].condensed
+    return request.param, _FORWARD[request.param]()
+
+
+def _support(m):
+    return m._taps.shape[1] // m.impulse.shape[1]
+
+
+class TestForwardIsExact:
+    def test_equals_the_convolution_with_the_whole_impulse(self, forward):
+        _, m = forward
+        h = m.impulse[m._convolved]
+        n_p, n = h.shape[1], m.grid.n_steps
+        u = np.random.default_rng(41).uniform(60.0, 120.0, (n_p, n))
+        want = np.array([sum(np.convolve(row[p], u[p])[:n] for p in range(n_p))
+                         for row in h])
+        got = m.convolve(u)
+        assert got.flags.c_contiguous
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_the_support_is_the_fewest_lags_with_a_negligible_tail(
+            self, forward):
+        _, m = forward
+        h = np.abs(m.impulse[m._convolved])
+        s = _support(m)
+        mass = h.sum(axis=2)
+        assert np.all(h[..., s:].sum(axis=2) <= 1e-20 * mass)
+        assert np.any(h[..., s - 1:].sum(axis=2) > 1e-20 * mass)
+        # the taps are the impulse reversed in lag, one block per plant
+        taps = m._taps.reshape(h.shape[0], h.shape[1], s)
+        assert np.array_equal(taps[..., ::-1],
+                              m.impulse[m._convolved][..., :s])
+
+
+@pytest.mark.parametrize("name, support", [("desk", 31), ("feeder", 62),
+                                           ("desk-4-steps", 4)])
+def test_the_support_on_the_fixtures(name, support):
+    # 288 steps on the desk and the feeder; over 4 steps, fewer than the
+    # desk's transit takes, every lag is kept
+    assert _support(_FORWARD[name]()) == support
+
+
+_THREADED_FORWARD = """
+import hashlib
+import numpy as np
+from dhnopt.fixtures import feeder_scenario
+m = feeder_scenario().condensed
+rng = np.random.default_rng(43)
+digest = hashlib.sha256()
+for _ in range(8):
+    u = rng.uniform(60.0, 120.0, (1, m.grid.n_steps))
+    digest.update(m.convolve(u).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_feeder_forward_bytes_do_not_depend_on_blas_threads():
+    # the feeder's product is large enough for OpenBLAS to thread it
+    src = str(Path(dhnopt.scenario.__file__).parents[1])
+    digests = set()
+    for threads in (1, 4):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                   OMP_NUM_THREADS=str(threads),
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-c", _THREADED_FORWARD],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        digests.add(proc.stdout)
+    assert len(digests) == 1
 
 
 # ---------------------------------------------------------------------------
