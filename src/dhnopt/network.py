@@ -635,6 +635,10 @@ def write_csv(path, columns, blank_nan=()):
     fields = [_format_column(column, name in blank_nan)
               for name, column in columns.items()]
     with open(path, "w", newline="", encoding="utf-8") as fh:
+        # read_csv skips a byte-order mark at the start of the file, so a
+        # first name that starts with one is written after one more
+        if next(iter(columns), "").startswith("\ufeff"):
+            fh.write("\ufeff")
         writer = csv.writer(_RecordFile(fh), lineterminator="\r\n")
         writer.writerow(columns)
         writer.writerows(zip(*fields, strict=True))

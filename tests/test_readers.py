@@ -659,6 +659,17 @@ def test_byte_order_mark_keeps_record_numbers(tmp_path, monkeypatch, end):
             read_csv(path, ["t", "id", "p"], ("t", "p"))
 
 
+@pytest.mark.parametrize("first", ["\ufeff", "\ufeffx"])
+def test_a_first_name_starting_with_a_byte_order_mark_reads_back(tmp_path,
+                                                                 first):
+    # the reader skips one mark at the start of the file
+    path = tmp_path / "t.csv"
+    write_csv(path, {first: ["a", "b"], "n": np.array([1.0, 2.0])})
+    lines, back = read_csv(path, [first, "n"], ("n",))
+    assert lines == [2, 3]
+    assert back[first] == ["a", "b"]
+
+
 def test_feeder_files_are_split_without_csv_reader(tmp_path, monkeypatch):
     # LF-terminated, unquoted, multi-column files stay on the split path,
     # which reads them faster than csv.reader does
