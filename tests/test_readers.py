@@ -352,6 +352,10 @@ def test_writer_bytes_without_carriage_return_unchanged(tmp_path_factory,
     write_csv(path, {name: [row[j] for row in rows]
                      for j, name in enumerate(header)})
     plain = io.StringIO()
+    # a first name that starts with a byte-order mark is written after one
+    # more, which the reader skips
+    if header[0].startswith("\ufeff"):
+        plain.write("\ufeff")
     csv.writer(plain, lineterminator="\n").writerows([header] + rows)
     assert path.read_bytes() == plain.getvalue().encode("utf-8")
 
