@@ -9,7 +9,8 @@ using quadratic-penalty continuation around scipy's L-BFGS-B
 per round, converged once the projected gradient is within
 ``gradient_tolerance * (1 + |f|)``). Objective values and exact
 gradients run on a condensed control-to-output map (free plus impulse
-response, FFT convolution) built once per scenario.
+response) built once per scenario: the forward is a matrix product over
+the impulse's numerical support, the gradient an FFT correlation.
 """
 
 from .errors import DhnError, ParseError, SolverError, ValidationError

@@ -5,37 +5,27 @@ For fixed flows and step size the temperatures the objective reads
 the control, ``y = y_free + H * u`` with ``*`` a causal convolution in
 time ("condensing", Bock & Plitt 1984). The scenario builds this map
 once (:func:`dhnopt.thermal.condense`) from ``1 + n_plants`` runs of the
-per-step sweep :func:`~dhnopt.thermal.simulate_system`: one with zero
-control gives ``y_free``, one per plant with a unit pulse gives that
-plant's column of ``H``. A value is then one matrix product over the
-impulse's numerical support, ``H`` cut where its dropped tail is at
-most 1e-20 of each row's l1 mass, with the windows of the control
-(:meth:`~dhnopt.thermal.CondensedMap.convolve`), for every convolved row
-on every call. The exact gradient is its transpose, an FFT correlation
-of the whole ``H`` with ``dJ/dy`` over the few rows where that is
-nonzero. Both read only the ``n_plants + n_consumers`` plant return and
-consumer supply rows: the boundary rows of the system matrix hold a
-plant supply node at its control and a consumer return node at its
-supply temperature minus the drop ``delta``. So the return limit
-``rmin`` is the supply limit ``rmin + delta``, and the objective has one
-constraint row per consumer and step, its supply temperature against
-``b = max(smin, rmin + delta)`` (``Scenario.supply_bound``). A value reads
-the convolved rows directly, the loss from the plant rows and the
-constraint values from the consumer supply rows, rounded as the public
-terms round them wherever ``b`` is ``smin``. The full outputs
-(:meth:`~dhnopt.thermal.CondensedMap.apply`) are built once per round,
-for its report, which still shows the supply and return violations
-apart. The map checks the control, so a non-finite control entry raises
-:class:`~dhnopt.errors.SolverError` before any product, and no output
-is scanned. The gradient transforms fewer still: ``dJ/dy`` is nonzero
-only on the plant rows, which carry the injection cost, and on the
-consumer supply rows with a violated bound, since the hinge penalty has
-zero slope where a bound holds. Leaving the zero rows out is exact,
-because a zero row transforms to exact zeros and adding exact zeros
-changes no bit of the sum. The transpose takes convolved rows only; a
-plant supply row is the control, so the evaluator adds its cost rates
-to the transpose itself. The sweep remains the oracle for these
-outputs and the full-state path of the CLI.
+per-step sweep :func:`~dhnopt.thermal.simulate_system`, which remains
+the oracle for these outputs and the full-state path of the CLI. Only
+the plant return and consumer supply rows are convolved: the boundary
+rows of the system matrix hold a plant supply node at its control and a
+consumer return node at its supply temperature minus the drop
+``delta``. So the return limit ``rmin`` is the supply limit
+``rmin + delta``, and the objective has one constraint row per consumer
+and step, its supply temperature against ``b = max(smin, rmin + delta)``
+(``Scenario.supply_bound``). A value is the map's forward
+(:meth:`~dhnopt.thermal.CondensedMap.convolve`), two matrix products
+over the impulse's numerical support, one per row family. It reads the
+loss from the plant rows and the constraint values from the consumer
+supply rows, rounded as the public terms round them wherever ``b`` is
+``smin``; the full outputs (:meth:`~dhnopt.thermal.CondensedMap.apply`)
+are built once per round, for its report, which still shows the supply
+and return violations apart. The exact gradient is the transpose, an
+FFT correlation of the whole ``H`` with ``dJ/dy`` over the rows where
+that is nonzero: the plant rows, which carry the injection cost, and the
+consumer supply rows with a violated bound (the hinge has zero slope
+where a bound holds), which is exact. A plant supply row is the
+control, so the evaluator adds its cost rates to the transpose itself.
 
 Minimization within the plant temperature box is scipy's L-BFGS-B
 (Byrd, Lu, Nocedal & Zhu 1995), one value-and-gradient call per trial
@@ -58,9 +48,9 @@ from .errors import SolverError, ValidationError
 from .objective import (constraint_violations, injection_cost_rates,
                         loss_energy, max_violation, objective_loss, penalty,
                         project_control, tikhonov, tikhonov_gradient)
-from .thermal import ObservedTrajectory
-# not called here; perfbench's tracer wraps it under every module name
-from .thermal import simulate_system  # noqa: F401
+# simulate_system is not called here; perfbench's tracer wraps it under
+# every module name
+from .thermal import ObservedTrajectory, simulate_system  # noqa: F401
 
 # scipy's defaults (20 trials, 2.2e-9) end the penalty rounds early: a
 # 1-D hinge at weight 1e6 needs more than 20 trials, and the looser
@@ -101,23 +91,17 @@ class ObjectiveEvaluator:
     """Value and gradient of the penalized objective at a control.
 
     Both run on the scenario's condensed map (see the module docstring),
-    built on the first request. A value is one matrix product over the
-    impulse's support, :meth:`~dhnopt.thermal.CondensedMap.convolve`,
-    into a contiguous buffer whose rows it reads directly: the loss from
-    the plant rows, and one constraint row per consumer, its supply
-    bound ``max(smin, rmin + delta)`` minus its supply temperature,
-    written into a scratch the evaluator owns. The
-    map's control check raises :class:`~dhnopt.errors.SolverError`
-    before a non-finite temperature can arise, so no output is scanned.
-    A gradient is one FFT correlation with the impulse response of the
-    plant return rows and the violated consumer supply rows only, plus
-    the plant supply rows' cost rates, which pass through. The outputs
-    are cached keyed on the control bytes, so reading the parts of a
-    round's result, last evaluated by its line search, pays no second
-    product for its terms, and a gradient at the cached control
-    reads its violations from the scratch the value wrote them to: every
-    gradient follows a forward at the same control. Only :meth:`parts`,
-    once per round, applies the full map and both constraint families.
+    built on the first request, and write into buffers the evaluator
+    owns: the two plant rows the loss reads, and one constraint row per
+    consumer, its supply bound minus its supply temperature. The map's
+    control check raises :class:`~dhnopt.errors.SolverError` before a
+    non-finite temperature can arise, so no output is scanned. The
+    outputs are cached keyed on the control bytes, so the parts of a
+    round's result, last evaluated by its line search, cost no second
+    product, and a gradient at the cached control reads the violations
+    its value wrote: every gradient follows a forward at the same
+    control. Only :meth:`parts`, once per round, applies the full map and
+    both constraint families.
     """
 
     def __init__(self, scenario, lambda_p):
@@ -132,12 +116,16 @@ class ObjectiveEvaluator:
         self._row_starts = np.arange(0, self._c.size, scenario.grid.n_steps)
         # the two plant blocks of the observed rows, all the loss reads
         n_p = bc.n_plants
-        self._plant_nodes = np.concatenate((bc.plant_nodes,
-                                            bc.plant_return_nodes))
-        self._plant_blocks = ((bc.plant_nodes, slice(0, n_p)),
-                              (bc.plant_return_nodes, slice(n_p, 2 * n_p)))
-        # static loss rates, the same at every control; set by the first
-        # gradient
+        self._plants = ObservedTrajectory(
+            np.concatenate((bc.plant_nodes, bc.plant_return_nodes)),
+            np.zeros((2 * n_p, scenario.grid.n_steps)), scenario.grid,
+            ((bc.plant_nodes, slice(0, n_p)),
+             (bc.plant_return_nodes, slice(n_p, 2 * n_p))))
+        # the convolved rows a gradient transforms, plant return then
+        # violated consumer supply rows, and their output gradient
+        self._live = np.arange(n_p + bc.n_consumers)
+        self._dj_dy = np.empty((self._live.size, scenario.grid.n_steps))
+        # static loss rates, the same at every control: the first gradient's
         self._rates = None
         self.n_evals = 0
         self.n_gradients = 0
@@ -159,11 +147,9 @@ class ObjectiveEvaluator:
         h_u = s.condensed.convolve(u)
         # a plant supply row is the control, a plant return row its free
         # response plus H * u
-        y = np.empty((2 * n_p, s.grid.n_steps))
+        plants, y = self._plants, self._plants.values_c
         y[:n_p] = u
         np.add(y_free[n_p:2 * n_p], h_u[:n_p], out=y[n_p:])
-        plants = ObservedTrajectory(self._plant_nodes, y, s.grid,
-                                    self._plant_blocks)
         loss = loss_energy(plants, s.graph, s.flow, s.price,
                            s.constants.cp_j_per_kg_c)
         loss_working = objective_loss(loss, s.price)
@@ -186,7 +172,7 @@ class ObjectiveEvaluator:
                       self.lambda_p)
         value = loss_working + s.tikhonov_weight * reg + pen
         self._cache_key = key
-        self._cache = {"plants": plants, "violated": violated, "loss": loss,
+        self._cache = {"violated": violated, "loss": loss,
                        "tikhonov": reg, "penalty": pen, "value": value}
         self.n_evals += 1
         return self._cache
@@ -220,7 +206,7 @@ class ObjectiveEvaluator:
         s = self.scenario
         rates = self._rates
         if rates is None:
-            rates, _ = injection_cost_rates(fwd["plants"], s.graph, s.flow,
+            rates, _ = injection_cost_rates(self._plants, s.graph, s.flow,
                                             s.price, s.constants.cp_j_per_kg_c,
                                             working=True)
             if s.price.static:
@@ -230,16 +216,15 @@ class ObjectiveEvaluator:
         # rows and the violated consumer supply rows only
         n_p = self.bc.n_plants
         c, violated = self._c, fwd["violated"]
-        # convolved rows: plant return, consumer supply
-        live = np.concatenate((np.arange(n_p), n_p + violated))
-        dj_dy = np.empty((live.size, s.grid.n_steps))
+        live = self._live[:n_p + violated.size]
+        np.add(violated, n_p, out=live[n_p:])
+        dj_dy = self._dj_dy[:live.size]
         np.negative(rates, out=dj_dy[:n_p])
         hinge = dj_dy[n_p:]
         np.maximum(0.0, c[violated], out=hinge)
         hinge *= -self.lambda_p
-        grad = s.condensed.apply_transpose(dj_dy, live)
         # a plant supply row is the control: its rates pass through
-        grad += rates
+        grad = s.condensed.apply_transpose(dj_dy, live) + rates
         grad += s.tikhonov_weight * tikhonov_gradient(u, s.grid)
         if not np.all(np.isfinite(grad)):
             raise SolverError("condensed map produced a non-finite gradient")

@@ -423,37 +423,34 @@ class CondensedMap:
     and time-invariant, so the observed temperatures are the free
     response ``y_free`` ``(n_obs, n_steps)`` plus the causal convolution
     of the impulse response ``impulse`` ``(n_obs, n_plants, n_steps)``
-    with the control. The forward is one matrix product over the
-    impulse's numerical support, for every convolved row on every call:
-    the map keeps the impulse reversed in lag and cut at the fewest lags
-    whose dropped tail is at most ``1e-20`` of each row's l1 mass (62 of
-    288 steps on the feeder, every step when the horizon is shorter than
-    the transit), far below the round-off of the sums it would join. The
-    transpose stays an FFT correlation with the whole impulse, over the
-    few live rows only, zero-padded past ``2 * n_steps - 1`` so nothing
-    wraps around.
+    with the control. ``blocks`` holds the node arrays of the four row
+    blocks: plant supply, plant return, consumer supply and consumer
+    return. Only the ``n_plants + n_consumers`` rows of the middle two
+    are convolved. The boundary rows of the system matrix fix the
+    others: a plant supply node is held at the control, so its rows are
+    ``u``, and a consumer return node sits ``delta`` below its supply
+    node, so its rows are its free response plus the supply node's
+    convolution.
 
-    ``blocks`` holds the node arrays of the four row blocks: plant
-    supply, plant return, consumer supply and consumer return. Only the
-    ``n_plants + n_consumers`` rows of the middle two are convolved. The
-    boundary rows of the system matrix fix the others: a plant supply
-    node is held at the control, so its rows are ``u``, and a consumer
-    return node sits ``delta`` below its supply node, so its rows are
-    its free response plus the supply node's convolution. The transpose
-    takes convolved rows only, those of its output gradient that may be
+    :meth:`convolve` is the forward, ``H * u`` on the convolved rows:
+    two matrix products, one per row family (plant return, consumer
+    supply), each over the family's numerical support, the fewest lags
+    whose dropped tail is at most ``1e-20`` of the l1 mass of each of
+    its rows, far below the round-off of the sums it would join. Over
+    288 steps that is 62 and 48 lags on the feeder, 31 and 27 on the
+    desk; every step when the horizon is shorter than the transit.
+    :meth:`apply` adds the free response and fills in the other two
+    blocks. :meth:`apply_transpose` is an FFT correlation with the whole
+    impulse, zero-padded past ``2 * n_steps - 1`` so nothing wraps
+    around, over the convolved rows whose output gradient may be
     nonzero: an objective gradient is zero on every consumer row whose
     bound holds, and none reads a consumer return row, whose limit is a
     supply bound (:attr:`~dhnopt.scenario.Scenario.supply_bound`). A
     plant supply row's gradient is a control gradient as it stands, so
-    the caller adds it to the transpose. Both directions reuse buffers
-    the map owns: a fresh megabyte-sized array per call costs about as
-    much as the product or the transforms.
-
-    :meth:`convolve` is the one forward product: ``H * u`` on the
-    convolved rows, with no free response added. The objective reads
-    those rows directly. :meth:`apply` adds the free response and fills
-    in the other two blocks, for callers that want every observed row.
-    The control check in :meth:`convolve` keeps the outputs finite.
+    the caller adds it. Both directions reuse buffers the map owns, the
+    sliding-window view of the padded control among them: a fresh
+    megabyte-sized array per call costs about as much as the product or
+    the transforms.
     """
 
     def __init__(self, blocks, y_free, impulse, grid):
@@ -472,25 +469,39 @@ class CondensedMap:
         n_conv, n = bounds[3] - bounds[1], grid.n_steps
         h = impulse[self._convolved]
         n_p = h.shape[1]
-        # the support: the fewest lags whose dropped tail, summed from
-        # the last lag back, is at most _SUPPORT_TOL of the l1 mass of
-        # each convolved row and plant; at least one lag
+        # a row's support: the fewest lags whose dropped tail, summed
+        # from the last lag back, is at most _SUPPORT_TOL of the l1 mass
+        # of the row and each plant; a family's, the most of its rows'
         tails = np.cumsum(np.abs(h[..., ::-1]), axis=2)[..., ::-1]
-        kept = tails > _SUPPORT_TOL * tails[..., :1]
-        s = max(1, int(kept.sum(axis=2).max()))
+        lags = (tails > _SUPPORT_TOL * tails[..., :1]).sum(axis=2).max(axis=1)
+        s = int(lags.max(initial=1))
         # taps[:, p*s + i] is plant p's impulse at lag s - 1 - i: a
         # window of the control padded with s - 1 leading zeros, read
         # against it, is the causal convolution at the window's last step
         self._taps = np.ascontiguousarray(
             h[..., :s][..., ::-1].reshape(n_conv, n_p * s))
         self._padded = np.zeros((n_p, s - 1 + n))
-        self._windows = np.empty((n_p, s, n))
+        # the windows lag-major, windows[i, p] = view[p, i], so that each
+        # family, plant return then consumer supply rows, multiplies its
+        # taps at its own support f with one block, the last f lags
+        self._view = np.moveaxis(sliding_window_view(self._padded, n, axis=1), 0, 1)
+        self._windows = np.empty((s, n_p, n))
         self._h_u = np.empty((n_conv, n))
+        taps = self._taps.reshape(n_conv, n_p, s).transpose(0, 2, 1)
+        windows = self._windows.reshape(s * n_p, n)
+        self._families = []
+        for rows in (slice(0, n_p), slice(n_p, n_conv)):
+            f = int(lags[rows].max(initial=1))
+            self._families.append((
+                np.ascontiguousarray(taps[rows, s - f:].reshape(-1, f * n_p)),
+                windows[(s - f) * n_p:], self._h_u[rows]))
         self._n_fft = n_fft = sfft.next_fast_len(2 * n - 1, real=True)
         self._impulse_f = np.fft.rfft(h, n_fft)
         self._spectrum = np.empty((n_conv, n_fft // 2 + 1), dtype=complex)
         self._product = np.empty_like(self._spectrum)
         self._signal = np.empty((n_conv, n_fft))
+        self._u_f = np.empty((n_p, n_fft // 2 + 1), dtype=complex)
+        self._h_t = np.empty((n_p, n_fft))
         # The forward's sums are at most gain * max|u|, gain being the
         # largest l1 norm of a convolved row's impulse; the transpose's
         # FFTs stay below a small multiple of n_fft**2 * (1 + gain) times
@@ -502,21 +513,25 @@ class CondensedMap:
     def convolve(self, u):
         """``H * u`` on the plant return rows, then the consumer supply rows.
 
-        One matrix product of the taps with the windows of the padded
-        control, into a contiguous buffer the map owns: the next call
-        overwrites it. A control entry that is not finite or exceeds
-        ``control_limit`` in magnitude raises :class:`SolverError`; every
-        other control gives finite outputs, so no output is scanned.
+        Into a contiguous buffer the map owns: the next call overwrites
+        it. A control not shaped ``(n_plants, n_steps)`` raises
+        :class:`ValidationError`, and one with an entry that is not
+        finite or exceeds ``control_limit`` in magnitude
+        :class:`SolverError`; every other control gives finite outputs,
+        so no output is scanned.
         """
+        s, n_p, n = self._windows.shape
+        if np.shape(u) != (n_p, n):
+            raise ValidationError(
+                f"control must have shape ({n_p}, {n}), got {np.shape(u)}")
         if not np.max(np.abs(u)) <= self.control_limit:
             raise SolverError("control is not finite or too large for the "
                               "condensed map")
-        padded, windows = self._padded, self._windows
-        n_p, s, n = windows.shape
-        padded[:, s - 1:] = u
-        np.copyto(windows, sliding_window_view(padded, n, axis=1))
-        return np.matmul(self._taps, windows.reshape(n_p * s, n),
-                         out=self._h_u)
+        self._padded[:, s - 1:] = u
+        np.copyto(self._windows, self._view)
+        for taps, windows, out in self._families:
+            np.matmul(taps, windows, out=out)
+        return self._h_u
 
     def apply(self, u):
         """Observed temperatures under the control ``u``, every row."""
@@ -537,10 +552,10 @@ class CondensedMap:
         return then consumer supply, one entry per row of ``g``. Leaving
         the other rows out is exact: a zero row transforms to exact
         zeros, and adding exact zeros to the sum over rows changes no
-        bit of it.
+        bit of it. The result is a view of a buffer the map owns: the
+        next call overwrites it.
         """
         n = self.grid.n_steps
-        n_p = self._impulse_f.shape[1]
         signal = self._signal[:live.size]
         signal[:, :n] = g
         signal[:, n:] = 0.0
@@ -548,13 +563,12 @@ class CondensedMap:
         # correlation: sum_o conj(H_f) g_f = conj(sum_o H_f conj(g_f)), so
         # g_f is conjugated in place instead of copying conj(H_f)
         np.conj(g_f, out=g_f)
-        u_f = np.empty((n_p, g_f.shape[1]), dtype=complex)
-        for p in range(n_p):
-            # the last plant's product may overwrite g_f: no plant reads it after
-            product = g_f if p == n_p - 1 else self._product[:live.size]
+        u_f, product = self._u_f, self._product[:live.size]
+        for p, out in enumerate(u_f):
             np.multiply(g_f, self._impulse_f[live, p], out=product)
-            product.sum(axis=0, out=u_f[p])
-        return np.fft.irfft(np.conj(u_f), self._n_fft)[:, :n]
+            product.sum(axis=0, out=out)
+        np.conj(u_f, out=u_f)
+        return np.fft.irfft(u_f, self._n_fft, out=self._h_t)[:, :n]
 
 
 def condense(system, grid, deltas, ambient, u_init):

@@ -225,6 +225,14 @@ class TestTwoPlants:
                 worst = max(worst, abs(g - fd) / max(abs(fd), abs(g), 1e-12))
             assert worst < 1e-5, f"plant {plant}: relative error {worst:.2e}"
 
+    @pytest.mark.parametrize("shape", [(1, 48), (2, 47)])
+    def test_a_control_of_the_wrong_shape_raises(self, two_plant, shape):
+        # a (1, 48) control would broadcast to both plants
+        m = two_plant.condensed
+        for call in (m.convolve, m.apply):
+            with pytest.raises(ValidationError, match="shape"):
+                call(np.full(shape, 100.0))
+
 
 # ---------------------------------------------------------------------------
 # a directed flow cycle on the supply side
@@ -680,6 +688,45 @@ def test_the_support_on_the_fixtures(name, support):
     assert _support(_FORWARD[name]()) == support
 
 
+def _family_supports(m):
+    """The support each family is multiplied at: plant return rows, then
+    consumer supply rows."""
+    return [taps.shape[1] // m.impulse.shape[1] for taps, _, _ in m._families]
+
+
+def test_each_family_has_the_fewest_lags_with_a_negligible_tail(forward):
+    _, m = forward
+    h = np.abs(m.impulse[m._convolved])
+    n_p = h.shape[1]
+    for rows, f in zip((slice(0, n_p), m._supply), _family_supports(m)):
+        mass = h[rows].sum(axis=2)
+        assert np.all(h[rows, :, f:].sum(axis=2) <= 1e-20 * mass)
+        assert np.any(h[rows, :, f - 1:].sum(axis=2) > 1e-20 * mass)
+
+
+@pytest.mark.parametrize("name, supports", [("desk", [31, 27]),
+                                            ("feeder", [62, 48]),
+                                            ("desk-4-steps", [4, 4])])
+def test_the_family_supports_on_the_fixtures(name, supports):
+    assert _family_supports(_FORWARD[name]()) == supports
+
+
+@pytest.mark.parametrize("name", ["loop", "two-plant", "feeder"])
+def test_successive_calls_read_the_current_control(name):
+    # the windows are a view built once over the padded control: each
+    # call must read its own control, not the last one's
+    m = _FORWARD[name]()
+    h = m.impulse[m._convolved]
+    n_p, n = h.shape[1], m.grid.n_steps
+    rng = np.random.default_rng(47)
+    for lo, hi in ((60.0, 120.0), (100.0, 101.0), (30.0, 140.0)):
+        u = rng.uniform(lo, hi, (n_p, n))
+        want = np.array([sum(np.convolve(row[p], u[p])[:n] for p in range(n_p))
+                         for row in h])
+        got = m.convolve(u)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 _THREADED_FORWARD = """
 import hashlib
 import numpy as np
@@ -824,6 +871,18 @@ class TestEvaluatorIsExact:
             assert got_value == value
             assert ev.parts(u)["penalty"] == pen
             assert np.array_equal(got_grad, grad)
+
+
+def test_a_gradient_is_not_overwritten_by_the_next_call(exact):
+    # the map's transpose writes into a buffer it owns; the evaluator
+    # must hand out a gradient of its own
+    shape = (exact.system.bc.n_plants, exact.grid.n_steps)
+    ev = ObjectiveEvaluator(exact, 100.0)
+    (_, _, first), (_, _, second) = list(_exact_controls(shape))[1:3]
+    _, grad = ev.value_and_gradient(first)
+    kept = grad.copy()
+    ev.value_and_gradient(second)
+    assert np.array_equal(grad, kept)
 
 
 # ---------------------------------------------------------------------------
