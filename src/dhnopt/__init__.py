@@ -10,7 +10,8 @@ per round, converged once the projected gradient is within
 ``gradient_tolerance * (1 + |f|)``). Objective values and exact
 gradients run on a condensed control-to-output map (free plus impulse
 response) built once per scenario: the forward is a matrix product over
-the impulse's numerical support, the gradient an FFT correlation.
+the impulse's numerical support, the gradient the same product
+transposed.
 """
 
 from .errors import DhnError, ParseError, SolverError, ValidationError

@@ -20,9 +20,10 @@ loss from the plant rows and the constraint values from the consumer
 supply rows, rounded as the public terms round them wherever ``b`` is
 ``smin``; the full outputs (:meth:`~dhnopt.thermal.CondensedMap.apply`)
 are built once per round, for its report, which still shows the supply
-and return violations apart. The exact gradient is the transpose, an
-FFT correlation of the whole ``H`` with ``dJ/dy`` over the rows where
-that is nonzero: the plant rows, which carry the injection cost, and the
+and return violations apart. The exact gradient is the transpose
+(:meth:`~dhnopt.thermal.CondensedMap.apply_transpose`), one matrix
+product of the same taps with ``dJ/dy`` over the rows where that is
+nonzero: the plant rows, which carry the injection cost, and the
 consumer supply rows with a violated bound (the hinge has zero slope
 where a bound holds), which is exact. A plant supply row is the
 control, so the evaluator adds its cost rates to the transpose itself.
@@ -121,7 +122,7 @@ class ObjectiveEvaluator:
             np.zeros((2 * n_p, scenario.grid.n_steps)), scenario.grid,
             ((bc.plant_nodes, slice(0, n_p)),
              (bc.plant_return_nodes, slice(n_p, 2 * n_p))))
-        # the convolved rows a gradient transforms, plant return then
+        # the convolved rows a gradient multiplies, plant return then
         # violated consumer supply rows, and their output gradient
         self._live = np.arange(n_p + bc.n_consumers)
         self._dj_dy = np.empty((self._live.size, scenario.grid.n_steps))

@@ -31,10 +31,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.fft as sfft
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import SolverError, ValidationError
 
@@ -440,17 +439,17 @@ class CondensedMap:
     288 steps that is 62 and 48 lags on the feeder, 31 and 27 on the
     desk; every step when the horizon is shorter than the transit.
     :meth:`apply` adds the free response and fills in the other two
-    blocks. :meth:`apply_transpose` is an FFT correlation with the whole
-    impulse, zero-padded past ``2 * n_steps - 1`` so nothing wraps
-    around, over the convolved rows whose output gradient may be
-    nonzero: an objective gradient is zero on every consumer row whose
-    bound holds, and none reads a consumer return row, whose limit is a
-    supply bound (:attr:`~dhnopt.scenario.Scenario.supply_bound`). A
-    plant supply row's gradient is a control gradient as it stands, so
-    the caller adds it. Both directions reuse buffers the map owns, the
+    blocks. :meth:`apply_transpose` is the same operator transposed:
+    one matrix product of the taps over the overall support (the most
+    of the two families') with the output gradient, over the convolved
+    rows whose output gradient may be nonzero: an objective gradient is
+    zero on every consumer row whose bound holds, and none reads a
+    consumer return row, whose limit is a supply bound
+    (:attr:`~dhnopt.scenario.Scenario.supply_bound`). A plant supply
+    row's gradient is a control gradient as it stands, so the caller
+    adds it. Both directions reuse buffers the map owns, the
     sliding-window view of the padded control among them: a fresh
-    megabyte-sized array per call costs about as much as the product or
-    the transforms.
+    megabyte-sized array per call costs about as much as the product.
     """
 
     def __init__(self, blocks, y_free, impulse, grid):
@@ -495,20 +494,24 @@ class CondensedMap:
             self._families.append((
                 np.ascontiguousarray(taps[rows, s - f:].reshape(-1, f * n_p)),
                 windows[(s - f) * n_p:], self._h_u[rows]))
-        self._n_fft = n_fft = sfft.next_fast_len(2 * n - 1, real=True)
-        self._impulse_f = np.fft.rfft(h, n_fft)
-        self._spectrum = np.empty((n_conv, n_fft // 2 + 1), dtype=complex)
-        self._product = np.empty_like(self._spectrum)
-        self._signal = np.empty((n_conv, n_fft))
-        self._u_f = np.empty((n_p, n_fft // 2 + 1), dtype=complex)
-        self._h_t = np.empty((n_p, n_fft))
-        # The forward's sums are at most gain * max|u|, gain being the
-        # largest l1 norm of a convolved row's impulse; the transpose's
-        # FFTs stay below a small multiple of n_fft**2 * (1 + gain) times
-        # their input. A control within this limit, 16 being that
-        # multiple with room to spare, overflows neither.
+        # the transpose: Q = taps[live]^T G, G the output gradient padded
+        # with s - 1 zero columns, so plant p's gradient at step j sums
+        # Q[p*s + i, j + s - 1 - i] over the lags i, a diagonal of plant
+        # p's block of Q, which a strided view reads in place
+        w = n + s - 1
+        self._g = np.zeros((n_conv, w))
+        self._q = np.empty((n_p * s, w))
+        item = self._q.itemsize
+        self._diagonals = as_strided(self._q[:, s - 1:], (n_p, s, n),
+                                     (s * w * item, (w - 1) * item, item),
+                                     writeable=False)
+        self._h_t = np.empty((n_p, n))
+        # The forward's sums are at most gain times the largest control
+        # entry, gain being the largest l1 norm of a convolved row's
+        # impulse. A control within this limit, 16 leaving room for the
+        # free response and round-off, overflows none of them.
         gain = np.abs(h).sum(axis=(1, 2)).max()
-        self.control_limit = np.finfo(float).max / (16 * n_fft**2 * (1 + gain))
+        self.control_limit = np.finfo(float).max / (16 * (1 + gain))
 
     def convolve(self, u):
         """``H * u`` on the plant return rows, then the consumer supply rows.
@@ -550,25 +553,13 @@ class CondensedMap:
 
         ``live`` is an increasing index into the convolved rows, plant
         return then consumer supply, one entry per row of ``g``. Leaving
-        the other rows out is exact: a zero row transforms to exact
-        zeros, and adding exact zeros to the sum over rows changes no
-        bit of it. The result is a view of a buffer the map owns: the
+        the other rows out is exact: a zero row adds only exact zeros
+        to the product's sums. The result is a buffer the map owns: the
         next call overwrites it.
         """
-        n = self.grid.n_steps
-        signal = self._signal[:live.size]
-        signal[:, :n] = g
-        signal[:, n:] = 0.0
-        g_f = np.fft.rfft(signal, out=self._spectrum[:live.size])
-        # correlation: sum_o conj(H_f) g_f = conj(sum_o H_f conj(g_f)), so
-        # g_f is conjugated in place instead of copying conj(H_f)
-        np.conj(g_f, out=g_f)
-        u_f, product = self._u_f, self._product[:live.size]
-        for p, out in enumerate(u_f):
-            np.multiply(g_f, self._impulse_f[live, p], out=product)
-            product.sum(axis=0, out=out)
-        np.conj(u_f, out=u_f)
-        return np.fft.irfft(u_f, self._n_fft, out=self._h_t)[:, :n]
+        self._g[:live.size, :self.grid.n_steps] = g
+        np.dot(self._taps[live].T, self._g[:live.size], out=self._q)
+        return self._diagonals.sum(axis=1, out=self._h_t)
 
 
 def condense(system, grid, deltas, ambient, u_init):

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import toeplitz
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -512,15 +513,17 @@ def _block_rows(scenario):
 def _dense_transpose(m, g):
     """The control gradient of ``sum(g * y)`` over the plant supply,
     plant return and consumer supply rows: ``H^T`` of every convolved
-    row, zero rows included, plus the plant supply rows, which are the
-    control. The reference the row-sparse transpose must match."""
+    row, zero rows included, from dense lower-triangular Toeplitz blocks
+    of the whole impulse, plus the plant supply rows, which are the
+    control. The reference the row-sparse transpose must match; it reads
+    none of the map's taps or buffers."""
+    h = m.impulse[m._convolved]
     n = m.grid.n_steps
-    signal = np.zeros((m._impulse_f.shape[0], m._n_fft))
-    signal[:, :n] = g[m._convolved]
-    g_f = np.conj(np.fft.rfft(signal))
-    u_f = np.array([(g_f * m._impulse_f[:, p]).sum(axis=0)
-                    for p in range(m._impulse_f.shape[1])])
-    return np.fft.irfft(np.conj(u_f), m._n_fft)[:, :n] + g[m._plants]
+    grad = np.zeros((h.shape[1], n))
+    for row, g_row in zip(h, g[m._convolved]):
+        for p, impulse in enumerate(row):
+            grad[p] += toeplitz(impulse, np.zeros(n)).T @ g_row
+    return grad + g[m._plants]
 
 
 def _sparse_transpose(m, g):
@@ -619,6 +622,24 @@ class TestFoldedMap:
         bc = scenario.system.bc
         with pytest.raises(ValidationError, match="outside the observed"):
             y.rows(np.concatenate([bc.plant_nodes, bc.consumer_supply_nodes]))
+
+
+@pytest.fixture(scope="module")
+def feeder():
+    return feeder_scenario()
+
+
+@pytest.mark.parametrize("kind", [
+    "plant rows only", "one consumer supply row",
+    "last consumer supply row only", "every row", "all zero"])
+def test_feeder_sparse_transpose_equals_dense(feeder, kind):
+    # 131 convolved rows, more than any map in the folded fixture
+    m = feeder.condensed
+    g = _patterns(feeder, np.random.default_rng(19))[kind]
+    want = _dense_transpose(m, g)
+    got = _sparse_transpose(m, g)
+    scale = max(np.max(np.abs(want)), 1e-300)
+    assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -727,6 +748,26 @@ def test_successive_calls_read_the_current_control(name):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def test_successive_transposes_read_the_current_rows(forward):
+    # the padded output gradient and the diagonal view are buffers built
+    # once: each call must read its own live rows, the pad columns must
+    # stay zero, and a call with fewer rows must not read the stale ones
+    # the call before it left behind
+    _, m = forward
+    n_p, n = m.impulse.shape[1:]
+    n_conv = m._convolved.stop - m._convolved.start
+    rng = np.random.default_rng(53)
+    for k in (n_conv, min(27, n_conv), 1, 0):
+        live = np.sort(rng.choice(n_conv, k, replace=False))
+        g = np.zeros((m._convolved.stop, n))
+        g[m._convolved.start + live] = rng.standard_normal((k, n))
+        want = _dense_transpose(m, g)
+        got = m.apply_transpose(g[m._convolved][live], live)
+        assert got.shape == (n_p, n)
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale, k
+
+
 _THREADED_FORWARD = """
 import hashlib
 import numpy as np
@@ -741,8 +782,23 @@ print(digest.hexdigest())
 """
 
 
-def test_feeder_forward_bytes_do_not_depend_on_blas_threads():
-    # the feeder's product is large enough for OpenBLAS to thread it
+_THREADED_TRANSPOSE = """
+import hashlib
+import numpy as np
+from dhnopt.fixtures import feeder_scenario
+m = feeder_scenario().condensed
+rng = np.random.default_rng(59)
+digest = hashlib.sha256()
+for k in (1, 2, 27, 66, 131):
+    live = np.sort(rng.choice(131, k, replace=False))
+    g = rng.standard_normal((k, m.grid.n_steps))
+    digest.update(m.apply_transpose(g, live).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def _digests_at_blas_threads(script):
+    """The outputs of ``script`` run at 1 and at 4 OpenBLAS threads."""
     src = str(Path(dhnopt.scenario.__file__).parents[1])
     digests = set()
     for threads in (1, 4):
@@ -750,11 +806,21 @@ def test_feeder_forward_bytes_do_not_depend_on_blas_threads():
                    OMP_NUM_THREADS=str(threads),
                    PYTHONPATH=os.pathsep.join(
                        filter(None, (src, os.environ.get("PYTHONPATH")))))
-        proc = subprocess.run([sys.executable, "-c", _THREADED_FORWARD],
+        proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         digests.add(proc.stdout)
-    assert len(digests) == 1
+    return digests
+
+
+def test_feeder_forward_bytes_do_not_depend_on_blas_threads():
+    # the feeder's product is large enough for OpenBLAS to thread it
+    assert len(_digests_at_blas_threads(_THREADED_FORWARD)) == 1
+
+
+def test_feeder_transpose_bytes_do_not_depend_on_blas_threads():
+    # from one live row to every one of the feeder's 131
+    assert len(_digests_at_blas_threads(_THREADED_TRANSPOSE)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -798,7 +864,8 @@ def _public_terms(s, lambda_p, u, violations=None):
     The constraint rows are ``violations(y)`` when given, else the folded
     bound ``s.supply_bound`` minus each consumer's supply row; the
     gradient's hinge reads the first ``n_consumers`` of them, the
-    consumer supply rows.
+    consumer supply rows. The gradient transposes the rows of ``dJ/dy``
+    that are nonzero, the rows the evaluator passes.
     """
     y = s.condensed.apply(u)
     bc = s.system.bc
@@ -816,7 +883,7 @@ def _public_terms(s, lambda_p, u, violations=None):
     dj_dy[:n_p] = rates
     dj_dy[n_p:2 * n_p] = -rates
     dj_dy[2 * n_p:] = -lambda_p * np.maximum(0.0, c[:bc.n_consumers])
-    grad = _dense_transpose(s.condensed, dj_dy)
+    grad = _sparse_transpose(s.condensed, dj_dy)
     grad += s.tikhonov_weight * tikhonov_gradient(u, s.grid)
     return value, loss, pen, c, grad
 
