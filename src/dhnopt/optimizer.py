@@ -43,7 +43,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import Bounds, minimize
 
 from .errors import SolverError, ValidationError
 from .objective import (constraint_violations, injection_cost_rates,
@@ -281,6 +280,10 @@ def lbfgs_minimize(fg, u0, bounds, config=None):
     of raising. ``trace`` holds one ``{"iteration", "f", "pg_norm"}``
     record per iteration.
     """
+    # imported here, not at the top: scipy.optimize costs about 15 MB
+    # and 0.25 s at import, which a command without a solve never needs
+    from scipy.optimize import Bounds, minimize
+
     if config is None:
         config = OptimizerConfig()
     x0 = project_control(np.asarray(u0, dtype=float), bounds)

@@ -3,18 +3,22 @@
 Consumer demand profiles are synthesized from one district-total load
 curve: the curve is low-pass filtered (zero-phase Butterworth) and then
 varied per consumer by multiplicative log-normal noise on a band of its
-Fourier spectrum. Price curves are piecewise linear in time and read
+Fourier spectrum. The filter is designed and run here, in numpy and
+plain Python floats, and equals scipy's
+``sosfiltfilt(butter(...), padtype="even")`` bit for bit, so the
+package never imports scipy's signal module, which loads most of scipy
+with it. Price curves are piecewise linear in time and read
 onto the simulation grid once, when the scenario is built.
 """
 
 from __future__ import annotations
 
 import hashlib
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.signal import butter, sosfiltfilt
 
 from .errors import ValidationError
 from .network import control_volumes, read_csv, write_csv
@@ -140,8 +144,14 @@ def lowpass(series, cutoff_hz, order=4):
     The filter is applied forward and backward (no phase shift, squared
     magnitude response) with reflective edge padding of one settling
     length, roughly a cutoff period. Negative excursions from ringing
-    are clamped to zero.
+    are clamped to zero. The result equals scipy's
+    ``sosfiltfilt(butter(order, cutoff_hz, fs=fs, output="sos"), x,
+    padtype="even", padlen=padlen)`` bit for bit. ``order`` is an
+    integer of at least 1.
     """
+    if not isinstance(order, numbers.Integral) or order < 1:
+        raise ValidationError(
+            f"filter order must be an integer >= 1, got {order!r}")
     fs = 1.0 / series.dt_s
     if not 0 < cutoff_hz < 0.5 * fs:
         raise ValidationError(
@@ -153,10 +163,82 @@ def lowpass(series, cutoff_hz, order=4):
             f"series too short for edge padding: need > {padlen} samples, "
             f"got {series.values_w.size}"
         )
-    sos = butter(order, cutoff_hz, btype="low", fs=fs, output="sos")
-    filtered = sosfiltfilt(sos, series.values_w, padtype="even", padlen=padlen)
+    sos = _butter_sos(int(order), cutoff_hz / (fs / 2))
+    filtered = _sosfiltfilt(sos, series.values_w, padlen)
     return LoadSeries(values_w=np.maximum(filtered, 0.0),
                       dt_s=series.dt_s, start_s=series.start_s)
+
+
+def _butter_sos(order, wn):
+    """Second-order sections ``[b0, b1, b2, 1, a1, a2]`` of a digital
+    Butterworth low-pass with cutoff ``wn`` (a fraction of Nyquist), as
+    scipy's ``butter(order, wn, output="sos")`` makes them.
+
+    The analog prototype's poles, scaled by the prewarped cutoff, are
+    mapped by the bilinear transform ``(4 + s) / (4 - s)``; every zero
+    sits at -1. Section 0 holds the gain and the poles farthest from the
+    unit circle, the last section the nearest. An odd order's real pole
+    comes first, paired with a pole at 0, and the section nearest the
+    unit circle whose pole lies nearer 0 than -1 takes the matching
+    zero at 0, ``[1, 1, 0]``, as ``zpk2sos`` pairs them.
+    """
+    m = np.arange(1 - order, order, 2, dtype=float)
+    wo = float(4.0 * np.tan(np.pi * wn / 2.0))
+    s = wo * -np.exp(1j * np.pi * m / (2 * order))
+    gain = wo ** order * np.real(1.0 / np.prod(4.0 - s))
+    z = (4.0 + s) / (4.0 - s)
+    upper = z[z.imag > 0]
+    upper = upper[np.argsort(-np.abs(1 - np.abs(upper)), kind="stable")]
+    poles = [[p, p.conjugate()] for p in upper]
+    numerators = [[1.0, 2.0, 1.0]] * ((order + 1) // 2)
+    if order % 2:
+        poles.insert(0, [z[order // 2].real, 0.0])
+        nearer_zero = [k for k, (p, _) in enumerate(poles)
+                       if np.abs(p) < np.abs(p + 1.0)]
+        numerators[max(nearer_zero, default=0)] = [1.0, 1.0, 0.0]
+    sos = np.array([b + np.poly(p).real.tolist()
+                    for b, p in zip(numerators, poles)])
+    sos[0, :3] *= gain
+    return sos
+
+
+def _sosfilt_zi(sos):
+    """Each section's state for a unit step input in steady state, as
+    scipy's ``sosfilt_zi`` solves for it."""
+    zi = np.empty((sos.shape[0], 2))
+    scale = 1.0
+    for k, (b, a) in enumerate(zip(sos[:, :3], sos[:, 3:])):
+        i_minus_a = np.array([[1.0 + a[1], -1.0], [a[2], 1.0]])
+        zi[k] = scale * np.linalg.solve(i_minus_a, b[1:] - a[1:] * b[0])
+        scale *= np.sum(b) / np.sum(a)
+    return zi
+
+
+def _sosfilt(sos, x, zi):
+    """``x`` (a list) through the sections ``sos`` (a list of rows) from
+    the states ``zi``: transposed direct form II, in scipy's order of
+    operations, one section after another over the whole signal."""
+    for (b0, b1, b2, _, a1, a2), (z0, z1) in zip(sos, zi):
+        y = []
+        for xn in x:
+            yn = b0 * xn + z0
+            z0 = b1 * xn - a1 * yn + z1
+            z1 = b2 * xn - a2 * yn
+            y.append(yn)
+        x = y
+    return x
+
+
+def _sosfiltfilt(sos, x, padlen):
+    """Forward-backward pass of ``sos`` over ``x`` evenly extended by
+    ``padlen`` samples each side, each pass started in the steady state
+    of its first input sample."""
+    ext = np.concatenate((x[padlen:0:-1], x, x[-2:-(padlen + 2):-1]))
+    zi = _sosfilt_zi(sos)
+    rows = sos.tolist()
+    y = _sosfilt(rows, ext.tolist(), (zi * ext[0]).tolist())
+    y = _sosfilt(rows, y[::-1], (zi * y[-1]).tolist())
+    return np.array(y[padlen:-padlen][::-1])
 
 
 def _consumer_rng(master_seed, key):

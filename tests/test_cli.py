@@ -1,10 +1,15 @@
 import dataclasses
 import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dhnopt.cli
 from dhnopt.cli import (_DEFAULTS, EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK,
                         compute_quantiles, main)
 from dhnopt.fixtures import desk_network, write_desk_fixture
@@ -167,6 +172,37 @@ def test_config_value_of_the_wrong_type_exits_2(small_files, monkeypatch,
     monkeypatch.setattr("numpy.linalg.solve", no_solve)
     assert _run(command, "--config", small_files, "--quiet") == EXIT_INPUT
     assert f"'{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("order", [-1, 0])
+def test_filter_order_below_one_exits_2(small_files, capsys, order):
+    data = json.loads(small_files.read_text())
+    data["synthesis"] = {**data.get("synthesis", {}), "order": order}
+    small_files.write_text(json.dumps(data))
+    assert _run("synth-demand", "--config", small_files, "--quiet") == EXIT_INPUT
+    assert (f"filter order must be an integer >= 1, got {order}"
+            in capsys.readouterr().err)
+
+
+_FOOTPRINT = """
+import sys
+import dhnopt, dhnopt.cli, dhnopt.fixtures
+dhnopt.fixtures.desk_scenario()
+cfg = dhnopt.fixtures.write_desk_fixture(sys.argv[1], n_consumers=3, n_days=1)
+assert dhnopt.cli.main(["simulate", "--config", str(cfg), "--quiet"]) == 0
+print(sorted(m for m in ("scipy.signal", "scipy.optimize") if m in sys.modules))
+"""
+
+
+def test_import_and_simulate_load_neither_signal_nor_optimize(tmp_path):
+    # a fresh process: this suite's own imports load both
+    src = str(Path(dhnopt.cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, str(tmp_path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_config_that_is_not_an_object_exits_2(tmp_path, capsys):

@@ -1029,7 +1029,7 @@ class TestControlCheck:
 
     def test_the_limit_overflows_nothing(self, exact):
         # every entry at the limit, signs drawn: the largest sums the
-        # transforms can form from a control the check lets through
+        # forward's products can form from a control the check lets through
         m = exact.condensed
         shape = (exact.system.bc.n_plants, exact.grid.n_steps)
         sign = np.random.default_rng(31).choice((-1.0, 1.0), shape)

@@ -1,12 +1,16 @@
+import re
+
 import numpy as np
 import pytest
+from scipy.signal import butter, sosfiltfilt
 
 from dhnopt.errors import ValidationError
 from dhnopt.fixtures import (daily_load_profile, demand_set_for, desk_network,
                              desk_scenario, two_level_price)
 from dhnopt.objective import ConstraintSet
 from dhnopt.scenario import (DemandSet, LoadSeries, PriceSeries,
-                             build_scenario, lowpass, read_demand_set,
+                             _butter_sos, _sosfiltfilt, build_scenario,
+                             lowpass, read_demand_set,
                              read_load_series, read_price_series,
                              synthesize_variations, write_demand_set,
                              write_load_series, write_price_series)
@@ -65,6 +69,51 @@ class TestLowpass:
         series = LoadSeries(values_w=np.full(64, 5.0), dt_s=900.0)
         with pytest.raises(ValidationError, match="Nyquist"):
             lowpass(series, 1.0 / 900.0)
+
+    @pytest.mark.parametrize("order", [-1, 0, 2.0, 4.5, "4"])
+    def test_order_must_be_an_integer_of_at_least_one(self, order):
+        series = LoadSeries(values_w=np.full(64, 5.0), dt_s=900.0)
+        with pytest.raises(ValidationError, match=re.escape(
+                f"filter order must be an integer >= 1, got {order!r}")):
+            lowpass(series, CUTOFF_HZ, order=order)
+
+
+# (cutoff Hz, dt s): the default, finer and coarser steps, and a cutoff
+# at a quarter of Nyquist; each padlen leaves room for >= 8 samples
+_ORACLE_PAIRS = [(CUTOFF_HZ, 900.0), (CUTOFF_HZ, 300.0), (1e-4, 60.0),
+                 (2e-5, 3600.0), (1.5e-4, 900.0)]
+
+
+class TestLowpassAgainstScipy:
+    """The numpy filter is scipy's ``sosfiltfilt(butter(...))``, bit for
+    bit; scipy.signal is imported by the tests only."""
+
+    @pytest.mark.parametrize("order", range(1, 9))
+    @pytest.mark.parametrize("cutoff_hz, dt_s", _ORACLE_PAIRS)
+    def test_sections_and_output(self, order, cutoff_hz, dt_s):
+        fs = 1.0 / dt_s
+        padlen = int(np.ceil(1.0 / (cutoff_hz * dt_s)))
+        sos = butter(order, cutoff_hz, fs=fs, output="sos")
+        assert np.array_equal(_butter_sos(order, cutoff_hz / (fs / 2)), sos)
+
+        # sparse spikes: in about a third of these cases the ringing
+        # falls below zero, where the clamp acts
+        rng = np.random.default_rng(order)
+        x = rng.uniform(0.0, 1e6, padlen + 1) * (rng.uniform(size=padlen + 1)
+                                                > 0.9)
+        expected = sosfiltfilt(sos, x, padtype="even", padlen=padlen)
+        assert np.array_equal(_sosfiltfilt(sos, x, padlen), expected)
+        out = lowpass(LoadSeries(values_w=x, dt_s=dt_s), cutoff_hz,
+                      order=order)
+        assert np.array_equal(out.values_w, np.maximum(expected, 0.0))
+
+    @pytest.mark.parametrize("order", range(1, 9))
+    def test_sections_over_the_whole_band(self, order):
+        # up to Nyquist, where an odd order's zero at 0 moves to the
+        # real pole's section
+        for wn in np.linspace(0.01, 0.99, 99):
+            assert np.array_equal(_butter_sos(order, wn),
+                                  butter(order, wn, output="sos")), wn
 
 
 class TestSynthesizeVariations:
