@@ -19,7 +19,7 @@ print(f"desk network: {graph.n_nodes} nodes, {graph.n_edges} edges, "
       f"{len(graph.consumer_edges)} consumers, "
       f"{len(graph.producer_edges)} plant")
 volumes = control_volumes(graph)
-print(f"total water volume: {volumes.volumes_m3.sum():.2f} m3")
+print(f"total water volume: {volumes.sum():.2f} m3")
 
 system = assemble(graph, flow, volumes, PhysicalConstants())
 deltas = np.full(system.bc.n_consumers, 25.0)  # 25 °C drop per substation

@@ -15,9 +15,9 @@ transposed.
 """
 
 from .errors import DhnError, ParseError, SolverError, ValidationError
-from .network import (BoundarySpec, ControlVolumes, FlowField, NetworkGraph,
-                      control_volumes, load_flow_field, parse_network,
-                      subdivide_pipes, write_flow_field, write_network)
+from .network import (BoundarySpec, FlowField, NetworkGraph, control_volumes,
+                      load_flow_field, parse_network, subdivide_pipes,
+                      write_flow_field, write_network)
 from .objective import (ConstraintSet, PriceModel, constraint_violations,
                         loss_energy, loss_energy_steps, max_violation,
                         penalty, project_control, tikhonov)

@@ -1,8 +1,7 @@
 """Command-line driver: simulate, optimize, synth-demand, verify, report.
 
 One JSON config file describes a run; flags override the output
-directory, seed and verbosity (``--threads`` has no effect once numpy
-is loaded, see :func:`_set_threads`). Scalar results land in
+directory, seed and verbosity. Scalar results land in
 ``report.json`` (deterministic bytes for a fixed config and seed; wall
 times go to ``timing.json``), time series in flat CSV files with one
 row per solved step.
@@ -17,7 +16,6 @@ import dataclasses
 import inspect
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -25,14 +23,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, SolverError, ValidationError
-from .network import (load_flow_field, parse_network, read_csv,
-                      subdivide_pipes, write_csv)
+from .network import (check_finite, load_flow_field, parse_network,
+                      read_csv, rows_by_id, subdivide_pipes, write_csv)
 from .objective import (J_PER_MWH, ConstraintSet, constraint_violations,
                         loss_energy, loss_energy_steps, max_violation)
 from .optimizer import OptimizerConfig, optimize
 from .scenario import (DEFAULT_CUTOFF_HZ, DEFAULT_NOISE_BAND_HZ,
                        DEFAULT_NOISE_SIGMA, DemandSet, build_scenario,
-                       _check_finite, interpolate, lowpass, read_demand_set,
+                       interpolate, lowpass, read_demand_set,
                        read_load_series, read_price_series,
                        synthesize_variations, write_demand_set)
 from .thermal import (DEFAULT_AMBIENT, DEFAULT_CP, DEFAULT_RHO,
@@ -108,14 +106,12 @@ _DEFAULTS = {
     "quantile_levels": list(_arg_default(compute_quantiles, "levels")),
     "seed": 0,
     "out_dir": "out",
-    "threads": None,  # accepted and ignored, like the --threads flag
 }
 
 _NONE_KINDS = {
     "scenario.n_steps": int, "scenario.horizon_s": float,
     "control.constant_c": float, "synthesis.mean_w_per_consumer": float,
     "verify.mean_mismatch_threshold_c": float,
-    "threads": int,
 }
 
 
@@ -298,8 +294,8 @@ def _read_control_file(path, graph, grid):
     plant_ids = [graph.edge_ids[e] for e in graph.boundary.producer_edges]
     by_id = {pid: {} for pid in plant_ids}
     lines, cols = read_csv(path, _CONTROL_HEADER, ("time_s", "supply_temp_c"))
-    _check_finite(path, lines, cols, ("time_s", "supply_temp_c"))
-    for lineno, t, pid, temp in zip(lines, cols["time_s"].tolist(),
+    check_finite(path, lines, cols, ("time_s", "supply_temp_c"))
+    for lineno, t, pid, temp in zip(lines.tolist(), cols["time_s"].tolist(),
                                     cols["plant_edge_id"],
                                     cols["supply_temp_c"].tolist()):
         if pid not in by_id:
@@ -337,21 +333,12 @@ def _stored_series(scenario, traj):
     return e[1:], e[1:] - e[0], e[0]
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
-
-
 def _write_json(path, obj):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(obj), fh, indent=2, sort_keys=True)
+        # numpy floats are floats to json; arrays and the other numpy
+        # scalars become lists and Python numbers
+        json.dump(obj, fh, indent=2, sort_keys=True,
+                  default=lambda v: v.tolist())
         fh.write("\n")
 
 
@@ -585,13 +572,11 @@ def cmd_verify(cfg):
 
 
 def _read_reference(path, graph):
+    """Reference temperature per node, one row for each node of ``graph``."""
     lines, cols = read_csv(path, _STEADY_HEADER, ("temperature_c",))
-    _check_finite(path, lines, cols, ("temperature_c",))
-    values = dict(zip(cols["node_id"], cols["temperature_c"].tolist()))
-    missing = [nid for nid in graph.node_ids if nid not in values]
-    if missing:
-        raise ValidationError(f"{path}: missing node {missing[0]!r}")
-    return np.array([values[nid] for nid in graph.node_ids])
+    check_finite(path, lines, cols, ("temperature_c",))
+    rows = rows_by_id(path, lines, cols["node_id"], graph.node_index, "node")
+    return cols["temperature_c"][rows]
 
 
 def cmd_synth_demand(cfg):
@@ -665,13 +650,6 @@ def cmd_report(args):
 # entry point
 # ---------------------------------------------------------------------------
 
-def _set_threads(n):
-    """Export the thread variables; numpy has read them already."""
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ[var] = str(int(n))
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="dhnopt",
@@ -681,9 +659,6 @@ def _build_parser():
     common.add_argument("--config", help="path to the JSON run config")
     common.add_argument("--out-dir", help="output directory (overrides config)")
     common.add_argument("--seed", type=int, help="master seed (overrides config)")
-    common.add_argument("--threads", type=int,
-                        help="no effect: numpy reads the BLAS/OpenMP thread "
-                             "variables before this flag is parsed")
     common.add_argument("--quiet", action="store_true", help="suppress progress output")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -700,8 +675,6 @@ def _build_parser():
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    if args.threads is not None:
-        _set_threads(args.threads)
     try:
         if args.func is cmd_report:
             return cmd_report(args)

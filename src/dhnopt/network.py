@@ -30,7 +30,6 @@ import codecs
 import csv
 import io
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -242,13 +241,6 @@ class BoundarySpec:
         return len(self.consumer_edges)
 
 
-@dataclass(frozen=True)
-class ControlVolumes:
-    """Water volume attributed to each node for thermal inertia."""
-
-    volumes_m3: np.ndarray
-
-
 class FlowField:
     """Signed mass flow per edge, kg/s, positive along edge orientation."""
 
@@ -310,10 +302,12 @@ class FlowField:
 
 
 def control_volumes(graph):
-    """Per-node control volumes: half of each incident pipe's volume.
+    """Per-node control volumes in m^3: half of each incident pipe's volume.
 
-    Every edge's water volume ``A * l`` is split evenly between its two
-    endpoints, so the volumes sum to the network's total water content.
+    Returns a float array in node order, the water volume attributed to
+    each node for thermal inertia. Every edge's water volume ``A * l`` is
+    split evenly between its two endpoints, so the volumes sum to the
+    network's total water content.
     """
     vol = np.zeros(graph.n_nodes)
     half = graph.area_m2 * graph.length_m / 2.0
@@ -324,7 +318,7 @@ def control_volumes(graph):
         raise ValidationError(
             f"node {graph.node_ids[isolated[0]]!r} has no incident edges"
         )
-    return ControlVolumes(volumes_m3=vol)
+    return vol
 
 
 # ---------------------------------------------------------------------------
@@ -356,15 +350,15 @@ _CHUNK_ROWS = 256
 def read_csv(path, header, floats=(), blank_nan=()):
     r"""Columns of a CSV file with a fixed header.
 
-    Returns ``(lines, columns)``: ``lines`` is the :class:`RecordNumbers`
-    of the data rows in file order (the header is record 1; blank records
-    are skipped but counted), and ``columns`` maps each header name to
-    its column. Columns named in ``floats`` are float arrays; those also
-    in ``blank_nan`` read an empty field as NaN. Every other column is a
-    list of strings. Fields are read with the :mod:`csv` dialect, so they
-    may be quoted, and surrounding whitespace is stripped. A record ends
-    at ``\n``, ``\r\n`` or ``\r``. A byte-order mark at the start of the
-    file is skipped.
+    Returns ``(lines, columns)``: ``lines`` is an int64 array of the
+    record numbers of the data rows in file order (the header is record
+    1; blank records are skipped but counted), and ``columns`` maps each
+    header name to its column. Columns named in ``floats`` are float
+    arrays; those also in ``blank_nan`` read an empty field as NaN. Every
+    other column is a list of strings. Fields are read with the
+    :mod:`csv` dialect, so they may be quoted, and surrounding whitespace
+    is stripped. A record ends at ``\n``, ``\r\n`` or ``\r``. A
+    byte-order mark at the start of the file is skipped.
 
     The file is read in blocks of text. Each block, with the part record
     left over from the block before, is split with ``str.split`` if
@@ -441,30 +435,6 @@ def _lines(blocks):
         yield text
 
 
-class RecordNumbers(Sequence):
-    """The record number of each data row of a CSV file, as ``int``.
-
-    The numbers are held in one integer array: a list would hold a
-    Python object per record, a large share of what reading a large file
-    allocates. Equal to a sequence of the same numbers.
-    """
-
-    def __init__(self, numbers):
-        self._numbers = numbers
-
-    def __len__(self):
-        return self._numbers.size
-
-    def __getitem__(self, i):
-        return self._numbers[i].tolist()
-
-    def __iter__(self):
-        return iter(self._numbers.tolist())
-
-    def __eq__(self, other):
-        return isinstance(other, Sequence) and list(self) == list(other)
-
-
 class _Table:
     """The columns of one CSV file, built from its records in file order.
 
@@ -492,8 +462,7 @@ class _Table:
                 columns[name] = np.concatenate([np.empty(0), *self.arrays[name]])
             else:
                 columns[name] = self.strings[name]
-        return RecordNumbers(np.concatenate([np.empty(0, np.int64),
-                                             *self.lines])), columns
+        return np.concatenate([np.empty(0, np.int64), *self.lines]), columns
 
     def fault(self, message):
         """Raise ``message`` for the record being read."""
@@ -656,6 +625,51 @@ def _format_column(column, blank_nan):
     return map(repr, values)
 
 
+def check_finite(path, lines, columns, names, ids=None):
+    """Reject a NaN or infinite value in the ``names`` columns of a file
+    read by :func:`read_csv` as ``(lines, columns)``.
+
+    The first faulty record is named, and within it the first faulty
+    column; ``ids``, if given, names each row's consumer. A NaN sample
+    time would sort last and pass the uniform-spacing test.
+    """
+    finite = np.column_stack([np.isfinite(columns[name]) for name in names])
+    bad = np.flatnonzero(~finite.all(axis=1))
+    if bad.size:
+        i = bad[0]
+        name = names[np.argmin(finite[i])]
+        who = "" if ids is None else f"consumer {ids[i]!r}: "
+        raise ValidationError(f"{path}:{lines[i]}: {who}{name} is not finite")
+
+
+def rows_by_id(path, lines, ids, index, what):
+    """The row of each id of ``index`` in the id column ``ids``.
+
+    ``index`` maps every expected id to its position, ``0, 1, ...`` in
+    iteration order, and the result lists the rows in that order. Row
+    ``k`` is record ``lines[k]`` of ``path``.
+
+    Raises
+    ------
+    ValidationError
+        An id that ``index`` lacks or that comes twice, naming the file
+        and record; an id of ``index`` with no row, naming the file.
+        ``what`` names the kind of id.
+    """
+    rows = [-1] * len(index)
+    for row, (lineno, key) in enumerate(zip(lines.tolist(), ids)):
+        i = index.get(key)
+        if i is None:
+            raise ValidationError(f"{path}:{lineno}: unknown {what} {key!r}")
+        if rows[i] >= 0:
+            raise ValidationError(f"{path}:{lineno}: duplicate {what} {key!r}")
+        rows[i] = row
+    if -1 in rows:
+        missing = list(index)[rows.index(-1)]
+        raise ValidationError(f"{path}: missing {what} {missing!r}")
+    return rows
+
+
 def parse_network(node_file, edge_file):
     """Load and validate a network from node and edge CSV files.
 
@@ -671,7 +685,7 @@ def parse_network(node_file, edge_file):
     node_index = {nid: i for i, nid in enumerate(nodes["node_id"])}
     lines, edges = read_csv(edge_file, _EDGE_HEADER,
                             ("length_m", "diameter_m", "htc_w_per_m_c"))
-    for lineno, eid, frm, to in zip(lines, edges["edge_id"],
+    for lineno, eid, frm, to in zip(lines.tolist(), edges["edge_id"],
                                     edges["from_node"], edges["to_node"]):
         for nid in (frm, to):
             if nid not in node_index:
@@ -705,23 +719,8 @@ def write_network(graph, node_file, edge_file):
 def load_flow_field(flow_file, graph):
     """Load mass flows and validate them against the graph."""
     lines, cols = read_csv(flow_file, _FLOW_HEADER, ("massflow_kg_s",))
-    values = {}
-    for lineno, eid, val in zip(lines, cols["edge_id"],
-                                cols["massflow_kg_s"].tolist()):
-        if eid not in graph.edge_index:
-            raise ValidationError(
-                f"flow file {flow_file}:{lineno}: unknown edge {eid!r}"
-            )
-        if eid in values:
-            raise ValidationError(
-                f"flow file {flow_file}:{lineno}: duplicate edge {eid!r}"
-            )
-        values[eid] = val
-    missing = [eid for eid in graph.edge_ids if eid not in values]
-    if missing:
-        raise ValidationError(f"flow file {flow_file}: missing edge {missing[0]!r}")
-    m = np.array([values[eid] for eid in graph.edge_ids])
-    return FlowField(m).validate_against(graph)
+    rows = rows_by_id(flow_file, lines, cols["edge_id"], graph.edge_index, "edge")
+    return FlowField(cols["massflow_kg_s"][rows]).validate_against(graph)
 
 
 def write_flow_field(flow, graph, flow_file):

@@ -67,25 +67,6 @@ class PriceModel:
         return "J" if self.static else "EUR"
 
 
-def _loss_weights(model, supply, ret, working=False):
-    """Per-plant per-step loss weights including the unit conversion.
-
-    For a static model one scalar weight, 1, and the loss is in joules;
-    with ``working=True`` it weighs per MWh instead (the objective's
-    working unit). For a dynamic model shape ``(n_plants, n_steps)``:
-    the EUR/MWh step prices converted to EUR/J, so the loss comes out
-    in euros.
-    """
-    if model.static:
-        return objective_loss(1.0, model) if working else 1.0
-    p = model.step_prices
-    if p.shape != supply.shape[1:]:
-        raise ValidationError(f"price model has {p.size} step prices for a "
-                              f"trajectory of {supply.shape[1]} steps")
-    factor = np.where(supply >= ret, model.alpha, model.beta)
-    return p[None, :] * factor / J_PER_MWH
-
-
 @dataclass(frozen=True)
 class ConstraintSet:
     """Temperature bounds at consumers and plants (°C)."""
@@ -109,20 +90,29 @@ class ConstraintSet:
         return (self.plant_min_c, self.plant_max_c)
 
 
-def injection_cost_rates(traj, graph, flow, price, cp_j_per_kg_c=DEFAULT_CP,
-                         working=False):
+def injection_cost_rates(traj, graph, flow, price, cp_j_per_kg_c=DEFAULT_CP):
     """``(rates, lift)`` per plant and step: loss is ``sum(rates * lift)``.
 
-    ``rates = cp * dt * mdot_p * w_k`` (units of :func:`_loss_weights`)
-    is also the loss derivative by plant supply temperature, and
-    ``lift = y_supply - y_return``. ``rates`` broadcasts against
-    ``lift``: with a static price it is one column per plant.
+    ``rates = cp * dt * mdot_p * w_k`` is also the loss derivative by
+    plant supply temperature, and ``lift = y_supply - y_return``. For a
+    static model the weight is 1, the loss is in joules and ``rates``
+    is one column per plant that broadcasts against ``lift``. For a
+    dynamic model ``w_k`` converts the EUR/MWh step price to EUR/J,
+    times ``alpha`` where the plant injects heat and ``beta`` where it
+    takes heat back, so the loss is in euros.
     """
     bc = graph.boundary
     supply = traj.rows(bc.plant_nodes)
     ret = traj.rows(bc.plant_return_nodes)
     mdot = np.abs(flow.massflow_kg_s[bc.producer_edges])
-    w = _loss_weights(price, supply, ret, working)
+    w = 1.0
+    if not price.static:
+        p = price.step_prices
+        if p.shape != supply.shape[1:]:
+            raise ValidationError(f"price model has {p.size} step prices for a "
+                                  f"trajectory of {supply.shape[1]} steps")
+        factor = np.where(supply >= ret, price.alpha, price.beta)
+        w = p[None, :] * factor / J_PER_MWH
     return cp_j_per_kg_c * traj.grid.dt_s * mdot[:, None] * w, supply - ret
 
 

@@ -207,8 +207,8 @@ class ObjectiveEvaluator:
         rates = self._rates
         if rates is None:
             rates, _ = injection_cost_rates(self._plants, s.graph, s.flow,
-                                            s.price, s.constants.cp_j_per_kg_c,
-                                            working=True)
+                                            s.price, s.constants.cp_j_per_kg_c)
+            rates = rates * objective_loss(1.0, s.price)
             if s.price.static:
                 self._rates = rates
         # d/dy of lambda/2 * max(0, bound - y)^2 is -lambda * hinge, zero

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError
-from .network import control_volumes, read_csv, write_csv
+from .network import check_finite, control_volumes, read_csv, write_csv
 from .objective import ConstraintSet, PriceModel
 from .thermal import (PhysicalConstants, TimeGrid, assemble, condense,
                       demand_to_delta)
@@ -329,7 +329,7 @@ class Scenario:
 
     graph: object
     flow: object
-    volumes: object
+    volumes: np.ndarray
     constants: PhysicalConstants
     grid: TimeGrid
     deltas: np.ndarray
@@ -435,22 +435,6 @@ _PRICE_HEADER = ["time_s", "price_eur_mwh"]
 _DEMAND_HEADER = ["time_s", "consumer_edge_id", "power_w"]
 
 
-def _check_finite(path, lines, columns, names, ids=None):
-    """Reject a NaN or infinite value in the ``names`` columns.
-
-    The first faulty record is named, and within it the first faulty
-    column. A NaN sample time would sort last and pass the
-    uniform-spacing test.
-    """
-    finite = np.column_stack([np.isfinite(columns[name]) for name in names])
-    bad = np.flatnonzero(~finite.all(axis=1))
-    if bad.size:
-        i = bad[0]
-        name = names[np.argmin(finite[i])]
-        who = "" if ids is None else f"consumer {ids[i]!r}: "
-        raise ValidationError(f"{path}:{lines[i]}: {who}{name} is not finite")
-
-
 def _uniform_series(who, times, powers):
     """The samples as a :class:`LoadSeries`; their spacing must be uniform.
 
@@ -471,7 +455,7 @@ def _uniform_series(who, times, powers):
 def read_load_series(path):
     """Read a base load CSV (`time_s,power_w`); spacing must be uniform."""
     lines, cols = read_csv(path, _LOAD_HEADER, _LOAD_HEADER)
-    _check_finite(path, lines, cols, ("time_s",))
+    check_finite(path, lines, cols, ("time_s",))
     return _uniform_series(path, cols["time_s"], cols["power_w"])
 
 
@@ -482,7 +466,7 @@ def write_load_series(series, path):
 def read_price_series(path):
     """Read a price CSV (`time_s,price_eur_mwh`); knots must increase."""
     lines, cols = read_csv(path, _PRICE_HEADER, _PRICE_HEADER)
-    _check_finite(path, lines, cols, _PRICE_HEADER)
+    check_finite(path, lines, cols, _PRICE_HEADER)
     try:
         return PriceSeries(times_s=cols["time_s"],
                            prices_eur_mwh=cols["price_eur_mwh"])
@@ -505,7 +489,7 @@ def read_demand_set(path):
     """
     lines, cols = read_csv(path, _DEMAND_HEADER, ("time_s", "power_w"))
     ids = cols["consumer_edge_id"]
-    _check_finite(path, lines, cols, ("time_s",), ids)
+    check_finite(path, lines, cols, ("time_s",), ids)
     code = {cid: k for k, cid in enumerate(dict.fromkeys(ids))}
     key = np.fromiter(map(code.__getitem__, ids), np.int64, len(ids))
     order = np.lexsort((cols["time_s"], key))

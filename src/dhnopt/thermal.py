@@ -198,7 +198,7 @@ class SystemMatrices:
 
         self.G = _advection_matrix(graph, flow)
         self.S_diag = _ambient_loss_diagonal(graph)
-        self.V_diag = volumes.volumes_m3.copy()
+        self.V_diag = volumes.copy()
         self.plant_massflow = np.abs(flow.massflow_kg_s[bc.producer_edges])
         self.consumer_massflow = np.abs(flow.massflow_kg_s[bc.consumer_edges])
 
@@ -291,8 +291,10 @@ def _forcing(loss, plants, returns, plant_temps, deltas, ambient_c):
 def assemble(graph, flow, volumes, constants, dt_s=None):
     """Assemble the sparse system for a network with fixed flows.
 
-    ``dt_s=None`` builds a steady-only system. The boundary rows are the
-    graph's :attr:`~dhnopt.network.NetworkGraph.boundary`.
+    ``volumes`` is the per-node array of
+    :func:`~dhnopt.network.control_volumes`. ``dt_s=None`` builds a
+    steady-only system. The boundary rows are the graph's
+    :attr:`~dhnopt.network.NetworkGraph.boundary`.
     """
     return SystemMatrices(graph, flow, volumes, constants, dt_s)
 
@@ -622,11 +624,11 @@ def stored_energy(y, volumes, constants, reference_c=0.0):
     """Thermal energy stored in the water volume, relative to a reference.
 
     ``E = rho * cp * sum_i V_i * (y_i - reference)``. Accepts a single
-    state vector or a full trajectory array (nodes x steps).
+    state vector or a full trajectory array (nodes x steps); ``volumes``
+    is the per-node array of :func:`~dhnopt.network.control_volumes`.
     """
     y = np.asarray(y, dtype=float)
-    v = volumes.volumes_m3
-    weights = constants.rho_kg_m3 * constants.cp_j_per_kg_c * v
+    weights = constants.rho_kg_m3 * constants.cp_j_per_kg_c * volumes
     if y.ndim == 1:
         return float(weights @ (y - reference_c))
     return weights @ (y - reference_c)

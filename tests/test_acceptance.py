@@ -280,8 +280,7 @@ class TestCriterion9Determinism:
         env = dict(os.environ, OMP_NUM_THREADS=str(threads),
                    OPENBLAS_NUM_THREADS=str(threads))
         proc = subprocess.run(
-            [sys.executable, "-m", "dhnopt", *map(str, args),
-             "--threads", str(threads), "--quiet"],
+            [sys.executable, "-m", "dhnopt", *map(str, args), "--quiet"],
             capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         return proc
@@ -298,7 +297,7 @@ class TestCriterion9Determinism:
             for n in ("report.json", "summary.csv", "energy_balance.csv",
                       "stored_energy.csv", "steady_state.csv"))
         _criterion(9, sim_same,
-                   "simulate outputs bit-identical for --threads 1 vs 4")
+                   "simulate outputs bit-identical for 1 vs 4 BLAS threads")
 
         self._cli(["optimize", "--config", cfg,
                    "--out-dir", tmp_path / "o1"], 1)
@@ -310,4 +309,4 @@ class TestCriterion9Determinism:
             for n in ("report.json", "controls.csv", "optimized_control.csv",
                       "plant_power.csv", "trace.csv"))
         _criterion(9, opt_same,
-                   "optimize outputs bit-identical for --threads 1 vs 4")
+                   "optimize outputs bit-identical for 1 vs 4 BLAS threads")

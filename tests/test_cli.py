@@ -148,7 +148,7 @@ class TestSimulate:
     # a removed key (a run is dynamic exactly when it names a price_file),
     # given a value of its old type: rejected as an unknown key
     ("simulate", "scenario", {"static_price": False}, "scenario.static_price"),
-    ("simulate", None, {"threads": "four"}, "threads"),
+    ("simulate", None, {"threads": 4}, "threads"),
     ("simulate", "optimizer", {"memory": "ten"}, "optimizer.memory"),
     ("synth-demand", "scenario", {"dt_s": "abc"}, "scenario.dt_s"),
     ("verify", "verify", {"dense_tolerance_c": "x"},
@@ -389,7 +389,7 @@ def test_every_written_csv_reads_back(small_files):
         header = _read_lines(path)[0].split(",")
         floats = [h for h in header if not h.endswith("_id")]
         lines, _ = read_csv(path, header, floats)
-        assert lines, path
+        assert lines.size, path
 
 
 class TestQuantiles:

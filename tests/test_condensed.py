@@ -876,8 +876,8 @@ def _public_terms(s, lambda_p, u, violations=None):
     pen = penalty(c, lambda_p)
     value = (objective_loss(loss, s.price)
              + s.tikhonov_weight * tikhonov(u, s.grid) + pen)
-    rates, _ = injection_cost_rates(y, s.graph, s.flow, s.price, cp,
-                                    working=True)
+    rates, _ = injection_cost_rates(y, s.graph, s.flow, s.price, cp)
+    rates = rates * objective_loss(1.0, s.price)
     n_p = bc.n_plants
     dj_dy = np.empty((2 * n_p + bc.n_consumers, s.grid.n_steps))
     dj_dy[:n_p] = rates

@@ -155,8 +155,8 @@ class TestControlVolumes:
         graph = _two_node_pipe(length=100.0, diameter=0.1)
         vol = control_volumes(graph)
         expected = math.pi * 0.0025 * 100.0 / 2.0
-        assert vol.volumes_m3[0] == pytest.approx(expected, rel=1e-12)
-        assert vol.volumes_m3[1] == pytest.approx(expected, rel=1e-12)
+        assert vol[0] == pytest.approx(expected, rel=1e-12)
+        assert vol[1] == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(0.3927, abs=5e-5)
 
     def test_two_identical_pipes_double_volume(self):
@@ -168,13 +168,13 @@ class TestControlVolumes:
             edge_tail=[0, 0], edge_head=[1, 1],
             length_m=[100.0, 100.0], diameter_m=[0.1, 0.1],
             htc_w_per_m_c=[0.5, 0.5])
-        v1 = control_volumes(one).volumes_m3
-        v2 = control_volumes(two).volumes_m3
+        v1 = control_volumes(one)
+        v2 = control_volumes(two)
         np.testing.assert_allclose(v2, 2.0 * v1, rtol=1e-14)
 
     def test_total_volume_counts_each_edge_once(self):
         graph, _ = desk_network()
-        total = control_volumes(graph).volumes_m3.sum()
+        total = control_volumes(graph).sum()
         expected = float((graph.area_m2 * graph.length_m).sum())
         assert total == pytest.approx(expected, rel=1e-13)
 
@@ -335,8 +335,8 @@ class TestSubdivision:
         graph, flow = desk_network(segment_length_m=230.0)
         fine, fine_flow = subdivide_pipes(graph, flow, 100.0)
         assert fine.n_nodes > graph.n_nodes
-        assert control_volumes(fine).volumes_m3.sum() == pytest.approx(
-            control_volumes(graph).volumes_m3.sum(), rel=1e-12)
+        assert control_volumes(fine).sum() == pytest.approx(
+            control_volumes(graph).sum(), rel=1e-12)
         # every refined segment carries its parent's flow
         fine_flow.validate_against(fine)
 

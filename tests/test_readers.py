@@ -306,6 +306,27 @@ def test_non_finite_reference_names_file_and_line(inputs, bad, capsys):
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fault, message", [
+    ("unknown", "reference.csv:5: unknown node 'no_such_node'"),
+    ("duplicate", "reference.csv:5: duplicate node 'SP'"),
+    ("missing", "reference.csv: missing node 'RP'"),
+])
+def test_bad_reference_node_names_file_and_record(inputs, fault, message,
+                                                  capsys):
+    path = inputs.parent / "reference.csv"
+    lines = path.read_text().splitlines()
+    assert lines[1:3] == ["SP,100.0", "RP,100.0"]
+    if fault == "unknown":
+        lines.insert(4, "no_such_node,100.0")
+    elif fault == "duplicate":
+        lines.insert(4, "SP,999.0")
+    else:
+        del lines[2]
+    path.write_text("\n".join(lines) + "\n")
+    assert _run("verify", inputs) == EXIT_INPUT
+    assert message in capsys.readouterr().err
+
+
 def test_duplicate_control_row_names_file_and_line(inputs, capsys):
     path = inputs.parent / "control.csv"
     lines = path.read_text().splitlines()
@@ -395,7 +416,7 @@ def test_written_columns_read_back_bit_exactly(tmp_path_factory, names, data):
     path = tmp_path_factory.mktemp("table") / "table.csv"
     write_csv(path, columns, blank_nan=blank)
     lines, back = read_csv(path, names, floats, blank_nan=blank)
-    assert lines == list(range(2, n + 2))
+    assert lines.tolist() == list(range(2, n + 2))
     for name in names:
         if name in floats:
             # every NaN reads back as the one NaN that float("nan") gives
@@ -521,8 +542,9 @@ def _read_both(path, header, floats, blank_nan=()):
         except ParseError as exc:
             out.append(str(exc))
         else:
-            out.append((lines, {name: column.tobytes() if name in floats
-                                else column for name, column in columns.items()}))
+            out.append((np.asarray(lines).tolist(),
+                        {name: column.tobytes() if name in floats
+                         else column for name, column in columns.items()}))
     return out
 
 
@@ -646,7 +668,7 @@ def test_byte_order_mark_is_skipped(tmp_path, monkeypatch, end):
     for size in range(1, marked.stat().st_size + 2):
         monkeypatch.setattr(network, "_BLOCK_BYTES", size)
         back_lines, back = read_csv(marked, _PRICE_HEADER, _PRICE_HEADER)
-        assert back_lines == lines, size
+        assert back_lines.tolist() == lines.tolist(), size
         for name in _PRICE_HEADER:
             assert back[name].tobytes() == columns[name].tobytes(), size
 
@@ -663,6 +685,19 @@ def test_byte_order_mark_keeps_record_numbers(tmp_path, monkeypatch, end):
             read_csv(path, ["t", "id", "p"], ("t", "p"))
 
 
+@pytest.mark.parametrize("text, numbers", [
+    ("t,id,p\n0,a,1\n\n1,b,2\n\r\n\n2,c,3", [2, 4, 7]),
+    ("t,id,p\n\n", []),
+])
+def test_record_numbers_are_an_integer_array(tmp_path, text, numbers):
+    # blank records are skipped but counted
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    lines, _ = read_csv(path, ["t", "id", "p"], ("t", "p"))
+    assert lines.dtype == np.int64
+    assert lines.tolist() == numbers
+
+
 @pytest.mark.parametrize("first", ["\ufeff", "\ufeffx"])
 def test_a_first_name_starting_with_a_byte_order_mark_reads_back(tmp_path,
                                                                  first):
@@ -670,7 +705,7 @@ def test_a_first_name_starting_with_a_byte_order_mark_reads_back(tmp_path,
     path = tmp_path / "t.csv"
     write_csv(path, {first: ["a", "b"], "n": np.array([1.0, 2.0])})
     lines, back = read_csv(path, [first, "n"], ("n",))
-    assert lines == [2, 3]
+    assert lines.tolist() == [2, 3]
     assert back[first] == ["a", "b"]
 
 

@@ -137,7 +137,7 @@ class TestTransient:
         y0, y1 = _from_steady(system, 80.0, 100.0, [0.0], 0.0)
         mid = graph.node_index["S1"]
         K = k * 100.0
-        v_mid = vol.volumes_m3[mid]
+        v_mid = vol[mid]
         tau = RHO * v_mid * CP / (CP * mdot + K)
         y_ss = (CP * mdot * 100.0) / (CP * mdot + K)
         expected = y_ss + (y0[mid] - y_ss) / (1.0 + dt / tau)
@@ -335,7 +335,7 @@ class TestHelpers:
         assert stored_energy(y_ref, vol, constants, 55.0) == 0.0
         # +1 °C uniformly: rho*cp joules per m^3 of water
         e = stored_energy(y_ref + 1.0, vol, constants, 55.0)
-        total = vol.volumes_m3.sum()
+        total = vol.sum()
         assert e == pytest.approx(RHO * CP * total, rel=1e-12)
         assert e / total == pytest.approx(4.186e6, rel=1e-12)
 

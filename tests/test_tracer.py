@@ -63,3 +63,10 @@ def test_a_value_call_alone_traces_its_objective_terms():
     for term in ("objective.loss_energy", "objective.tikhonov",
                  "objective.penalty"):
         assert tracer.spans[names.index(term)][3] == value, term
+
+
+def test_names_the_benchmark_tests_read_are_the_package_functions():
+    # the benchmark's own tests read both names; that suite is not part
+    # of this one, so this catches a deletion or rebinding here
+    assert optimizer.simulate_system is thermal.simulate_system
+    assert cli.optimize is optimizer.optimize
