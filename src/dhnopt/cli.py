@@ -258,7 +258,12 @@ def _scenario(cfg):
         raise ValidationError(f"config 'scenario.ambient_c' needs n_steps + 1 "
                               f"= {grid.n_steps + 1} values, got {len(ambient)}")
     graph, flow = _load_network(cfg)
-    demands = read_demand_set(cfg.path("demand_file"))
+    demand_path = cfg.path("demand_file")
+    demands = read_demand_set(demand_path)
+    known = {graph.edge_ids[e] for e in graph.consumer_edges}
+    unknown = [cid for cid in demands.consumer_ids if cid not in known]
+    if unknown:
+        raise ValidationError(f"{demand_path}: unknown consumer {unknown[0]!r}")
     price_path = cfg.path("price_file", required=False)
     prices = None if price_path is None else read_price_series(price_path)
     constants = PhysicalConstants(cp_j_per_kg_c=sc["cp_j_per_kg_c"],

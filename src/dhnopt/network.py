@@ -88,8 +88,8 @@ class NetworkGraph:
         self.length_m = np.asarray(length_m, dtype=float)
         self.diameter_m = np.asarray(diameter_m, dtype=float)
         self.htc_w_per_m_c = np.asarray(htc_w_per_m_c, dtype=float)
-        self.node_index = {nid: i for i, nid in enumerate(self.node_ids)}
-        self.edge_index = {eid: i for i, eid in enumerate(self.edge_ids)}
+        self.node_index = dict(zip(self.node_ids, range(len(self.node_ids))))
+        self.edge_index = dict(zip(self.edge_ids, range(len(self.edge_ids))))
         self._validate()
         # per element in Python floats: numpy squares by multiplication,
         # which differs from float pow in the last bit for some diameters
@@ -138,9 +138,9 @@ class NetworkGraph:
     # -- validation ----------------------------------------------------
 
     def _validate(self):
-        if len(set(self.node_ids)) != len(self.node_ids):
+        if len(self.node_index) != self.n_nodes:
             raise ValidationError("duplicate node ids")
-        if len(set(self.edge_ids)) != len(self.edge_ids):
+        if len(self.edge_index) != self.n_edges:
             raise ValidationError("duplicate edge ids")
         if self.node_xy.shape != (self.n_nodes, 2):
             raise ValidationError("node coordinates must have shape (n_nodes, 2)")
@@ -149,36 +149,17 @@ class NetworkGraph:
                 raise ValidationError(f"{name} has wrong length")
             if arr.size and (arr.min() < 0 or arr.max() >= self.n_nodes):
                 raise ValidationError(f"{name} references a node out of range")
-        for side, nid in zip(self.node_side, self.node_ids):
-            if side not in NODE_SIDES:
-                raise ValidationError(f"node {nid!r}: unknown side {side!r}")
-
-        sides = self.node_side.tolist()
-        for eid, kind, t, h, length, diameter, htc in zip(
-                self.edge_ids, self.edge_kind.tolist(), self.edge_tail.tolist(),
-                self.edge_head.tolist(), self.length_m.tolist(),
-                self.diameter_m.tolist(), self.htc_w_per_m_c.tolist(),
-                strict=True):
-            if kind not in EDGE_KINDS:
-                raise ValidationError(f"edge {eid!r}: unknown kind {kind!r}")
-            if t == h:
-                raise ValidationError(f"edge {eid!r}: self loop")
-            ts, hs = sides[t], sides[h]
-            want = _EDGE_SIDES[kind]
-            if (ts, hs) != want:
-                raise ValidationError(
-                    f"edge {eid!r}: kind {kind!r} must connect "
-                    f"{want[0]} -> {want[1]} nodes, got {ts} -> {hs}"
-                )
-            if not 0 < length < math.inf:
-                raise ValidationError(f"edge {eid!r}: length must be > 0 and finite")
-            # the cross section pi d^2 / 4 must be finite too
-            if not (diameter > 0 and math.pi * diameter * diameter < math.inf):
-                raise ValidationError(f"edge {eid!r}: diameter must be > 0 "
-                                      f"and give a finite cross section")
-            if not 0 <= htc < math.inf:
-                raise ValidationError(f"edge {eid!r}: heat transfer must be "
-                                      f">= 0 and finite")
+        for name, size in (("node_side", self.n_nodes), ("edge_kind", self.n_edges),
+                           ("length_m", self.n_edges), ("diameter_m", self.n_edges),
+                           ("htc_w_per_m_c", self.n_edges)):
+            if getattr(self, name).shape != (size,):
+                raise ValidationError(f"{name} has wrong length")
+        bad = np.flatnonzero(~np.isin(self.node_side, NODE_SIDES))
+        if bad.size:
+            i = bad[0]
+            raise ValidationError(f"node {self.node_ids[i]!r}: unknown side "
+                                  f"{self.node_side[i]!r}")
+        self._validate_edges()
 
         if self.n_nodes > 1:
             adjacency = sp.coo_matrix(
@@ -186,6 +167,43 @@ class NetworkGraph:
                 shape=(self.n_nodes, self.n_nodes))
             if connected_components(adjacency, directed=False)[0] != 1:
                 raise ValidationError("graph is not connected")
+
+    def _validate_edges(self):
+        """Each per-edge check as one array test; the first edge that
+        fails any check is named, with the first check it fails."""
+        kind, t, h = self.edge_kind, self.edge_tail, self.edge_head
+        length, d, htc = self.length_m, self.diameter_m, self.htc_w_per_m_c
+        on_return = self.node_side == "return"
+        # per edge whether its tail and its head must be on the return
+        # side; -1 for an unknown kind
+        want = np.full((2, self.n_edges), -1)
+        for k, sides in _EDGE_SIDES.items():
+            want[:, kind == k] = [[side == "return"] for side in sides]
+        with np.errstate(over="ignore"):
+            area_overflows = ~(math.pi * d * d < math.inf)
+        # (failing edges, message) in the order the checks apply to an edge
+        checks = (
+            (want[0] < 0, "unknown kind {kind!r}"),
+            (t == h, "self loop"),
+            ((on_return[t] != want[0]) | (on_return[h] != want[1]),
+             "kind {kind!r} must connect {want[0]} -> {want[1]} nodes, "
+             "got {ts} -> {hs}"),
+            (~((length > 0) & (length < math.inf)),
+             "length must be > 0 and finite"),
+            # the cross section pi d^2 / 4 must be finite too
+            (~(d > 0) | area_overflows,
+             "diameter must be > 0 and give a finite cross section"),
+            (~((htc >= 0) & (htc < math.inf)),
+             "heat transfer must be >= 0 and finite"),
+        )
+        failing = np.column_stack([fails for fails, _ in checks])
+        bad = np.flatnonzero(failing.any(axis=1))
+        if bad.size:
+            e = bad[0]
+            message = checks[np.argmax(failing[e])][1]
+            raise ValidationError(f"edge {self.edge_ids[e]!r}: " + message.format(
+                kind=kind[e], want=_EDGE_SIDES.get(kind[e]),
+                ts=self.node_side[t[e]], hs=self.node_side[h[e]]))
 
 
 @dataclass(frozen=True)
@@ -591,6 +609,11 @@ class _RecordFile:
         return self._fh.write(record[:-2] + "\n")
 
 
+#: Records :func:`write_csv` formats and writes at a time, so the fields of
+#: a long table are never alive as strings at once.
+_WRITE_ROWS = 256
+
+
 def write_csv(path, columns, blank_nan=()):
     """Write ``{header name: column}`` as a CSV file read by :func:`read_csv`.
 
@@ -600,9 +623,15 @@ def write_csv(path, columns, blank_nan=()):
     ``blank_nan`` is written as an empty field. Other arrays (integers,
     labels) are written with ``str``, strings as they are; a field is
     quoted where the :mod:`csv` dialect needs it.
+
+    The records are formatted and written :data:`_WRITE_ROWS` at a time;
+    :func:`_write_block` joins a block with commas where that gives the
+    bytes ``csv.writer`` gives, and hands it to ``csv.writer`` otherwise.
+    Columns of unequal length raise ``ValueError``.
     """
-    fields = [_format_column(column, name in blank_nan)
-              for name, column in columns.items()]
+    sizes = {len(column) for column in columns.values()}
+    if len(sizes) > 1:
+        raise ValueError(f"columns of unequal length {sorted(sizes)}")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         # read_csv skips a byte-order mark at the start of the file, so a
         # first name that starts with one is written after one more
@@ -610,19 +639,41 @@ def write_csv(path, columns, blank_nan=()):
             fh.write("\ufeff")
         writer = csv.writer(_RecordFile(fh), lineterminator="\r\n")
         writer.writerow(columns)
-        writer.writerows(zip(*fields, strict=True))
+        for start in range(0, max(sizes, default=0), _WRITE_ROWS):
+            _write_block(fh, writer, [
+                _format_column(column[start:start + _WRITE_ROWS], name in blank_nan)
+                for name, column in columns.items()])
+
+
+def _write_block(fh, writer, fields):
+    r"""Records given as one field sequence per column.
+
+    They are joined with commas where :mod:`csv` would quote no field:
+    the table has more than one column (csv quotes the one empty field
+    of a one-column record), and every field is a string free of ``,``,
+    ``"``, ``\r`` and ``\n``. Otherwise ``writer`` writes them.
+    """
+    try:
+        plain = len(fields) > 1 and not any(
+            c in text for text in map("".join, fields) for c in ',"\r\n')
+    except TypeError:  # a field that is not a string: csv writes its str
+        plain = False
+    if plain:
+        fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
+    else:
+        writer.writerows(zip(*fields))
 
 
 def _format_column(column, blank_nan):
-    """Lazy fields of one column."""
+    """The fields of one column."""
     if not isinstance(column, np.ndarray):
         return column
     values = column.tolist()
     if column.dtype.kind != "f":
-        return map(str, values)
+        return list(map(str, values))
     if blank_nan:
-        return ("" if math.isnan(v) else repr(v) for v in values)
-    return map(repr, values)
+        return ["" if math.isnan(v) else repr(v) for v in values]
+    return list(map(repr, values))
 
 
 def check_finite(path, lines, columns, names, ids=None):
@@ -750,35 +801,44 @@ def subdivide_pipes(graph, flow, max_cell_length_m=100.0):
     """
     if not max_cell_length_m > 0:
         raise ValidationError("max_cell_length_m must be > 0")
-    cells = [max(1, math.ceil(length / max_cell_length_m - 1e-12))
-             if kind in PIPE_KINDS else 1
-             for kind, length in zip(graph.edge_kind, graph.length_m.tolist())]
-    node_ids = list(graph.node_ids)
-    sides = list(graph.node_side)
-    xy = [graph.node_xy]
-    edge_ids, tails, heads = [], [], []
-    for eid, kind, n_cells, t, h in zip(
-            graph.edge_ids, graph.edge_kind, cells,
-            graph.edge_tail.tolist(), graph.edge_head.tolist()):
-        if n_cells == 1:
-            edge_ids.append(eid)
-            tails.append(t)
-            heads.append(h)
-            continue
-        first = len(node_ids)
-        chain = [t, *range(first, first + n_cells - 1), h]
-        node_ids.extend(f"{eid}#n{j}" for j in range(1, n_cells))
-        sides.extend([kind] * (n_cells - 1))
-        frac = np.arange(1, n_cells)[:, None] / n_cells
-        p0, p1 = graph.node_xy[t], graph.node_xy[h]
-        xy.append(p0 + frac * (p1 - p0))
-        edge_ids.extend(f"{eid}#s{j}" for j in range(n_cells))
-        tails.extend(chain[:-1])
-        heads.extend(chain[1:])
-
-    refined = NetworkGraph(node_ids, sides, np.vstack(xy), edge_ids,
-                           np.repeat(graph.edge_kind, cells), tails, heads,
+    pipe = np.isin(graph.edge_kind, PIPE_KINDS)
+    with np.errstate(over="ignore"):
+        ceil = np.ceil(graph.length_m[pipe] / max_cell_length_m - 1e-12)
+    if not np.all(ceil < math.inf):
+        raise ValidationError(f"max_cell_length_m={max_cell_length_m} splits "
+                              f"a pipe into infinitely many cells")
+    cells = np.ones(graph.n_edges, np.int64)
+    cells[pipe] = np.maximum(ceil, 1.0)
+    # edge k of the refined graph is segment j[k] of file edge parent[k];
+    # a split edge's interior nodes 1..cells-1 follow the file nodes
+    parent, j = _runs(cells)
+    inner, jn = _runs(cells - 1)
+    jn += 1
+    first = graph.n_nodes + np.cumsum(cells - 1) - (cells - 1)
+    tails = np.where(j == 0, graph.edge_tail[parent], first[parent] + j - 1)
+    heads = np.where(j == cells[parent] - 1, graph.edge_head[parent],
+                     first[parent] + j)
+    p0 = graph.node_xy[graph.edge_tail[inner]]
+    p1 = graph.node_xy[graph.edge_head[inner]]
+    frac = (jn / cells[inner])[:, None]
+    xy = np.vstack([graph.node_xy, p0 + frac * (p1 - p0)])
+    counts = cells.tolist()
+    edge_ids = [f"{eid}#s{k}" if n > 1 else eid
+                for eid, n in zip(graph.edge_ids, counts) for k in range(n)]
+    node_ids = graph.node_ids + [f"{eid}#n{k}"
+                                 for eid, n in zip(graph.edge_ids, counts)
+                                 for k in range(1, n)]
+    refined = NetworkGraph(node_ids,
+                           np.concatenate([graph.node_side, graph.edge_kind[inner]]),
+                           xy, edge_ids, graph.edge_kind[parent], tails, heads,
                            np.repeat(graph.length_m / cells, cells),
                            np.repeat(graph.diameter_m, cells),
                            np.repeat(graph.htc_w_per_m_c, cells))
     return refined, FlowField(np.repeat(flow.massflow_kg_s, cells))
+
+
+def _runs(counts):
+    """The owner ``i`` and the position ``0 .. counts[i] - 1`` of each item
+    when item runs of ``counts`` are laid end to end."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    return owner, np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]

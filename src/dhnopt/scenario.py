@@ -17,6 +17,7 @@ import hashlib
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 
@@ -44,11 +45,16 @@ def interpolate(t, knot_times, knot_values, what):
     """``np.interp`` at ``t``, once the knots named ``what`` are checked
     to cover ``t`` within 1e-9 s."""
     t = np.asarray(t, dtype=float)
+    _check_covers(t, knot_times, what)
+    return np.interp(t, knot_times, knot_values)
+
+
+def _check_covers(t, knot_times, what):
+    """Reject times ``t`` that the knots named ``what`` do not cover."""
     lo, hi = knot_times[0], knot_times[-1]
     if t.min() < lo - 1e-9 or t.max() > hi + 1e-9:
         raise ValidationError(f"{what} covers [{lo}, {hi}] s; "
                               f"[{t.min()}, {t.max()}] s is not covered")
-    return np.interp(t, knot_times, knot_values)
 
 
 @dataclass(frozen=True)
@@ -66,9 +72,9 @@ class LoadSeries:
             raise ValidationError(
                 f"load series needs >= {_MIN_FILTER_SAMPLES} samples, got {v.size}"
             )
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValidationError("load series contains non-finite values")
-        if np.any(v < 0):
+        if (v < 0).any():
             raise ValidationError("load series contains negative power")
         if not self.dt_s > 0:
             raise ValidationError("sample interval must be > 0")
@@ -378,8 +384,17 @@ def build_scenario(graph, flow, demands, prices, constraints, grid, constants,
         raise ValidationError("tikhonov weight must be >= 0")
 
     consumer_ids = [graph.edge_ids[e] for e in bc.consumer_edges]
-    demands_w = np.array([resample_to_grid(demands.for_consumer(cid), grid)
-                          for cid in consumer_ids])
+    times = grid.times()
+    # consumers with one time base share its knot times and coverage check
+    knots = {}
+    demands_w = np.empty((len(consumer_ids), times.size))
+    for i, cid in enumerate(consumer_ids):
+        series = demands.for_consumer(cid)
+        base = (series.start_s, series.dt_s, series.values_w.size)
+        if base not in knots:
+            knots[base] = series.times()
+            _check_covers(times, knots[base], "load series")
+        demands_w[i] = np.interp(times, knots[base], series.values_w)
 
     mdot_c = np.abs(flow.massflow_kg_s[bc.consumer_edges])
     deltas = demand_to_delta(demands_w, mdot_c[:, None],
@@ -435,28 +450,49 @@ _PRICE_HEADER = ["time_s", "price_eur_mwh"]
 _DEMAND_HEADER = ["time_s", "consumer_edge_id", "power_w"]
 
 
-def _uniform_series(who, times, powers):
-    """The samples as a :class:`LoadSeries`; their spacing must be uniform.
+def _uniform_series(whos, times, powers, sizes):
+    """One :class:`LoadSeries` per part of the samples: part ``k`` is the
+    next ``sizes[k]`` samples, and their spacing must be uniform. Only a
+    lone part may be empty.
 
-    ``who`` starts each message: the file, or the file and consumer.
+    ``whos[k]`` starts each message about part ``k``: the file, or the
+    file and consumer. The rules apply part by part, in order, so the
+    first part that breaks one is named, with the first rule it breaks.
     """
-    if times.size < 2:
-        raise ValidationError(f"{who} needs at least two samples")
+    starts = np.cumsum(sizes) - sizes
     steps = np.diff(times)
-    if np.any(np.abs(steps - steps[0]) > 1e-6 * abs(steps[0])):
-        raise ValidationError(f"{who} spacing not uniform")
-    try:
-        return LoadSeries(values_w=powers, dt_s=float(steps[0]),
-                          start_s=float(times[0]))
-    except ValidationError as exc:
-        raise ValidationError(f"{who}: {exc}") from None
+    first = np.zeros(sizes.size)
+    first[sizes >= 2] = steps[starts[sizes >= 2]]
+    # step i, from sample i to i + 1, against the first step of the part
+    # of sample i + 1; in place, as the steps of a long file take space
+    ref = np.repeat(first, sizes)[1:]
+    deviation = np.abs(np.subtract(steps, ref, out=steps), out=steps)
+    uneven = deviation > np.multiply(np.abs(ref, out=ref), 1e-6, out=ref)
+    uneven[starts[1:] - 1] = False  # the step into the next part
+    bad = sizes < 2
+    bad[np.searchsorted(starts, np.flatnonzero(uneven), side="right") - 1] = True
+    stop = np.argmax(bad) if bad.any() else sizes.size
+    series = []
+    for k in range(stop):
+        try:
+            series.append(LoadSeries(
+                values_w=powers[starts[k]:starts[k] + sizes[k]],
+                dt_s=float(first[k]), start_s=float(times[starts[k]])))
+        except ValidationError as exc:
+            raise ValidationError(f"{whos[k]}: {exc}") from None
+    if stop < sizes.size:
+        raise ValidationError(f"{whos[stop]} needs at least two samples"
+                              if sizes[stop] < 2 else
+                              f"{whos[stop]} spacing not uniform")
+    return series
 
 
 def read_load_series(path):
     """Read a base load CSV (`time_s,power_w`); spacing must be uniform."""
     lines, cols = read_csv(path, _LOAD_HEADER, _LOAD_HEADER)
     check_finite(path, lines, cols, ("time_s",))
-    return _uniform_series(path, cols["time_s"], cols["power_w"])
+    return _uniform_series([path], cols["time_s"], cols["power_w"],
+                           np.array([cols["time_s"].size]))[0]
 
 
 def write_load_series(series, path):
@@ -490,15 +526,26 @@ def read_demand_set(path):
     lines, cols = read_csv(path, _DEMAND_HEADER, ("time_s", "power_w"))
     ids = cols["consumer_edge_id"]
     check_finite(path, lines, cols, ("time_s",), ids)
-    code = {cid: k for k, cid in enumerate(dict.fromkeys(ids))}
-    key = np.fromiter(map(code.__getitem__, ids), np.int64, len(ids))
-    order = np.lexsort((cols["time_s"], key))
-    ends = np.cumsum(np.bincount(key, minlength=len(code)))[:-1]
-    series = [_uniform_series(f"{path}: consumer {cid!r}", times, powers)
-              for cid, times, powers in zip(
-                  code, np.split(cols["time_s"][order], ends),
-                  np.split(cols["power_w"][order], ends))]
-    return DemandSet(consumer_ids=tuple(code), series=tuple(series))
+    consumers, sizes, times, powers = _by_consumer(ids, cols["time_s"],
+                                                   cols["power_w"])
+    series = _uniform_series([f"{path}: consumer {cid!r}" for cid in consumers],
+                             times, powers, sizes)
+    return DemandSet(consumer_ids=tuple(consumers), series=tuple(series))
+
+
+def _by_consumer(ids, times, powers):
+    """The consumers in the order they first appear, the number of rows
+    of each, and the samples sorted by consumer and then, stably, by
+    time. The sort keys are gone when this returns, before the samples
+    are checked."""
+    code, run_keys, run_sizes = {}, [], []
+    for cid, run in groupby(ids):  # a consumer's rows usually form one run
+        run_keys.append(code.setdefault(cid, len(code)))
+        run_sizes.append(len(list(run)))
+    key = np.repeat(np.array(run_keys, np.int64), run_sizes)
+    order = np.lexsort((times, key))
+    return (list(code), np.bincount(key, minlength=len(code)),
+            times[order], powers[order])
 
 
 def write_demand_set(demands, path):

@@ -73,6 +73,19 @@ class TestSimulate:
         assert rc == EXIT_INPUT
         assert "flows.csv" in capsys.readouterr().err
 
+    def test_demand_rows_for_an_unknown_consumer_exit_2(self, small_files,
+                                                        capsys):
+        path = small_files.parent / "demands.csv"
+        lines = _read_lines(path)
+        first = lines[1].split(",")[1]
+        extra = [line.replace(f",{first},", ",no_such_consumer,")
+                 for line in lines[1:] if line.split(",")[1] == first]
+        assert len(extra) == 97
+        path.write_text("\n".join(lines + extra) + "\n")
+        assert _run("simulate", "--config", small_files, "--quiet") == EXIT_INPUT
+        assert f"{path}: unknown consumer 'no_such_consumer'" in \
+            capsys.readouterr().err
+
     def test_invalid_config_json_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         cfg.write_text("{not json")

@@ -3,14 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dhnopt.cli import EXIT_INPUT, main
 from dhnopt.errors import ParseError, ValidationError
 from dhnopt.fixtures import (desk_network, feeder_network, minimal_loop,
                              pipe_chain, write_desk_fixture)
-from dhnopt.network import (FlowField, NetworkGraph, control_volumes,
+from dhnopt.network import (PIPE_KINDS, FlowField, NetworkGraph, control_volumes,
                             load_flow_field, parse_network, subdivide_pipes,
                             write_flow_field, write_network)
+from test_condensed import _NETWORKS, cyclic_network
 
 
 def _two_node_pipe(length=100.0, diameter=0.1, htc=0.5, kind="supply"):
@@ -64,6 +67,53 @@ class TestPipeParams:
         path.write_text("\n".join(lines) + "\n")
         assert main(["simulate", "--config", str(cfg), "--quiet"]) == EXIT_INPUT
         assert f"edge {row[0]!r}: {message}" in capsys.readouterr().err
+
+
+def _graph_args(graph):
+    """The constructor arguments of ``graph``, as lists."""
+    return dict(node_ids=list(graph.node_ids), node_side=graph.node_side.tolist(),
+                node_xy=graph.node_xy.copy(), edge_ids=list(graph.edge_ids),
+                edge_kind=graph.edge_kind.tolist(),
+                edge_tail=graph.edge_tail.tolist(),
+                edge_head=graph.edge_head.tolist(),
+                length_m=graph.length_m.tolist(),
+                diameter_m=graph.diameter_m.tolist(),
+                htc_w_per_m_c=graph.htc_w_per_m_c.tolist())
+
+
+class TestEdgeValidation:
+    """Each edge check names the first faulty edge, with the first check
+    it fails, whatever later edges hold."""
+
+    @pytest.mark.parametrize("fault, message", [
+        ({"edge_kind": "bypass"}, "unknown kind 'bypass'"),
+        ({"edge_head": 2}, "self loop"),
+        ({"edge_kind": "return"},
+         "kind 'return' must connect return -> return nodes, got supply -> supply"),
+        ({"edge_tail": 3}, "kind 'supply' must connect supply -> supply nodes, "
+                           "got return -> supply"),
+        ({"length_m": 0.0}, "length must be > 0 and finite"),
+        ({"length_m": math.nan}, "length must be > 0 and finite"),
+        ({"diameter_m": 1e200},
+         "diameter must be > 0 and give a finite cross section"),
+        ({"diameter_m": -0.1},
+         "diameter must be > 0 and give a finite cross section"),
+        ({"htc_w_per_m_c": -1.0}, "heat transfer must be >= 0 and finite"),
+        ({"htc_w_per_m_c": math.inf}, "heat transfer must be >= 0 and finite"),
+    ])
+    def test_first_faulty_edge_is_named(self, fault, message):
+        graph, _ = desk_network()
+        args = _graph_args(graph)
+        # edge 4 is the supply pipe 'sup0_2' from node 2 to node 5; edge 9,
+        # a later one, is faulty in the same way and of a kind checked first
+        assert args["edge_ids"][4] == "sup0_2" and args["edge_tail"][4] == 2
+        for name, value in fault.items():
+            args[name][4] = value
+            args[name][9] = value
+        args["edge_kind"][9] = "bypass"
+        with pytest.raises(ValidationError) as err:
+            NetworkGraph(**args)
+        assert str(err.value) == f"edge 'sup0_2': {message}"
 
 
 class TestGraphStructure:
@@ -326,6 +376,11 @@ class TestSubdivision:
         assert len(supply) == 3
         np.testing.assert_allclose(fine.length_m[supply], 250.0 / 3)
 
+    def test_a_cell_length_that_gives_infinitely_many_cells(self):
+        graph, flow = pipe_chain(1, total_length_m=250.0)
+        with pytest.raises(ValidationError, match="infinitely many cells"):
+            subdivide_pipes(graph, flow, 1e-310)
+
     def test_exact_multiple_not_oversplit(self):
         graph, flow = pipe_chain(1, total_length_m=200.0)
         fine, _ = subdivide_pipes(graph, flow, 100.0)
@@ -355,3 +410,83 @@ class TestSubdivision:
         assert sum(fine.edge_kind == "consumer") == sum(
             graph.edge_kind == "consumer")
         assert sum(fine.edge_kind == "producer") == 1
+
+
+def _subdivide_per_pipe(graph, flow, max_cell_length_m):
+    """The refinement as a loop over the edges, one pipe at a time: the
+    reference for :func:`subdivide_pipes`."""
+    cells = [max(1, math.ceil(length / max_cell_length_m - 1e-12))
+             if kind in PIPE_KINDS else 1
+             for kind, length in zip(graph.edge_kind, graph.length_m.tolist())]
+    node_ids = list(graph.node_ids)
+    sides = list(graph.node_side)
+    xy = [graph.node_xy]
+    edge_ids, tails, heads = [], [], []
+    for eid, kind, n_cells, t, h in zip(
+            graph.edge_ids, graph.edge_kind, cells,
+            graph.edge_tail.tolist(), graph.edge_head.tolist()):
+        if n_cells == 1:
+            edge_ids.append(eid)
+            tails.append(t)
+            heads.append(h)
+            continue
+        first = len(node_ids)
+        chain = [t, *range(first, first + n_cells - 1), h]
+        node_ids.extend(f"{eid}#n{j}" for j in range(1, n_cells))
+        sides.extend([kind] * (n_cells - 1))
+        frac = np.arange(1, n_cells)[:, None] / n_cells
+        p0, p1 = graph.node_xy[t], graph.node_xy[h]
+        xy.append(p0 + frac * (p1 - p0))
+        edge_ids.extend(f"{eid}#s{j}" for j in range(n_cells))
+        tails.extend(chain[:-1])
+        heads.extend(chain[1:])
+    refined = NetworkGraph(node_ids, sides, np.vstack(xy), edge_ids,
+                           np.repeat(graph.edge_kind, cells), tails, heads,
+                           np.repeat(graph.length_m / cells, cells),
+                           np.repeat(graph.diameter_m, cells),
+                           np.repeat(graph.htc_w_per_m_c, cells))
+    return refined, FlowField(np.repeat(flow.massflow_kg_s, cells))
+
+
+def _assert_same_refinement(graph, flow, max_cell_length_m):
+    fine, fine_flow = subdivide_pipes(graph, flow, max_cell_length_m)
+    want, want_flow = _subdivide_per_pipe(graph, flow, max_cell_length_m)
+    assert fine.node_ids == want.node_ids
+    assert fine.node_side.tolist() == want.node_side.tolist()
+    assert fine.node_xy.tobytes() == want.node_xy.tobytes()
+    assert fine.edge_ids == want.edge_ids
+    assert fine.edge_kind.tolist() == want.edge_kind.tolist()
+    assert fine.edge_tail.tolist() == want.edge_tail.tolist()
+    assert fine.edge_head.tolist() == want.edge_head.tolist()
+    for name in ("length_m", "diameter_m", "htc_w_per_m_c", "area_m2"):
+        assert getattr(fine, name).tobytes() == getattr(want, name).tobytes()
+    assert fine_flow.massflow_kg_s.tobytes() == want_flow.massflow_kg_s.tobytes()
+
+
+def _partly_placed_desk():
+    """The desk network with every third node's x and every fifth node's
+    y coordinate unknown."""
+    graph, flow = desk_network(segment_length_m=230.0)
+    args = _graph_args(graph)
+    args["node_xy"][::3, 0] = math.nan
+    args["node_xy"][::5, 1] = math.nan
+    return NetworkGraph(**args), flow
+
+
+class TestRefinementReference:
+    """subdivide_pipes gives the per-pipe loop's graph bit for bit."""
+
+    @pytest.mark.parametrize("network", [
+        lambda: desk_network(segment_length_m=230.0),
+        _partly_placed_desk,
+        lambda: feeder_network(max_cell_length_m=math.inf),
+        cyclic_network,
+    ])
+    @pytest.mark.parametrize("max_cell_length_m", [100.0, 37.5, 1e9, math.inf])
+    def test_fixture_networks(self, network, max_cell_length_m):
+        _assert_same_refinement(*network(), max_cell_length_m)
+
+    @settings(max_examples=25, deadline=None)
+    @given(network=_NETWORKS, max_cell_length_m=st.floats(10.0, 600.0))
+    def test_drawn_networks(self, network, max_cell_length_m):
+        _assert_same_refinement(*network, max_cell_length_m)

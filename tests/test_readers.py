@@ -239,6 +239,23 @@ def test_first_rejected_consumer_is_named(tmp_path, rows, message):
         read_demand_set(path)
 
 
+@pytest.mark.parametrize("interleaved", [False, True])
+def test_short_early_consumer_named_before_uneven_later_one(tmp_path,
+                                                            interleaved):
+    early = [f"{t},early,1.0\n" for t in _EVEN[:3]]
+    later = [f"{t},later,1.0\n" for t in _EVEN[:7] + [7000.0]]
+    rows = early + later
+    if interleaved:
+        # the early consumer's first row comes first, its others last
+        rows = early[:1] + later[::-1] + early[1:]
+    path = tmp_path / "demands.csv"
+    path.write_text(_DEMAND_HEADER + "".join(rows))
+    with pytest.raises(ValidationError) as err:
+        read_demand_set(path)
+    assert str(err.value) == (f"{path}: consumer 'early': load series needs "
+                              f">= 8 samples, got 3")
+
+
 def test_short_load_series_is_named(tmp_path):
     path = tmp_path / "base_load.csv"
     path.write_text("time_s,power_w\n" + "".join(
@@ -361,6 +378,30 @@ _NO_CR = st.text(st.characters(blacklist_categories=("Cs",),
                                blacklist_characters="\x00\r"), max_size=5)
 
 
+def _drawn_list(elements, dtype=None):
+    """n values of ``elements``, as an array of ``dtype`` unless None."""
+    def values(n):
+        drawn = st.lists(elements, min_size=n, max_size=n)
+        return drawn if dtype is None else drawn.map(
+            lambda v: np.array(v, dtype=dtype))
+    return values
+
+
+#: column kind -> (values drawn for n rows, or None for the drawn
+#: strings; the fields csv.writer is given for a column)
+_WRITTEN_KINDS = {
+    "str": (None, list),
+    "quoted": (_drawn_list(st.text(st.sampled_from(',"\n a'), max_size=3)),
+               list),
+    "float": (_drawn_list(st.floats(), float),
+              lambda c: [repr(v) for v in c.tolist()]),
+    "blank_nan": (_drawn_list(st.floats(), float),
+                  lambda c: ["" if math.isnan(v) else repr(v) for v in c.tolist()]),
+    "int": (_drawn_list(st.integers(-2**63, 2**63 - 1), np.int64),
+            lambda c: [str(v) for v in c.tolist()]),
+}
+
+
 @settings(max_examples=200, deadline=None)
 @given(header=st.lists(_NO_CR, min_size=1, max_size=4, unique=True),
        data=st.data())
@@ -369,9 +410,21 @@ def test_writer_bytes_without_carriage_return_unchanged(tmp_path_factory,
     # a column mapping holds a rectangular table with distinct names
     rows = data.draw(st.lists(st.lists(_NO_CR, min_size=len(header),
                                        max_size=len(header)), max_size=4))
+    # a column may also hold numbers, which the writer formats, or
+    # strings that csv quotes
+    kinds = data.draw(st.lists(st.sampled_from(sorted(_WRITTEN_KINDS)),
+                               min_size=len(header), max_size=len(header)))
+    columns, fields = {}, []
+    for j, (name, kind) in enumerate(zip(header, kinds)):
+        values, formatted = _WRITTEN_KINDS[kind]
+        column = [row[j] for row in rows] if values is None else \
+            data.draw(values(len(rows)))
+        columns[name] = column
+        fields.append(formatted(column))
+    rows = [list(row) for row in zip(*fields)]
     path = tmp_path_factory.mktemp("plain") / "table.csv"
-    write_csv(path, {name: [row[j] for row in rows]
-                     for j, name in enumerate(header)})
+    write_csv(path, columns, blank_nan=[name for name, kind in zip(header, kinds)
+                                        if kind == "blank_nan"])
     plain = io.StringIO()
     # a first name that starts with a byte-order mark is written after one
     # more, which the reader skips
@@ -379,6 +432,19 @@ def test_writer_bytes_without_carriage_return_unchanged(tmp_path_factory,
         plain.write("\ufeff")
     csv.writer(plain, lineterminator="\n").writerows([header] + rows)
     assert path.read_bytes() == plain.getvalue().encode("utf-8")
+
+
+def test_writer_blocks_match_csv(tmp_path):
+    # long enough for several blocks; only one block has a field to quote
+    n = 2500
+    ids = [f"c{k}" for k in range(n)]
+    ids[1500] = 'c "1500", quoted'
+    values = np.linspace(-1.0, 1.0, n)
+    write_csv(tmp_path / "table.csv", {"id": ids, "x": values})
+    plain = io.StringIO()
+    csv.writer(plain, lineterminator="\n").writerows(
+        [["id", "x"]] + [[i, repr(v)] for i, v in zip(ids, values.tolist())])
+    assert (tmp_path / "table.csv").read_text() == plain.getvalue()
 
 
 def test_writer_formats_each_column_kind(tmp_path):
