@@ -804,9 +804,10 @@ def subdivide_pipes(graph, flow, max_cell_length_m=100.0):
     pipe = np.isin(graph.edge_kind, PIPE_KINDS)
     with np.errstate(over="ignore"):
         ceil = np.ceil(graph.length_m[pipe] / max_cell_length_m - 1e-12)
-    if not np.all(ceil < math.inf):
+    # cell counts and their offsets are int64
+    if not ceil.sum() < 2**62:
         raise ValidationError(f"max_cell_length_m={max_cell_length_m} splits "
-                              f"a pipe into infinitely many cells")
+                              f"the pipes into too many cells")
     cells = np.ones(graph.n_edges, np.int64)
     cells[pipe] = np.maximum(ceil, 1.0)
     # edge k of the refined graph is segment j[k] of file edge parent[k];

@@ -17,7 +17,6 @@ import hashlib
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby
 
 import numpy as np
 
@@ -45,16 +44,11 @@ def interpolate(t, knot_times, knot_values, what):
     """``np.interp`` at ``t``, once the knots named ``what`` are checked
     to cover ``t`` within 1e-9 s."""
     t = np.asarray(t, dtype=float)
-    _check_covers(t, knot_times, what)
-    return np.interp(t, knot_times, knot_values)
-
-
-def _check_covers(t, knot_times, what):
-    """Reject times ``t`` that the knots named ``what`` do not cover."""
     lo, hi = knot_times[0], knot_times[-1]
     if t.min() < lo - 1e-9 or t.max() > hi + 1e-9:
         raise ValidationError(f"{what} covers [{lo}, {hi}] s; "
                               f"[{t.min()}, {t.max()}] s is not covered")
+    return np.interp(t, knot_times, knot_values)
 
 
 @dataclass(frozen=True)
@@ -385,16 +379,11 @@ def build_scenario(graph, flow, demands, prices, constraints, grid, constants,
 
     consumer_ids = [graph.edge_ids[e] for e in bc.consumer_edges]
     times = grid.times()
-    # consumers with one time base share its knot times and coverage check
-    knots = {}
     demands_w = np.empty((len(consumer_ids), times.size))
     for i, cid in enumerate(consumer_ids):
         series = demands.for_consumer(cid)
-        base = (series.start_s, series.dt_s, series.values_w.size)
-        if base not in knots:
-            knots[base] = series.times()
-            _check_covers(times, knots[base], "load series")
-        demands_w[i] = np.interp(times, knots[base], series.values_w)
+        demands_w[i] = interpolate(times, series.times(), series.values_w,
+                                   "load series")
 
     mdot_c = np.abs(flow.massflow_kg_s[bc.consumer_edges])
     deltas = demand_to_delta(demands_w, mdot_c[:, None],
@@ -526,26 +515,15 @@ def read_demand_set(path):
     lines, cols = read_csv(path, _DEMAND_HEADER, ("time_s", "power_w"))
     ids = cols["consumer_edge_id"]
     check_finite(path, lines, cols, ("time_s",), ids)
-    consumers, sizes, times, powers = _by_consumer(ids, cols["time_s"],
-                                                   cols["power_w"])
-    series = _uniform_series([f"{path}: consumer {cid!r}" for cid in consumers],
+    code = {cid: k for k, cid in enumerate(dict.fromkeys(ids))}
+    key = np.fromiter(map(code.__getitem__, ids), np.int64, len(ids))
+    order = np.lexsort((cols["time_s"], key))
+    sizes = np.bincount(key, minlength=len(code))
+    times, powers = cols["time_s"][order], cols["power_w"][order]
+    del key, order  # before the checks, which take space per sample
+    series = _uniform_series([f"{path}: consumer {cid!r}" for cid in code],
                              times, powers, sizes)
-    return DemandSet(consumer_ids=tuple(consumers), series=tuple(series))
-
-
-def _by_consumer(ids, times, powers):
-    """The consumers in the order they first appear, the number of rows
-    of each, and the samples sorted by consumer and then, stably, by
-    time. The sort keys are gone when this returns, before the samples
-    are checked."""
-    code, run_keys, run_sizes = {}, [], []
-    for cid, run in groupby(ids):  # a consumer's rows usually form one run
-        run_keys.append(code.setdefault(cid, len(code)))
-        run_sizes.append(len(list(run)))
-    key = np.repeat(np.array(run_keys, np.int64), run_sizes)
-    order = np.lexsort((times, key))
-    return (list(code), np.bincount(key, minlength=len(code)),
-            times[order], powers[order])
+    return DemandSet(consumer_ids=tuple(code), series=tuple(series))
 
 
 def write_demand_set(demands, path):

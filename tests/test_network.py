@@ -376,10 +376,11 @@ class TestSubdivision:
         assert len(supply) == 3
         np.testing.assert_allclose(fine.length_m[supply], 250.0 / 3)
 
-    def test_a_cell_length_that_gives_infinitely_many_cells(self):
+    @pytest.mark.parametrize("max_cell_length_m", [1e-310, 1e-300])
+    def test_a_cell_length_that_gives_too_many_cells(self, max_cell_length_m):
         graph, flow = pipe_chain(1, total_length_m=250.0)
-        with pytest.raises(ValidationError, match="infinitely many cells"):
-            subdivide_pipes(graph, flow, 1e-310)
+        with pytest.raises(ValidationError, match="too many cells"):
+            subdivide_pipes(graph, flow, max_cell_length_m)
 
     def test_exact_multiple_not_oversplit(self):
         graph, flow = pipe_chain(1, total_length_m=200.0)
