@@ -25,7 +25,7 @@ from .optimizer import (LbfgsResult, ObjectiveEvaluator, OptimizationReport,
                         OptimizerConfig, RoundStats, lbfgs_minimize, optimize)
 from .scenario import (DemandSet, LoadSeries, PriceSeries, Scenario,
                        build_scenario, lowpass, read_demand_set,
-                       read_load_series, read_price_series, resample_to_grid,
+                       read_load_series, read_price_series,
                        synthesize_variations, write_demand_set,
                        write_load_series, write_price_series)
 from .thermal import (CondensedMap, PhysicalConstants, StateTrajectory,

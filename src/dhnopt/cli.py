@@ -28,11 +28,9 @@ from .network import (check_finite, load_flow_field, parse_network,
 from .objective import (J_PER_MWH, ConstraintSet, constraint_violations,
                         loss_energy, loss_energy_steps, max_violation)
 from .optimizer import OptimizerConfig, optimize
-from .scenario import (DEFAULT_CUTOFF_HZ, DEFAULT_NOISE_BAND_HZ,
-                       DEFAULT_NOISE_SIGMA, DemandSet, build_scenario,
-                       interpolate, lowpass, read_demand_set,
-                       read_load_series, read_price_series,
-                       synthesize_variations, write_demand_set)
+from .scenario import (DEFAULT_NOISE_SIGMA, build_scenario, interpolate,
+                       read_demand_set, read_load_series, read_price_series,
+                       synthesize_demand_set, write_demand_set)
 from .thermal import (DEFAULT_AMBIENT, DEFAULT_CP, DEFAULT_RHO,
                       PhysicalConstants, TimeGrid, energy_balance,
                       plant_injection_w, simulate_system, solve_steady,
@@ -92,9 +90,8 @@ _DEFAULTS = {
     },
     "optimizer": _field_defaults(OptimizerConfig),
     "synthesis": {
-        "cutoff_hz": DEFAULT_CUTOFF_HZ,
-        "order": _arg_default(lowpass, "order"),
-        "band_hz": DEFAULT_NOISE_BAND_HZ,
+        **{key: _arg_default(synthesize_demand_set, key)
+           for key in ("cutoff_hz", "order", "band_hz")},
         "sigma": DEFAULT_NOISE_SIGMA,
         "mean_w_per_consumer": None,
     },
@@ -377,7 +374,7 @@ def cmd_simulate(cfg):
         "mean_temp_c": temps.mean(axis=0), "max_temp_c": temps.max(axis=0),
         "min_consumer_supply_c": min_supply,
         "min_consumer_return_c": min_return,
-        "plant_injection_w": plant_injection_w(system, traj)})
+        "plant_injection_w": balance["injection_w"]})
     write_csv(cfg.out_dir / "energy_balance.csv", {"time_s": times, **balance})
     write_csv(cfg.out_dir / "stored_energy.csv",
               {"time_s": times, "stored_vs_ambient_j": e_amb,
@@ -424,10 +421,6 @@ def cmd_optimize(cfg):
     wall = time.perf_counter() - t0
 
     cp, price = scenario.constants.cp_j_per_kg_c, scenario.price
-    loss_base = loss_energy(baseline, graph, flow, price, cp)
-    loss_opt = loss_energy(optimized, graph, flow, price, cp)
-    savings = (loss_base - loss_opt) / loss_base
-
     times = scenario.grid.times()[1:]
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -450,6 +443,9 @@ def cmd_optimize(cfg):
         write_csv(out / f"quantiles_{name}.csv",
                   {"time_s": times, **compute_quantiles(
                       traj, graph, cfg.data["quantile_levels"])})
+
+    loss_base, loss_opt = (float(r["loss_step"].sum()) for r in runs.values())
+    savings = (loss_base - loss_opt) / loss_base
 
     write_csv(out / "controls.csv", controls)
     write_csv(out / "optimized_control.csv", {
@@ -588,26 +584,18 @@ def cmd_synth_demand(cfg):
     """Low-pass the base load and write per-consumer demand variations."""
     graph, _ = _load_network(cfg)
     base = read_load_series(cfg.path("base_load_file"))
-    syn = cfg.data["synthesis"]
-    smooth = lowpass(base, syn["cutoff_hz"], order=syn["order"])
-    consumer_ids = [graph.edge_ids[e] for e in graph.consumer_edges]
-    n = len(consumer_ids)
-    mean_target = syn["mean_w_per_consumer"]
-    series = synthesize_variations(
-        smooth, n, band_hz=syn["band_hz"], sigma=syn["sigma"], seed=cfg.seed,
-        target_means=None if mean_target is None else np.full(n, mean_target),
-        keys=consumer_ids)
-    demands = DemandSet(consumer_ids=tuple(consumer_ids), series=tuple(series))
+    demands = synthesize_demand_set(graph, base, seed=cfg.seed,
+                                    **cfg.data["synthesis"])
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     write_demand_set(demands, cfg.out_dir / "demands.csv")
-    values = [s.values_w for s in series]
+    values = [s.values_w for s in demands.series]
     write_csv(cfg.out_dir / "demand_summary.csv", {
-        "consumer_edge_id": consumer_ids,
+        "consumer_edge_id": demands.consumer_ids,
         "mean_w": np.array([v.mean() for v in values]),
         "min_w": np.array([v.min() for v in values]),
         "max_w": np.array([v.max() for v in values])})
-    cfg.log(f"synthesized {n} demand series "
+    cfg.log(f"synthesized {len(values)} demand series "
             f"(mean {values[0].mean():.1f} W each)")
     return EXIT_OK
 

@@ -22,9 +22,9 @@ import numpy as np
 from .network import (FlowField, NetworkGraph, subdivide_pipes,
                       write_flow_field, write_network)
 from .objective import ConstraintSet
-from .scenario import (DEFAULT_CUTOFF_HZ, DemandSet, LoadSeries, PriceSeries,
-                       build_scenario, lowpass, synthesize_variations,
-                       write_demand_set, write_load_series, write_price_series)
+from .scenario import (LoadSeries, PriceSeries, build_scenario,
+                       synthesize_demand_set, write_demand_set,
+                       write_load_series, write_price_series)
 from .thermal import PhysicalConstants, TimeGrid
 
 #: Consumer and producer edges, and each substation's service pipe.
@@ -197,14 +197,8 @@ def two_level_price(n_days=3):
 def demand_set_for(graph, base, seed=0, sigma=0.15, mean_w_per_consumer=None):
     """One demand series per consumer edge of a graph, each with mean
     ``mean_w_per_consumer`` (default: an equal share of the base)."""
-    consumer_ids = [graph.edge_ids[e] for e in graph.consumer_edges]
-    n = len(consumer_ids)
-    targets = (None if mean_w_per_consumer is None
-               else np.full(n, mean_w_per_consumer))
-    series = synthesize_variations(lowpass(base, DEFAULT_CUTOFF_HZ), n,
-                                   sigma=sigma, seed=seed,
-                                   target_means=targets, keys=consumer_ids)
-    return DemandSet(consumer_ids=tuple(consumer_ids), series=tuple(series))
+    return synthesize_demand_set(graph, base, seed=seed, sigma=sigma,
+                                 mean_w_per_consumer=mean_w_per_consumer)
 
 
 def _inputs(graph, static, seed, n_days):

@@ -91,10 +91,10 @@ class NetworkGraph:
         self.node_index = dict(zip(self.node_ids, range(len(self.node_ids))))
         self.edge_index = dict(zip(self.edge_ids, range(len(self.edge_ids))))
         self._validate()
-        # per element in Python floats: numpy squares by multiplication,
-        # which differs from float pow in the last bit for some diameters
-        self.area_m2 = np.array([math.pi * d**2 / 4.0
-                                 for d in self.diameter_m.tolist()])
+        # float_power calls C pow, as a Python float's d**2 does; numpy's
+        # squaring multiplies, which differs in the last bit for some
+        # diameters
+        self.area_m2 = math.pi * np.float_power(self.diameter_m, 2) / 4.0
 
     # -- basic shape --------------------------------------------------
 

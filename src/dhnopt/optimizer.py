@@ -19,8 +19,9 @@ over the impulse's numerical support, one per row family. It reads the
 loss from the plant rows and the constraint values from the consumer
 supply rows, rounded as the public terms round them wherever ``b`` is
 ``smin``; the full outputs (:meth:`~dhnopt.thermal.CondensedMap.apply`)
-are built once per round, for its report, which still shows the supply
-and return violations apart. The exact gradient is the transpose
+are built once per round, for its report: one max violation, the
+largest over the supply and the return rows, each against its own
+limit. The exact gradient is the transpose
 (:meth:`~dhnopt.thermal.CondensedMap.apply_transpose`), one matrix
 product of the same taps with ``dJ/dy`` over the rows where that is
 nonzero: the plant rows, which carry the injection cost, and the
@@ -178,30 +179,29 @@ class ObjectiveEvaluator:
         return self._cache
 
     def value(self, u):
-        u = np.ascontiguousarray(u, dtype=float)
+        u = np.asarray(u, dtype=float, order="C")
         return self._forward(u)["value"]
 
     def parts(self, u):
-        """Dict with outputs, loss, regularizer, penalty, violations, value.
+        """Dict with loss, regularizer, penalty, violations and value.
 
-        ``outputs`` holds every observed row and ``violations`` is
-        :func:`~dhnopt.objective.constraint_violations` on them: the
-        supply and the return rows, each against its own limit.
+        ``violations`` is :func:`~dhnopt.objective.constraint_violations`
+        on every observed row of the map at ``u``: the supply and the
+        return rows, each against its own limit.
         """
-        u = np.ascontiguousarray(u, dtype=float)
+        u = np.asarray(u, dtype=float, order="C")
         fwd = self._forward(u)
         s = self.scenario
-        outputs = s.condensed.apply(u)
-        return {"outputs": outputs, "loss": fwd["loss"],
-                "tikhonov": fwd["tikhonov"], "penalty": fwd["penalty"],
-                "violations": constraint_violations(outputs, s.graph,
-                                                    s.constraints),
+        return {"loss": fwd["loss"], "tikhonov": fwd["tikhonov"],
+                "penalty": fwd["penalty"],
+                "violations": constraint_violations(
+                    s.condensed.apply(u), s.graph, s.constraints),
                 "value": fwd["value"]}
 
     # -- gradient --------------------------------------------------------
 
     def value_and_gradient(self, u):
-        u = np.ascontiguousarray(u, dtype=float)
+        u = np.asarray(u, dtype=float, order="C")
         fwd = self._forward(u)
         s = self.scenario
         rates = self._rates
@@ -346,8 +346,12 @@ class RoundStats:
 
 @dataclass
 class OptimizationReport:
+    """What :func:`optimize` did, returned beside its control: one
+    :class:`RoundStats` per round, the final max violation (the last kept
+    round's if the continuation aborted), the wall time, and whether and
+    why the continuation aborted."""
+
     rounds: list
-    final_control: np.ndarray
     final_max_violation_c: float
     wall_time_s: float
     aborted: bool = False
@@ -368,14 +372,9 @@ def optimize(scenario, u0=None, config=None):
     if config is None:
         config = OptimizerConfig()
     bounds = scenario.constraints.control_bounds
-    n_p = scenario.system.bc.n_plants
     if u0 is None:
         u0 = np.tile(scenario.u_init[:, None], (1, scenario.grid.n_steps))
-    u = project_control(np.asarray(u0, dtype=float), bounds)
-    if u.shape != (n_p, scenario.grid.n_steps):
-        raise ValidationError(
-            f"control must have shape ({n_p}, {scenario.grid.n_steps}), got {u.shape}"
-        )
+    u = u0
 
     start = time.perf_counter()
     rounds = []
@@ -418,7 +417,6 @@ def optimize(scenario, u0=None, config=None):
 
     report = OptimizationReport(
         rounds=rounds,
-        final_control=u,
         final_max_violation_c=(prev if aborted else rounds[-1]).max_violation_c,
         wall_time_s=time.perf_counter() - start,
         aborted=aborted,

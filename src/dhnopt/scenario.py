@@ -305,10 +305,24 @@ def synthesize_variations(base, n, band_hz=DEFAULT_NOISE_BAND_HZ,
     return out
 
 
-def resample_to_grid(series, grid):
-    """Linear interpolation of a :class:`LoadSeries` at the grid times."""
-    return interpolate(grid.times(), series.times(), series.values_w,
-                       "load series")
+def synthesize_demand_set(graph, base, *, seed, sigma, mean_w_per_consumer,
+                          cutoff_hz=DEFAULT_CUTOFF_HZ, order=4,
+                          band_hz=DEFAULT_NOISE_BAND_HZ):
+    """One demand series per consumer edge of ``graph``.
+
+    ``base`` is low-passed (:func:`lowpass`) and varied per consumer
+    (:func:`synthesize_variations`), the stream of each keyed by its
+    edge id. Each series has mean ``mean_w_per_consumer``, or, if that
+    is ``None``, an equal share of the base mean.
+    """
+    consumer_ids = [graph.edge_ids[e] for e in graph.consumer_edges]
+    n = len(consumer_ids)
+    targets = (None if mean_w_per_consumer is None
+               else np.full(n, mean_w_per_consumer))
+    series = synthesize_variations(lowpass(base, cutoff_hz, order=order), n,
+                                   band_hz=band_hz, sigma=sigma, seed=seed,
+                                   target_means=targets, keys=consumer_ids)
+    return DemandSet(consumer_ids=tuple(consumer_ids), series=tuple(series))
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,13 @@ import pytest
 import dhnopt.cli
 from dhnopt.cli import (_DEFAULTS, EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK,
                         compute_quantiles, main)
-from dhnopt.fixtures import desk_network, write_desk_fixture
+from dhnopt.fixtures import demand_set_for, desk_network, write_desk_fixture
 from dhnopt.network import read_csv, subdivide_pipes
 from dhnopt.objective import ConstraintSet
 from dhnopt.optimizer import OptimizerConfig
 from dhnopt.scenario import (DEFAULT_CUTOFF_HZ, DEFAULT_NOISE_BAND_HZ,
-                             DEFAULT_NOISE_SIGMA, build_scenario, lowpass)
+                             DEFAULT_NOISE_SIGMA, build_scenario, lowpass,
+                             read_load_series, write_demand_set)
 from dhnopt.thermal import PhysicalConstants, StateTrajectory, TimeGrid
 
 
@@ -62,10 +63,15 @@ class TestSimulate:
         report = json.loads((out / "report.json").read_text())
         assert report["max_energy_balance_residual_rel"] < 1e-6
         assert report["n_steps"] == 288
+        columns = {}
         for name in ("summary.csv", "energy_balance.csv", "stored_energy.csv"):
             lines = _read_lines(out / name)
             assert len(lines) == 1 + 288, name
+            columns |= zip(lines[0].split(","),
+                           zip(*(line.split(",") for line in lines[1:])))
         assert (out / "steady_state.csv").is_file()
+        # the summary's injection is the energy balance's, to the byte
+        assert columns["plant_injection_w"] == columns["injection_w"]
 
     def test_missing_flow_file_exits_2(self, desk_files, capsys):
         (desk_files.parent / "flows.csv").unlink()
@@ -295,6 +301,20 @@ class TestSynthDemand:
         summary = _read_lines(base / "d1" / "demand_summary.csv")[1:]
         means = np.array([float(line.split(",")[1]) for line in summary])
         np.testing.assert_allclose(means, means[0], rtol=1e-9)
+
+    def test_writes_the_fixture_synthesis(self, desk_files, tmp_path):
+        base = desk_files.parent
+        cfg = _with(desk_files, "synth.json", synthesis={
+            "sigma": 0.15, "mean_w_per_consumer": 50e3})
+        assert _run("synth-demand", "--config", cfg, "--quiet", "--seed", "3",
+                    "--out-dir", base / "d1") == EXIT_OK
+        graph, _ = desk_network()
+        load = read_load_series(base / "base_load.csv")
+        write_demand_set(demand_set_for(graph, load, seed=3,
+                                        mean_w_per_consumer=50e3),
+                         tmp_path / "expected.csv")
+        assert (base / "d1" / "demands.csv").read_bytes() == \
+            (tmp_path / "expected.csv").read_bytes()
 
     def test_different_seed_changes_output(self, desk_files):
         base = desk_files.parent

@@ -300,3 +300,11 @@ class TestOptimize:
         u, report = optimize(scenario)
         assert u.shape == (1, 16)
         assert not report.aborted
+
+    @pytest.mark.parametrize("shape", [(), (1, 23), (2, 24), (24,), (1, 0)])
+    def test_start_of_the_wrong_shape_is_rejected(self, shape):
+        scenario = make_loop_scenario(n_steps=24)
+        with pytest.raises(ValidationError) as exc:
+            optimize(scenario, np.full(shape, 100.0))
+        assert str(exc.value) == (
+            f"control must have shape (1, 24), got {shape}")
