@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import inspect
 import json
 import math
@@ -643,7 +644,10 @@ def cmd_report(args):
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser():
+    """The command-line parser, built once per process: parsing reads it
+    and changes nothing in it."""
     parser = argparse.ArgumentParser(
         prog="dhnopt",
         description="District heating network simulation and optimal control",

@@ -4,13 +4,13 @@ For fixed flows and step size the temperatures the objective reads
 (plant supply and return, consumer supply and return) are affine in
 the control, ``y = y_free + H * u`` with ``*`` a causal convolution in
 time ("condensing", Bock & Plitt 1984). The scenario builds this map
-once (:func:`dhnopt.thermal.condense`) from ``1 + n_plants`` runs of the
-per-step sweep :func:`~dhnopt.thermal.simulate_system`, which remains
-the oracle for these outputs and the full-state path of the CLI. Only
-the plant return and consumer supply rows are convolved: the boundary
-rows of the system matrix hold a plant supply node at its control and a
-consumer return node at its supply temperature minus the drop
-``delta``. So the return limit ``rmin`` is the supply limit
+once (:func:`dhnopt.thermal.condense`) from one sweep of ``1 + n_plants``
+right-hand sides, the sweep of :func:`~dhnopt.thermal.simulate_system`,
+which remains the oracle for these outputs and the full-state path of
+the CLI. Only the plant return and consumer supply rows are convolved:
+the boundary rows of the system matrix hold a plant supply node at its
+control and a consumer return node at its supply temperature minus the
+drop ``delta``. So the return limit ``rmin`` is the supply limit
 ``rmin + delta``, and the objective has one constraint row per consumer
 and step, its supply temperature against ``b = max(smin, rmin + delta)``
 (``Scenario.supply_bound``). A value is the map's forward

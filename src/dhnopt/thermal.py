@@ -44,6 +44,10 @@ DEFAULT_AMBIENT = 10.0   # °C
 
 #: The impulse tail a condensed map drops, relative to each row's l1 mass.
 _SUPPORT_TOL = 1e-20
+#: Steps a sweep advances per block: the block, ``_BLOCK * n_nodes``
+#: floats per right-hand side (370 kB on the 1432-node feeder), stays in
+#: cache while it is filled, solved and scattered.
+_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -355,6 +359,65 @@ class ObservedTrajectory:
         raise ValidationError("temperature requested outside the observed blocks")
 
 
+def _boundary_data(system, grid, deltas, ambient):
+    """``deltas`` and ``ambient`` as float arrays, checked against the
+    system and the grid. A steady-only system passes the step check and
+    raises :class:`SolverError` when the sweep factorizes."""
+    n_c, n = system.bc.n_consumers, grid.n_steps
+    deltas = np.asarray(deltas, dtype=float)
+    if deltas.shape != (n_c, n + 1):
+        raise ValidationError(
+            f"deltas must have shape ({n_c}, {n + 1}), got {deltas.shape}"
+        )
+    ambient = np.asarray(ambient, dtype=float)
+    if ambient.shape != (n + 1,):
+        raise ValidationError(
+            f"ambient must have shape ({n + 1},), got {ambient.shape}"
+        )
+    if system.dt_s is not None and grid.dt_s != system.dt_s:
+        raise ValidationError(
+            f"grid step {grid.dt_s} s differs from the system's {system.dt_s} s"
+        )
+    if np.any(deltas < 0):
+        raise ValidationError("consumer temperature deltas must be >= 0")
+    return deltas, ambient
+
+
+def _sweep(system, x0, u, deltas, ambient):
+    """Advance ``m`` backward-Euler sweeps together, ``_BLOCK`` steps at a time.
+
+    Sweep ``i`` starts from ``x0[i]``, a state in flow order
+    (``x0`` is ``(m, n_nodes)``), and reads the boundary data ``u[i]``
+    ``(n_plants, n_steps)``, ``deltas[i]`` ``(n_consumers, n_steps + 1)``
+    and ``ambient[i]`` ``(n_steps + 1,)``. Yields ``(k, block)`` per
+    block: ``block[j, i]`` is sweep ``i``'s state at step ``k + j`` in
+    flow order, in a buffer the next block overwrites. A block's forcing
+    is built time-major with array passes, the rows
+    :func:`_forcing` gives a step, and each step is one solve of
+    ``storage * x + f`` for all ``m`` right-hand sides, with the
+    roundings of a single sweep.
+    """
+    lu, order = system.lu_transient, system.order
+    rank = np.argsort(order)
+    plants = rank[system.bc.plant_nodes]
+    returns = rank[system.bc.consumer_return_nodes]
+    loss, storage = system.S_diag[order], system.B_diag[order]
+    n_steps = u.shape[2]
+    buffer = np.empty((min(_BLOCK, n_steps), *x0.shape))
+    x = x0
+    for k in range(1, n_steps + 1, _BLOCK):
+        f = buffer[:min(_BLOCK, n_steps + 1 - k)]
+        steps = slice(k, k + len(f))
+        np.multiply(ambient[:, steps].T[:, :, None], loss, out=f)
+        f[:, :, plants] = u[:, :, k - 1:steps.stop - 1].transpose(2, 0, 1)
+        f[:, :, returns] = -deltas[:, :, steps].transpose(2, 0, 1)
+        for b in f:
+            b += storage * x
+            x = lu.solve(b.T).T
+            b[...] = x
+        yield k, f
+
+
 def simulate_system(system, grid, u, deltas, ambient, u_init=None):
     """Run the solution operator: control trajectory -> state trajectory.
 
@@ -375,45 +438,27 @@ def simulate_system(system, grid, u, deltas, ambient, u_init=None):
 
     The initial state is the steady solution under ``u_init`` and the
     grid's first boundary values. The transient matrix is factorized
-    once, in the system's flow order, and reused for every step; the
-    state is kept in flow order between steps, each step is a forward
-    substitution for acyclic flows, and each is written back to node
-    order in the returned trajectory.
+    once, in the system's flow order, and reused for every step; each
+    step is a forward substitution for acyclic flows. The sweep keeps
+    the state in flow order and runs in blocks of ``_BLOCK`` steps
+    (:func:`_sweep`), each written back to node order in the returned
+    trajectory with one scatter.
     """
     u = np.asarray(u, dtype=float)
-    n_p, n_c = system.bc.n_plants, system.bc.n_consumers
+    n_p = system.bc.n_plants
     if u.shape != (n_p, grid.n_steps):
         raise ValidationError(
             f"control must have shape ({n_p}, {grid.n_steps}), got {u.shape}"
         )
-    deltas = np.asarray(deltas, dtype=float)
-    if deltas.shape != (n_c, grid.n_steps + 1):
-        raise ValidationError(
-            f"deltas must have shape ({n_c}, {grid.n_steps + 1}), got {deltas.shape}"
-        )
-    ambient = np.asarray(ambient, dtype=float)
+    deltas, ambient = _boundary_data(system, grid, deltas, ambient)
     if u_init is None:
         u_init = u[:, 0]
-
-    if np.any(deltas < 0):
-        raise ValidationError("consumer temperature deltas must be >= 0")
     y = np.empty((system.graph.n_nodes, grid.n_steps + 1))
     y[:, 0] = solve_steady(system, u_init, deltas[:, 0], ambient[0])
-    lu = system.lu_transient
-    # the forcing rows and the previous-state diagonal in flow order
     order = system.order
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    plants = rank[system.bc.plant_nodes]
-    returns = rank[system.bc.consumer_return_nodes]
-    loss, storage = system.S_diag[order], system.B_diag[order]
-    x = y[order, 0]
-    for k in range(1, grid.n_steps + 1):
-        b = _forcing(loss, plants, returns, u[:, k - 1], deltas[:, k],
-                     ambient[k])
-        b += storage * x
-        x = lu.solve(b)
-        y[order, k] = x
+    for k, block in _sweep(system, y[order, :1].T, u[None], deltas[None],
+                           ambient[None]):
+        y[order, k:k + len(block)] = block[:, 0].T
     return StateTrajectory(values_c=y, grid=grid)
 
 
@@ -569,12 +614,14 @@ def condense(system, grid, deltas, ambient, u_init):
 
     The observed rows are the plant supply, plant return, consumer
     supply and consumer return nodes, each block in boundary-spec order.
-    The map is read off ``1 + n_plants`` runs of :func:`simulate_system`:
-    ``y_free`` is the response to zero control from the steady state
-    under ``u_init``, and plant ``p``'s column of ``impulse`` the
-    response to a unit pulse of that plant at step 1 from zero state,
-    with zero consumer drops and zero ambient. ``impulse`` keeps every
-    observed row, but the map convolves only the
+    The map is read off one sweep of ``1 + n_plants`` right-hand sides
+    (:func:`_sweep`, the sweep of :func:`simulate_system`), of which
+    only the observed rows are kept: ``y_free`` is the response to zero
+    control from the steady state under ``u_init``, and plant ``p``'s
+    column of ``impulse`` the response to a unit pulse of that plant at
+    step 1 from zero state, with zero consumer drops and zero ambient.
+    Each is bit for bit the rows of that :func:`simulate_system` run.
+    ``impulse`` keeps every observed row, but the map convolves only the
     ``n_plants + n_consumers`` plant return and consumer supply rows;
     the boundary rows of the system matrix fix the other two blocks.
     """
@@ -583,15 +630,27 @@ def condense(system, grid, deltas, ambient, u_init):
               bc.consumer_supply_nodes, bc.consumer_return_nodes)
     nodes = np.concatenate(blocks)
     n_p, n = bc.n_plants, grid.n_steps
-    u = np.zeros((n_p, n))
-    y_free = simulate_system(system, grid, u, deltas, ambient, u_init).rows(nodes)
+    deltas, ambient = _boundary_data(system, grid, deltas, ambient)
+    # sweep 0 is the free response, sweep 1 + p plant p's pulse
+    u = np.zeros((1 + n_p, n_p, n))
+    u[1:, :, 0] = np.eye(n_p)
+    drops = np.zeros((1 + n_p, *deltas.shape))
+    drops[0] = deltas
+    temps = np.zeros((1 + n_p, n + 1))
+    temps[0] = ambient
+    order = system.order
+    x0 = np.zeros((1 + n_p, order.size))
+    x0[0] = solve_steady(system, u_init, deltas[:, 0], ambient[0])[order]
+    observed = np.argsort(order)[nodes]
+    y_free = np.empty((nodes.size, n))
     impulse = np.empty((nodes.size, n_p, n))
-    no_drops, no_ambient = np.zeros_like(deltas), np.zeros(n + 1)
-    for p in range(n_p):
-        u[p, 0] = 1.0
-        impulse[:, p] = simulate_system(system, grid, u, no_drops, no_ambient,
-                                        np.zeros(n_p)).rows(nodes)
-        u[p, 0] = 0.0
+    for k, block in _sweep(system, x0, u, drops, temps):
+        rows = block[:, :, observed]
+        steps = slice(k - 1, k - 1 + len(block))
+        y_free[:, steps] = rows[:, 0].T
+        impulse[:, :, steps] = rows[:, 1:].transpose(2, 1, 0)
+    if not (np.all(np.isfinite(y_free)) and np.all(np.isfinite(impulse))):
+        raise SolverError("condensed map contains non-finite temperatures")
     return CondensedMap(blocks, y_free, impulse, grid)
 
 

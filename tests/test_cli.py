@@ -231,6 +231,21 @@ def test_config_that_is_not_an_object_exits_2(tmp_path, capsys):
     assert "must be a JSON object" in capsys.readouterr().err
 
 
+def test_one_parser_serves_every_call():
+    parser = dhnopt.cli._build_parser()
+    assert dhnopt.cli._build_parser() is parser
+    with pytest.raises(SystemExit) as exc:
+        main(["no-such-command"])
+    assert exc.value.code == EXIT_INPUT
+    first = parser.parse_args(["simulate", "--config", "a.json", "--seed", "3",
+                               "--quiet"])
+    assert (first.config, first.seed, first.quiet) == ("a.json", 3, True)
+    # nothing of one parse carries over to the next
+    again = parser.parse_args(["report", "--out-dir", "out"])
+    assert (again.config, again.seed, again.quiet) == (None, None, False)
+    assert again.func is dhnopt.cli.cmd_report
+
+
 def test_model_defaults_come_from_their_owners():
     def arg(func, name):
         return inspect.signature(func).parameters[name].default

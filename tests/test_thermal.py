@@ -12,9 +12,9 @@ from dhnopt.network import FlowField, control_volumes
 from dhnopt.optimizer import optimize
 from dhnopt.thermal import (PhysicalConstants, SystemMatrices, TimeGrid,
                             _advection_matrix,
-                            assemble, demand_to_delta, energy_balance,
-                            simulate, simulate_system, solve_steady,
-                            stored_energy)
+                            assemble, condense, demand_to_delta,
+                            energy_balance, simulate, simulate_system,
+                            solve_steady, stored_energy)
 
 CP = 4186.0
 RHO = 1000.0
@@ -229,6 +229,34 @@ class TestSimulate:
         sc = desk_static_scenario
         with pytest.raises(ValidationError, match="shape"):
             simulate(sc.graph, sc.flow, sc, np.full((1, 7), 110.0))
+
+    def test_grid_step_must_be_the_systems(self, desk_static_scenario):
+        sc = desk_static_scenario
+        grid = TimeGrid(dt_s=300.0, n_steps=sc.grid.n_steps)
+        assert sc.system.dt_s == 900.0
+        with pytest.raises(ValidationError, match="grid step 300.0 s"):
+            simulate_system(sc.system, grid, np.full((1, grid.n_steps), 110.0),
+                            sc.deltas, sc.ambient)
+
+    @pytest.mark.parametrize("shape", [(), (288,), (290,), (1, 289)])
+    def test_ambient_shape_validated(self, desk_static_scenario, shape):
+        sc = desk_static_scenario
+        assert sc.grid.n_steps == 288
+        with pytest.raises(ValidationError, match=r"ambient must have shape \(289,\)"):
+            simulate_system(sc.system, sc.grid, np.full((1, 288), 110.0),
+                            sc.deltas, np.full(shape, 10.0))
+        with pytest.raises(ValidationError, match=r"ambient must have shape \(289,\)"):
+            condense(sc.system, sc.grid, sc.deltas, np.full(shape, 10.0),
+                     sc.u_init)
+
+    def test_steady_only_system_cannot_be_swept(self):
+        graph, flow = minimal_loop()
+        system = assemble(graph, flow, control_volumes(graph),
+                          PhysicalConstants(), dt_s=None)
+        grid = TimeGrid(dt_s=900.0, n_steps=4)
+        with pytest.raises(SolverError, match="without a time step"):
+            simulate_system(system, grid, np.full((1, 4), 90.0),
+                            np.full((1, 5), 20.0), np.full(5, 10.0))
 
 
 class TestDenseOracle:
