@@ -15,7 +15,7 @@ transposed.
 """
 
 from .errors import DhnError, ParseError, SolverError, ValidationError
-from .network import (BoundarySpec, FlowField, NetworkGraph, control_volumes,
+from .network import (BoundarySpec, NetworkGraph, check_flow, control_volumes,
                       load_flow_field, parse_network, subdivide_pipes,
                       write_flow_field, write_network)
 from .objective import (ConstraintSet, PriceModel, constraint_violations,
@@ -23,11 +23,11 @@ from .objective import (ConstraintSet, PriceModel, constraint_violations,
                         penalty, project_control, tikhonov)
 from .optimizer import (LbfgsResult, ObjectiveEvaluator, OptimizationReport,
                         OptimizerConfig, RoundStats, lbfgs_minimize, optimize)
-from .scenario import (DemandSet, LoadSeries, PriceSeries, Scenario,
-                       build_scenario, lowpass, read_demand_set,
-                       read_load_series, read_price_series,
-                       synthesize_variations, write_demand_set,
-                       write_load_series, write_price_series)
+from .scenario import (LoadSeries, PriceSeries, Scenario, build_scenario,
+                       lowpass, read_demand_set, read_load_series,
+                       read_price_series, synthesize_variations,
+                       write_demand_set, write_load_series,
+                       write_price_series)
 from .thermal import (CondensedMap, PhysicalConstants, StateTrajectory,
                       SystemMatrices, TimeGrid, assemble, condense,
                       demand_to_delta, energy_balance, simulate, solve_steady,

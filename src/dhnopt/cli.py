@@ -235,17 +235,23 @@ def _load_network(cfg):
 
 
 def _time_grid(sc):
-    dt, horizon = sc["dt_s"], sc["horizon_s"]
-    if sc["n_steps"] is not None:
-        return TimeGrid(dt_s=dt, n_steps=sc["n_steps"])
-    if horizon is None:
+    """``n_steps`` or ``horizon_s`` over ``dt_s``; both, if they agree."""
+    dt, n_steps, horizon = sc["dt_s"], sc["n_steps"], sc["horizon_s"]
+    if not dt > 0:
+        raise ValidationError(f"config 'scenario.dt_s' must be > 0, got {dt}")
+    if horizon is not None:
+        n = horizon / dt
+        if n_steps is not None and abs(n - n_steps) > 1e-9:
+            raise ValidationError(
+                f"scenario.n_steps={n_steps} steps of dt_s={dt} disagree "
+                f"with scenario.horizon_s={horizon}")
+        if abs(n - round(n)) > 1e-9:
+            raise ValidationError(
+                f"dt_s={dt} does not divide horizon_s={horizon}")
+        n_steps = int(round(n))
+    elif n_steps is None:
         raise ValidationError("config needs scenario.n_steps or scenario.horizon_s")
-    n = horizon / dt
-    if abs(n - round(n)) > 1e-9:
-        raise ValidationError(
-            f"dt_s={dt} does not divide horizon_s={horizon}"
-        )
-    return TimeGrid(dt_s=dt, n_steps=int(round(n)))
+    return TimeGrid(dt_s=dt, n_steps=n_steps)
 
 
 def _scenario(cfg):
@@ -259,7 +265,7 @@ def _scenario(cfg):
     demand_path = cfg.path("demand_file")
     demands = read_demand_set(demand_path)
     known = {graph.edge_ids[e] for e in graph.consumer_edges}
-    unknown = [cid for cid in demands.consumer_ids if cid not in known]
+    unknown = [cid for cid in demands if cid not in known]
     if unknown:
         raise ValidationError(f"{demand_path}: unknown consumer {unknown[0]!r}")
     price_path = cfg.path("price_file", required=False)
@@ -357,8 +363,8 @@ def cmd_simulate(cfg):
     system = scenario.system
     t0 = time.perf_counter()
     # the initial steady state follows the supplied trajectory's start
-    traj = simulate_system(system, scenario.grid, u, scenario.deltas,
-                           scenario.ambient, u[:, 0])
+    traj = simulate_system(system, u, scenario.deltas, scenario.ambient,
+                           u[:, 0])
     wall = time.perf_counter() - t0
 
     balance = energy_balance(system, traj, scenario.deltas, scenario.ambient)
@@ -414,10 +420,10 @@ def cmd_optimize(cfg):
     bc = system.bc
 
     t0 = time.perf_counter()
-    baseline = simulate_system(system, scenario.grid, u0, scenario.deltas,
-                               scenario.ambient, scenario.u_init)
+    baseline = simulate_system(system, u0, scenario.deltas, scenario.ambient,
+                               scenario.u_init)
     u_opt, opt_report = optimize(scenario, u0, opt_cfg)
-    optimized = simulate_system(system, scenario.grid, u_opt, scenario.deltas,
+    optimized = simulate_system(system, u_opt, scenario.deltas,
                                 scenario.ambient, scenario.u_init)
     wall = time.perf_counter() - t0
 
@@ -590,9 +596,9 @@ def cmd_synth_demand(cfg):
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     write_demand_set(demands, cfg.out_dir / "demands.csv")
-    values = [s.values_w for s in demands.series]
+    values = [s.values_w for s in demands.values()]
     write_csv(cfg.out_dir / "demand_summary.csv", {
-        "consumer_edge_id": demands.consumer_ids,
+        "consumer_edge_id": list(demands),
         "mean_w": np.array([v.mean() for v in values]),
         "min_w": np.array([v.min() for v in values]),
         "max_w": np.array([v.max() for v in values])})

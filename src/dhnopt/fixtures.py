@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import (FlowField, NetworkGraph, subdivide_pipes,
+from .network import (NetworkGraph, check_flow, subdivide_pipes,
                       write_flow_field, write_network)
 from .objective import ConstraintSet
 from .scenario import (LoadSeries, PriceSeries, build_scenario,
@@ -71,7 +71,7 @@ def minimal_loop(mdot_kg_s=0.5, htc_w_per_m_c=0.5):
          _EXCHANGER_DIAMETER_M, 0.0),
     ]
     graph = _graph(nodes, edges)
-    flow = FlowField(np.full(4, mdot_kg_s)).validate_against(graph)
+    flow = check_flow(graph, np.full(4, mdot_kg_s))
     return graph, flow
 
 
@@ -102,7 +102,7 @@ def pipe_chain(n_cells, total_length_m=1000.0, mdot_kg_s=0.05,
     edges.append(("producer", "R0", "S0", "producer", _EXCHANGER_LENGTH_M,
                   _EXCHANGER_DIAMETER_M, 0.0))
     graph = _graph(nodes, edges)
-    flow = FlowField(np.full(graph.n_edges, mdot_kg_s)).validate_against(graph)
+    flow = check_flow(graph, np.full(graph.n_edges, mdot_kg_s))
     return graph, flow
 
 
@@ -167,7 +167,7 @@ def feeder_network(n_feeders=13, consumers_per_feeder=10,
                   _EXCHANGER_DIAMETER_M, 0.0))
     flows.append(total)
     graph = _graph(nodes, edges)
-    flow = FlowField(np.array(flows)).validate_against(graph)
+    flow = check_flow(graph, flows)
     return subdivide_pipes(graph, flow, max_cell_length_m)
 
 
@@ -195,8 +195,8 @@ def two_level_price(n_days=3):
 
 
 def demand_set_for(graph, base, seed=0, sigma=0.15, mean_w_per_consumer=None):
-    """One demand series per consumer edge of a graph, each with mean
-    ``mean_w_per_consumer`` (default: an equal share of the base)."""
+    """A dict of one demand series per consumer edge of a graph, each of
+    mean ``mean_w_per_consumer`` (default: an equal share of the base)."""
     return synthesize_demand_set(graph, base, seed=seed, sigma=sigma,
                                  mean_w_per_consumer=mean_w_per_consumer)
 

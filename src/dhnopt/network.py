@@ -259,64 +259,61 @@ class BoundarySpec:
         return len(self.consumer_edges)
 
 
-class FlowField:
-    """Signed mass flow per edge, kg/s, positive along edge orientation."""
+def check_flow(graph, massflow_kg_s):
+    """The edge mass flows as a float array, once checked against ``graph``.
 
-    def __init__(self, massflow_kg_s):
-        self.massflow_kg_s = np.asarray(massflow_kg_s, dtype=float)
-
-    def validate_against(self, graph):
-        """Check stagnation, conservation and the exchanger layout.
-
-        Consumer and producer edges must carry flow along the edge
-        direction (supply -> return and return -> supply respectively),
-        and their heads may receive no other flow: the thermal model
-        replaces those nodes' balance rows, so any further inflow there
-        would be silently lost. Give each substation a dedicated return
-        port that joins the trunk at a separate junction node.
-        """
-        m = self.massflow_kg_s
-        if m.shape != (graph.n_edges,):
-            raise ValidationError(
-                f"flow field has {m.shape[0]} values for {graph.n_edges} edges"
-            )
-        if not np.all(np.isfinite(m)):
-            raise ValidationError("flow field contains non-finite values")
-        zero = np.flatnonzero(m == 0.0)
-        if zero.size:
-            raise ValidationError(
-                f"edge {graph.edge_ids[zero[0]]!r}: zero mass flow (stagnation)"
-            )
-        imbalance = graph.incidence() @ m
-        bad = np.flatnonzero(np.abs(imbalance) > MASS_BALANCE_TOL)
+    The flow is signed, kg/s, positive along the edge orientation, one
+    value per edge in edge order: the form every model function takes.
+    The checks are stagnation, conservation and the exchanger layout.
+    Consumer and producer edges must carry flow along the edge
+    direction (supply -> return and return -> supply respectively), and
+    their heads may receive no other flow: the thermal model replaces
+    those nodes' balance rows, so any further inflow there would be
+    silently lost. Give each substation a dedicated return port that
+    joins the trunk at a separate junction node.
+    """
+    m = np.asarray(massflow_kg_s, dtype=float)
+    if m.shape != (graph.n_edges,):
+        raise ValidationError(
+            f"flow field has shape {m.shape} for {graph.n_edges} edges"
+        )
+    if not np.all(np.isfinite(m)):
+        raise ValidationError("flow field contains non-finite values")
+    zero = np.flatnonzero(m == 0.0)
+    if zero.size:
+        raise ValidationError(
+            f"edge {graph.edge_ids[zero[0]]!r}: zero mass flow (stagnation)"
+        )
+    imbalance = graph.incidence() @ m
+    bad = np.flatnonzero(np.abs(imbalance) > MASS_BALANCE_TOL)
+    if bad.size:
+        i = bad[0]
+        raise ValidationError(
+            f"node {graph.node_ids[i]!r}: mass imbalance "
+            f"{imbalance[i]:.3e} kg/s exceeds {MASS_BALANCE_TOL} kg/s"
+        )
+    consumers, producers = graph.consumer_edges, graph.producer_edges
+    exchangers = np.concatenate([consumers, producers])
+    backward = exchangers[m[exchangers] <= 0]
+    if backward.size:
+        e = backward[0]
+        raise ValidationError(
+            f"edge {graph.edge_ids[e]!r}: {graph.edge_kind[e]} edges "
+            f"must carry flow along their orientation (got {m[e]} kg/s)"
+        )
+    inflows = np.bincount(np.where(m > 0, graph.edge_head, graph.edge_tail),
+                          minlength=graph.n_nodes)
+    for edges, message in (
+            (consumers, "consumer return node {!r} receives flow besides "
+             "its consumer edge; use a dedicated return port per "
+             "substation"),
+            (producers, "plant supply node {!r} receives flow besides its "
+             "producer edge")):
+        heads = graph.edge_head[edges]
+        bad = heads[inflows[heads] > 1]
         if bad.size:
-            i = bad[0]
-            raise ValidationError(
-                f"node {graph.node_ids[i]!r}: mass imbalance "
-                f"{imbalance[i]:.3e} kg/s exceeds {MASS_BALANCE_TOL} kg/s"
-            )
-        consumers, producers = graph.consumer_edges, graph.producer_edges
-        exchangers = np.concatenate([consumers, producers])
-        backward = exchangers[m[exchangers] <= 0]
-        if backward.size:
-            e = backward[0]
-            raise ValidationError(
-                f"edge {graph.edge_ids[e]!r}: {graph.edge_kind[e]} edges "
-                f"must carry flow along their orientation (got {m[e]} kg/s)"
-            )
-        inflows = np.bincount(np.where(m > 0, graph.edge_head, graph.edge_tail),
-                              minlength=graph.n_nodes)
-        for edges, message in (
-                (consumers, "consumer return node {!r} receives flow besides "
-                 "its consumer edge; use a dedicated return port per "
-                 "substation"),
-                (producers, "plant supply node {!r} receives flow besides its "
-                 "producer edge")):
-            heads = graph.edge_head[edges]
-            bad = heads[inflows[heads] > 1]
-            if bad.size:
-                raise ValidationError(message.format(graph.node_ids[bad[0]]))
-        return self
+            raise ValidationError(message.format(graph.node_ids[bad[0]]))
+    return m
 
 
 def control_volumes(graph):
@@ -768,16 +765,16 @@ def write_network(graph, node_file, edge_file):
 
 
 def load_flow_field(flow_file, graph):
-    """Load mass flows and validate them against the graph."""
+    """Load the edge mass flows, the array :func:`check_flow` returns."""
     lines, cols = read_csv(flow_file, _FLOW_HEADER, ("massflow_kg_s",))
     rows = rows_by_id(flow_file, lines, cols["edge_id"], graph.edge_index, "edge")
-    return FlowField(cols["massflow_kg_s"][rows]).validate_against(graph)
+    return check_flow(graph, cols["massflow_kg_s"][rows])
 
 
 def write_flow_field(flow, graph, flow_file):
-    """Write a flow field to the CSV schema read by :func:`load_flow_field`."""
+    """Write edge mass flows in the CSV schema :func:`load_flow_field` reads."""
     write_csv(flow_file, {"edge_id": graph.edge_ids,
-                          "massflow_kg_s": flow.massflow_kg_s})
+                          "massflow_kg_s": flow})
 
 
 # ---------------------------------------------------------------------------
@@ -793,11 +790,11 @@ def subdivide_pipes(graph, flow, max_cell_length_m=100.0):
     pipes, and are never split. Interior node coordinates are
     interpolated when both endpoints have coordinates.
 
-    Returns the refined graph and the flow field expanded to the new
+    Returns the refined graph and the mass flows expanded to the new
     edge list (every segment of a pipe carries the parent pipe's flow).
-    ``flow`` must already be validated against ``graph``: splitting a
-    pipe adds no junction and no exchanger edge, so the expanded field
-    is valid on the refined graph without a second check.
+    ``flow`` must already be :func:`check_flow`'s array for ``graph``:
+    splitting a pipe adds no junction and no exchanger edge, so the
+    expanded flows are valid on the refined graph without a second check.
     """
     if not max_cell_length_m > 0:
         raise ValidationError("max_cell_length_m must be > 0")
@@ -835,7 +832,7 @@ def subdivide_pipes(graph, flow, max_cell_length_m=100.0):
                            np.repeat(graph.length_m / cells, cells),
                            np.repeat(graph.diameter_m, cells),
                            np.repeat(graph.htc_w_per_m_c, cells))
-    return refined, FlowField(np.repeat(flow.massflow_kg_s, cells))
+    return refined, np.repeat(flow, cells)
 
 
 def _runs(counts):

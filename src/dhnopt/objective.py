@@ -104,7 +104,7 @@ def injection_cost_rates(traj, graph, flow, price, cp_j_per_kg_c=DEFAULT_CP):
     bc = graph.boundary
     supply = traj.rows(bc.plant_nodes)
     ret = traj.rows(bc.plant_return_nodes)
-    mdot = np.abs(flow.massflow_kg_s[bc.producer_edges])
+    mdot = np.abs(flow[bc.producer_edges])
     w = 1.0
     if not price.static:
         p = price.step_prices

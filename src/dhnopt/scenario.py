@@ -114,26 +114,6 @@ class PriceSeries:
                            "price curve")[1:]
 
 
-@dataclass(frozen=True)
-class DemandSet:
-    """One demand series per consumer edge."""
-
-    consumer_ids: tuple
-    series: tuple
-
-    def __post_init__(self):
-        if len(self.consumer_ids) != len(self.series):
-            raise ValidationError("ids and series lengths differ")
-        object.__setattr__(self, "consumer_ids", tuple(self.consumer_ids))
-        object.__setattr__(self, "series", tuple(self.series))
-
-    def for_consumer(self, cid):
-        try:
-            return self.series[self.consumer_ids.index(cid)]
-        except ValueError:
-            raise ValidationError(f"no demand series for consumer {cid!r}") from None
-
-
 # ---------------------------------------------------------------------------
 # signal operations
 # ---------------------------------------------------------------------------
@@ -308,7 +288,8 @@ def synthesize_variations(base, n, band_hz=DEFAULT_NOISE_BAND_HZ,
 def synthesize_demand_set(graph, base, *, seed, sigma, mean_w_per_consumer,
                           cutoff_hz=DEFAULT_CUTOFF_HZ, order=4,
                           band_hz=DEFAULT_NOISE_BAND_HZ):
-    """One demand series per consumer edge of ``graph``.
+    """One demand series per consumer edge of ``graph``: a dict from
+    consumer edge id to :class:`LoadSeries`, in edge order.
 
     ``base`` is low-passed (:func:`lowpass`) and varied per consumer
     (:func:`synthesize_variations`), the stream of each keyed by its
@@ -322,7 +303,7 @@ def synthesize_demand_set(graph, base, *, seed, sigma, mean_w_per_consumer,
     series = synthesize_variations(lowpass(base, cutoff_hz, order=order), n,
                                    band_hz=band_hz, sigma=sigma, seed=seed,
                                    target_means=targets, keys=consumer_ids)
-    return DemandSet(consumer_ids=tuple(consumer_ids), series=tuple(series))
+    return dict(zip(consumer_ids, series))
 
 
 # ---------------------------------------------------------------------------
@@ -333,16 +314,17 @@ def synthesize_demand_set(graph, base, *, seed, sigma, mean_w_per_consumer,
 class Scenario:
     """Complete immutable optimization scenario.
 
-    Bundles the network, flows, time grid, boundary data (consumer
-    temperature drops, ambient), price model, constraint set and the
-    control's initial value. ``system`` lazily assembles and caches the
-    sparse operators, ``condensed`` the control-to-output map built from
-    them. :func:`build_scenario` stores ``deltas``, ``ambient`` and
+    Bundles the network, the edge mass flows (the array of
+    :func:`~dhnopt.network.check_flow`), time grid, boundary data
+    (consumer temperature drops, ambient), price model, constraint set
+    and the control's initial value. ``system`` lazily assembles and
+    caches the sparse operators, ``condensed`` the control-to-output map
+    built from them. :func:`build_scenario` stores ``deltas``, ``ambient`` and
     ``u_init`` as read-only copies, so the cached map cannot go stale.
     """
 
     graph: object
-    flow: object
+    flow: np.ndarray
     volumes: np.ndarray
     constants: PhysicalConstants
     grid: TimeGrid
@@ -361,8 +343,7 @@ class Scenario:
     @cached_property
     def condensed(self):
         """:class:`~dhnopt.thermal.CondensedMap` of the plant and consumer nodes."""
-        return condense(self.system, self.grid, self.deltas, self.ambient,
-                        self.u_init)
+        return condense(self.system, self.deltas, self.ambient, self.u_init)
 
     @cached_property
     def supply_bound(self):
@@ -379,12 +360,16 @@ def build_scenario(graph, flow, demands, prices, constraints, grid, constants,
                    initial_control_c=110.0):
     """Assemble a scenario from validated pieces.
 
-    Demand powers are converted to consumer temperature drops with each
-    consumer's mass flow. The run is dynamic exactly when ``prices``, a
-    :class:`PriceSeries`, is given: its curve is read onto the grid here,
-    once, and the scenario's :class:`~dhnopt.objective.PriceModel` holds
-    the step prices. ``prices=None`` selects the static model (every
-    step weighted 1, ``alpha`` and ``beta`` unread). The initial control
+    ``flow`` is the edge mass flow array of
+    :func:`~dhnopt.network.check_flow`, ``demands`` a dict from consumer
+    edge id to :class:`LoadSeries` with an entry for every consumer
+    (entries for other ids are not read). Demand powers are converted
+    to consumer temperature drops with each consumer's mass flow. The
+    run is dynamic exactly when ``prices``, a :class:`PriceSeries`, is
+    given: its curve is read onto the grid here, once, and the
+    scenario's :class:`~dhnopt.objective.PriceModel` holds the step
+    prices. ``prices=None`` selects the static model (every step
+    weighted 1, ``alpha`` and ``beta`` unread). The initial control
     defines the steady state the horizon starts from.
     """
     bc = graph.boundary
@@ -395,11 +380,13 @@ def build_scenario(graph, flow, demands, prices, constraints, grid, constants,
     times = grid.times()
     demands_w = np.empty((len(consumer_ids), times.size))
     for i, cid in enumerate(consumer_ids):
-        series = demands.for_consumer(cid)
+        series = demands.get(cid)
+        if series is None:
+            raise ValidationError(f"no demand series for consumer {cid!r}")
         demands_w[i] = interpolate(times, series.times(), series.values_w,
                                    "load series")
 
-    mdot_c = np.abs(flow.massflow_kg_s[bc.consumer_edges])
+    mdot_c = np.abs(flow[bc.consumer_edges])
     deltas = demand_to_delta(demands_w, mdot_c[:, None],
                              constants.cp_j_per_kg_c)
     max_drop = constraints.plant_max_c - _ABS_ZERO_C
@@ -521,8 +508,9 @@ def write_price_series(series, path):
 def read_demand_set(path):
     """Read a per-consumer demand CSV in long format.
 
-    Rows may come in any order. Consumers keep the order in which they
-    first appear; each consumer's rows are sorted by time, stably, and
+    Returns a dict from consumer edge id to :class:`LoadSeries`. Rows
+    may come in any order. Consumers keep the order in which they first
+    appear; each consumer's rows are sorted by time, stably, and
     checked by :func:`_uniform_series`, so the first consumer in that
     order whose samples it rejects is named.
     """
@@ -537,14 +525,16 @@ def read_demand_set(path):
     del key, order  # before the checks, which take space per sample
     series = _uniform_series([f"{path}: consumer {cid!r}" for cid in code],
                              times, powers, sizes)
-    return DemandSet(consumer_ids=tuple(code), series=tuple(series))
+    return dict(zip(code, series))
 
 
 def write_demand_set(demands, path):
-    series = demands.series
+    """Write a consumer-to-series dict in the long format
+    :func:`read_demand_set` reads, one consumer after another."""
+    series = demands.values()
     write_csv(path, {
         "time_s": np.concatenate([np.empty(0)] + [s.times() for s in series]),
-        "consumer_edge_id": [cid for cid, s in zip(demands.consumer_ids, series)
+        "consumer_edge_id": [cid for cid, s in demands.items()
                              for _ in range(s.values_w.size)],
         "power_w": np.concatenate([np.empty(0)] + [s.values_w for s in series]),
     })

@@ -108,10 +108,9 @@ def _advection_matrix(graph, flow):
     ``cp * (G y)_i`` is the net advected enthalpy leaving node ``i``.
     Row sums vanish by mass conservation.
     """
-    m = np.asarray(flow.massflow_kg_s, dtype=float)
-    up = np.where(m > 0, graph.edge_tail, graph.edge_head)
-    down = np.where(m > 0, graph.edge_head, graph.edge_tail)
-    mag = np.abs(m)
+    up = np.where(flow > 0, graph.edge_tail, graph.edge_head)
+    down = np.where(flow > 0, graph.edge_head, graph.edge_tail)
+    mag = np.abs(flow)
     rows = np.concatenate([up, down])
     cols = np.concatenate([up, up])
     vals = np.concatenate([mag, -mag])
@@ -200,11 +199,10 @@ class SystemMatrices:
         self.dt_s = float(dt_s) if dt_s is not None else None
         n = graph.n_nodes
 
-        self.G = _advection_matrix(graph, flow)
         self.S_diag = _ambient_loss_diagonal(graph)
         self.V_diag = volumes.copy()
-        self.plant_massflow = np.abs(flow.massflow_kg_s[bc.producer_edges])
-        self.consumer_massflow = np.abs(flow.massflow_kg_s[bc.consumer_edges])
+        self.plant_massflow = np.abs(flow[bc.producer_edges])
+        self.consumer_massflow = np.abs(flow[bc.consumer_edges])
 
         self.interior = interior = np.ones(n, dtype=bool)
         interior[bc.plant_nodes] = False
@@ -218,7 +216,7 @@ class SystemMatrices:
         # physical rows of the interior nodes, then the boundary rows:
         # a plant supply node equals its control, a consumer return node
         # its supply node minus the drop
-        G = self.G.tocoo()
+        G = _advection_matrix(graph, flow).tocoo()
         keep = interior[G.row]
         nodes = np.flatnonzero(interior)
         rows = np.concatenate([G.row[keep], nodes, bc.plant_nodes,
@@ -282,13 +280,15 @@ class SystemMatrices:
         return x
 
 
-def _forcing(loss, plants, returns, plant_temps, deltas, ambient_c):
+def _forcing(loss, plants, returns, plant_temps, deltas, ambient_c, out=None):
     """Ambient loss on the interior rows, boundary values on the rest:
     the plant temperatures on ``plants``, the negated drops on
-    ``returns``. ``loss`` (``S_diag``) and the rows share one node order."""
-    b = loss * ambient_c
-    b[plants] = plant_temps
-    b[returns] = -deltas
+    ``returns``. ``loss`` (``S_diag``) and the rows share one node order,
+    the last axis; ``ambient_c`` may broadcast leading axes of more
+    right-hand sides. Written into ``out`` when it is given."""
+    b = np.multiply(ambient_c, loss, out=out)
+    b[..., plants] = plant_temps
+    b[..., returns] = -deltas
     return b
 
 
@@ -359,11 +359,12 @@ class ObservedTrajectory:
         raise ValidationError("temperature requested outside the observed blocks")
 
 
-def _boundary_data(system, grid, deltas, ambient):
-    """``deltas`` and ``ambient`` as float arrays, checked against the
-    system and the grid. A steady-only system passes the step check and
-    raises :class:`SolverError` when the sweep factorizes."""
-    n_c, n = system.bc.n_consumers, grid.n_steps
+def _boundary_data(system, n, deltas, ambient):
+    """The grid of ``n`` steps of ``system.dt_s``, and ``deltas`` and
+    ``ambient`` as float arrays checked against it. A steady-only system
+    raises :class:`SolverError` here, before its grid is built."""
+    system.lu_transient
+    grid, n_c = TimeGrid(system.dt_s, n), system.bc.n_consumers
     deltas = np.asarray(deltas, dtype=float)
     if deltas.shape != (n_c, n + 1):
         raise ValidationError(
@@ -374,13 +375,9 @@ def _boundary_data(system, grid, deltas, ambient):
         raise ValidationError(
             f"ambient must have shape ({n + 1},), got {ambient.shape}"
         )
-    if system.dt_s is not None and grid.dt_s != system.dt_s:
-        raise ValidationError(
-            f"grid step {grid.dt_s} s differs from the system's {system.dt_s} s"
-        )
     if np.any(deltas < 0):
         raise ValidationError("consumer temperature deltas must be >= 0")
-    return deltas, ambient
+    return grid, deltas, ambient
 
 
 def _sweep(system, x0, u, deltas, ambient):
@@ -392,10 +389,9 @@ def _sweep(system, x0, u, deltas, ambient):
     and ``ambient[i]`` ``(n_steps + 1,)``. Yields ``(k, block)`` per
     block: ``block[j, i]`` is sweep ``i``'s state at step ``k + j`` in
     flow order, in a buffer the next block overwrites. A block's forcing
-    is built time-major with array passes, the rows
-    :func:`_forcing` gives a step, and each step is one solve of
-    ``storage * x + f`` for all ``m`` right-hand sides, with the
-    roundings of a single sweep.
+    is built time-major by one :func:`_forcing` call, and each step is
+    one solve of ``storage * x + f`` for all ``m`` right-hand sides,
+    with the roundings of a single sweep.
     """
     lu, order = system.lu_transient, system.order
     rank = np.argsort(order)
@@ -408,9 +404,10 @@ def _sweep(system, x0, u, deltas, ambient):
     for k in range(1, n_steps + 1, _BLOCK):
         f = buffer[:min(_BLOCK, n_steps + 1 - k)]
         steps = slice(k, k + len(f))
-        np.multiply(ambient[:, steps].T[:, :, None], loss, out=f)
-        f[:, :, plants] = u[:, :, k - 1:steps.stop - 1].transpose(2, 0, 1)
-        f[:, :, returns] = -deltas[:, :, steps].transpose(2, 0, 1)
+        _forcing(loss, plants, returns,
+                 u[:, :, k - 1:steps.stop - 1].transpose(2, 0, 1),
+                 deltas[:, :, steps].transpose(2, 0, 1),
+                 ambient[:, steps].T[:, :, None], out=f)
         for b in f:
             b += storage * x
             x = lu.solve(b.T).T
@@ -418,16 +415,16 @@ def _sweep(system, x0, u, deltas, ambient):
         yield k, f
 
 
-def simulate_system(system, grid, u, deltas, ambient, u_init=None):
+def simulate_system(system, u, deltas, ambient, u_init=None):
     """Run the solution operator: control trajectory -> state trajectory.
 
     Parameters
     ----------
     system : SystemMatrices
-        Assembled with ``dt_s == grid.dt_s``.
-    grid : TimeGrid
+        Assembled with a time step, ``dt_s``.
     u : ndarray, shape (n_plants, n_steps)
-        Plant supply temperature at steps ``1 .. n_steps``.
+        Plant supply temperature at steps ``1 .. n_steps``; the
+        trajectory's grid is ``TimeGrid(system.dt_s, n_steps)``.
     deltas : ndarray, shape (n_consumers, n_steps + 1)
         Consumer temperature drops on the grid (column 0 feeds the
         initial steady state).
@@ -437,20 +434,20 @@ def simulate_system(system, grid, u, deltas, ambient, u_init=None):
         to the first control column.
 
     The initial state is the steady solution under ``u_init`` and the
-    grid's first boundary values. The transient matrix is factorized
-    once, in the system's flow order, and reused for every step; each
-    step is a forward substitution for acyclic flows. The sweep keeps
+    first boundary values. The transient matrix is factorized once, in
+    the system's flow order, and reused for every step; each step is a
+    forward substitution for acyclic flows. The sweep keeps
     the state in flow order and runs in blocks of ``_BLOCK`` steps
     (:func:`_sweep`), each written back to node order in the returned
     trajectory with one scatter.
     """
     u = np.asarray(u, dtype=float)
     n_p = system.bc.n_plants
-    if u.shape != (n_p, grid.n_steps):
+    if u.ndim != 2 or u.shape[0] != n_p:
         raise ValidationError(
-            f"control must have shape ({n_p}, {grid.n_steps}), got {u.shape}"
+            f"control must have shape ({n_p}, n_steps), got {u.shape}"
         )
-    deltas, ambient = _boundary_data(system, grid, deltas, ambient)
+    grid, deltas, ambient = _boundary_data(system, u.shape[1], deltas, ambient)
     if u_init is None:
         u_init = u[:, 0]
     y = np.empty((system.graph.n_nodes, grid.n_steps + 1))
@@ -609,8 +606,11 @@ class CondensedMap:
         return self._diagonals.sum(axis=1, out=self._h_t)
 
 
-def condense(system, grid, deltas, ambient, u_init):
+def condense(system, deltas, ambient, u_init):
     """Build the :class:`CondensedMap` of the plant and consumer nodes.
+
+    ``ambient`` ``(n_steps + 1,)`` sets the map's grid,
+    ``TimeGrid(system.dt_s, n_steps)``.
 
     The observed rows are the plant supply, plant return, consumer
     supply and consumer return nodes, each block in boundary-spec order.
@@ -629,8 +629,13 @@ def condense(system, grid, deltas, ambient, u_init):
     blocks = (bc.plant_nodes, bc.plant_return_nodes,
               bc.consumer_supply_nodes, bc.consumer_return_nodes)
     nodes = np.concatenate(blocks)
+    ambient = np.asarray(ambient, dtype=float)
+    if ambient.ndim != 1:
+        raise ValidationError(
+            f"ambient must have shape (n_steps + 1,), got {ambient.shape}")
+    grid, deltas, ambient = _boundary_data(system, ambient.size - 1, deltas,
+                                           ambient)
     n_p, n = bc.n_plants, grid.n_steps
-    deltas, ambient = _boundary_data(system, grid, deltas, ambient)
     # sweep 0 is the free response, sweep 1 + p plant p's pulse
     u = np.zeros((1 + n_p, n_p, n))
     u[1:, :, 0] = np.eye(n_p)
@@ -662,7 +667,7 @@ def simulate(graph, flow, scenario, u):
     """
     if graph is not scenario.graph or flow is not scenario.flow:
         raise ValidationError("simulate needs the scenario's own graph and flow")
-    return simulate_system(scenario.system, scenario.grid, u, scenario.deltas,
+    return simulate_system(scenario.system, u, scenario.deltas,
                            scenario.ambient, scenario.u_init)
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from dhnopt.fixtures import minimal_loop
 from dhnopt.objective import ConstraintSet
-from dhnopt.scenario import DemandSet, LoadSeries, build_scenario
+from dhnopt.scenario import LoadSeries, build_scenario
 from dhnopt.thermal import PhysicalConstants, TimeGrid
 
 
@@ -17,8 +17,7 @@ def make_loop_scenario(n_steps=48, dt_s=900.0, demand_w=40e3, swing=0.0,
     grid = TimeGrid(dt_s=dt_s, n_steps=n_steps)
     t = grid.times()
     values = demand_w * (1.0 + swing * np.sin(2 * np.pi * t / 86400.0))
-    demands = DemandSet(("consumer",),
-                        (LoadSeries(values_w=values, dt_s=dt_s),))
+    demands = {"consumer": LoadSeries(values_w=values, dt_s=dt_s)}
     kwargs = {}
     if tikhonov_weight is not None:
         kwargs["tikhonov_weight"] = tikhonov_weight

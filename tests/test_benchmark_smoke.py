@@ -2,10 +2,10 @@
 
 ``perfbench/workloads.py`` calls the readers and the evaluator directly,
 so a change that broke the benchmark would pass every other test here.
-One short untraced run of each workload must finish, pass its checks
-and fail no operation. The feeder sweep's checks compare the gradient
-with central differences and audit the energy balance on the 1432-node
-feeder. A short traced run of the sweep must do the same and report
+One short untraced run of each of the four workloads must finish, pass
+its checks and fail no operation. The feeder sweep's checks compare the
+gradient with central differences and audit the energy balance on the
+1432-node feeder. A short traced run of the sweep must do the same and report
 every per-layer metric that ``BENCHMARK.json`` declares.
 """
 
@@ -27,6 +27,14 @@ def _run_clean(workload, trace=0):
     assert result["correct"] is True, result
     assert result["failed"] == 0, result
     return result
+
+
+def test_desk_static_runs_clean():
+    _run_clean("desk-static")
+
+
+def test_desk_dynamic_cli_runs_clean():
+    _run_clean("desk-dynamic-cli")
 
 
 def test_feeder_simulate_cli_runs_clean():

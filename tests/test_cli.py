@@ -129,6 +129,27 @@ class TestSimulate:
                    for out in ("by_steps", "by_horizon")]
         assert reports[0]["n_steps"] == reports[1]["n_steps"] == n
 
+    @pytest.mark.parametrize("horizon_steps", [96, 95, 97, 95.5])
+    def test_n_steps_and_horizon_s_must_agree(self, small_files, capsys,
+                                              horizon_steps):
+        base = small_files.parent
+        scenario = dict(json.loads(small_files.read_text())["scenario"])
+        n, dt = scenario["n_steps"], scenario["dt_s"]
+        assert n == 96
+        scenario["horizon_s"] = horizon_steps * dt
+        cfg = _with(small_files, "both.json", scenario=scenario)
+        rc = _run("simulate", "--config", cfg, "--quiet", "--out-dir",
+                  base / "both")
+        if horizon_steps == n:
+            assert rc == EXIT_OK
+            report = json.loads((base / "both" / "report.json").read_text())
+            assert report["n_steps"] == n
+        else:
+            assert rc == EXIT_INPUT
+            assert (f"scenario.n_steps=96 steps of dt_s={dt} disagree with "
+                    f"scenario.horizon_s={horizon_steps * dt}"
+                    in capsys.readouterr().err)
+
     def test_beta_above_alpha_exits_2(self, small_dynamic_files, capsys):
         scenario = json.loads(small_dynamic_files.read_text())["scenario"]
         cfg = _with(small_dynamic_files, "concave.json",
@@ -147,6 +168,9 @@ class TestSimulate:
 
 @pytest.mark.parametrize("command, section, values, key", [
     ("simulate", "scenario", {"dt_s": "abc"}, "scenario.dt_s"),
+    # a horizon_s over a dt_s of 0 divided by zero
+    ("simulate", "scenario", {"dt_s": 0.0, "n_steps": None,
+                              "horizon_s": 86400.0}, "scenario.dt_s"),
     ("simulate", "scenario", {"alpha": None}, "scenario.alpha"),
     ("simulate", "scenario", {"n_steps": 2.5}, "scenario.n_steps"),
     ("simulate", "scenario", {"ambient_c": [10.0, "cold"]}, "scenario.ambient_c"),

@@ -24,13 +24,13 @@ from conftest import make_loop_scenario
 from dhnopt.errors import SolverError, ValidationError
 from dhnopt.fixtures import (desk_scenario, feeder_network, feeder_scenario,
                              two_level_price)
-from dhnopt.network import FlowField, NetworkGraph, subdivide_pipes
+from dhnopt.network import NetworkGraph, check_flow, subdivide_pipes
 from dhnopt.objective import (ConstraintSet, constraint_violations,
                               injection_cost_rates, loss_energy,
                               objective_loss, penalty, tikhonov,
                               tikhonov_gradient)
 from dhnopt.optimizer import ObjectiveEvaluator, OptimizerConfig, optimize
-from dhnopt.scenario import DemandSet, LoadSeries, build_scenario
+from dhnopt.scenario import LoadSeries, build_scenario
 from dhnopt.thermal import (DEFAULT_CP, PhysicalConstants, TimeGrid, condense,
                             energy_balance, simulate_system)
 
@@ -43,9 +43,8 @@ _SCENARIOS = {
 
 def _sweep_outputs(scenario, u):
     """Observed temperatures from the per-step sweep."""
-    traj = simulate_system(scenario.system, scenario.grid, u,
-                           scenario.deltas, scenario.ambient,
-                           scenario.u_init)
+    traj = simulate_system(scenario.system, u, scenario.deltas,
+                           scenario.ambient, scenario.u_init)
     return traj.values_c[scenario.condensed.nodes, 1:]
 
 
@@ -169,7 +168,7 @@ def two_plant_network():
         diameter_m=[diameter] * len(edges),
         htc_w_per_m_c=[e[5] for e in edges],
     )
-    flow = FlowField([e[6] for e in edges]).validate_against(graph)
+    flow = check_flow(graph, [e[6] for e in edges])
     return graph, flow
 
 
@@ -177,10 +176,11 @@ def _two_plant_scenario(graph, flow, n_steps, prices=None,
                         u_init=(105.0, 100.0)):
     grid = TimeGrid(dt_s=900.0, n_steps=n_steps)
     t = grid.times()
-    demands = DemandSet(("consumer1", "consumer2"), (
-        LoadSeries(values_w=30e3 * (1.0 + 0.3 * np.sin(2 * np.pi * t / 86400.0)),
-                   dt_s=900.0),
-        LoadSeries(values_w=np.full(t.size, 45e3), dt_s=900.0)))
+    demands = {
+        "consumer1": LoadSeries(
+            values_w=30e3 * (1.0 + 0.3 * np.sin(2 * np.pi * t / 86400.0)),
+            dt_s=900.0),
+        "consumer2": LoadSeries(values_w=np.full(t.size, 45e3), dt_s=900.0)}
     return build_scenario(graph, flow, demands, prices, ConstraintSet(), grid,
                           PhysicalConstants(), initial_control_c=u_init)
 
@@ -266,7 +266,7 @@ def cyclic_network(circulating_kg_s=0.3):
         diameter_m=[0.05] * len(edges),
         htc_w_per_m_c=[e[5] for e in edges],
     )
-    flow = FlowField([e[6] for e in edges]).validate_against(graph)
+    flow = check_flow(graph, [e[6] for e in edges])
     return graph, flow
 
 
@@ -275,9 +275,9 @@ def cyclic():
     graph, flow = cyclic_network()
     grid = TimeGrid(dt_s=900.0, n_steps=48)
     t = grid.times()
-    demands = DemandSet(("consumer",), (LoadSeries(
+    demands = {"consumer": LoadSeries(
         values_w=40e3 * (1.0 + 0.3 * np.sin(2 * np.pi * t / 86400.0)),
-        dt_s=900.0),))
+        dt_s=900.0)}
     scenario = build_scenario(graph, flow, demands, None, ConstraintSet(),
                               grid, PhysicalConstants(),
                               initial_control_c=105.0)
@@ -289,9 +289,8 @@ def cyclic():
 class TestCyclicFlow:
     def test_energy_balance_closes(self, cyclic):
         scenario, u = cyclic
-        traj = simulate_system(scenario.system, scenario.grid, u,
-                               scenario.deltas, scenario.ambient,
-                               scenario.u_init)
+        traj = simulate_system(scenario.system, u, scenario.deltas,
+                               scenario.ambient, scenario.u_init)
         bal = energy_balance(scenario.system, traj, scenario.deltas,
                              scenario.ambient)
         assert bal["residual_rel"].max() < 1e-12
@@ -334,7 +333,7 @@ def _renumbered(graph, flow, old=None):
         edge_tail=new[graph.edge_tail], edge_head=new[graph.edge_head],
         length_m=graph.length_m, diameter_m=graph.diameter_m,
         htc_w_per_m_c=graph.htc_w_per_m_c)
-    return renumbered, flow.validate_against(renumbered)
+    return renumbered, check_flow(renumbered, flow)
 
 
 # network and whether its flow order makes the matrix triangular
@@ -366,8 +365,8 @@ class TestDenseSweeps:
         system, grid = scenario.system, scenario.grid
         u = np.random.default_rng(2).uniform(
             95.0, 110.0, (system.bc.n_plants, grid.n_steps))
-        traj = simulate_system(system, grid, u, scenario.deltas,
-                               scenario.ambient, scenario.u_init)
+        traj = simulate_system(system, u, scenario.deltas, scenario.ambient,
+                               scenario.u_init)
         y = np.linalg.solve(system.steady_matrix().toarray(), system.rhs_steady(
             scenario.u_init, scenario.deltas[:, 0], scenario.ambient[0]))
         assert np.max(np.abs(traj.values_c[:, 0] - y)) <= 1e-9
@@ -426,10 +425,9 @@ def _drawn_scenario(graph, flow):
     grid = TimeGrid(dt_s=900.0, n_steps=24)
     shape = 1.0 + 0.2 * np.sin(2 * np.pi * grid.times() / 86400.0)
     edges = graph.consumer_edges
-    demands = DemandSet(
-        tuple(graph.edge_ids[e] for e in edges),
-        tuple(LoadSeries(values_w=15.0 * DEFAULT_CP * m * shape, dt_s=900.0)
-              for m in flow.massflow_kg_s[edges]))
+    demands = {graph.edge_ids[e]: LoadSeries(
+        values_w=15.0 * DEFAULT_CP * flow[e] * shape, dt_s=900.0)
+        for e in edges}
     return build_scenario(graph, flow, demands, None, ConstraintSet(), grid,
                           PhysicalConstants(), initial_control_c=105.0)
 
@@ -442,9 +440,8 @@ class TestDrawnNetworks:
         # the plant lift stays at least 7 °C, so injection is far from 0
         u = np.random.default_rng(seed).uniform(
             105.0, 110.0, (scenario.system.bc.n_plants, 24))
-        traj = simulate_system(scenario.system, scenario.grid, u,
-                               scenario.deltas, scenario.ambient,
-                               scenario.u_init)
+        traj = simulate_system(scenario.system, u, scenario.deltas,
+                               scenario.ambient, scenario.u_init)
         y = scenario.condensed.apply(u).values_c
         assert np.max(np.abs(
             y - traj.values_c[scenario.condensed.nodes, 1:])) <= 1e-9
@@ -463,9 +460,9 @@ class TestDrawnNetworks:
         # feeder_network refines its pipes without checking the result;
         # refining again at a drawn length splits the cycle's pipes too
         graph, flow = network
-        flow.validate_against(graph)
+        check_flow(graph, flow)
         fine, fine_flow = subdivide_pipes(graph, flow, max_cell_length_m)
-        fine_flow.validate_against(fine)
+        check_flow(fine, fine_flow)
 
 
 # ---------------------------------------------------------------------------
@@ -649,8 +646,7 @@ def test_feeder_sparse_transpose_equals_dense(feeder, kind):
 def _short_desk_map():
     """The desk's map over 4 steps, fewer than its transit takes."""
     desk = desk_scenario()
-    grid = TimeGrid(dt_s=desk.grid.dt_s, n_steps=4)
-    return condense(desk.system, grid, desk.deltas[:, :5], desk.ambient[:5],
+    return condense(desk.system, desk.deltas[:, :5], desk.ambient[:5],
                     desk.u_init)
 
 

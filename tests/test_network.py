@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from dhnopt.cli import EXIT_INPUT, main
 from dhnopt.errors import ParseError, ValidationError
 from dhnopt.fixtures import (desk_network, feeder_network, minimal_loop,
                              pipe_chain, write_desk_fixture)
-from dhnopt.network import (PIPE_KINDS, FlowField, NetworkGraph, control_volumes,
-                            load_flow_field, parse_network, subdivide_pipes,
-                            write_flow_field, write_network)
+from dhnopt.network import (PIPE_KINDS, NetworkGraph, check_flow,
+                            control_volumes, load_flow_field, parse_network,
+                            subdivide_pipes, write_flow_field, write_network)
 from test_condensed import _NETWORKS, cyclic_network
 
 
@@ -272,34 +273,59 @@ def _y_network(flow_out1, flow_out2):
     return graph, flows
 
 
-class TestFlowField:
+class TestCheckFlow:
     def test_series_chain_accepts_tiny_substation_flow(self):
         graph, flow = pipe_chain(4, mdot_kg_s=0.03)
-        assert np.all(flow.massflow_kg_s == 0.03)
+        assert np.all(flow == 0.03)
+
+    def test_returns_the_flows_as_a_float_array(self):
+        graph, flow = minimal_loop(mdot_kg_s=1)
+        checked = check_flow(graph, [1, 1, 1, 1])
+        assert checked.dtype == float
+        assert checked.tobytes() == flow.tobytes()
 
     def test_junction_split_conserves(self):
         graph, flows = _y_network(1.2, 0.8)
-        FlowField(flows).validate_against(graph)
+        check_flow(graph, flows)
 
     def test_junction_imbalance_names_node(self):
         graph, flows = _y_network(1.2, 0.8)
         flows[1] = 1.3  # branch draws more than the trunk delivers
         with pytest.raises(ValidationError, match="'J'"):
-            FlowField(flows).validate_against(graph)
+            check_flow(graph, flows)
 
     def test_zero_flow_rejected(self):
         graph, flow = minimal_loop()
-        bad = flow.massflow_kg_s.copy()
+        bad = flow.copy()
         bad[0] = 0.0
         with pytest.raises(ValidationError, match="stagnation"):
-            FlowField(bad).validate_against(graph)
+            check_flow(graph, bad)
 
     def test_reversed_consumer_flow_rejected(self):
         graph, flow = minimal_loop()
-        bad = flow.massflow_kg_s.copy()
+        bad = flow.copy()
         bad[1] = -bad[1]
-        with pytest.raises(ValidationError):
-            FlowField(bad).validate_against(graph)
+        with pytest.raises(ValidationError, match="node 'SC': mass imbalance"):
+            check_flow(graph, bad)
+        # reversed around the whole loop, the flow is balanced
+        with pytest.raises(ValidationError, match="'consumer': consumer edges "
+                           "must carry flow along their orientation"):
+            check_flow(graph, -flow)
+
+    @pytest.mark.parametrize("shape", [(3,), (), (4, 1)])
+    def test_wrong_shape_rejected(self, shape):
+        graph, _ = minimal_loop()
+        with pytest.raises(ValidationError, match=re.escape(
+                f"flow field has shape {shape} for 4 edges")):
+            check_flow(graph, np.full(shape, 0.5))
+
+    def test_non_finite_flow_rejected(self):
+        graph, flow = minimal_loop()
+        bad = flow.copy()
+        bad[2] = np.nan
+        with pytest.raises(ValidationError,
+                           match="flow field contains non-finite values"):
+            check_flow(graph, bad)
 
     def test_orientation_flip_with_sign_flip_accepted(self):
         graph, flow = minimal_loop()
@@ -311,20 +337,20 @@ class TestFlowField:
             graph.node_ids, graph.node_side, graph.node_xy, graph.edge_ids,
             graph.edge_kind, tails, heads, graph.length_m, graph.diameter_m,
             graph.htc_w_per_m_c)
-        m = flow.massflow_kg_s.copy()
+        m = flow.copy()
         m[e] = -m[e]
-        FlowField(m).validate_against(flipped)
+        check_flow(flipped, m)
 
     def test_file_round_trip(self, tmp_path):
         graph, flow = desk_network()
         write_flow_field(flow, graph, tmp_path / "flows.csv")
         back = load_flow_field(tmp_path / "flows.csv", graph)
-        np.testing.assert_array_equal(back.massflow_kg_s, flow.massflow_kg_s)
+        np.testing.assert_array_equal(back, flow)
 
     def test_missing_edge_in_file(self, tmp_path):
         graph, flow = minimal_loop()
         lines = ["edge_id,massflow_kg_s"]
-        for eid, m in list(zip(graph.edge_ids, flow.massflow_kg_s))[:-1]:
+        for eid, m in list(zip(graph.edge_ids, flow))[:-1]:
             lines.append(f"{eid},{float(m)!r}")
         (tmp_path / "flows.csv").write_text("\n".join(lines) + "\n")
         with pytest.raises(ValidationError, match="missing edge"):
@@ -343,9 +369,9 @@ def _with_bypass(tail, head, pipe):
         [*graph.edge_ids, "bypass"], [*graph.edge_kind, kind], tails, heads,
         [*graph.length_m, 10.0], [*graph.diameter_m, 0.05],
         [*graph.htc_w_per_m_c, 0.5])
-    m = np.append(flow.massflow_kg_s, 0.2)
+    m = np.append(flow, 0.2)
     m[graph.edge_index[pipe]] += 0.2
-    return bypassed, FlowField(m)
+    return bypassed, m
 
 
 class TestExchangerLayout:
@@ -356,13 +382,13 @@ class TestExchangerLayout:
         graph, flow = _with_bypass("RP", "RC", "return_pipe")
         with pytest.raises(ValidationError,
                            match="consumer return node 'RC' receives flow"):
-            flow.validate_against(graph)
+            check_flow(graph, flow)
 
     def test_second_inflow_into_plant_supply_node_rejected(self):
         graph, flow = _with_bypass("SC", "SP", "supply_pipe")
         with pytest.raises(ValidationError,
                            match="plant supply node 'SP' receives flow"):
-            flow.validate_against(graph)
+            check_flow(graph, flow)
 
     def test_cli_rejects_the_layout_before_reading_demands(self, tmp_path,
                                                            capsys):
@@ -407,7 +433,7 @@ class TestSubdivision:
         assert control_volumes(fine).sum() == pytest.approx(
             control_volumes(graph).sum(), rel=1e-12)
         # every refined segment carries its parent's flow
-        fine_flow.validate_against(fine)
+        check_flow(fine, fine_flow)
 
     def test_refined_feeder_flow_passes_validation(self):
         # the refinement does not check its output: segments carry their
@@ -416,7 +442,7 @@ class TestSubdivision:
         graph, flow = feeder_network(max_cell_length_m=math.inf)
         fine, fine_flow = subdivide_pipes(graph, flow, 100.0)
         assert fine.n_edges > graph.n_edges
-        fine_flow.validate_against(fine)
+        check_flow(fine, fine_flow)
 
     def test_exchanger_edges_never_split(self):
         graph, flow = desk_network(segment_length_m=230.0)
@@ -459,7 +485,7 @@ def _subdivide_per_pipe(graph, flow, max_cell_length_m):
                            np.repeat(graph.length_m / cells, cells),
                            np.repeat(graph.diameter_m, cells),
                            np.repeat(graph.htc_w_per_m_c, cells))
-    return refined, FlowField(np.repeat(flow.massflow_kg_s, cells))
+    return refined, np.repeat(flow, cells)
 
 
 def _assert_same_refinement(graph, flow, max_cell_length_m):
@@ -474,7 +500,7 @@ def _assert_same_refinement(graph, flow, max_cell_length_m):
     assert fine.edge_head.tolist() == want.edge_head.tolist()
     for name in ("length_m", "diameter_m", "htc_w_per_m_c", "area_m2"):
         assert getattr(fine, name).tobytes() == getattr(want, name).tobytes()
-    assert fine_flow.massflow_kg_s.tobytes() == want_flow.massflow_kg_s.tobytes()
+    assert fine_flow.tobytes() == want_flow.tobytes()
 
 
 def _partly_placed_desk():

@@ -29,7 +29,7 @@ from dhnopt.fixtures import (daily_load_profile, demand_set_for, desk_network,
                              write_desk_fixture)
 from dhnopt.network import (load_flow_field, parse_network, read_csv,
                             write_csv, write_flow_field, write_network)
-from dhnopt.scenario import (DemandSet, LoadSeries, read_demand_set,
+from dhnopt.scenario import (LoadSeries, read_demand_set,
                              read_load_series, read_price_series,
                              write_demand_set, write_price_series)
 
@@ -163,8 +163,8 @@ def test_fields_are_stripped(tmp_path):
     path.write_text(" time_s , consumer_edge_id ,power_w\n" + "".join(
         f" {900.0 * k}\t,  c 1 , {k}.5 \n" for k in range(8)))
     demands = read_demand_set(path)
-    assert demands.consumer_ids == ("c 1",)
-    series = demands.series[0]
+    assert list(demands) == ["c 1"]
+    series = demands["c 1"]
     assert (series.dt_s, series.start_s) == (900.0, 0.0)
     np.testing.assert_array_equal(series.values_w, np.arange(8) + 0.5)
 
@@ -172,11 +172,11 @@ def test_fields_are_stripped(tmp_path):
 def test_quoted_consumer_id_round_trips(tmp_path):
     cid = 'sub "A", north'
     values = np.linspace(1.0, 2.0, 8)
-    demands = DemandSet((cid,), (LoadSeries(values_w=values, dt_s=900.0),))
+    demands = {cid: LoadSeries(values_w=values, dt_s=900.0)}
     write_demand_set(demands, tmp_path / "demands.csv")
     back = read_demand_set(tmp_path / "demands.csv")
-    assert back.consumer_ids == (cid,)
-    assert back.series[0].values_w.tobytes() == values.tobytes()
+    assert list(back) == [cid]
+    assert back[cid].values_w.tobytes() == values.tobytes()
 
 
 def test_single_sample_consumer_is_named(tmp_path):
@@ -367,11 +367,11 @@ def test_repeated_price_knot_names_file(inputs, capsys):
 @pytest.mark.parametrize("cid", ["\r", "a\rb", "\r\n", "c\r,d"])
 def test_carriage_return_in_id_round_trips(tmp_path, cid):
     values = np.linspace(1.0, 2.0, 8)
-    demands = DemandSet((cid,), (LoadSeries(values_w=values, dt_s=900.0),))
+    demands = {cid: LoadSeries(values_w=values, dt_s=900.0)}
     write_demand_set(demands, tmp_path / "demands.csv")
     back = read_demand_set(tmp_path / "demands.csv")
-    assert back.consumer_ids == (cid.strip(),)
-    assert back.series[0].values_w.tobytes() == values.tobytes()
+    assert list(back) == [cid.strip()]
+    assert back[cid.strip()].values_w.tobytes() == values.tobytes()
 
 
 _NO_CR = st.text(st.characters(blacklist_categories=("Cs",),
@@ -539,8 +539,8 @@ def test_shuffled_rows_read_back_grouped(tmp_path_factory, ids, data):
 
     expected = _oracle_demands(path)
     demands = read_demand_set(path)
-    assert list(demands.consumer_ids) == list(expected)
-    for series, pairs in zip(demands.series, expected.values()):
+    assert list(demands) == list(expected)
+    for series, pairs in zip(demands.values(), expected.values()):
         times = [t for t, _ in pairs]
         assert series.values_w.tobytes() == np.array(
             [p for _, p in pairs]).tobytes()
@@ -548,9 +548,9 @@ def test_shuffled_rows_read_back_grouped(tmp_path_factory, ids, data):
         assert series.dt_s == times[1] - times[0]
     write_demand_set(demands, path)
     again = read_demand_set(path)
-    assert again.consumer_ids == demands.consumer_ids
-    assert [s.values_w.tobytes() for s in again.series] == [
-        s.values_w.tobytes() for s in demands.series]
+    assert list(again) == list(demands)
+    assert [s.values_w.tobytes() for s in again.values()] == [
+        s.values_w.tobytes() for s in demands.values()]
 
 
 def _oracle_read(path, header, floats=(), blank_nan=()):
@@ -801,7 +801,7 @@ def test_feeder_files_are_split_without_csv_reader(tmp_path, monkeypatch):
     for size in (network._BLOCK_BYTES, 4099):
         monkeypatch.setattr(network, "_BLOCK_BYTES", size)
         load_flow_field(flows, parse_network(nodes, edges))
-        assert len(read_demand_set(tmp_path / "demands.csv").series) == n
+        assert len(read_demand_set(tmp_path / "demands.csv")) == n
         read_price_series(tmp_path / "prices.csv")
         read_csv(tmp_path / "control.csv", control_header,
                  ("time_s", "supply_temp_c"))

@@ -8,7 +8,7 @@ from dhnopt.errors import ValidationError
 from dhnopt.fixtures import (daily_load_profile, demand_set_for, desk_network,
                              desk_scenario, two_level_price)
 from dhnopt.objective import ConstraintSet
-from dhnopt.scenario import (DemandSet, LoadSeries, PriceSeries,
+from dhnopt.scenario import (LoadSeries, PriceSeries,
                              _butter_sos, _sosfiltfilt, build_scenario,
                              lowpass, read_demand_set,
                              read_load_series, read_price_series,
@@ -241,11 +241,24 @@ class TestBuildScenario:
         graph, flow = desk_network()
         base = daily_load_profile()
         demands = demand_set_for(graph, base)
-        short = DemandSet(demands.consumer_ids[:-1], demands.series[:-1])
+        short = dict(demands)
+        missing = list(demands)[3]
+        del short[missing]
         grid = TimeGrid(dt_s=900.0, n_steps=288)
-        with pytest.raises(ValidationError, match="no demand series"):
+        with pytest.raises(ValidationError, match=re.escape(
+                f"no demand series for consumer {missing!r}")):
             build_scenario(graph, flow, short, None, ConstraintSet(), grid,
                            PhysicalConstants())
+
+    def test_series_for_other_ids_are_not_read(self):
+        graph, flow = desk_network()
+        demands = demand_set_for(graph, daily_load_profile())
+        grid = TimeGrid(dt_s=900.0, n_steps=288)
+        extra = {"not_a_consumer": LoadSeries(values_w=np.full(8, -0.0),
+                                              dt_s=1.0), **demands}
+        a, b = (build_scenario(graph, flow, d, None, ConstraintSet(), grid,
+                               PhysicalConstants()) for d in (demands, extra))
+        assert a.deltas.tobytes() == b.deltas.tobytes()
 
     def test_demand_shorter_than_the_grid_rejected(self):
         graph, flow = desk_network()
@@ -260,9 +273,8 @@ class TestBuildScenario:
         graph, flow = desk_network()
         grid = TimeGrid(dt_s=900.0, n_steps=288)
         ids = [graph.edge_ids[e] for e in graph.consumer_edges]
-        huge = DemandSet(tuple(ids), tuple(
-            LoadSeries(values_w=np.full(289, 1e9), dt_s=900.0)
-            for _ in ids))
+        huge = {cid: LoadSeries(values_w=np.full(289, 1e9), dt_s=900.0)
+                for cid in ids}
         with pytest.raises(ValidationError, match="absolute zero"):
             build_scenario(graph, flow, huge, None, ConstraintSet(), grid,
                            PhysicalConstants())
@@ -288,10 +300,10 @@ class TestFileFormats:
         demands = demand_set_for(graph, daily_load_profile(), seed=2)
         write_demand_set(demands, tmp_path / "demands.csv")
         back = read_demand_set(tmp_path / "demands.csv")
-        assert set(back.consumer_ids) == set(demands.consumer_ids)
-        for cid in demands.consumer_ids:
-            np.testing.assert_array_equal(back.for_consumer(cid).values_w,
-                                          demands.for_consumer(cid).values_w)
+        assert list(back) == list(demands)
+        for cid in demands:
+            np.testing.assert_array_equal(back[cid].values_w,
+                                          demands[cid].values_w)
 
     def test_nonuniform_load_rejected(self, tmp_path):
         (tmp_path / "load.csv").write_text(

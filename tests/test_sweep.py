@@ -14,15 +14,16 @@ import pytest
 
 from dhnopt.fixtures import desk_network, desk_scenario, minimal_loop
 from dhnopt.network import control_volumes, subdivide_pipes
-from dhnopt.thermal import (PhysicalConstants, TimeGrid, _forcing, assemble,
-                            condense, simulate_system, solve_steady)
+from dhnopt.thermal import (PhysicalConstants, _forcing, assemble, condense,
+                            simulate_system, solve_steady)
 from test_condensed import (_renumbered, _two_plant_scenario, cyclic_network,
                             two_plant_network)
 
 
-def _reference_sweep(system, grid, u, deltas, ambient, u_init):
+def _reference_sweep(system, u, deltas, ambient, u_init):
     """Node temperatures ``(n_nodes, n_steps + 1)`` from one solve per step."""
-    y = np.empty((system.graph.n_nodes, grid.n_steps + 1))
+    n_steps = u.shape[1]
+    y = np.empty((system.graph.n_nodes, n_steps + 1))
     y[:, 0] = solve_steady(system, u_init, deltas[:, 0], ambient[0])
     lu, order = system.lu_transient, system.order
     rank = np.empty_like(order)
@@ -31,7 +32,7 @@ def _reference_sweep(system, grid, u, deltas, ambient, u_init):
     returns = rank[system.bc.consumer_return_nodes]
     loss, storage = system.S_diag[order], system.B_diag[order]
     x = y[order, 0]
-    for k in range(1, grid.n_steps + 1):
+    for k in range(1, n_steps + 1):
         b = _forcing(loss, plants, returns, u[:, k - 1], deltas[:, k],
                      ambient[k])
         b += storage * x
@@ -68,14 +69,13 @@ def test_simulate_equals_the_per_step_sweep(name, n_steps):
     system = _system(name)
     bc = system.bc
     rng = np.random.default_rng(n_steps)
-    grid = TimeGrid(dt_s=900.0, n_steps=n_steps)
     u = rng.uniform(80.0, 110.0, (bc.n_plants, n_steps))
     deltas = rng.uniform(5.0, 20.0, (bc.n_consumers, n_steps + 1))
     ambient = rng.uniform(-5.0, 15.0, n_steps + 1)
     u_init = rng.uniform(80.0, 110.0, bc.n_plants)
-    traj = simulate_system(system, grid, u, deltas, ambient, u_init)
+    traj = simulate_system(system, u, deltas, ambient, u_init)
     assert _same_bits(traj.values_c,
-                      _reference_sweep(system, grid, u, deltas, ambient, u_init))
+                      _reference_sweep(system, u, deltas, ambient, u_init))
 
 
 _SCENARIOS = {
@@ -87,15 +87,15 @@ _SCENARIOS = {
 @pytest.mark.parametrize("name", sorted(_SCENARIOS))
 def test_condense_reads_the_per_step_sweeps(name):
     sc = _SCENARIOS[name]()
-    system, grid = sc.system, sc.grid
-    n_p, n = system.bc.n_plants, grid.n_steps
-    m = condense(system, grid, sc.deltas, sc.ambient, sc.u_init)
+    system = sc.system
+    n_p, n = system.bc.n_plants, sc.grid.n_steps
+    m = condense(system, sc.deltas, sc.ambient, sc.u_init)
     u = np.zeros((n_p, n))
-    free = _reference_sweep(system, grid, u, sc.deltas, sc.ambient, sc.u_init)
+    free = _reference_sweep(system, u, sc.deltas, sc.ambient, sc.u_init)
     assert _same_bits(m.y_free, free[m.nodes, 1:])
     for p in range(n_p):
         u[p, 0] = 1.0
-        pulse = _reference_sweep(system, grid, u, np.zeros_like(sc.deltas),
+        pulse = _reference_sweep(system, u, np.zeros_like(sc.deltas),
                                  np.zeros(n + 1), np.zeros(n_p))
         u[p, 0] = 0.0
         assert _same_bits(m.impulse[:, p], pulse[m.nodes, 1:])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from conftest import make_loop_scenario
 from dhnopt.errors import SolverError, ValidationError
 from dhnopt.fixtures import (desk_network, feeder_network, minimal_loop,
                              pipe_chain)
-from dhnopt.network import FlowField, control_volumes
+from dhnopt.network import control_volumes
 from dhnopt.optimizer import optimize
 from dhnopt.thermal import (PhysicalConstants, SystemMatrices, TimeGrid,
                             _advection_matrix,
@@ -26,9 +27,8 @@ def _from_steady(system, u_init, u, deltas, ambient_c, n_steps=1):
     Constant control ``u``, consumer drops ``deltas`` and ambient
     temperature; returns the initial and the final state.
     """
-    grid = TimeGrid(dt_s=system.dt_s, n_steps=n_steps)
     deltas = np.tile(np.asarray(deltas, dtype=float)[:, None], (1, n_steps + 1))
-    traj = simulate_system(system, grid, np.full((1, n_steps), u), deltas,
+    traj = simulate_system(system, np.full((1, n_steps), u), deltas,
                            np.full(n_steps + 1, ambient_c), u_init=[u_init])
     return traj.values_c[:, 0], traj.values_c[:, -1]
 
@@ -92,9 +92,9 @@ class TestSteadySolve:
         # a lossless junction with zero throughflow has an empty row:
         # nothing determines its temperature
         graph, flow = desk_network(htc_w_per_m_c=0.0)
-        dead = flow.massflow_kg_s.copy()
+        dead = flow.copy()
         dead[graph.edge_index["ret0_5"]] = 0.0  # bypasses validation
-        system = assemble(graph, FlowField(dead), control_volumes(graph),
+        system = assemble(graph, dead, control_volumes(graph),
                           PhysicalConstants())
         deltas = np.zeros(system.bc.n_consumers)
         with pytest.raises(SolverError, match="singular"):
@@ -230,33 +230,50 @@ class TestSimulate:
         with pytest.raises(ValidationError, match="shape"):
             simulate(sc.graph, sc.flow, sc, np.full((1, 7), 110.0))
 
-    def test_grid_step_must_be_the_systems(self, desk_static_scenario):
+    @pytest.mark.parametrize("shape", [(288,), (2, 288), (1, 1, 288)])
+    def test_control_needs_one_row_per_plant(self, desk_static_scenario,
+                                             shape):
         sc = desk_static_scenario
-        grid = TimeGrid(dt_s=300.0, n_steps=sc.grid.n_steps)
-        assert sc.system.dt_s == 900.0
-        with pytest.raises(ValidationError, match="grid step 300.0 s"):
-            simulate_system(sc.system, grid, np.full((1, grid.n_steps), 110.0),
-                            sc.deltas, sc.ambient)
+        with pytest.raises(ValidationError, match=r"control must have shape "
+                           r"\(1, n_steps\), got " + re.escape(str(shape))):
+            simulate_system(sc.system, np.full(shape, 110.0), sc.deltas,
+                            sc.ambient)
+
+    def test_grid_is_the_systems_step_over_the_inputs_horizon(
+            self, desk_static_scenario):
+        sc = desk_static_scenario
+        u = np.full((1, 4), 110.0)
+        traj = simulate_system(sc.system, u, sc.deltas[:, :5], sc.ambient[:5])
+        m = condense(sc.system, sc.deltas[:, :5], sc.ambient[:5], sc.u_init)
+        assert traj.grid == m.grid == TimeGrid(dt_s=sc.system.dt_s, n_steps=4)
+        assert simulate(sc.graph, sc.flow, sc, np.full((1, 288), 110.0)).grid \
+            == sc.grid
 
     @pytest.mark.parametrize("shape", [(), (288,), (290,), (1, 289)])
     def test_ambient_shape_validated(self, desk_static_scenario, shape):
         sc = desk_static_scenario
         assert sc.grid.n_steps == 288
         with pytest.raises(ValidationError, match=r"ambient must have shape \(289,\)"):
-            simulate_system(sc.system, sc.grid, np.full((1, 288), 110.0),
-                            sc.deltas, np.full(shape, 10.0))
-        with pytest.raises(ValidationError, match=r"ambient must have shape \(289,\)"):
-            condense(sc.system, sc.grid, sc.deltas, np.full(shape, 10.0),
-                     sc.u_init)
+            simulate_system(sc.system, np.full((1, 288), 110.0), sc.deltas,
+                            np.full(shape, 10.0))
+        # condense reads its horizon off the ambient series, so one of the
+        # wrong length sets a horizon the deltas do not fit
+        n_c = sc.system.bc.n_consumers
+        match = (rf"deltas must have shape \({n_c}, {shape[0]}\)"
+                 if len(shape) == 1
+                 else r"ambient must have shape \(n_steps \+ 1,\)")
+        with pytest.raises(ValidationError, match=match):
+            condense(sc.system, sc.deltas, np.full(shape, 10.0), sc.u_init)
 
     def test_steady_only_system_cannot_be_swept(self):
         graph, flow = minimal_loop()
         system = assemble(graph, flow, control_volumes(graph),
                           PhysicalConstants(), dt_s=None)
-        grid = TimeGrid(dt_s=900.0, n_steps=4)
         with pytest.raises(SolverError, match="without a time step"):
-            simulate_system(system, grid, np.full((1, 4), 90.0),
+            simulate_system(system, np.full((1, 4), 90.0),
                             np.full((1, 5), 20.0), np.full(5, 10.0))
+        with pytest.raises(SolverError, match="without a time step"):
+            condense(system, np.full((1, 5), 20.0), np.full(5, 10.0), [90.0])
 
 
 class TestDenseOracle:
@@ -339,8 +356,7 @@ class TestAdvectionOperator:
     def test_flow_reversal_transposes_offdiagonal_pattern(self):
         graph, flow = desk_network()
         fwd = _advection_matrix(graph, flow).toarray()
-        rev = _advection_matrix(
-            graph, FlowField(-flow.massflow_kg_s)).toarray()
+        rev = _advection_matrix(graph, -flow).toarray()
         off_f = fwd - np.diag(np.diag(fwd))
         off_r = rev - np.diag(np.diag(rev))
         np.testing.assert_allclose(off_r, off_f.T, atol=1e-12)
