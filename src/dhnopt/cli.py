@@ -387,7 +387,8 @@ def cmd_simulate(cfg):
               {"time_s": times, "stored_vs_ambient_j": e_amb,
                "stored_vs_initial_j": e_init})
 
-    c = constraint_violations(traj, graph, scenario.constraints)
+    c = constraint_violations(traj.rows(system.bc.consumer_supply_nodes),
+                              scenario.supply_bound)
     report = {
         "command": "simulate",
         "n_nodes": graph.n_nodes,

@@ -2,8 +2,11 @@
 
 The scalar objective combines the energy (or monetary) cost of plant
 injection, a first-order smoothness regularizer on the control, and a
-quadratic hinge penalty on the consumer temperature constraints. All
-functions here are pure and operate on immutable inputs.
+quadratic hinge penalty on the consumer temperature constraints: one
+row per consumer, its supply temperature against the larger of the
+supply limit and the return limit plus its drop
+(:func:`constraint_violations`). All functions here are pure and
+operate on immutable inputs.
 
 Units: :func:`loss_energy` reports joules (static prices) or euros
 (dynamic prices). The objective converts the static loss to megawatt
@@ -165,22 +168,18 @@ def tikhonov_gradient(u, grid):
     return g
 
 
-def constraint_violations(traj, graph, constraints):
-    """Signed constraint values for every consumer and solved step.
+def constraint_violations(supply, bound, out=None):
+    """Consumer constraint values ``bound - supply`` in °C, the package's
+    one constraint formula; positive entries are violations.
 
-    Rows stack the supply-side constraints ``smin - y_supply`` over all
-    consumers, then the return-side constraints ``rmin - y_return``;
-    positive entries are violations in °C. Shape
-    ``(2 * n_consumers, n_steps)``.
+    ``supply`` holds consumer supply temperatures (a row per consumer, a
+    column per solved step) and ``bound`` their lower bound,
+    :attr:`~dhnopt.scenario.Scenario.supply_bound` ``max(smin, rmin +
+    delta)``: a consumer return node sits ``delta`` below its supply
+    node, so the return limit is a supply limit. Written into ``out``
+    when it is given.
     """
-    bc = graph.boundary
-    n_c = bc.n_consumers
-    supply = traj.rows(bc.consumer_supply_nodes)
-    out = np.empty((2 * n_c, supply.shape[1]))
-    np.subtract(constraints.consumer_supply_min_c, supply, out=out[:n_c])
-    np.subtract(constraints.consumer_return_min_c,
-                traj.rows(bc.consumer_return_nodes), out=out[n_c:])
-    return out
+    return np.subtract(bound, supply, out=out)
 
 
 def max_violation(c_values):

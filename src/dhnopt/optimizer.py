@@ -1,32 +1,30 @@
 """Penalized objective on the condensed control map, and L-BFGS-B.
 
-For fixed flows and step size the temperatures the objective reads
-(plant supply and return, consumer supply and return) are affine in
-the control, ``y = y_free + H * u`` with ``*`` a causal convolution in
-time ("condensing", Bock & Plitt 1984). The scenario builds this map
-once (:func:`dhnopt.thermal.condense`) from one sweep of ``1 + n_plants``
-right-hand sides, the sweep of :func:`~dhnopt.thermal.simulate_system`,
-which remains the oracle for these outputs and the full-state path of
-the CLI. Only the plant return and consumer supply rows are convolved:
-the boundary rows of the system matrix hold a plant supply node at its
-control and a consumer return node at its supply temperature minus the
-drop ``delta``. So the return limit ``rmin`` is the supply limit
-``rmin + delta``, and the objective has one constraint row per consumer
-and step, its supply temperature against ``b = max(smin, rmin + delta)``
-(``Scenario.supply_bound``). A value is the map's forward
+For fixed flows and step size the temperatures the objective reads are
+affine in the control, ``y = y_free + H * u`` with ``*`` a causal
+convolution in time ("condensing", Bock & Plitt 1984). The scenario
+builds this map once (:func:`dhnopt.thermal.condense`) from one sweep
+of ``1 + n_plants`` right-hand sides, the sweep of
+:func:`~dhnopt.thermal.simulate_system`, which remains the oracle for
+these outputs and the full-state path of the CLI. The map holds only
+the plant return and consumer supply rows: the boundary rows of the
+system matrix hold a plant supply node at its control and a consumer
+return node at its supply temperature minus the drop ``delta``. So the
+return limit ``rmin`` is the supply limit ``rmin + delta``, and the
+objective has one constraint row per consumer and step,
+:func:`~dhnopt.objective.constraint_violations` of its supply
+temperature against ``b = max(smin, rmin + delta)``
+(``Scenario.supply_bound``); a round's report takes its max violation
+from the same rows. A value is the map's forward
 (:meth:`~dhnopt.thermal.CondensedMap.convolve`), two matrix products
 over the impulse's numerical support, one per row family. It reads the
 loss from the plant rows and the constraint values from the consumer
-supply rows, rounded as the public terms round them wherever ``b`` is
-``smin``; the full outputs (:meth:`~dhnopt.thermal.CondensedMap.apply`)
-are built once per round, for its report: one max violation, the
-largest over the supply and the return rows, each against its own
-limit. The exact gradient is the transpose
+supply rows. The exact gradient is the transpose
 (:meth:`~dhnopt.thermal.CondensedMap.apply_transpose`), one matrix
 product of the same taps with ``dJ/dy`` over the rows where that is
-nonzero: the plant rows, which carry the injection cost, and the
-consumer supply rows with a violated bound (the hinge has zero slope
-where a bound holds), which is exact. A plant supply row is the
+nonzero: the plant return rows, which carry the injection cost, and
+the consumer supply rows with a violated bound (the hinge has zero
+slope where a bound holds), which is exact. A plant supply row is the
 control, so the evaluator adds its cost rates to the transpose itself.
 
 Minimization within the plant temperature box is scipy's L-BFGS-B
@@ -101,8 +99,7 @@ class ObjectiveEvaluator:
     round's result, last evaluated by its line search, cost no second
     product, and a gradient at the cached control reads the violations
     its value wrote: every gradient follows a forward at the same
-    control. Only :meth:`parts`, once per round, applies the full map and
-    both constraint families.
+    control.
     """
 
     def __init__(self, scenario, lambda_p):
@@ -115,15 +112,15 @@ class ObjectiveEvaluator:
         # miss; a fresh array of this size per call costs page faults
         self._c = np.empty((bc.n_consumers, scenario.grid.n_steps))
         self._row_starts = np.arange(0, self._c.size, scenario.grid.n_steps)
-        # the two plant blocks of the observed rows, all the loss reads
+        # the plant supply and return rows, all the loss reads
         n_p = bc.n_plants
         self._plants = ObservedTrajectory(
             np.concatenate((bc.plant_nodes, bc.plant_return_nodes)),
             np.zeros((2 * n_p, scenario.grid.n_steps)), scenario.grid,
             ((bc.plant_nodes, slice(0, n_p)),
              (bc.plant_return_nodes, slice(n_p, 2 * n_p))))
-        # the convolved rows a gradient multiplies, plant return then
-        # violated consumer supply rows, and their output gradient
+        # the map rows a gradient multiplies, plant return then violated
+        # consumer supply rows, and their output gradient
         self._live = np.arange(n_p + bc.n_consumers)
         self._dj_dy = np.empty((self._live.size, scenario.grid.n_steps))
         # static loss rates, the same at every control: the first gradient's
@@ -137,7 +134,7 @@ class ObjectiveEvaluator:
 
     def _forward(self, u):
         s = self.scenario
-        n_p, n_c = self.bc.n_plants, self.bc.n_consumers
+        n_p = self.bc.n_plants
         shape = (n_p, s.grid.n_steps)
         if u.shape != shape:
             raise ValidationError(f"control must have shape {shape}, got {u.shape}")
@@ -150,17 +147,15 @@ class ObjectiveEvaluator:
         # response plus H * u
         plants, y = self._plants, self._plants.values_c
         y[:n_p] = u
-        np.add(y_free[n_p:2 * n_p], h_u[:n_p], out=y[n_p:])
+        np.add(y_free[:n_p], h_u[:n_p], out=y[n_p:])
         loss = loss_energy(plants, s.graph, s.flow, s.price,
                            s.constants.cp_j_per_kg_c)
         loss_working = objective_loss(loss, s.price)
         reg = tikhonov(u, s.grid)
-        # each consumer's supply temperature, then its bound minus it:
-        # where the bound is smin, the two roundings constraint_violations
-        # makes on apply(u)
+        # each consumer's supply temperature, then its bound minus it
         c = self._c
-        np.add(y_free[2 * n_p:2 * n_p + n_c], h_u[n_p:], out=c)
-        np.subtract(s.supply_bound, c, out=c)
+        np.add(y_free[n_p:], h_u[n_p:], out=c)
+        constraint_violations(c, s.supply_bound, out=c)
         # the rows with a violation (NaN counts), by one reduction over
         # the flat scratch: a row-wise max pays a per-row overhead that
         # is most of its cost. A row without one adds no entry to the
@@ -185,17 +180,13 @@ class ObjectiveEvaluator:
     def parts(self, u):
         """Dict with loss, regularizer, penalty, violations and value.
 
-        ``violations`` is :func:`~dhnopt.objective.constraint_violations`
-        on every observed row of the map at ``u``: the supply and the
-        return rows, each against its own limit.
+        ``violations`` is a copy of the constraint rows the value read,
+        one per consumer (see :func:`~dhnopt.objective.constraint_violations`).
         """
         u = np.asarray(u, dtype=float, order="C")
         fwd = self._forward(u)
-        s = self.scenario
         return {"loss": fwd["loss"], "tikhonov": fwd["tikhonov"],
-                "penalty": fwd["penalty"],
-                "violations": constraint_violations(
-                    s.condensed.apply(u), s.graph, s.constraints),
+                "penalty": fwd["penalty"], "violations": self._c.copy(),
                 "value": fwd["value"]}
 
     # -- gradient --------------------------------------------------------

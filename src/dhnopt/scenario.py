@@ -342,7 +342,8 @@ class Scenario:
 
     @cached_property
     def condensed(self):
-        """:class:`~dhnopt.thermal.CondensedMap` of the plant and consumer nodes."""
+        """:class:`~dhnopt.thermal.CondensedMap` of the plant return and
+        consumer supply nodes."""
         return condense(self.system, self.deltas, self.ambient, self.u_init)
 
     @cached_property

@@ -23,6 +23,12 @@ only its upstream neighbours, and a plant supply row reads nothing, so
 for acyclic flows the matrix is lower triangular in flow order (each
 node after every node its row reads): factorized in that order, its LU
 factors are its own lower part and its diagonal, with no fill.
+
+The temperatures are therefore an affine, time-invariant function of
+the control. :func:`condense` reads that map off one sweep for the
+only rows it needs to convolve, the plant return and consumer supply
+nodes; the boundary rows fix the plant supply and consumer return
+nodes.
 """
 
 from __future__ import annotations
@@ -91,10 +97,6 @@ class TimeGrid:
             raise ValidationError("dt must be > 0")
         if self.n_steps < 1:
             raise ValidationError("need at least one time step")
-
-    @property
-    def horizon_s(self):
-        return self.dt_s * self.n_steps
 
     def times(self):
         return np.arange(self.n_steps + 1) * self.dt_s
@@ -334,7 +336,8 @@ class StateTrajectory:
 
 @dataclass
 class ObservedTrajectory:
-    """Temperatures of ``nodes`` at the solved steps, ``(len(nodes), n_steps)``.
+    """Temperatures of ``nodes`` at the solved steps, ``(len(nodes), n_steps)``:
+    the objective evaluator's plant rows, which the loss reads.
 
     ``blocks`` pairs the node array of each observed block with the
     slice of rows that holds it.
@@ -456,6 +459,7 @@ def simulate_system(system, u, deltas, ambient, u_init=None):
     for k, block in _sweep(system, y[order, :1].T, u[None], deltas[None],
                            ambient[None]):
         y[order, k:k + len(block)] = block[:, 0].T
+    del block  # the sweep's buffer, not kept through the trajectory's scan
     return StateTrajectory(values_c=y, grid=grid)
 
 
@@ -463,77 +467,59 @@ class CondensedMap:
     """Affine control-to-output map ``y = y_free + H * u`` (see :func:`condense`).
 
     For fixed flows and step size the backward-Euler recursion is linear
-    and time-invariant, so the observed temperatures are the free
-    response ``y_free`` ``(n_obs, n_steps)`` plus the causal convolution
-    of the impulse response ``impulse`` ``(n_obs, n_plants, n_steps)``
-    with the control. ``blocks`` holds the node arrays of the four row
-    blocks: plant supply, plant return, consumer supply and consumer
-    return. Only the ``n_plants + n_consumers`` rows of the middle two
-    are convolved. The boundary rows of the system matrix fix the
-    others: a plant supply node is held at the control, so its rows are
-    ``u``, and a consumer return node sits ``delta`` below its supply
-    node, so its rows are its free response plus the supply node's
-    convolution.
+    and time-invariant, so the temperatures of ``nodes``, the plant
+    return nodes then the consumer supply nodes, are the free response
+    ``y_free`` ``(n_plants + n_consumers, n_steps)`` plus the causal
+    convolution of the impulse response ``impulse``
+    ``(n_plants + n_consumers, n_plants, n_steps)`` with the control.
+    The other boundary nodes need no rows: the boundary rows of the
+    system matrix hold a plant supply node at the control and a consumer
+    return node ``delta`` below its supply node.
 
-    :meth:`convolve` is the forward, ``H * u`` on the convolved rows:
-    two matrix products, one per row family (plant return, consumer
-    supply), each over the family's numerical support, the fewest lags
-    whose dropped tail is at most ``1e-20`` of the l1 mass of each of
-    its rows, far below the round-off of the sums it would join. Over
-    288 steps that is 62 and 48 lags on the feeder, 31 and 27 on the
-    desk; every step when the horizon is shorter than the transit.
-    :meth:`apply` adds the free response and fills in the other two
-    blocks. :meth:`apply_transpose` is the same operator transposed:
-    one matrix product of the taps over the overall support (the most
-    of the two families') with the output gradient, over the convolved
-    rows whose output gradient may be nonzero: an objective gradient is
-    zero on every consumer row whose bound holds, and none reads a
-    consumer return row, whose limit is a supply bound
-    (:attr:`~dhnopt.scenario.Scenario.supply_bound`). A plant supply
-    row's gradient is a control gradient as it stands, so the caller
-    adds it. Both directions reuse buffers the map owns, the
-    sliding-window view of the padded control among them: a fresh
-    megabyte-sized array per call costs about as much as the product.
+    :meth:`convolve` is the forward, ``H * u``: two matrix products, one
+    per row family (plant return, consumer supply), each over the
+    family's numerical support, the fewest lags whose dropped tail is at
+    most ``1e-20`` of the l1 mass of each of its rows, far below the
+    round-off of the sums it would join. Over 288 steps that is 62 and
+    48 lags on the feeder, 31 and 27 on the desk; every step when the
+    horizon is shorter than the transit. :meth:`apply_transpose` is the
+    same operator transposed: one matrix product of the taps over the
+    overall support (the most of the two families') with the output
+    gradient, over the rows whose output gradient may be nonzero: an
+    objective gradient is zero on every consumer row whose bound holds.
+    Both directions reuse buffers the map owns, the sliding-window view
+    of the padded control among them: a fresh megabyte-sized array per
+    call costs about as much as the product.
     """
 
-    def __init__(self, blocks, y_free, impulse, grid):
-        self.nodes = np.concatenate(blocks)
+    def __init__(self, nodes, y_free, impulse, grid):
+        self.nodes = nodes
         self.y_free = y_free
         self.impulse = impulse
         self.grid = grid
-        bounds = np.cumsum([0] + [b.size for b in blocks])
-        rows = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-        self._blocks = tuple(zip(blocks, rows))
-        self._plants, self._returns = rows[0], rows[3]
-        # the convolved rows (plant return, consumer supply) and, in
-        # them, the consumer supply rows the consumer return rows repeat
-        self._convolved = slice(bounds[1], bounds[3])
-        self._supply = slice(bounds[2] - bounds[1], bounds[3] - bounds[1])
-        n_conv, n = bounds[3] - bounds[1], grid.n_steps
-        h = impulse[self._convolved]
-        n_p = h.shape[1]
+        n_rows, n_p, n = impulse.shape
         # a row's support: the fewest lags whose dropped tail, summed
         # from the last lag back, is at most _SUPPORT_TOL of the l1 mass
         # of the row and each plant; a family's, the most of its rows'
-        tails = np.cumsum(np.abs(h[..., ::-1]), axis=2)[..., ::-1]
+        tails = np.cumsum(np.abs(impulse[..., ::-1]), axis=2)[..., ::-1]
         lags = (tails > _SUPPORT_TOL * tails[..., :1]).sum(axis=2).max(axis=1)
         s = int(lags.max(initial=1))
         # taps[:, p*s + i] is plant p's impulse at lag s - 1 - i: a
         # window of the control padded with s - 1 leading zeros, read
         # against it, is the causal convolution at the window's last step
         self._taps = np.ascontiguousarray(
-            h[..., :s][..., ::-1].reshape(n_conv, n_p * s))
+            impulse[..., :s][..., ::-1].reshape(n_rows, n_p * s))
         self._padded = np.zeros((n_p, s - 1 + n))
         # the windows lag-major, windows[i, p] = view[p, i], so that each
         # family, plant return then consumer supply rows, multiplies its
         # taps at its own support f with one block, the last f lags
         self._view = np.moveaxis(sliding_window_view(self._padded, n, axis=1), 0, 1)
         self._windows = np.empty((s, n_p, n))
-        self._h_u = np.empty((n_conv, n))
-        taps = self._taps.reshape(n_conv, n_p, s).transpose(0, 2, 1)
+        self._h_u = np.empty((n_rows, n))
+        taps = self._taps.reshape(n_rows, n_p, s).transpose(0, 2, 1)
         windows = self._windows.reshape(s * n_p, n)
         self._families = []
-        for rows in (slice(0, n_p), slice(n_p, n_conv)):
+        for rows in (slice(0, n_p), slice(n_p, n_rows)):
             f = int(lags[rows].max(initial=1))
             self._families.append((
                 np.ascontiguousarray(taps[rows, s - f:].reshape(-1, f * n_p)),
@@ -543,7 +529,7 @@ class CondensedMap:
         # Q[p*s + i, j + s - 1 - i] over the lags i, a diagonal of plant
         # p's block of Q, which a strided view reads in place
         w = n + s - 1
-        self._g = np.zeros((n_conv, w))
+        self._g = np.zeros((n_rows, w))
         self._q = np.empty((n_p * s, w))
         item = self._q.itemsize
         self._diagonals = as_strided(self._q[:, s - 1:], (n_p, s, n),
@@ -551,10 +537,10 @@ class CondensedMap:
                                      writeable=False)
         self._h_t = np.empty((n_p, n))
         # The forward's sums are at most gain times the largest control
-        # entry, gain being the largest l1 norm of a convolved row's
-        # impulse. A control within this limit, 16 leaving room for the
-        # free response and round-off, overflows none of them.
-        gain = np.abs(h).sum(axis=(1, 2)).max()
+        # entry, gain being the largest l1 norm of a row's impulse. A
+        # control within this limit, 16 leaving room for the free
+        # response and round-off, overflows none of them.
+        gain = np.abs(impulse).sum(axis=(1, 2)).max()
         self.control_limit = np.finfo(float).max / (16 * (1 + gain))
 
     def convolve(self, u):
@@ -580,23 +566,13 @@ class CondensedMap:
             np.matmul(taps, windows, out=out)
         return self._h_u
 
-    def apply(self, u):
-        """Observed temperatures under the control ``u``, every row."""
-        h_u = self.convolve(u)
-        y = np.empty_like(self.y_free)
-        y[self._plants] = u
-        np.add(self.y_free[self._convolved], h_u, out=y[self._convolved])
-        np.add(self.y_free[self._returns], h_u[self._supply],
-               out=y[self._returns])
-        return ObservedTrajectory(self.nodes, y, self.grid, self._blocks)
-
     def apply_transpose(self, g, live):
-        """``H^T`` of the output gradient that is ``g`` on the convolved
-        rows ``live`` and zero on the others: the control gradient of
+        """``H^T`` of the output gradient that is ``g`` on the rows
+        ``live`` and zero on the others: the control gradient of
         ``sum(g * convolve(u)[live])``.
 
-        ``live`` is an increasing index into the convolved rows, plant
-        return then consumer supply, one entry per row of ``g``. Leaving
+        ``live`` is an increasing index into the rows, plant return then
+        consumer supply, one entry per row of ``g``. Leaving
         the other rows out is exact: a zero row adds only exact zeros
         to the product's sums. The result is a buffer the map owns: the
         next call overwrites it.
@@ -607,28 +583,22 @@ class CondensedMap:
 
 
 def condense(system, deltas, ambient, u_init):
-    """Build the :class:`CondensedMap` of the plant and consumer nodes.
+    """Build the :class:`CondensedMap` of the plant return and consumer
+    supply nodes, each block in boundary-spec order.
 
     ``ambient`` ``(n_steps + 1,)`` sets the map's grid,
     ``TimeGrid(system.dt_s, n_steps)``.
 
-    The observed rows are the plant supply, plant return, consumer
-    supply and consumer return nodes, each block in boundary-spec order.
     The map is read off one sweep of ``1 + n_plants`` right-hand sides
     (:func:`_sweep`, the sweep of :func:`simulate_system`), of which
-    only the observed rows are kept: ``y_free`` is the response to zero
+    only the map's rows are kept: ``y_free`` is the response to zero
     control from the steady state under ``u_init``, and plant ``p``'s
     column of ``impulse`` the response to a unit pulse of that plant at
     step 1 from zero state, with zero consumer drops and zero ambient.
     Each is bit for bit the rows of that :func:`simulate_system` run.
-    ``impulse`` keeps every observed row, but the map convolves only the
-    ``n_plants + n_consumers`` plant return and consumer supply rows;
-    the boundary rows of the system matrix fix the other two blocks.
     """
     bc = system.bc
-    blocks = (bc.plant_nodes, bc.plant_return_nodes,
-              bc.consumer_supply_nodes, bc.consumer_return_nodes)
-    nodes = np.concatenate(blocks)
+    nodes = np.concatenate((bc.plant_return_nodes, bc.consumer_supply_nodes))
     ambient = np.asarray(ambient, dtype=float)
     if ambient.ndim != 1:
         raise ValidationError(
@@ -656,7 +626,7 @@ def condense(system, deltas, ambient, u_init):
         impulse[:, :, steps] = rows[:, 1:].transpose(2, 1, 0)
     if not (np.all(np.isfinite(y_free)) and np.all(np.isfinite(impulse))):
         raise SolverError("condensed map contains non-finite temperatures")
-    return CondensedMap(blocks, y_free, impulse, grid)
+    return CondensedMap(nodes, y_free, impulse, grid)
 
 
 def simulate(graph, flow, scenario, u):

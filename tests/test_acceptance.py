@@ -10,9 +10,12 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import dhnopt
 
 from conftest import make_loop_scenario
 from dhnopt.fixtures import (daily_load_profile, desk_scenario,
@@ -277,8 +280,11 @@ class TestCriterion8ScenarioSynthesis:
 
 class TestCriterion9Determinism:
     def _cli(self, args, threads):
+        src = str(Path(dhnopt.__file__).parents[1])
         env = dict(os.environ, OMP_NUM_THREADS=str(threads),
-                   OPENBLAS_NUM_THREADS=str(threads))
+                   OPENBLAS_NUM_THREADS=str(threads),
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, (src, os.environ.get("PYTHONPATH")))))
         proc = subprocess.run(
             [sys.executable, "-m", "dhnopt", *map(str, args), "--quiet"],
             capture_output=True, text=True, env=env)

@@ -2,7 +2,7 @@
 
 ``Scenario.condensed`` replaces the forward and adjoint sweeps inside
 ``ObjectiveEvaluator``; ``simulate_system`` stays the oracle it must
-reproduce at every observed node.
+reproduce at every node of the map.
 """
 
 import dataclasses
@@ -27,12 +27,13 @@ from dhnopt.fixtures import (desk_scenario, feeder_network, feeder_scenario,
 from dhnopt.network import NetworkGraph, check_flow, subdivide_pipes
 from dhnopt.objective import (ConstraintSet, constraint_violations,
                               injection_cost_rates, loss_energy,
-                              objective_loss, penalty, tikhonov,
-                              tikhonov_gradient)
+                              max_violation, objective_loss, penalty,
+                              tikhonov, tikhonov_gradient)
 from dhnopt.optimizer import ObjectiveEvaluator, OptimizerConfig, optimize
 from dhnopt.scenario import LoadSeries, build_scenario
-from dhnopt.thermal import (DEFAULT_CP, PhysicalConstants, TimeGrid, condense,
-                            energy_balance, simulate_system)
+from dhnopt.thermal import (DEFAULT_CP, ObservedTrajectory, PhysicalConstants,
+                            TimeGrid, condense, energy_balance,
+                            simulate_system)
 
 _SCENARIOS = {
     "loop": lambda: make_loop_scenario(n_steps=96, swing=0.3),
@@ -42,10 +43,15 @@ _SCENARIOS = {
 
 
 def _sweep_outputs(scenario, u):
-    """Observed temperatures from the per-step sweep."""
+    """The map's rows from the per-step sweep."""
     traj = simulate_system(scenario.system, u, scenario.deltas,
                            scenario.ambient, scenario.u_init)
     return traj.values_c[scenario.condensed.nodes, 1:]
+
+
+def _outputs(m, u):
+    """The map's rows under the control ``u``: ``y_free + H * u``."""
+    return m.y_free + m.convolve(u)
 
 
 @pytest.fixture(scope="module", params=sorted(_SCENARIOS))
@@ -64,16 +70,19 @@ class TestAgainstSweep:
         @settings(max_examples=20, deadline=None)
         @given(u=_controls(scenario))
         def check(u):
-            y = scenario.condensed.apply(u).values_c
+            y = _outputs(scenario.condensed, u)
             assert np.max(np.abs(y - _sweep_outputs(scenario, u))) <= 1e-9
 
         check()
 
     def test_observed_rows_are_the_boundary_nodes(self, scenario):
         bc = scenario.system.bc
-        np.testing.assert_array_equal(scenario.condensed.nodes, np.concatenate([
-            bc.plant_nodes, bc.plant_return_nodes,
-            bc.consumer_supply_nodes, bc.consumer_return_nodes]))
+        m = scenario.condensed
+        np.testing.assert_array_equal(m.nodes, np.concatenate([
+            bc.plant_return_nodes, bc.consumer_supply_nodes]))
+        n_rows = bc.n_plants + bc.n_consumers
+        assert m.y_free.shape == (n_rows, scenario.grid.n_steps)
+        assert m.impulse.shape == (n_rows, bc.n_plants, scenario.grid.n_steps)
 
 
 class TestLifecycle:
@@ -197,15 +206,13 @@ class TestTwoPlants:
         assert two_plant.system.bc.n_plants == 2
         rng = np.random.default_rng(5)
         u = rng.uniform(80.0, 110.0, (2, 48))
-        y = two_plant.condensed.apply(u).values_c
+        y = _outputs(two_plant.condensed, u)
         assert np.max(np.abs(y - _sweep_outputs(two_plant, u))) <= 1e-9
 
     def test_each_plant_has_its_own_impulse_response(self, two_plant):
         h = two_plant.condensed.impulse
         assert h.shape == (two_plant.condensed.nodes.size, 2, 48)
-        # each plant's supply row responds to its own pulse only
-        np.testing.assert_allclose(h[0, :, 0], [1.0, 0.0], atol=1e-12)
-        np.testing.assert_allclose(h[1, :, 0], [0.0, 1.0], atol=1e-12)
+        # the consumer supply rows respond to each plant's pulse apart
         assert not np.allclose(h[2:, 0], h[2:, 1])
 
     def test_gradient_matches_central_differences(self, two_plant):
@@ -229,10 +236,8 @@ class TestTwoPlants:
     @pytest.mark.parametrize("shape", [(1, 48), (2, 47)])
     def test_a_control_of_the_wrong_shape_raises(self, two_plant, shape):
         # a (1, 48) control would broadcast to both plants
-        m = two_plant.condensed
-        for call in (m.convolve, m.apply):
-            with pytest.raises(ValidationError, match="shape"):
-                call(np.full(shape, 100.0))
+        with pytest.raises(ValidationError, match="shape"):
+            two_plant.condensed.convolve(np.full(shape, 100.0))
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +302,7 @@ class TestCyclicFlow:
 
     def test_outputs_equal_sweep(self, cyclic):
         scenario, u = cyclic
-        y = scenario.condensed.apply(u).values_c
+        y = _outputs(scenario.condensed, u)
         assert np.max(np.abs(y - _sweep_outputs(scenario, u))) <= 1e-11
 
     def test_gradient_matches_central_differences(self, cyclic):
@@ -442,7 +447,7 @@ class TestDrawnNetworks:
             105.0, 110.0, (scenario.system.bc.n_plants, 24))
         traj = simulate_system(scenario.system, u, scenario.deltas,
                                scenario.ambient, scenario.u_init)
-        y = scenario.condensed.apply(u).values_c
+        y = _outputs(scenario.condensed, u)
         assert np.max(np.abs(
             y - traj.values_c[scenario.condensed.nodes, 1:])) <= 1e-9
         bal = energy_balance(scenario.system, traj, scenario.deltas,
@@ -482,7 +487,7 @@ def _assert_maximum_principle(scenario):
     no consumer supply node by more than one degree."""
     h = scenario.condensed.impulse
     assert h.min() >= -1e-12
-    gains = h[_block_rows(scenario)[2]].sum(axis=(1, 2))
+    gains = h[scenario.system.bc.n_plants:].sum(axis=(1, 2))
     assert gains.max() <= 1.0 + 1e-12
 
 
@@ -491,62 +496,61 @@ def test_maximum_principle_on_the_fixtures(name):
     _assert_maximum_principle(_FOLDED.get(name, feeder_scenario)())
 
 
+def _drawn_control(scenario):
+    lo, hi = scenario.constraints.control_bounds
+    rng = np.random.default_rng(11)
+    return rng.uniform(lo, hi, (scenario.system.bc.n_plants,
+                                scenario.grid.n_steps))
+
+
 @pytest.fixture(scope="module", params=sorted(_FOLDED))
 def folded(request):
     scenario = _FOLDED[request.param]()
-    lo, hi = scenario.constraints.control_bounds
-    rng = np.random.default_rng(11)
-    u = rng.uniform(lo, hi, (scenario.system.bc.n_plants, scenario.grid.n_steps))
-    return scenario, u, scenario.condensed.apply(u)
+    u = _drawn_control(scenario)
+    return scenario, u, _outputs(scenario.condensed, u)
 
 
-def _block_rows(scenario):
-    bc = scenario.system.bc
-    bounds = np.cumsum([0, bc.n_plants, bc.n_plants, bc.n_consumers,
-                        bc.n_consumers])
-    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+@pytest.fixture(scope="module", params=sorted(_FOLDED) + ["feeder"])
+def swept(request):
+    """A scenario, a drawn control and the full state it drives."""
+    scenario = _FOLDED.get(request.param, feeder_scenario)()
+    u = _drawn_control(scenario)
+    return scenario, u, simulate_system(scenario.system, u, scenario.deltas,
+                                        scenario.ambient, scenario.u_init)
 
 
 def _dense_transpose(m, g):
-    """The control gradient of ``sum(g * y)`` over the plant supply,
-    plant return and consumer supply rows: ``H^T`` of every convolved
-    row, zero rows included, from dense lower-triangular Toeplitz blocks
-    of the whole impulse, plus the plant supply rows, which are the
-    control. The reference the row-sparse transpose must match; it reads
-    none of the map's taps or buffers."""
-    h = m.impulse[m._convolved]
+    """The control gradient of ``sum(g * convolve(u))``: ``H^T`` of every
+    row of the map, zero rows included, from dense lower-triangular
+    Toeplitz blocks of the whole impulse. The reference the row-sparse
+    transpose must match; it reads none of the map's taps or buffers."""
     n = m.grid.n_steps
-    grad = np.zeros((h.shape[1], n))
-    for row, g_row in zip(h, g[m._convolved]):
+    grad = np.zeros((m.impulse.shape[1], n))
+    for row, g_row in zip(m.impulse, g):
         for p, impulse in enumerate(row):
             grad[p] += toeplitz(impulse, np.zeros(n)).T @ g_row
-    return grad + g[m._plants]
+    return grad
 
 
 def _sparse_transpose(m, g):
-    """The map's transpose given only the nonzero convolved rows of
-    ``g``, plus the plant supply rows, which pass through."""
-    convolved = g[m._convolved]
-    live = np.flatnonzero(convolved.any(axis=1))
-    return m.apply_transpose(convolved[live], live) + g[m._plants]
+    """The map's transpose given only the nonzero rows of ``g``."""
+    live = np.flatnonzero(g.any(axis=1))
+    return m.apply_transpose(g[live], live)
 
 
 def _patterns(scenario, rng):
     """Output gradients zero outside a few rows, by name."""
-    plants, returns_p, supply, _ = _block_rows(scenario)
-    shape = (supply.stop, scenario.grid.n_steps)
+    n_p = scenario.system.bc.n_plants
+    shape = scenario.condensed.y_free.shape
 
-    def only(*blocks):
+    def only(rows):
         g = np.zeros(shape)
-        for rows in blocks:
-            g[rows] = rng.standard_normal((rows.stop - rows.start, shape[1]))
+        g[rows] = rng.standard_normal((rows.stop - rows.start, shape[1]))
         return g
-    first = supply.start
     return {
-        "plant rows only": only(plants, returns_p),
-        "one consumer supply row": only(slice(first, first + 1)),
-        "last consumer supply row only": only(slice(supply.stop - 1,
-                                                    supply.stop)),
+        "plant return rows only": only(slice(0, n_p)),
+        "one consumer supply row": only(slice(n_p, n_p + 1)),
+        "last consumer supply row only": only(slice(shape[0] - 1, shape[0])),
         "every row": rng.standard_normal(shape),
         "all zero": np.zeros(shape),
     }
@@ -554,7 +558,8 @@ def _patterns(scenario, rng):
 
 class TestFoldedMap:
     """The map whose consumer return rows the objective folds into the
-    supply bound: its transpose takes convolved rows only."""
+    supply bound: its transpose takes the live rows only, and the rows it
+    leaves out are fixed by the boundary rows of the system matrix."""
 
     def test_sparse_transpose_equals_dense(self, folded):
         scenario, _, _ = folded
@@ -565,60 +570,62 @@ class TestFoldedMap:
             scale = max(np.max(np.abs(want)), 1e-300)
             assert np.max(np.abs(got - want)) <= 1e-13 * scale, name
 
-    def test_plant_supply_rows_alone_pass_through(self, folded):
+    def test_no_live_row_gives_exact_zeros(self, folded):
         scenario, _, _ = folded
         m = scenario.condensed
-        plants = _block_rows(scenario)[0]
-        n = scenario.grid.n_steps
-        g = np.zeros((_block_rows(scenario)[2].stop, n))
-        g[plants] = np.random.default_rng(23).standard_normal((plants.stop, n))
-        # no convolved row is live: the map's share is exact zeros
-        none = m.apply_transpose(np.empty((0, n)), np.arange(0))
-        assert none.tobytes() == np.zeros((plants.stop, n)).tobytes()
-        assert _sparse_transpose(m, g).tobytes() == g[plants].tobytes()
-        assert _dense_transpose(m, g).tobytes() == g[plants].tobytes()
+        zeros = np.zeros((scenario.system.bc.n_plants, scenario.grid.n_steps))
+        none = m.apply_transpose(np.empty((0, zeros.shape[1])), np.arange(0))
+        assert none.tobytes() == zeros.tobytes()
+        assert _dense_transpose(m, np.zeros(m.y_free.shape)).tobytes() \
+            == zeros.tobytes()
 
     def test_transpose_is_the_adjoint(self, folded):
         scenario, u, y = folded
         m = scenario.condensed
         rng = np.random.default_rng(13)
-        convolved = m._convolved
-        n_rows = convolved.stop - convolved.start
         for _ in range(3):
-            g = rng.standard_normal((n_rows, scenario.grid.n_steps))
-            lhs = float(np.vdot((y.values_c - m.y_free)[convolved], g))
-            rhs = float(np.vdot(u, m.apply_transpose(g, np.arange(n_rows))))
+            g = rng.standard_normal(y.shape)
+            lhs = float(np.vdot(y - m.y_free, g))
+            rhs = float(np.vdot(u, m.apply_transpose(g, np.arange(len(g)))))
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
 
-    def test_plant_supply_rows_are_the_control(self, folded):
-        scenario, u, y = folded
-        plants = _block_rows(scenario)[0]
-        assert y.values_c[plants].tobytes() == u.tobytes()
+    def test_plant_supply_rows_are_the_control(self, swept):
+        scenario, u, traj = swept
+        assert traj.rows(scenario.system.bc.plant_nodes).tobytes() \
+            == u.tobytes()
 
-    def test_consumer_return_rows_are_supply_minus_drop(self, folded):
-        scenario, _, y = folded
-        _, _, supply, returns = _block_rows(scenario)
-        drop = y.values_c[supply] - y.values_c[returns]
+    def test_consumer_return_rows_are_supply_minus_drop(self, swept):
+        scenario, _, traj = swept
+        bc = scenario.system.bc
+        drop = (traj.rows(bc.consumer_supply_nodes)
+                - traj.rows(bc.consumer_return_nodes))
         assert np.max(np.abs(drop - scenario.deltas[:, 1:])) <= 1e-12
 
     def test_block_rows_are_views(self, folded):
-        scenario, _, y = folded
+        # the evaluator's plant rows: the control, then the map's plant
+        # return rows, which the loss reads by node array
+        scenario, u, y = folded
         bc = scenario.system.bc
-        for nodes, rows in zip((bc.plant_nodes, bc.plant_return_nodes,
-                                bc.consumer_supply_nodes,
-                                bc.consumer_return_nodes),
-                               _block_rows(scenario)):
-            block = y.rows(nodes)
-            assert np.shares_memory(block, y.values_c)
-            np.testing.assert_array_equal(block, y.values_c[rows])
+        n_p = bc.n_plants
+        ev = ObjectiveEvaluator(scenario, 10.0)
+        ev.value(u)
+        plants = ev._plants
+        for nodes, want in ((bc.plant_nodes, u), (bc.plant_return_nodes,
+                                                  y[:n_p])):
+            block = plants.rows(nodes)
+            assert np.shares_memory(block, plants.values_c)
+            assert block.tobytes() == want.tobytes()
             # an equal array that is not the boundary spec's own
-            assert np.shares_memory(y.rows(nodes.copy()), y.values_c)
+            assert np.shares_memory(plants.rows(nodes.copy()),
+                                    plants.values_c)
 
     def test_rows_outside_the_blocks_raise(self, folded):
-        scenario, _, y = folded
+        scenario, _, _ = folded
         bc = scenario.system.bc
+        plants = ObjectiveEvaluator(scenario, 10.0)._plants
         with pytest.raises(ValidationError, match="outside the observed"):
-            y.rows(np.concatenate([bc.plant_nodes, bc.consumer_supply_nodes]))
+            plants.rows(np.concatenate([bc.plant_nodes,
+                                        bc.consumer_supply_nodes]))
 
 
 @pytest.fixture(scope="module")
@@ -627,10 +634,10 @@ def feeder():
 
 
 @pytest.mark.parametrize("kind", [
-    "plant rows only", "one consumer supply row",
+    "plant return rows only", "one consumer supply row",
     "last consumer supply row only", "every row", "all zero"])
 def test_feeder_sparse_transpose_equals_dense(feeder, kind):
-    # 131 convolved rows, more than any map in the folded fixture
+    # 131 rows, more than any map in the folded fixture
     m = feeder.condensed
     g = _patterns(feeder, np.random.default_rng(19))[kind]
     want = _dense_transpose(m, g)
@@ -674,7 +681,7 @@ def _support(m):
 class TestForwardIsExact:
     def test_equals_the_convolution_with_the_whole_impulse(self, forward):
         _, m = forward
-        h = m.impulse[m._convolved]
+        h = m.impulse
         n_p, n = h.shape[1], m.grid.n_steps
         u = np.random.default_rng(41).uniform(60.0, 120.0, (n_p, n))
         want = np.array([sum(np.convolve(row[p], u[p])[:n] for p in range(n_p))
@@ -686,7 +693,7 @@ class TestForwardIsExact:
     def test_the_support_is_the_fewest_lags_with_a_negligible_tail(
             self, forward):
         _, m = forward
-        h = np.abs(m.impulse[m._convolved])
+        h = np.abs(m.impulse)
         s = _support(m)
         mass = h.sum(axis=2)
         assert np.all(h[..., s:].sum(axis=2) <= 1e-20 * mass)
@@ -694,7 +701,7 @@ class TestForwardIsExact:
         # the taps are the impulse reversed in lag, one block per plant
         taps = m._taps.reshape(h.shape[0], h.shape[1], s)
         assert np.array_equal(taps[..., ::-1],
-                              m.impulse[m._convolved][..., :s])
+                              m.impulse[..., :s])
 
 
 @pytest.mark.parametrize("name, support", [("desk", 31), ("feeder", 62),
@@ -713,9 +720,9 @@ def _family_supports(m):
 
 def test_each_family_has_the_fewest_lags_with_a_negligible_tail(forward):
     _, m = forward
-    h = np.abs(m.impulse[m._convolved])
+    h = np.abs(m.impulse)
     n_p = h.shape[1]
-    for rows, f in zip((slice(0, n_p), m._supply), _family_supports(m)):
+    for rows, f in zip((slice(0, n_p), slice(n_p, None)), _family_supports(m)):
         mass = h[rows].sum(axis=2)
         assert np.all(h[rows, :, f:].sum(axis=2) <= 1e-20 * mass)
         assert np.any(h[rows, :, f - 1:].sum(axis=2) > 1e-20 * mass)
@@ -733,7 +740,7 @@ def test_successive_calls_read_the_current_control(name):
     # the windows are a view built once over the padded control: each
     # call must read its own control, not the last one's
     m = _FORWARD[name]()
-    h = m.impulse[m._convolved]
+    h = m.impulse
     n_p, n = h.shape[1], m.grid.n_steps
     rng = np.random.default_rng(47)
     for lo, hi in ((60.0, 120.0), (100.0, 101.0), (30.0, 140.0)):
@@ -750,15 +757,14 @@ def test_successive_transposes_read_the_current_rows(forward):
     # stay zero, and a call with fewer rows must not read the stale ones
     # the call before it left behind
     _, m = forward
-    n_p, n = m.impulse.shape[1:]
-    n_conv = m._convolved.stop - m._convolved.start
+    n_rows, n_p, n = m.impulse.shape
     rng = np.random.default_rng(53)
-    for k in (n_conv, min(27, n_conv), 1, 0):
-        live = np.sort(rng.choice(n_conv, k, replace=False))
-        g = np.zeros((m._convolved.stop, n))
-        g[m._convolved.start + live] = rng.standard_normal((k, n))
+    for k in (n_rows, min(27, n_rows), 1, 0):
+        live = np.sort(rng.choice(n_rows, k, replace=False))
+        g = np.zeros((n_rows, n))
+        g[live] = rng.standard_normal((k, n))
         want = _dense_transpose(m, g)
-        got = m.apply_transpose(g[m._convolved][live], live)
+        got = m.apply_transpose(g[live], live)
         assert got.shape == (n_p, n)
         scale = np.max(np.abs(want))
         assert np.max(np.abs(got - want)) <= 1e-13 * scale, k
@@ -853,39 +859,42 @@ def exact(request):
     return _EXACT[request.param]()
 
 
-def _public_terms(s, lambda_p, u, violations=None):
+def _public_terms(s, lambda_p, u):
     """Value, loss, penalty, constraint rows and gradient of the penalized
-    objective, from the public terms on ``condensed.apply(u)``.
+    objective, from the public terms on the map's rows ``y_free + H * u``.
 
-    The constraint rows are ``violations(y)`` when given, else the folded
-    bound ``s.supply_bound`` minus each consumer's supply row; the
-    gradient's hinge reads the first ``n_consumers`` of them, the
-    consumer supply rows. The gradient transposes the rows of ``dJ/dy``
-    that are nonzero, the rows the evaluator passes.
+    The constraint rows are :func:`constraint_violations` of each
+    consumer's supply row against ``s.supply_bound``. The gradient
+    transposes the rows of ``dJ/dy`` that are nonzero, the rows the
+    evaluator passes, and adds the cost rates of the plant supply rows,
+    which are the control.
     """
-    y = s.condensed.apply(u)
-    bc = s.system.bc
-    c = (s.supply_bound - y.rows(bc.consumer_supply_nodes)
-         if violations is None else violations(y))
+    m, bc = s.condensed, s.system.bc
+    n_p = bc.n_plants
+    y = _outputs(m, u)
+    plants = ObservedTrajectory(
+        np.concatenate((bc.plant_nodes, bc.plant_return_nodes)),
+        np.concatenate((u, y[:n_p])), s.grid,
+        ((bc.plant_nodes, slice(0, n_p)),
+         (bc.plant_return_nodes, slice(n_p, 2 * n_p))))
+    c = constraint_violations(y[n_p:], s.supply_bound)
     cp = s.constants.cp_j_per_kg_c
-    loss = loss_energy(y, s.graph, s.flow, s.price, cp)
+    loss = loss_energy(plants, s.graph, s.flow, s.price, cp)
     pen = penalty(c, lambda_p)
     value = (objective_loss(loss, s.price)
              + s.tikhonov_weight * tikhonov(u, s.grid) + pen)
-    rates, _ = injection_cost_rates(y, s.graph, s.flow, s.price, cp)
+    rates, _ = injection_cost_rates(plants, s.graph, s.flow, s.price, cp)
     rates = rates * objective_loss(1.0, s.price)
-    n_p = bc.n_plants
-    dj_dy = np.empty((2 * n_p + bc.n_consumers, s.grid.n_steps))
-    dj_dy[:n_p] = rates
-    dj_dy[n_p:2 * n_p] = -rates
-    dj_dy[2 * n_p:] = -lambda_p * np.maximum(0.0, c[:bc.n_consumers])
-    grad = _sparse_transpose(s.condensed, dj_dy)
+    dj_dy = np.empty(y.shape)
+    dj_dy[:n_p] = -rates
+    dj_dy[n_p:] = -lambda_p * np.maximum(0.0, c)
+    grad = _sparse_transpose(m, dj_dy) + rates
     grad += s.tikhonov_weight * tikhonov_gradient(u, s.grid)
     return value, loss, pen, c, grad
 
 
 class TestEvaluatorIsExact:
-    def test_equals_the_public_terms_on_apply(self, exact):
+    def test_equals_the_public_terms_on_the_map(self, exact):
         shape = (exact.system.bc.n_plants, exact.grid.n_steps)
         # one evaluator for every control: the static loss rates it
         # keeps from its first gradient must hold at the others too
@@ -906,34 +915,36 @@ class TestEvaluatorIsExact:
             assert parts["value"] == value
             assert parts["loss"] == loss
             assert parts["penalty"] == pen
-            # the report's rows: both families, on every observed row
-            assert np.array_equal(parts["violations"], constraint_violations(
-                exact.condensed.apply(u), exact.graph, exact.constraints))
+            # the report's rows: a copy of the rows the value read
+            assert np.array_equal(parts["violations"], c)
+            assert not np.shares_memory(parts["violations"], ev._c)
             # a gradient with no value call before it
             _, fresh = ObjectiveEvaluator(exact, 100.0).value_and_gradient(u)
             assert np.array_equal(fresh, grad)
 
     def test_equals_the_two_families_where_no_return_row_holds_a_violation(
             self, exact):
-        # the supply and return rows of constraint_violations, each with
-        # its own limit: where no return row is violated and the folded
-        # bound is smin, the folded rows give every bit of their terms
+        # the supply rows against smin and the return rows against rmin,
+        # on the full state: where the folded bound is smin and no return
+        # row is violated, the folded rows give every bit of their max
+        # violation and penalty
         assert np.all(exact.supply_bound
                       == exact.constraints.consumer_supply_min_c)
-        n_c = exact.system.bc.n_consumers
-        shape = (exact.system.bc.n_plants, exact.grid.n_steps)
-        ev = ObjectiveEvaluator(exact, 100.0)
+        bc, cons = exact.system.bc, exact.constraints
+        shape = (bc.n_plants, exact.grid.n_steps)
         for lo, hi, u in _exact_controls(shape):
             if (lo, hi) not in _RANGES:
                 continue
-            value, _, pen, c, grad = _public_terms(
-                exact, 100.0, u, lambda y: constraint_violations(
-                    y, exact.graph, exact.constraints))
-            assert c[n_c:].max() <= 0.0
-            got_value, got_grad = ev.value_and_gradient(u)
-            assert got_value == value
-            assert ev.parts(u)["penalty"] == pen
-            assert np.array_equal(got_grad, grad)
+            traj = simulate_system(exact.system, u, exact.deltas,
+                                   exact.ambient, exact.u_init)
+            supply = traj.rows(bc.consumer_supply_nodes)
+            ret = cons.consumer_return_min_c - traj.rows(
+                bc.consumer_return_nodes)
+            assert ret.max() <= 0.0
+            two = np.concatenate((cons.consumer_supply_min_c - supply, ret))
+            c = constraint_violations(supply, exact.supply_bound)
+            assert max_violation(c) == max_violation(two)
+            assert penalty(c, 100.0) == penalty(two, 100.0)
 
 
 def test_a_gradient_is_not_overwritten_by_the_next_call(exact):
@@ -1001,10 +1012,30 @@ class TestReturnLimitBinds:
             gd = float(np.vdot(grad, d))
             assert abs(gd - fd) <= 1e-6 * max(abs(fd), abs(gd))
 
+    def test_a_return_limit_violation_is_a_positive_folded_row(
+            self, return_bound):
+        scenario, _, _ = return_bound
+        bc = scenario.system.bc
+        t = np.arange(1, scenario.grid.n_steps + 1) * scenario.grid.dt_s
+        u = (92.0 + 3.0 * np.sin(2 * np.pi * t / 86400.0))[None, :]
+        traj = simulate_system(scenario.system, u, scenario.deltas,
+                               scenario.ambient, scenario.u_init)
+        c = constraint_violations(traj.rows(bc.consumer_supply_nodes),
+                                  scenario.supply_bound)
+        below = _RMIN_C - traj.rows(bc.consumer_return_nodes)
+        violated = below > 1e-9
+        assert np.any(violated)
+        assert np.all(c[violated] > 0.0)
+        # the folded row is the return row's violation: a return node
+        # sits delta below its supply node
+        assert np.max(np.abs(c[violated] - below[violated])) <= 1e-12
+
     def test_optimize_holds_the_return_limit(self, return_bound):
         scenario, u_opt, report = return_bound
         bc = scenario.system.bc
-        ret = scenario.condensed.apply(u_opt).rows(bc.consumer_return_nodes)
+        ret = simulate_system(scenario.system, u_opt, scenario.deltas,
+                              scenario.ambient, scenario.u_init).rows(
+                                  bc.consumer_return_nodes)
         # criterion 4's tolerance; the limit binds, so the test shows it held
         assert report.final_max_violation_c < 0.1
         assert _RMIN_C - ret.min() < 0.1
@@ -1019,7 +1050,7 @@ class TestControlCheck:
         u[0, 7] = bad
         for call in (ObjectiveEvaluator(scenario, 10.0).value,
                      ObjectiveEvaluator(scenario, 10.0).value_and_gradient,
-                     scenario.condensed.apply):
+                     scenario.condensed.convolve):
             with pytest.raises(SolverError, match="control"):
                 call(u)
 
@@ -1030,6 +1061,6 @@ class TestControlCheck:
         shape = (exact.system.bc.n_plants, exact.grid.n_steps)
         sign = np.random.default_rng(31).choice((-1.0, 1.0), shape)
         for u in (np.full(shape, m.control_limit), sign * m.control_limit):
-            assert np.all(np.isfinite(m.apply(u).values_c))
+            assert np.all(np.isfinite(_outputs(m, u)))
         with pytest.raises(SolverError):
-            m.apply(np.full(shape, 2.0 * m.control_limit))
+            m.convolve(np.full(shape, 2.0 * m.control_limit))

@@ -184,20 +184,27 @@ class TestTikhonov:
 
 class TestConstraints:
     def test_violation_signs(self):
-        constraints = ConstraintSet()
-        graph, flow, traj = _loop_traj(110.0, 40.0, consumer_supply_c=85.0,
-                                       consumer_return_c=30.0, n_steps=1)
-        c = constraint_violations(traj, graph, constraints)
-        assert c.shape == (2, 1)
-        assert c[0, 0] == pytest.approx(-5.0)   # supply 85: satisfied by 5
-        assert c[1, 0] == pytest.approx(0.0)    # return at the boundary
+        # supply 85 against 80: satisfied by 5; at the bound: 0
+        c = constraint_violations(np.array([[85.0, 80.0]]), 80.0)
+        np.testing.assert_array_equal(c, [[-5.0, 0.0]])
 
     def test_violation_magnitude(self):
         graph, flow, traj = _loop_traj(110.0, 40.0, consumer_supply_c=78.0,
                                        n_steps=1)
-        c = constraint_violations(traj, graph, ConstraintSet())
+        supply = traj.rows(graph.boundary.consumer_supply_nodes)
+        c = constraint_violations(supply, ConstraintSet().consumer_supply_min_c)
         assert c[0, 0] == pytest.approx(2.0)
         assert max_violation(c) == pytest.approx(2.0)
+
+    def test_bound_per_entry_and_into_out(self):
+        supply = np.array([[85.0, 70.0], [60.0, 90.0]])
+        bound = np.array([[80.0, 75.0], [80.0, 95.0]])
+        out = np.empty_like(supply)
+        assert constraint_violations(supply, bound, out=out) is out
+        np.testing.assert_array_equal(out, [[-5.0, 5.0], [20.0, 5.0]])
+        # in place, as the objective evaluator calls it
+        constraint_violations(supply, bound, out=supply)
+        np.testing.assert_array_equal(supply, out)
 
     def test_ordering_invariant(self):
         with pytest.raises(ValidationError):

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import make_loop_scenario
+from dhnopt import optimizer as optimizer_module
 from dhnopt import scenario as scenario_module
 from dhnopt.errors import ValidationError
 from dhnopt.fixtures import desk_scenario, feeder_scenario
 from dhnopt.objective import J_PER_MWH
 from dhnopt.network import BoundarySpec
-from dhnopt.optimizer import (ObjectiveEvaluator, OptimizerConfig,
-                              lbfgs_minimize, optimize)
+from dhnopt.optimizer import (LbfgsResult, ObjectiveEvaluator,
+                              OptimizerConfig, lbfgs_minimize, optimize)
 
 CP = 4186.0
 
@@ -285,6 +286,35 @@ class TestOptimize:
         viols = [r.max_violation_c for r in report.rounds]
         assert all(b <= a + 1e-9 for a, b in zip(viols, viols[1:]))
         assert report.final_max_violation_c <= 1e-8
+
+    def test_a_diverged_round_aborts_with_the_last_kept_control(
+            self, monkeypatch):
+        scenario = make_loop_scenario(n_steps=48, swing=0.3)
+        kept = []
+
+        def diverging(fg, u0, bounds, config=None):
+            if kept:
+                # round 2: hotter for the first half (more loss), far
+                # below the supply limit for the last quarter (a larger
+                # violation)
+                u = kept[0].u.copy()
+                u[:, :24] = 140.0
+                u[:, 36:] = 60.0
+                f, g = fg(u)
+                return LbfgsResult(u=u, f=f, g=g, iterations=1,
+                                   converged=False, line_search_failed=False)
+            kept.append(lbfgs_minimize(fg, u0, bounds, config))
+            return kept[0]
+
+        monkeypatch.setattr(optimizer_module, "lbfgs_minimize", diverging)
+        u, report = optimize(scenario, np.full((1, 48), 110.0))
+        first, second = report.rounds
+        assert report.aborted
+        assert "lambda_p=100 " in report.abort_reason
+        assert second.true_loss > first.true_loss
+        assert second.max_violation_c > first.max_violation_c
+        assert report.final_max_violation_c == first.max_violation_c
+        assert np.array_equal(u, kept[0].u)
 
     def test_determinism(self):
         scenario = make_loop_scenario(n_steps=24, swing=0.3)

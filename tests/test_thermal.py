@@ -409,7 +409,6 @@ class TestHelpers:
         with pytest.raises(ValidationError):
             TimeGrid(dt_s=900.0, n_steps=0)
         grid = TimeGrid(dt_s=900.0, n_steps=288)
-        assert grid.horizon_s == 3 * 86400.0
         assert grid.times()[0] == 0.0 and grid.times()[-1] == 259200.0
 
     def test_ambient_series_shapes(self):
