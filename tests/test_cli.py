@@ -355,6 +355,20 @@ class TestSynthDemand:
         assert (base / "d1" / "demands.csv").read_bytes() == \
             (tmp_path / "expected.csv").read_bytes()
 
+    @pytest.mark.parametrize("synthesis, message", [
+        ({"sigma": -0.1}, "noise sigma must be finite and >= 0, got -0.1"),
+        ({"mean_w_per_consumer": -5.0},
+         "consumer 'con0_1': target mean -5.0 W must be finite and >= 0"),
+    ], ids=["negative sigma", "negative target mean"])
+    def test_invalid_synthesis_exits_2(self, small_files, capsys, synthesis,
+                                       message):
+        cfg = _with(small_files, "bad.json", synthesis=synthesis)
+        out = small_files.parent / "bad"
+        assert _run("synth-demand", "--config", cfg, "--quiet",
+                    "--out-dir", out) == EXIT_INPUT
+        assert message in capsys.readouterr().err
+        assert not (out / "demands.csv").exists()
+
     def test_different_seed_changes_output(self, desk_files):
         base = desk_files.parent
         _run("synth-demand", "--config", desk_files, "--quiet",

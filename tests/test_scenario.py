@@ -6,10 +6,12 @@ from scipy.signal import butter, sosfiltfilt
 
 from dhnopt.errors import ValidationError
 from dhnopt.fixtures import (daily_load_profile, demand_set_for, desk_network,
-                             desk_scenario, two_level_price)
+                             desk_scenario, feeder_network, two_level_price)
 from dhnopt.objective import ConstraintSet
-from dhnopt.scenario import (LoadSeries, PriceSeries,
-                             _butter_sos, _sosfiltfilt, build_scenario,
+from dhnopt.scenario import (DEFAULT_CUTOFF_HZ, DEFAULT_NOISE_BAND_HZ,
+                             DEFAULT_NOISE_SIGMA, LoadSeries, PriceSeries,
+                             _butter_sos, _consumer_rng, _sosfiltfilt,
+                             build_scenario,
                              lowpass, read_demand_set,
                              read_load_series, read_price_series,
                              synthesize_variations, write_demand_set,
@@ -116,6 +118,67 @@ class TestLowpassAgainstScipy:
                                   butter(order, wn, output="sos")), wn
 
 
+def _consumer_keys(graph):
+    return [graph.edge_ids[e] for e in graph.consumer_edges]
+
+
+_FEEDER_KEYS = _consumer_keys(feeder_network()[0])
+_DESK_KEYS = _consumer_keys(desk_network()[0])
+
+
+def _one_consumer_at_a_time(base, keys, sigma, seed, target_means):
+    """Reference: each variation made on its own, one inverse FFT per
+    consumer, with the band picked by a boolean mask."""
+    values = base.values_w
+    freqs = np.fft.rfftfreq(values.size, d=base.dt_s)
+    lo, hi = DEFAULT_NOISE_BAND_HZ
+    mask = (freqs >= lo) & (freqs <= hi)
+    spectrum = np.fft.rfft(values)
+    if target_means is None:
+        target_means = np.full(len(keys), base.mean() / len(keys))
+    rows = []
+    for key, target in zip(keys, target_means):
+        spec = spectrum.copy()
+        spec[mask] *= np.exp(_consumer_rng(seed, key).normal(
+            0.0, sigma, size=int(mask.sum())))
+        varied = np.fft.irfft(spec, n=values.size)
+        varied *= target / varied.mean()
+        varied = np.maximum(varied, 0.0)
+        mean = varied.mean()
+        if mean > 0:
+            varied *= target / mean
+        rows.append(varied)
+    return np.array(rows)
+
+
+class TestBatchedEqualsOneAtATime:
+    """The whole-array passes give every series bit for bit as made one
+    consumer at a time, on the fixtures' base loads and consumer keys."""
+
+    @pytest.mark.parametrize("keys", [_DESK_KEYS, _FEEDER_KEYS],
+                             ids=["desk", "feeder"])
+    @pytest.mark.parametrize("sigma, targets", [
+        (DEFAULT_NOISE_SIGMA, None),
+        (0.15, "spread"),
+        # violent noise: negative excursions, so the clamp acts
+        (3.0, None),
+    ], ids=["default targets", "explicit targets", "clamped"])
+    def test_bit_identical(self, keys, sigma, targets):
+        n = len(keys)
+        base = lowpass(daily_load_profile(mean_w=50e3 * n), DEFAULT_CUTOFF_HZ)
+        if targets == "spread":  # a zero target among them
+            targets = np.linspace(0.0, 80e3, n)
+        for seed in (0, 3):
+            expected = _one_consumer_at_a_time(base, keys, sigma, seed,
+                                               targets)
+            out = synthesize_variations(base, n, sigma=sigma, seed=seed,
+                                        target_means=targets, keys=keys)
+            np.testing.assert_array_equal(
+                np.array([s.values_w for s in out]), expected)
+            if sigma == 3.0:  # some rows, not all, were clamped
+                assert 0 < (expected == 0.0).any(axis=1).sum() < n
+
+
 class TestSynthesizeVariations:
     BASE = daily_load_profile(mean_w=500e3)
 
@@ -151,13 +214,47 @@ class TestSynthesizeVariations:
         assert any(not np.array_equal(s_a.values_w, s_c.values_w)
                    for s_a, s_c in zip(a, c))
 
-    def test_keyed_streams_are_order_independent(self):
-        out = synthesize_variations(self.BASE, 2, sigma=0.3, seed=7,
-                                    keys=["S1", "S2"])
-        swapped = synthesize_variations(self.BASE, 2, sigma=0.3, seed=7,
-                                        keys=["S2", "S1"])
-        np.testing.assert_array_equal(out[0].values_w, swapped[1].values_w)
-        np.testing.assert_array_equal(out[1].values_w, swapped[0].values_w)
+    @pytest.mark.parametrize("keys, order", [
+        (["S1", "S2"], [1, 0]),
+        (_FEEDER_KEYS, np.random.default_rng(0).permutation(130)),
+    ], ids=["two keys swapped", "feeder keys permuted"])
+    def test_keyed_streams_are_order_independent(self, keys, order):
+        n = len(keys)
+        out = synthesize_variations(self.BASE, n, sigma=0.3, seed=7,
+                                    keys=keys)
+        shuffled = synthesize_variations(self.BASE, n, sigma=0.3, seed=7,
+                                         keys=[keys[k] for k in order])
+        for series, k in zip(shuffled, order):
+            np.testing.assert_array_equal(series.values_w, out[k].values_w)
+
+    @pytest.mark.parametrize("sigma", [-0.1, np.nan, np.inf])
+    def test_sigma_must_be_finite_and_not_negative(self, sigma, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a stream was drawn for an invalid sigma")
+        monkeypatch.setattr("dhnopt.scenario._consumer_rng", no_draw)
+        with pytest.raises(ValidationError,
+                           match="noise sigma must be finite and >= 0"):
+            synthesize_variations(self.BASE, 2, sigma=sigma, seed=0)
+
+    @pytest.mark.parametrize("targets", [[1e3, -5.0, np.nan],
+                                         [1e3, np.inf, -5.0]])
+    def test_target_means_must_be_finite_and_not_negative(self, targets):
+        with pytest.raises(ValidationError, match="consumer 'b': target mean"):
+            synthesize_variations(self.BASE, 3, seed=0, target_means=targets,
+                                  keys=["a", "b", "c"])
+
+    def test_a_zero_target_mean_gives_a_zero_series(self):
+        out = synthesize_variations(self.BASE, 2, sigma=0.3, seed=0,
+                                    target_means=[0.0, 10e3])
+        np.testing.assert_array_equal(out[0].values_w, 0.0)
+        assert out[1].mean() == pytest.approx(10e3, rel=1e-9)
+
+    def test_a_zero_base_names_the_first_consumer(self):
+        zero = LoadSeries(values_w=np.zeros(self.BASE.values_w.size),
+                          dt_s=self.BASE.dt_s)
+        with pytest.raises(ValidationError, match="consumer 'S7': varied "
+                                                  "profile has non-positive"):
+            synthesize_variations(zero, 2, seed=0, keys=["S7", "S8"])
 
     def test_empty_band_rejected(self):
         with pytest.raises(ValidationError):
