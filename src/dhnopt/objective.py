@@ -183,8 +183,10 @@ def constraint_violations(supply, bound, out=None):
 
 
 def max_violation(c_values):
-    """Largest violation in °C (0 when all constraints hold)."""
-    return float(max(0.0, np.max(c_values)))
+    """Largest violation in °C: 0 when all constraints hold or there are
+    none, NaN when an entry is NaN."""
+    # adding 0.0 turns a -0.0 maximum into 0.0
+    return float(np.max(c_values, initial=0.0)) + 0.0
 
 
 def penalty(c_values, lambda_p):
@@ -192,7 +194,8 @@ def penalty(c_values, lambda_p):
     if not lambda_p > 0:
         raise ValidationError("penalty weight must be > 0")
     c = np.asarray(c_values, dtype=float)
-    # only the violated (or NaN) entries: no array of the full shape
+    # only the violated entries, and NaN ones so that a NaN reaches the
+    # sum: no array of the full shape
     h = c[~(c <= 0.0)]
     h *= h
     return float(0.5 * lambda_p * h.sum())

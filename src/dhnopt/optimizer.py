@@ -15,11 +15,15 @@ objective has one constraint row per consumer and step,
 :func:`~dhnopt.objective.constraint_violations` of its supply
 temperature against ``b = max(smin, rmin + delta)``
 (``Scenario.supply_bound``); a round's report takes its max violation
-from the same rows. A value is the map's forward
-(:meth:`~dhnopt.thermal.CondensedMap.convolve`), two matrix products
-over the impulse's numerical support, one per row family. It reads the
-loss from the plant rows and the constraint values from the consumer
-supply rows. The exact gradient is the transpose
+from the same rows. A value is the map's one forward
+(:meth:`~dhnopt.thermal.CondensedMap.outputs`), two matrix products
+over the impulse's numerical support, one per row family, written with
+``y_free`` into the evaluator's outputs buffer. It reads the loss from
+the plant rows. A consumer row is violated where its supply temperature
+is below its bound at some step, ``y < b``, found by one comparison:
+``fl(b - y) > 0`` exactly where ``b > y``. The constraint values are
+formed on those rows only while they are fewer than half, and the
+penalty reads them. The exact gradient is the transpose
 (:meth:`~dhnopt.thermal.CondensedMap.apply_transpose`), one matrix
 product of the same taps with ``dJ/dy`` over the rows where that is
 nonzero: the plant return rows, which carry the injection cost, and
@@ -90,16 +94,18 @@ class ObjectiveEvaluator:
     """Value and gradient of the penalized objective at a control.
 
     Both run on the scenario's condensed map (see the module docstring),
-    built on the first request, and write into buffers the evaluator
-    owns: the two plant rows the loss reads, and one constraint row per
-    consumer, its supply bound minus its supply temperature. The map's
+    built on the first request. The evaluator owns the outputs buffer
+    the map's forward writes, ``[u; plant return rows; consumer supply
+    rows]``: the loss reads its plant rows, and a consumer row is
+    violated where any supply temperature is below its bound. The map's
     control check raises :class:`~dhnopt.errors.SolverError` before a
     non-finite temperature can arise, so no output is scanned. The
     outputs are cached keyed on the control bytes, so the parts of a
     round's result, last evaluated by its line search, cost no second
     product, and a gradient at the cached control reads the violations
-    its value wrote: every gradient follows a forward at the same
-    control.
+    its value found: every gradient follows a forward at the same
+    control. Evaluators sharing a scenario share its map but not their
+    outputs.
     """
 
     def __init__(self, scenario, lambda_p):
@@ -108,21 +114,26 @@ class ObjectiveEvaluator:
         self.scenario = scenario
         self.lambda_p = float(lambda_p)
         self.bc = bc = scenario.system.bc
-        # the violations at the cached control, rewritten on every cache
-        # miss; a fresh array of this size per call costs page faults
-        self._c = np.empty((bc.n_consumers, scenario.grid.n_steps))
-        self._row_starts = np.arange(0, self._c.size, scenario.grid.n_steps)
+        n_p, n_c, n = bc.n_plants, bc.n_consumers, scenario.grid.n_steps
+        # the outputs at the cached control, rewritten on every cache
+        # miss: the plant supply rows (the control), then the map's rows;
+        # a fresh array of this size per call costs page faults
+        self._y = np.zeros((2 * n_p + n_c, n))
+        # where a consumer supply temperature is below its bound, and
+        # the constraint rows while half or more of them are violated
+        self._below = np.empty((n_c, n), dtype=bool)
+        self._c = np.empty((n_c, n))
+        self._row_starts = np.arange(0, n_c * n, n)
         # the plant supply and return rows, all the loss reads
-        n_p = bc.n_plants
         self._plants = ObservedTrajectory(
             np.concatenate((bc.plant_nodes, bc.plant_return_nodes)),
-            np.zeros((2 * n_p, scenario.grid.n_steps)), scenario.grid,
+            self._y[:2 * n_p], scenario.grid,
             ((bc.plant_nodes, slice(0, n_p)),
              (bc.plant_return_nodes, slice(n_p, 2 * n_p))))
         # the map rows a gradient multiplies, plant return then violated
         # consumer supply rows, and their output gradient
-        self._live = np.arange(n_p + bc.n_consumers)
-        self._dj_dy = np.empty((self._live.size, scenario.grid.n_steps))
+        self._live = np.arange(n_p + n_c)
+        self._dj_dy = np.empty((self._live.size, n))
         # static loss rates, the same at every control: the first gradient's
         self._rates = None
         self.n_evals = 0
@@ -141,34 +152,36 @@ class ObjectiveEvaluator:
         key = u.tobytes()
         if key == self._cache_key:
             return self._cache
-        y_free = s.condensed.y_free
-        h_u = s.condensed.convolve(u)
-        # a plant supply row is the control, a plant return row its free
-        # response plus H * u
-        plants, y = self._plants, self._plants.values_c
+        # the outputs are rewritten below: no cache holds them if a step raises
+        self._cache_key = None
+        y = self._y
+        s.condensed.outputs(u, y[n_p:])
+        # a plant supply row is the control
         y[:n_p] = u
-        np.add(y_free[:n_p], h_u[:n_p], out=y[n_p:])
-        loss = loss_energy(plants, s.graph, s.flow, s.price,
+        loss = loss_energy(self._plants, s.graph, s.flow, s.price,
                            s.constants.cp_j_per_kg_c)
         loss_working = objective_loss(loss, s.price)
         reg = tikhonov(u, s.grid)
-        # each consumer's supply temperature, then its bound minus it
-        c = self._c
-        np.add(y_free[n_p:], h_u[n_p:], out=c)
-        constraint_violations(c, s.supply_bound, out=c)
-        # the rows with a violation (NaN counts), by one reduction over
-        # the flat scratch: a row-wise max pays a per-row overhead that
-        # is most of its cost. A row without one adds no entry to the
-        # penalty, so the penalty of these rows has every bit of the
-        # penalty of all rows; copying them out pays while they are
-        # fewer than half. The gradient reads the same rows.
-        row_max = np.maximum.reduceat(c.ravel(), self._row_starts)
-        violated = np.flatnonzero(~(row_max <= 0.0))
-        pen = penalty(c[violated] if 2 * violated.size < len(c) else c,
-                      self.lambda_p)
+        # the rows with a violation, y < b somewhere: fl(b - y) > 0
+        # exactly where b > y. One comparison and one reduction over the
+        # flat scratch; a row-wise reduction pays a per-row overhead
+        # that is most of its cost
+        supply, bound = y[2 * n_p:], s.supply_bound
+        np.less(supply, bound, out=self._below)
+        violated = np.flatnonzero(
+            np.logical_or.reduceat(self._below.ravel(), self._row_starts))
+        # a row without one adds no entry to the penalty, so the penalty
+        # of these rows has every bit of the penalty of all rows; taking
+        # them out pays while they are fewer than half. The gradient
+        # reads the same rows.
+        if 2 * violated.size < len(supply):
+            c = constraint_violations(supply[violated], bound[violated])
+        else:
+            c = constraint_violations(supply, bound, out=self._c)
+        pen = penalty(c, self.lambda_p)
         value = loss_working + s.tikhonov_weight * reg + pen
         self._cache_key = key
-        self._cache = {"violated": violated, "loss": loss,
+        self._cache = {"violated": violated, "c": c, "loss": loss,
                        "tikhonov": reg, "penalty": pen, "value": value}
         self.n_evals += 1
         return self._cache
@@ -180,13 +193,17 @@ class ObjectiveEvaluator:
     def parts(self, u):
         """Dict with loss, regularizer, penalty, violations and value.
 
-        ``violations`` is a copy of the constraint rows the value read,
-        one per consumer (see :func:`~dhnopt.objective.constraint_violations`).
+        ``violations`` holds one constraint row per consumer, its supply
+        bound minus its supply temperature at ``u`` (see
+        :func:`~dhnopt.objective.constraint_violations`), in an array of
+        its own.
         """
         u = np.asarray(u, dtype=float, order="C")
         fwd = self._forward(u)
+        violations = constraint_violations(self._y[2 * self.bc.n_plants:],
+                                           self.scenario.supply_bound)
         return {"loss": fwd["loss"], "tikhonov": fwd["tikhonov"],
-                "penalty": fwd["penalty"], "violations": self._c.copy(),
+                "penalty": fwd["penalty"], "violations": violations,
                 "value": fwd["value"]}
 
     # -- gradient --------------------------------------------------------
@@ -206,13 +223,15 @@ class ObjectiveEvaluator:
         # on every row whose bound holds, so the map gets the plant return
         # rows and the violated consumer supply rows only
         n_p = self.bc.n_plants
-        c, violated = self._c, fwd["violated"]
+        c, violated = fwd["c"], fwd["violated"]
+        if len(c) != violated.size:
+            c = c[violated]
         live = self._live[:n_p + violated.size]
         np.add(violated, n_p, out=live[n_p:])
         dj_dy = self._dj_dy[:live.size]
         np.negative(rates, out=dj_dy[:n_p])
         hinge = dj_dy[n_p:]
-        np.maximum(0.0, c[violated], out=hinge)
+        np.maximum(0.0, c, out=hinge)
         hinge *= -self.lambda_p
         # a plant supply row is the control: its rates pass through
         grad = s.condensed.apply_transpose(dj_dy, live) + rates

@@ -25,10 +25,12 @@ node after every node its row reads): factorized in that order, its LU
 factors are its own lower part and its diagonal, with no fill.
 
 The temperatures are therefore an affine, time-invariant function of
-the control. :func:`condense` reads that map off one sweep for the
-only rows it needs to convolve, the plant return and consumer supply
-nodes; the boundary rows fix the plant supply and consumer return
-nodes.
+the control, ``y = y_free + H * u``. :func:`condense` reads that map
+off one sweep for the only rows it needs to convolve, the plant return
+and consumer supply nodes; the boundary rows fix the plant supply and
+consumer return nodes. The map's one forward,
+:meth:`CondensedMap.outputs`, writes ``y`` into a buffer its caller
+owns.
 """
 
 from __future__ import annotations
@@ -476,20 +478,21 @@ class CondensedMap:
     system matrix hold a plant supply node at the control and a consumer
     return node ``delta`` below its supply node.
 
-    :meth:`convolve` is the forward, ``H * u``: two matrix products, one
-    per row family (plant return, consumer supply), each over the
-    family's numerical support, the fewest lags whose dropped tail is at
-    most ``1e-20`` of the l1 mass of each of its rows, far below the
-    round-off of the sums it would join. Over 288 steps that is 62 and
-    48 lags on the feeder, 31 and 27 on the desk; every step when the
-    horizon is shorter than the transit. :meth:`apply_transpose` is the
-    same operator transposed: one matrix product of the taps over the
-    overall support (the most of the two families') with the output
-    gradient, over the rows whose output gradient may be nonzero: an
-    objective gradient is zero on every consumer row whose bound holds.
-    Both directions reuse buffers the map owns, the sliding-window view
-    of the padded control among them: a fresh megabyte-sized array per
-    call costs about as much as the product.
+    :meth:`outputs` is the forward, ``y_free + H * u`` written into a
+    buffer the caller owns: one matrix product per row family (plant
+    return, consumer supply), each over the family's numerical support,
+    the fewest lags whose dropped tail is at most ``1e-20`` of the l1
+    mass of each of its rows, far below the round-off of the sums it
+    would join. Over 288 steps that is 62 and 48 lags on the feeder, 31
+    and 27 on the desk; every step when the horizon is shorter than the
+    transit. :meth:`apply_transpose` is the same operator transposed:
+    one matrix product of the taps over the overall support (the most of
+    the two families') with the output gradient, over the rows whose
+    output gradient may be nonzero: an objective gradient is zero on
+    every consumer row whose bound holds. Both directions reuse scratch
+    buffers the map owns, the sliding-window view of the padded control
+    among them: a fresh megabyte-sized array per call costs about as
+    much as the product.
     """
 
     def __init__(self, nodes, y_free, impulse, grid):
@@ -515,7 +518,6 @@ class CondensedMap:
         # taps at its own support f with one block, the last f lags
         self._view = np.moveaxis(sliding_window_view(self._padded, n, axis=1), 0, 1)
         self._windows = np.empty((s, n_p, n))
-        self._h_u = np.empty((n_rows, n))
         taps = self._taps.reshape(n_rows, n_p, s).transpose(0, 2, 1)
         windows = self._windows.reshape(s * n_p, n)
         self._families = []
@@ -523,7 +525,7 @@ class CondensedMap:
             f = int(lags[rows].max(initial=1))
             self._families.append((
                 np.ascontiguousarray(taps[rows, s - f:].reshape(-1, f * n_p)),
-                windows[(s - f) * n_p:], self._h_u[rows]))
+                windows[(s - f) * n_p:], rows))
         # the transpose: Q = taps[live]^T G, G the output gradient padded
         # with s - 1 zero columns, so plant p's gradient at step j sums
         # Q[p*s + i, j + s - 1 - i] over the lags i, a diagonal of plant
@@ -543,33 +545,40 @@ class CondensedMap:
         gain = np.abs(impulse).sum(axis=(1, 2)).max()
         self.control_limit = np.finfo(float).max / (16 * (1 + gain))
 
-    def convolve(self, u):
-        """``H * u`` on the plant return rows, then the consumer supply rows.
+    def outputs(self, u, out):
+        """``y_free + H * u`` into ``out``: the plant return rows, then
+        the consumer supply rows.
 
-        Into a contiguous buffer the map owns: the next call overwrites
-        it. A control not shaped ``(n_plants, n_steps)`` raises
-        :class:`ValidationError`, and one with an entry that is not
-        finite or exceeds ``control_limit`` in magnitude
-        :class:`SolverError`; every other control gives finite outputs,
-        so no output is scanned.
+        ``out`` is a float array shaped like ``y_free`` that the caller
+        owns, so a map shared by several callers keeps no outputs of its
+        own; it is returned. Each family's product is written into its
+        rows of ``out`` and ``y_free`` added there, the same sums, and
+        the same bits, as a product into a scratch array followed by
+        the addition. A control not shaped ``(n_plants, n_steps)``
+        raises :class:`ValidationError`, and one with an entry that is
+        not finite or exceeds ``control_limit`` in magnitude
+        :class:`SolverError`, before ``out`` is written; every other
+        control gives finite outputs, so no output is scanned.
         """
         s, n_p, n = self._windows.shape
         if np.shape(u) != (n_p, n):
             raise ValidationError(
                 f"control must have shape ({n_p}, {n}), got {np.shape(u)}")
-        if not np.max(np.abs(u)) <= self.control_limit:
+        if not np.abs(u).max() <= self.control_limit:
             raise SolverError("control is not finite or too large for the "
                               "condensed map")
         self._padded[:, s - 1:] = u
         np.copyto(self._windows, self._view)
-        for taps, windows, out in self._families:
-            np.matmul(taps, windows, out=out)
-        return self._h_u
+        for taps, windows, rows in self._families:
+            y = out[rows]
+            np.matmul(taps, windows, out=y)
+            y += self.y_free[rows]
+        return out
 
     def apply_transpose(self, g, live):
         """``H^T`` of the output gradient that is ``g`` on the rows
         ``live`` and zero on the others: the control gradient of
-        ``sum(g * convolve(u)[live])``.
+        ``sum(g * y[live])``, ``y`` the :meth:`outputs` at the control.
 
         ``live`` is an increasing index into the rows, plant return then
         consumer supply, one entry per row of ``g``. Leaving

@@ -51,7 +51,7 @@ def _sweep_outputs(scenario, u):
 
 def _outputs(m, u):
     """The map's rows under the control ``u``: ``y_free + H * u``."""
-    return m.y_free + m.convolve(u)
+    return m.outputs(u, np.empty(m.y_free.shape))
 
 
 @pytest.fixture(scope="module", params=sorted(_SCENARIOS))
@@ -237,7 +237,7 @@ class TestTwoPlants:
     def test_a_control_of_the_wrong_shape_raises(self, two_plant, shape):
         # a (1, 48) control would broadcast to both plants
         with pytest.raises(ValidationError, match="shape"):
-            two_plant.condensed.convolve(np.full(shape, 100.0))
+            _outputs(two_plant.condensed, np.full(shape, 100.0))
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +520,7 @@ def swept(request):
 
 
 def _dense_transpose(m, g):
-    """The control gradient of ``sum(g * convolve(u))``: ``H^T`` of every
+    """The control gradient of ``sum(g * (H * u))``: ``H^T`` of every
     row of the map, zero rows included, from dense lower-triangular
     Toeplitz blocks of the whole impulse. The reference the row-sparse
     transpose must match; it reads none of the map's taps or buffers."""
@@ -686,9 +686,11 @@ class TestForwardIsExact:
         u = np.random.default_rng(41).uniform(60.0, 120.0, (n_p, n))
         want = np.array([sum(np.convolve(row[p], u[p])[:n] for p in range(n_p))
                          for row in h])
-        got = m.convolve(u)
-        assert got.flags.c_contiguous
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        out = np.empty(m.y_free.shape)
+        got = m.outputs(u, out)
+        assert got is out
+        assert (np.max(np.abs(got - (m.y_free + want)))
+                <= 1e-13 * np.max(np.abs(want)))
 
     def test_the_support_is_the_fewest_lags_with_a_negligible_tail(
             self, forward):
@@ -747,8 +749,9 @@ def test_successive_calls_read_the_current_control(name):
         u = rng.uniform(lo, hi, (n_p, n))
         want = np.array([sum(np.convolve(row[p], u[p])[:n] for p in range(n_p))
                          for row in h])
-        got = m.convolve(u)
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        got = _outputs(m, u)
+        assert (np.max(np.abs(got - (m.y_free + want)))
+                <= 1e-13 * np.max(np.abs(want)))
 
 
 def test_successive_transposes_read_the_current_rows(forward):
@@ -777,9 +780,10 @@ from dhnopt.fixtures import feeder_scenario
 m = feeder_scenario().condensed
 rng = np.random.default_rng(43)
 digest = hashlib.sha256()
+out = np.empty(m.y_free.shape)
 for _ in range(8):
     u = rng.uniform(60.0, 120.0, (1, m.grid.n_steps))
-    digest.update(m.convolve(u).tobytes())
+    digest.update(m.outputs(u, out).tobytes())
 print(digest.hexdigest())
 """
 
@@ -906,8 +910,11 @@ class TestEvaluatorIsExact:
             if hi < 100.0:
                 assert c.max() > 0.0
             assert ev.value(u) == value
-            # the violations the gradient reads
-            assert np.array_equal(ev._c, c)
+            # the outputs the gradient reads: the control, then the map's
+            # rows, and the violations formed from them
+            y = _outputs(exact.condensed, u)
+            assert np.array_equal(ev._y, np.concatenate((u, y)))
+            assert np.array_equal(ev.parts(u)["violations"], c)
             got_value, got_grad = ev.value_and_gradient(u)
             assert got_value == value
             assert np.array_equal(got_grad, grad)
@@ -915,8 +922,9 @@ class TestEvaluatorIsExact:
             assert parts["value"] == value
             assert parts["loss"] == loss
             assert parts["penalty"] == pen
-            # the report's rows: a copy of the rows the value read
+            # the report's rows, in an array of their own
             assert np.array_equal(parts["violations"], c)
+            assert not np.shares_memory(parts["violations"], ev._y)
             assert not np.shares_memory(parts["violations"], ev._c)
             # a gradient with no value call before it
             _, fresh = ObjectiveEvaluator(exact, 100.0).value_and_gradient(u)
@@ -957,6 +965,73 @@ def test_a_gradient_is_not_overwritten_by_the_next_call(exact):
     kept = grad.copy()
     ev.value_and_gradient(second)
     assert np.array_equal(grad, kept)
+
+
+def test_evaluators_sharing_a_map_keep_their_own_outputs(exact):
+    # the evaluators of one scenario share its map, whose forward writes
+    # into the caller's buffer: A's cached outputs must survive B's call
+    shape = (exact.system.bc.n_plants, exact.grid.n_steps)
+    (_, _, u2), (_, _, u1) = list(_exact_controls(shape))[1:3]
+    a, b = ObjectiveEvaluator(exact, 100.0), ObjectiveEvaluator(exact, 100.0)
+    a.value(u1)
+    b.value_and_gradient(u2)
+    got, (_, grad) = a.parts(u1), a.value_and_gradient(u1)
+    assert a.n_evals == 1  # both read A's cached outputs
+    fresh = ObjectiveEvaluator(exact, 100.0)
+    want, (_, want_grad) = fresh.parts(u1), fresh.value_and_gradient(u1)
+    assert got.keys() == want.keys()
+    for key in got:
+        assert np.array_equal(got[key], want[key]), key
+    assert np.array_equal(grad, want_grad)
+
+
+class TestViolationAtTheBound:
+    """A consumer supply temperature is violated where it is below its
+    bound, ``y < b``: at the bound it is not, one ulp below it is."""
+
+    def _scenario_and_lowest_output(self):
+        scenario = make_loop_scenario(n_steps=24, swing=0.3)
+        t = np.arange(1, 25) * scenario.grid.dt_s
+        u = (100.0 + 5.0 * np.sin(2 * np.pi * t / 86400.0))[None, :]
+        n_p = scenario.system.bc.n_plants
+        supply = _outputs(scenario.condensed, u)[n_p:]
+        return scenario, u, supply.min()
+
+    def _with_smin(self, scenario, smin):
+        s = dataclasses.replace(scenario, constraints=dataclasses.replace(
+            scenario.constraints, consumer_supply_min_c=smin))
+        # the return limit plus the drop stays below smin: the bound is smin
+        assert np.all(s.supply_bound == smin)
+        return s
+
+    def test_an_output_at_its_bound_is_not_violated(self):
+        scenario, u, lowest = self._scenario_and_lowest_output()
+        at, below = (ObjectiveEvaluator(self._with_smin(scenario, smin), 1e6)
+                     for smin in (lowest, 60.0))
+        parts = at.parts(u)
+        assert parts["violations"].max() == 0.0
+        assert max_violation(parts["violations"]) == 0.0
+        assert parts["penalty"] == 0.0
+        # nothing added to the value or the gradient: they are those of
+        # a bound far below every output
+        assert parts["value"] == below.parts(u)["value"]
+        assert np.array_equal(at.value_and_gradient(u)[1],
+                              below.value_and_gradient(u)[1])
+
+    def test_an_output_one_ulp_below_its_bound_is_violated(self):
+        scenario, u, lowest = self._scenario_and_lowest_output()
+        smin = np.nextafter(lowest, np.inf)
+        s = self._with_smin(scenario, smin)
+        ev = ObjectiveEvaluator(s, 1e6)
+        parts = ev.parts(u)
+        assert max_violation(parts["violations"]) == smin - lowest > 0.0
+        assert parts["penalty"] > 0.0
+        # the row is live in the gradient: the public terms' one
+        value, _, pen, c, grad = _public_terms(s, 1e6, u)
+        assert parts["penalty"] == pen
+        got_value, got_grad = ev.value_and_gradient(u)
+        assert got_value == value
+        assert np.array_equal(got_grad, grad)
 
 
 # ---------------------------------------------------------------------------
@@ -1001,8 +1076,9 @@ class TestReturnLimitBinds:
         # violated entries where the return limit sets the bound, none
         # where smin does
         above = scenario.supply_bound > scenario.constraints.consumer_supply_min_c
-        assert np.any((ev._c > 0) & above)
-        assert not np.any((ev._c > 0) & ~above)
+        violations = ev.parts(u)["violations"]
+        assert np.any((violations > 0) & above)
+        assert not np.any((violations > 0) & ~above)
         # directional: the penalty is large here, so a one-entry
         # difference loses the entry to the value's round-off
         rng = np.random.default_rng(37)
@@ -1050,9 +1126,33 @@ class TestControlCheck:
         u[0, 7] = bad
         for call in (ObjectiveEvaluator(scenario, 10.0).value,
                      ObjectiveEvaluator(scenario, 10.0).value_and_gradient,
-                     scenario.condensed.convolve):
+                     lambda u: _outputs(scenario.condensed, u)):
             with pytest.raises(SolverError, match="control"):
                 call(u)
+
+    def test_a_rejected_control_writes_no_output(self):
+        m = make_loop_scenario(n_steps=24).condensed
+        u = np.full((1, 24), 100.0)
+        u[0, 3] = np.nan
+        out = np.full(m.y_free.shape, 7.0)
+        with pytest.raises(SolverError, match="control"):
+            m.outputs(u, out)
+        assert np.all(out == 7.0)
+
+    def test_an_evaluator_recovers_after_a_rejected_control(self):
+        scenario = make_loop_scenario(n_steps=24, swing=0.3)
+        good, bad = np.full((1, 24), 85.0), np.full((1, 24), 85.0)
+        bad[0, 5] = np.inf
+        ev = ObjectiveEvaluator(scenario, 10.0)
+        ev.value(good)
+        with pytest.raises(SolverError):
+            ev.value_and_gradient(bad)
+        fresh = ObjectiveEvaluator(scenario, 10.0)
+        got, want = ev.parts(good), fresh.parts(good)
+        assert np.array_equal(got["violations"], want["violations"])
+        assert got["value"] == want["value"]
+        assert np.array_equal(ev.value_and_gradient(good)[1],
+                              fresh.value_and_gradient(good)[1])
 
     def test_the_limit_overflows_nothing(self, exact):
         # every entry at the limit, signs drawn: the largest sums the
@@ -1063,4 +1163,4 @@ class TestControlCheck:
         for u in (np.full(shape, m.control_limit), sign * m.control_limit):
             assert np.all(np.isfinite(_outputs(m, u)))
         with pytest.raises(SolverError):
-            m.convolve(np.full(shape, 2.0 * m.control_limit))
+            _outputs(m, np.full(shape, 2.0 * m.control_limit))

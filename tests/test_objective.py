@@ -196,13 +196,26 @@ class TestConstraints:
         assert c[0, 0] == pytest.approx(2.0)
         assert max_violation(c) == pytest.approx(2.0)
 
+    def test_max_violation_propagates_nan_and_reads_0_when_empty(self):
+        assert np.isnan(max_violation(np.array([[1.0, np.nan], [2.0, -1.0]])))
+        assert np.isnan(max_violation(np.array([np.nan, -3.0])))
+        assert max_violation(np.empty((0, 4))) == 0.0
+        assert max_violation(np.array([])) == 0.0
+
+    def test_max_violation_of_holding_constraints_is_plus_zero(self):
+        for c in (np.array([-2.0, -1.0]), np.array([-0.0, -1.0]),
+                  np.array([[0.0, -0.0]])):
+            got = max_violation(c)
+            assert got == 0.0 and np.copysign(1.0, got) == 1.0
+        assert max_violation(np.array([-1.0, 2.5, 0.5])) == 2.5
+
     def test_bound_per_entry_and_into_out(self):
         supply = np.array([[85.0, 70.0], [60.0, 90.0]])
         bound = np.array([[80.0, 75.0], [80.0, 95.0]])
         out = np.empty_like(supply)
         assert constraint_violations(supply, bound, out=out) is out
         np.testing.assert_array_equal(out, [[-5.0, 5.0], [20.0, 5.0]])
-        # in place, as the objective evaluator calls it
+        # in place
         constraint_violations(supply, bound, out=supply)
         np.testing.assert_array_equal(supply, out)
 
