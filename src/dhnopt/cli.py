@@ -169,6 +169,16 @@ def _number(value, name, kind=float):
     return kind(value)
 
 
+def _read_json(path):
+    """The JSON value in the file at ``path``; a ``ParseError`` naming it
+    if the file is not JSON."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: invalid JSON: {exc}") from None
+
+
 class RunConfig:
     """Parsed config file plus flag overrides."""
 
@@ -184,13 +194,11 @@ class RunConfig:
         path = Path(args.config)
         if not path.is_file():
             raise ValidationError(f"config file not found: {path}")
-        with open(path, encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}: invalid JSON: {exc}") from None
-        data = _merge(_DEFAULTS, raw)
+        data = _merge(_DEFAULTS, _read_json(path))
         seed = args.seed if args.seed is not None else data["seed"]
+        if seed < 0:
+            name = "--seed" if args.seed is not None else "config 'seed'"
+            raise ValidationError(f"{name} must be >= 0, got {seed}")
         base = path.parent
         # a flag resolves against the working directory, the config
         # value against the config file's own directory
@@ -200,6 +208,13 @@ class RunConfig:
             out = Path(data["out_dir"])
             if not out.is_absolute():
                 out = base / out
+        # the nearest existing path must be a directory that mkdir can
+        # fill; found now, not after the solve
+        existing = next(p for p in (out, *out.parents) if p.exists())
+        if not existing.is_dir():
+            name = "--out-dir" if args.out_dir else "config 'out_dir'"
+            raise ValidationError(
+                f"{name} {out}: {existing} is not a directory")
         return cls(data, base, out, seed, args.quiet)
 
     def path(self, key, *, required=True, section=None):
@@ -411,46 +426,61 @@ def cmd_simulate(cfg):
     return EXIT_OK
 
 
+def _run_series(cfg, scenario, u, traj):
+    """The series ``optimize`` writes of one run, read off its trajectory."""
+    system, graph = scenario.system, scenario.graph
+    supply, ret = _min_consumer_temps(traj, system.bc)
+    vs_ambient, vs_initial, initial = _stored_series(scenario, traj)
+    return {
+        "u": u, "min_supply_c": supply, "min_return_c": ret,
+        "vs_ambient_j": vs_ambient, "vs_initial_j": vs_initial,
+        "initial_j": initial,
+        "injection_w": plant_injection_w(system, traj),
+        "loss_step": loss_energy_steps(traj, graph, scenario.flow,
+                                       scenario.price,
+                                       scenario.constants.cp_j_per_kg_c),
+        "quantiles": compute_quantiles(traj, graph,
+                                       cfg.data["quantile_levels"]),
+    }
+
+
 def cmd_optimize(cfg):
     """Optimize the plant controls and report baseline vs optimized."""
     opt_cfg = OptimizerConfig(**cfg.data["optimizer"])
     scenario = _scenario(cfg)
-    graph, flow = scenario.graph, scenario.flow
+    graph = scenario.graph
     u0 = _control(cfg, scenario)
     system = scenario.system
     bc = system.bc
 
+    # each run is reduced to its series right after its sweep, so the
+    # baseline trajectory is gone before optimize() starts
     t0 = time.perf_counter()
     baseline = simulate_system(system, u0, scenario.deltas, scenario.ambient,
                                scenario.u_init)
+    wall = time.perf_counter() - t0
+    runs = {"baseline": _run_series(cfg, scenario, u0, baseline)}
+    del baseline
+    t0 = time.perf_counter()
     u_opt, opt_report = optimize(scenario, u0, opt_cfg)
     optimized = simulate_system(system, u_opt, scenario.deltas,
                                 scenario.ambient, scenario.u_init)
-    wall = time.perf_counter() - t0
+    wall += time.perf_counter() - t0
+    runs["optimized"] = _run_series(cfg, scenario, u_opt, optimized)
 
-    cp, price = scenario.constants.cp_j_per_kg_c, scenario.price
+    price = scenario.price
     times = scenario.grid.times()[1:]
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     plant_ids = [graph.edge_ids[e] for e in bc.producer_edges]
 
-    # run-major files fill in the loop; quantity-major ones read ``runs``
-    controls, temps, runs = {"time_s": times}, {"time_s": times}, {}
-    for name, u, traj in (("baseline", u0, baseline),
-                          ("optimized", u_opt, optimized)):
-        controls |= {f"{name}_{p}": row for p, row in zip(plant_ids, u)}
-        supply, ret = _min_consumer_temps(traj, bc)
-        temps |= {f"{name}_min_supply_c": supply, f"{name}_min_return_c": ret}
-        vs_ambient, vs_initial, initial = _stored_series(scenario, traj)
-        runs[name] = {
-            "vs_ambient_j": vs_ambient, "vs_initial_j": vs_initial,
-            "initial_j": initial,
-            "injection_w": plant_injection_w(system, traj),
-            "loss_step": loss_energy_steps(traj, graph, flow, price, cp),
-        }
+    controls, temps = {"time_s": times}, {"time_s": times}
+    for name, run in runs.items():
+        controls |= {f"{name}_{p}": row for p, row in zip(plant_ids, run["u"])}
+        temps |= {f"{name}_min_supply_c": run["min_supply_c"],
+                  f"{name}_min_return_c": run["min_return_c"]}
         write_csv(out / f"quantiles_{name}.csv",
-                  {"time_s": times, **compute_quantiles(
-                      traj, graph, cfg.data["quantile_levels"])})
+                  {"time_s": times, **run["quantiles"]})
 
     loss_base, loss_opt = (float(r["loss_step"].sum()) for r in runs.values())
     savings = (loss_base - loss_opt) / loss_base
@@ -619,8 +649,10 @@ def cmd_report(args):
     report_path = out_dir / "report.json"
     if not report_path.is_file():
         raise ValidationError(f"no report found: {report_path}")
-    with open(report_path, encoding="utf-8") as fh:
-        report = json.load(fh)
+    report = _read_json(report_path)
+    if not isinstance(report, dict):
+        raise ValidationError(
+            f"{report_path}: must be a JSON object, got {report!r}")
 
     lines = [f"{k}: {report[k]}" for k in
              ("command", "n_nodes", "n_steps", "baseline_loss",
@@ -632,14 +664,19 @@ def cmd_report(args):
 
     power_path = out_dir / "plant_power.csv"
     if report.get("command") == "optimize" and power_path.is_file():
+        savings = report.get("savings")
+        if isinstance(savings, bool) or not isinstance(savings, (int, float)):
+            raise ValidationError(
+                f"{report_path}: optimize report needs a number 'savings', "
+                f"got {savings!r}")
         _, cols = read_csv(power_path, _PLANT_POWER_HEADER,
                            _PLANT_POWER_HEADER)
         loss_base = float(np.sum(cols["baseline_loss_step"]))
         loss_opt = float(np.sum(cols["optimized_loss_step"]))
         recomputed = (loss_base - loss_opt) / loss_base
-        if not np.isclose(recomputed, report["savings"],
+        if not np.isclose(recomputed, savings,
                           rtol=_SAVINGS_RECOMPUTE_RTOL, atol=0.0):
-            print(f"error: savings in report ({report['savings']!r}) do not "
+            print(f"error: savings in report ({savings!r}) do not "
                   f"match the series ({recomputed!r})", file=sys.stderr)
             return EXIT_NUMERICAL
         if not args.quiet:

@@ -253,11 +253,14 @@ def synthesize_variations(base, n, band_hz=DEFAULT_NOISE_BAND_HZ,
     the same arithmetic as a series made alone; a block holds 64 KiB of
     series, 28 consumers on a three-day base at 15 min (289 samples).
 
-    ``sigma`` is finite and >= 0; an explicit target mean is finite and
-    >= 0, and the first one that is not is named by its key.
+    ``seed`` and ``sigma`` are >= 0 and ``sigma`` is finite; an explicit
+    target mean is finite and >= 0, and the first one that is not is
+    named by its key.
     """
     if n < 1:
         raise ValidationError("need at least one variation")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     if not (np.isfinite(sigma) and sigma >= 0):
         raise ValidationError(f"noise sigma must be finite and >= 0, "
                               f"got {sigma!r}")

@@ -663,6 +663,21 @@ def demand_to_delta(power_w, massflow_kg_s, cp_j_per_kg_c):
     return power_w / (cp_j_per_kg_c * massflow_kg_s)
 
 
+def _column_blocks(n):
+    """Column ranges ``(a, b)`` that cover ``0 .. n``, for reductions of a
+    trajectory that hold one block's temporary instead of a whole array.
+
+    Each block starts at a multiple of ``_BLOCK`` and the remainder joins
+    the last one, so a block's product keeps every column in the group of
+    four it has in the whole-array product, and each sum rounds as it does
+    there. A remainder block of its own does not: OpenBLAS sums a product
+    narrower than four columns in another order.
+    """
+    starts = range(0, max(n - _BLOCK, 0) + 1, _BLOCK)
+    ends = [*starts[1:], n]
+    return zip(starts, ends)
+
+
 def stored_energy(y, volumes, constants, reference_c=0.0):
     """Thermal energy stored in the water volume, relative to a reference.
 
@@ -674,7 +689,10 @@ def stored_energy(y, volumes, constants, reference_c=0.0):
     weights = constants.rho_kg_m3 * constants.cp_j_per_kg_c * volumes
     if y.ndim == 1:
         return float(weights @ (y - reference_c))
-    return weights @ (y - reference_c)
+    e = np.empty(y.shape[1])
+    for a, b in _column_blocks(y.shape[1]):
+        e[a:b] = weights @ (y[:, a:b] - reference_c)
+    return e
 
 
 def plant_injection_w(system, traj):
@@ -716,7 +734,9 @@ def energy_balance(system, traj, deltas, ambient):
     # two stored-energy sums would cancel catastrophically
     s = np.where(system.interior, system.S_diag, 0.0)
     ambient_loss = s @ y[:, 1:] - s.sum() * ambient[1:]
-    storage = system.B_diag @ np.diff(y, axis=1)
+    storage = np.empty(y.shape[1] - 1)
+    for a, b in _column_blocks(storage.size):
+        storage[a:b] = system.B_diag @ np.diff(y[:, a:b + 1], axis=1)
 
     residual = injection - extraction - ambient_loss - storage
     scale = np.maximum(np.abs(injection), 1e-30)

@@ -17,7 +17,7 @@ import pytest
 
 import dhnopt
 
-from conftest import make_loop_scenario
+from conftest import make_loop_scenario, write_feeder_files
 from dhnopt.fixtures import (daily_load_profile, desk_scenario,
                              feeder_network, feeder_scenario, minimal_loop,
                              pipe_chain, write_desk_fixture)
@@ -304,6 +304,21 @@ class TestCriterion9Determinism:
                       "stored_energy.csv", "steady_state.csv"))
         _criterion(9, sim_same,
                    "simulate outputs bit-identical for 1 vs 4 BLAS threads")
+
+        # the feeder's audit and stored-energy products are large enough
+        # for OpenBLAS to thread them
+        feeder = write_feeder_files(tmp_path)
+        self._cli(["simulate", "--config", feeder,
+                   "--out-dir", tmp_path / "f1"], 1)
+        self._cli(["simulate", "--config", feeder,
+                   "--out-dir", tmp_path / "f4"], 4)
+        feeder_same = all(
+            (tmp_path / "f1" / n).read_bytes() ==
+            (tmp_path / "f4" / n).read_bytes()
+            for n in ("report.json", "summary.csv", "energy_balance.csv",
+                      "stored_energy.csv", "steady_state.csv"))
+        _criterion(9, feeder_same, "feeder simulate outputs bit-identical "
+                   "for 1 vs 4 BLAS threads")
 
         self._cli(["optimize", "--config", cfg,
                    "--out-dir", tmp_path / "o1"], 1)

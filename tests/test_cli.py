@@ -4,12 +4,15 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dhnopt.cli
+from conftest import write_feeder_files
 from dhnopt.cli import (_DEFAULTS, EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK,
                         compute_quantiles, main)
 from dhnopt.fixtures import demand_set_for, desk_network, write_desk_fixture
@@ -198,6 +201,10 @@ class TestSimulate:
      "verify.dense_tolerance_c"),
     # one value per grid point: the fixture's 96 steps need 97
     ("simulate", "scenario", {"ambient_c": [10.0] * 96}, "scenario.ambient_c"),
+    # a seed must be >= 0, checked before any stream is drawn
+    ("synth-demand", None, {"seed": -1}, "seed"),
+    ("simulate", None, {"seed": -1}, "seed"),
+    ("optimize", None, {"seed": -1}, "seed"),
 ])
 def test_config_value_of_the_wrong_type_exits_2(small_files, monkeypatch,
                                                 capsys, command, section,
@@ -499,3 +506,150 @@ class TestQuantiles:
         assert np.all(q["p1"] <= q["p50"])
         assert np.all(q["p50"] <= q["p99"])
         np.testing.assert_array_equal(q["median"], q["p50"])
+
+
+# ---------------------------------------------------------------------------
+# input faults found before the run, and report files that are not reports
+# ---------------------------------------------------------------------------
+
+def _refuse_to_run(monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run started on invalid input")
+    for name in ("simulate_system", "optimize", "synthesize_demand_set",
+                 "_scenario"):
+        monkeypatch.setattr(f"dhnopt.cli.{name}", no_run)
+
+
+@pytest.mark.parametrize("command", ["synth-demand", "simulate", "optimize"])
+def test_negative_seed_flag_exits_2(small_files, monkeypatch, capsys, command):
+    _refuse_to_run(monkeypatch)
+    assert _run(command, "--config", small_files, "--quiet",
+                "--seed", -1) == EXIT_INPUT
+    assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+
+
+def test_seed_flag_overrides_a_negative_key(small_files):
+    cfg = _with(small_files, "seed.json", seed=-1)
+    assert _run("simulate", "--config", cfg, "--quiet", "--seed", 3) == EXIT_OK
+    out = small_files.parent / "out"
+    assert json.loads((out / "report.json").read_text())["seed"] == 3
+
+
+@pytest.mark.parametrize("command", ["simulate", "optimize", "verify",
+                                     "synth-demand"])
+@pytest.mark.parametrize("where", ["file", "under a file"])
+def test_out_dir_flag_on_a_file_exits_2(small_files, monkeypatch, capsys,
+                                        command, where):
+    _refuse_to_run(monkeypatch)
+    blocker = small_files.parent / "taken"
+    blocker.write_text("")
+    out = blocker if where == "file" else blocker / "out"
+    assert _run(command, "--config", small_files, "--quiet",
+                "--out-dir", out) == EXIT_INPUT
+    assert (f"--out-dir {out}: {blocker} is not a directory"
+            in capsys.readouterr().err)
+
+
+def test_out_dir_key_on_a_file_exits_2(small_files, monkeypatch, capsys):
+    _refuse_to_run(monkeypatch)
+    (small_files.parent / "taken").write_text("")
+    cfg = _with(small_files, "out.json", out_dir="taken")
+    assert _run("simulate", "--config", cfg, "--quiet") == EXIT_INPUT
+    assert "config 'out_dir'" in capsys.readouterr().err
+
+
+def _finished_run(out, report_text):
+    """An output directory holding ``report_text`` as its report and the
+    series ``report`` recomputes the savings from."""
+    out.mkdir()
+    (out / "report.json").write_text(report_text)
+    dhnopt.cli.write_csv(out / "plant_power.csv", {
+        name: np.arange(1.0, 4.0) for name in dhnopt.cli._PLANT_POWER_HEADER})
+
+
+def test_report_on_a_report_that_is_not_json_exits_2(tmp_path, capsys):
+    _finished_run(tmp_path / "out", '{"command": "optimize",')
+    assert _run("report", "--out-dir", tmp_path / "out") == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'out' / 'report.json'}: invalid JSON" in err
+
+
+def test_report_on_a_report_that_is_not_an_object_exits_2(tmp_path, capsys):
+    _finished_run(tmp_path / "out", '["optimize"]')
+    assert _run("report", "--out-dir", tmp_path / "out") == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert (f"{tmp_path / 'out' / 'report.json'}: must be a JSON object"
+            in err)
+
+
+@pytest.mark.parametrize("savings", [None, "0.5", True])
+def test_report_on_an_optimize_report_without_savings_exits_2(
+        tmp_path, capsys, savings):
+    report = {"command": "optimize"}
+    if savings is not None:
+        report["savings"] = savings
+    _finished_run(tmp_path / "out", json.dumps(report))
+    assert _run("report", "--out-dir", tmp_path / "out") == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert (f"{tmp_path / 'out' / 'report.json'}: optimize report needs a "
+            f"number 'savings'" in err)
+
+
+# ---------------------------------------------------------------------------
+# what the commands hold while they run
+# ---------------------------------------------------------------------------
+
+def test_simulate_holds_one_trajectory(tmp_path, monkeypatch):
+    # above what the scenario leaves live, the command's traced peak is
+    # its trajectory plus small series, not a second trajectory-sized
+    # temporary of the energy audit or the stored energy
+    cfg = write_feeder_files(tmp_path)
+    args = dhnopt.cli._build_parser().parse_args(
+        ["simulate", "--config", str(cfg), "--quiet"])
+    run_cfg = dhnopt.cli.RunConfig.load(args)
+    after_scenario, trajectories = [], []
+    scenario, simulate_system = (dhnopt.cli._scenario,
+                                 dhnopt.cli.simulate_system)
+
+    def traced_scenario(cfg):
+        sc = scenario(cfg)
+        after_scenario.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return sc
+
+    def kept_simulate_system(*args):
+        traj = simulate_system(*args)
+        trajectories.append(traj.values_c.nbytes)
+        return traj
+
+    monkeypatch.setattr("dhnopt.cli._scenario", traced_scenario)
+    monkeypatch.setattr("dhnopt.cli.simulate_system", kept_simulate_system)
+    tracemalloc.start()
+    try:
+        assert dhnopt.cli.cmd_simulate(run_cfg) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trajectories == [1432 * 289 * 8]
+    assert peak - after_scenario[0] <= 1.5 * trajectories[0]
+
+
+def test_optimize_drops_its_baseline_before_solving(small_files, monkeypatch):
+    trajectories, alive = [], []
+    simulate_system, optimize = dhnopt.cli.simulate_system, dhnopt.cli.optimize
+
+    def watched_simulate_system(*args):
+        traj = simulate_system(*args)
+        trajectories.append(weakref.ref(traj.values_c))
+        return traj
+
+    def watched_optimize(*args):
+        alive.append(trajectories[0]() is not None)
+        return optimize(*args)
+
+    monkeypatch.setattr("dhnopt.cli.simulate_system", watched_simulate_system)
+    monkeypatch.setattr("dhnopt.cli.optimize", watched_optimize)
+    cfg = _with(small_files, "short.json",
+                optimizer={"max_inner_iterations": 1})
+    assert _run("optimize", "--config", cfg, "--quiet") == EXIT_OK
+    assert alive == [False]

@@ -24,14 +24,14 @@ from hypothesis import strategies as st
 from dhnopt import network
 from dhnopt.cli import EXIT_INPUT, EXIT_OK, main
 from dhnopt.errors import ParseError, ValidationError
+from conftest import write_feeder_files
 from dhnopt.fixtures import (daily_load_profile, demand_set_for, desk_network,
-                             feeder_network, two_level_price,
-                             write_desk_fixture)
+                             feeder_network, write_desk_fixture)
 from dhnopt.network import (load_flow_field, parse_network, read_csv,
-                            write_csv, write_flow_field, write_network)
+                            write_csv, write_network)
 from dhnopt.scenario import (LoadSeries, read_demand_set,
                              read_load_series, read_price_series,
-                             write_demand_set, write_price_series)
+                             write_demand_set)
 
 _DEMAND_HEADER = "time_s,consumer_edge_id,power_w\n"
 
@@ -778,21 +778,11 @@ def test_a_first_name_starting_with_a_byte_order_mark_reads_back(tmp_path,
 def test_feeder_files_are_split_without_csv_reader(tmp_path, monkeypatch):
     # LF-terminated, unquoted, multi-column files stay on the split path,
     # which reads them faster than csv.reader does
-    graph, flow = feeder_network(max_cell_length_m=math.inf)
+    write_feeder_files(tmp_path)
     nodes, edges, flows = (tmp_path / f"{name}.csv"
                            for name in ("nodes", "edges", "flows"))
-    write_network(graph, nodes, edges)
-    write_flow_field(flow, graph, flows)
-    n = len(graph.consumer_edges)
-    base = daily_load_profile(mean_w=50e3 * n, n_days=3)
-    write_demand_set(demand_set_for(graph, base, mean_w_per_consumer=50e3),
-                     tmp_path / "demands.csv")
-    write_price_series(two_level_price(n_days=3), tmp_path / "prices.csv")
+    n = len(feeder_network(max_cell_length_m=math.inf)[0].consumer_edges)
     control_header = ["time_s", "plant_edge_id", "supply_temp_c"]
-    write_csv(tmp_path / "control.csv", {
-        "time_s": 900.0 * np.arange(1, 289),
-        "plant_edge_id": [graph.edge_ids[graph.producer_edges[0]]] * 288,
-        "supply_temp_c": np.linspace(95.0, 110.0, 288)})
 
     def refuse(table, lines):
         raise AssertionError(f"{table.path} went to csv.reader")

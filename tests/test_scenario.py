@@ -214,6 +214,13 @@ class TestSynthesizeVariations:
         assert any(not np.array_equal(s_a.values_w, s_c.values_w)
                    for s_a, s_c in zip(a, c))
 
+    def test_negative_seed_is_refused_before_any_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a stream was drawn for a negative seed")
+        monkeypatch.setattr("dhnopt.scenario._consumer_rng", no_draw)
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+            synthesize_variations(self.BASE, 2, sigma=0.3, seed=-1)
+
     @pytest.mark.parametrize("keys, order", [
         (["S1", "S2"], [1, 0]),
         (_FEEDER_KEYS, np.random.default_rng(0).permutation(130)),

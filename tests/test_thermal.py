@@ -1,10 +1,15 @@
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import dhnopt
 from conftest import make_loop_scenario
 from dhnopt.errors import SolverError, ValidationError
 from dhnopt.fixtures import (desk_network, feeder_network, minimal_loop,
@@ -420,3 +425,90 @@ class TestHelpers:
                                       np.arange(5.0))
         with pytest.raises(ValidationError):
             series.ambient_series(7)
+
+
+# ---------------------------------------------------------------------------
+# the audit's column blocks against the whole-array formulas
+# ---------------------------------------------------------------------------
+
+_BLOCKED_STEPS = (1, 24, 31, 32, 33, 63, 64, 65, 288, 289)
+
+#: Prints ``network n_steps balance stored`` per case, each 1 when the
+#: blocked reduction has the bits of the whole-array formula written out
+#: here; run at one BLAS thread, which is where the two must agree.
+_WHOLE_ARRAY_AUDIT = f"""
+import numpy as np
+from dhnopt.fixtures import desk_network, feeder_network, minimal_loop
+from dhnopt.network import control_volumes
+from dhnopt.thermal import (PhysicalConstants, assemble, energy_balance,
+                            plant_injection_w, simulate_system, stored_energy)
+from test_condensed import cyclic_network
+
+def whole_array_balance(system, traj, deltas, ambient):
+    cp = system.constants.cp_j_per_kg_c
+    y = traj.values_c
+    injection = plant_injection_w(system, traj)
+    extraction = cp * (system.consumer_massflow[:, None]
+                       * deltas[:, 1:]).sum(axis=0)
+    s = np.where(system.interior, system.S_diag, 0.0)
+    ambient_loss = s @ y[:, 1:] - s.sum() * ambient[1:]
+    storage = system.B_diag @ np.diff(y, axis=1)
+    residual = injection - extraction - ambient_loss - storage
+    return {{"injection_w": injection, "extraction_w": extraction,
+            "ambient_w": ambient_loss, "storage_w": storage,
+            "residual_w": residual,
+            "residual_rel": np.abs(residual)
+            / np.maximum(np.abs(injection), 1e-30)}}
+
+def same(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+constants = PhysicalConstants()
+for name, network in (("loop", minimal_loop), ("desk", desk_network),
+                      ("cyclic", cyclic_network), ("feeder", feeder_network)):
+    graph, flow = network()
+    volumes = control_volumes(graph)
+    system = assemble(graph, flow, volumes, constants, dt_s=900.0)
+    bc = system.bc
+    for n in {_BLOCKED_STEPS}:
+        rng = np.random.default_rng(n)
+        u = rng.uniform(80.0, 110.0, (bc.n_plants, n))
+        deltas = rng.uniform(5.0, 20.0, (bc.n_consumers, n + 1))
+        ambient = rng.uniform(-5.0, 15.0, n + 1)
+        traj = simulate_system(system, u, deltas, ambient)
+        got = energy_balance(system, traj, deltas, ambient)
+        want = whole_array_balance(system, traj, deltas, ambient)
+        balance = got.keys() == want.keys() and all(
+            same(got[k], want[k]) for k in want)
+        y, ref = traj.values_c, float(ambient.mean())
+        weights = constants.rho_kg_m3 * constants.cp_j_per_kg_c * volumes
+        stored = same(stored_energy(y, volumes, constants, ref),
+                      weights @ (y - ref))
+        print(name, n, int(balance), int(stored))
+"""
+
+
+@pytest.fixture(scope="module")
+def whole_array_audit():
+    tests = str(Path(__file__).parent)
+    src = str(Path(dhnopt.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(
+                   None, (src, tests, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", _WHOLE_ARRAY_AUDIT],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    cases = {}
+    for line in proc.stdout.splitlines():
+        name, n, balance, stored = line.split()
+        cases[name, int(n)] = (balance == "1", stored == "1")
+    return cases
+
+
+@pytest.mark.parametrize("n_steps", _BLOCKED_STEPS)
+@pytest.mark.parametrize("name", ["loop", "desk", "cyclic", "feeder"])
+def test_blocked_audit_has_the_whole_array_bits(whole_array_audit, name,
+                                                n_steps):
+    # energy_balance and stored_energy reduce one column block at a
+    # time; each block's product must round as the whole array's does
+    assert whole_array_audit[name, n_steps] == (True, True)
